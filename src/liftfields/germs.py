@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .linalg import SparseSpan, matrix_rank
+from .linalg import FactoredSpan, SparseSpan, matrix_rank
 from .modules import (
     IdealPowerTower,
     ScalarClassMap,
@@ -22,7 +22,14 @@ from .modules import (
     scalar_multiples_span,
     scalar_row_to_poly,
 )
-from .poly import Polynomial, count_monomials_below, monomials_below, monomials_of_degree
+from .poly import (
+    Polynomial,
+    count_monomials_below,
+    mono_index_map,
+    mono_mul,
+    monomials_below,
+    monomials_of_degree,
+)
 
 DEFAULT_ORDER_CAP = 24
 
@@ -173,6 +180,32 @@ class MultiGerm:
             self._cache[key] = IdealPowerTower(
                 list(self.branches[j].components), order, ell=self.branch_ell(j)
             )
+        return self._cache[key]
+
+    def tangent_span(self, j: int, order: int) -> FactoredSpan:
+        """Jet span below ``order`` of branch j's tangent space, factored once.
+
+        The vectors df_j(x^alpha e_src) are added in unknown order
+        u = rank(alpha)*n + src (tagged u), so the lift equation
+        df_j(xi) = rhs is solved by reducing rhs and back-substituting.
+        """
+        key = ("tangent", j, order)
+        if key not in self._cache:
+            jac = self.branches[j].jacobian()
+            n, p = self.n, self.p
+            idx = mono_index_map(n, order)
+            span = FactoredSpan()
+            for a_rank, alpha in enumerate(monomials_below(n, order)):
+                for src in range(n):
+                    # columns of x^alpha * d(component q)/d(x_src), truncated
+                    row = {}
+                    for q in range(p):
+                        for m, c in jac[q][src].terms.items():
+                            col = idx.get(mono_mul(m, alpha))
+                            if col is not None:
+                                row[col * p + q] = c
+                    span.add(row, a_rank * n + src)
+            self._cache[key] = span
         return self._cache[key]
 
     # -- higher delta / gamma -------------------------------------------

@@ -181,7 +181,7 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
             row.update(branch_vector(j, comps))
         coords = qm.coords(row)
         if coords is None:
-            raise RuntimeError("pullback class escaped the modeled quotient")
+            raise ConsistencyError("pullback class escaped the modeled quotient")
         columns.append(coords)
     return KSMapModel(i, order, domain, qm.dim, columns)
 

@@ -8,6 +8,12 @@ a bounded-degree ansatz (complete_generators), and restricting the liftable
 module of a one-parameter stable unfolding through a syzygy computation
 (restrict_from_unfolding) — and certifies results by re-solving, jet-level
 module equality, and a Nakayama generator count.
+
+Each branch's tangent jet span is factored once per jet order and cached on
+the germ (MultiGerm.tangent_span).  Completion residuals are normal forms
+modulo that span; a lift is the pullback's reduction followed by back
+substitution through the recorded multipliers, and a nonzero remainder
+gives the obstruction degree directly.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .germs import HypothesisError, MultiGerm, UnfoldingSpec
+from .germs import ConsistencyError, HypothesisError, MultiGerm, UnfoldingSpec
 from .ksmaps import KSReport, ks_matrix, locate_i1_i2, min_generators, truncation_order
-from .linalg import SparseSpan, solve_sparse
+from .linalg import solve_sparse
 from .modules import (
     module_jet_span,
     span_contains,
@@ -29,7 +35,7 @@ from .modules import (
 from .poly import (
     Polynomial,
     count_monomials_below,
-    mono_index_map,
+    mono_degree,
     monomials_below,
     monomials_of_degree,
 )
@@ -91,62 +97,41 @@ def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
     ]
 
 
-def _solve_branch(branch, rhs: Sequence[Polynomial], order: int):
-    """Solve df_j(xi) = rhs mod jet order; xi coefficients or None."""
-    n, p = branch.n, branch.p
-    jac = branch.jacobian()
-    monos = monomials_below(n, order)
-    idx = mono_index_map(n, order)
-    nmono = len(monos)
-    equations: list[dict] = [dict() for _ in range(p * nmono)]
-    for src in range(n):
-        for a_rank, alpha in enumerate(monos):
-            u = a_rank * n + src
-            for q in range(p):
-                g = jac[q][src].mul_monomial(alpha).truncate(order)
-                for m, c in g.terms.items():
-                    equations[idx[m] * p + q][u] = equations[idx[m] * p + q].get(u, 0) + c
-    b = [Fraction(0)] * (p * nmono)
-    for q, g in enumerate(rhs):
-        for m, c in g.terms.items():
-            if m in idx:
-                b[idx[m] * p + q] += c
-    sol = solve_sparse(equations, b, n * nmono)
-    if sol is None:
-        return None
-    xi = []
-    for src in range(n):
-        terms = {}
-        for a_rank, alpha in enumerate(monos):
-            c = sol[a_rank * n + src]
-            if c:
-                terms[alpha] = c
-        xi.append(Polynomial(n, terms))
-    return tuple(xi)
-
-
 def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
     """Solve the lift equation for eta over every branch of f at the given
-    jet order; raises NotLiftableError with the first obstructed degree."""
+    jet order; raises NotLiftableError with the first obstructed degree.
+
+    The pullback of eta is reduced modulo the branch's factored tangent
+    span; a nonzero remainder is the obstruction (its lowest column gives
+    the degree), otherwise xi is read off by back substitution.
+    """
+    n, p = f.n, f.p
+    monos = monomials_below(n, order)
     lifts = []
     exact = True
     residual_low = None
-    for b in f.branches:
-        rhs = _pullback(eta, b, order)
-        xi = _solve_branch(b, rhs, order)
-        if xi is None:
-            # locate the first truncation order at which the system breaks
-            deg = order
-            for d in range(1, order):
-                if _solve_branch(b, _pullback(eta, b, d), d) is None:
-                    deg = d
-                    break
+    for j, b in enumerate(f.branches):
+        span = f.tangent_span(j, order)
+        full = _pullback(eta, b, None)
+        hits: dict = {}
+        left = span.reduce_full(vector_to_row(full, p, order), hits)
+        if left:
+            deg = mono_degree(monos[min(left) // p]) + 1
             raise NotLiftableError(
                 f"branch {b.label!r}: lift equation inconsistent at jet order {deg}",
                 b.label,
                 deg - 1,
             )
-        full = _pullback(eta, b, None)
+        sol = span.combination(hits)
+        xi = []
+        for src in range(n):
+            terms = {}
+            for a_rank, alpha in enumerate(monos):
+                c = sol.get(a_rank * n + src)
+                if c:
+                    terms[alpha] = c
+            xi.append(Polynomial(n, terms))
+        xi = tuple(xi)
         image = _tangent_image(b, xi)
         res = [u - v for u, v in zip(full, image)]
         lows = [r.low_degree() for r in res if not r.is_zero()]
@@ -208,16 +193,9 @@ def complete_generators(
     kernel = model.kernel_fields(f.target_vars)
     expected = min_generators(f, mode="bruteforce", report=report).count
 
-    # per-branch tangent-space jet spans (the lift condition decouples)
-    tspans = []
-    for b in f.branches:
-        jac = b.jacobian()
-        span = SparseSpan()
-        for alpha in monomials_below(n, order):
-            for src in range(n):
-                comps = [jac[q][src].mul_monomial(alpha).truncate(order) for q in range(p)]
-                span.add(vector_to_row(comps, p, order))
-        tspans.append(span)
+    # per-branch tangent-space jet spans (the lift condition decouples);
+    # the same factored spans certify every generator in solve_lift
+    tspans = [f.tangent_span(j, order) for j in range(f.num_branches)]
 
     def residual(field: FieldVector) -> dict:
         """Concatenated canonical residuals of eta∘f_j over all branches."""
@@ -339,7 +317,7 @@ def restrict_from_unfolding(
             for q in range(P_):
                 combo[q] = combo[q] + a * eta[q]
         if combo[k] != (-s[-1]) * lam:
-            raise RuntimeError("syzygy combination has wrong parameter component")
+            raise ConsistencyError("syzygy combination has wrong parameter component")
         restricted = tuple(
             combo[r].substitute(values) for r in range(P_) if r != k
         )

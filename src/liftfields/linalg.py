@@ -37,8 +37,9 @@ def _to_int_row(row: dict) -> dict:
     return ints
 
 
-def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> dict:
-    """Fraction-free elimination: lead_p*row - lead_r*prow, content-reduced."""
+def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> tuple[dict, int]:
+    """Fraction-free elimination: (lead_p*row - lead_r*prow) / g with g the
+    content of the difference.  Returns the reduced row and g."""
     out = {k: lead_p * v for k, v in row.items()}
     for k, v in prow.items():
         s = out.get(k, 0) - lead_r * v
@@ -46,14 +47,12 @@ def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> dict:
             out[k] = s
         else:
             out.pop(k, None)
-    if not out:
-        return out
     g = 0
     for v in out.values():
         g = gcd(g, v)
     if g > 1:
         out = {k: v // g for k, v in out.items()}
-    return out
+    return out, g
 
 
 class SparseSpan:
@@ -81,7 +80,7 @@ class SparseSpan:
             prow = self.rows.get(lead)
             if prow is None:
                 return row
-            row = _combine(row, row[lead], prow, prow[lead])
+            row = _combine(row, row[lead], prow, prow[lead])[0]
         return row
 
     def add(self, row: dict) -> int | None:
@@ -100,11 +99,12 @@ class SparseSpan:
         """Leading-term reduction of ``row`` modulo the span (integer row)."""
         return self._echelonize(_to_int_row(row))
 
-    def reduce_full(self, row: dict) -> dict:
+    def reduce_full(self, row: dict, hits: dict | None = None) -> dict:
         """Canonical normal form modulo the span: eliminate *every* entry
         sitting on a pivot column (not just leading ones), so the result is
         supported on non-pivot columns only and depends linearly on the
-        input.  Returns a rational row."""
+        input.  Returns a rational row.  When ``hits`` is given it receives
+        pivot -> factor with row = sum(factor * rows[pivot]) + result."""
         r = {k: Fraction(v) for k, v in row.items() if v}
         while True:
             hit = None
@@ -116,6 +116,8 @@ class SparseSpan:
                 return r
             prow = self.rows[hit]
             factor = r[hit] / prow[hit]
+            if hits is not None:
+                hits[hit] = factor
             for k, v in prow.items():
                 s = r.get(k, Fraction(0)) - factor * v
                 if s:
@@ -130,6 +132,65 @@ class SparseSpan:
 
     def basis_rows(self) -> list[dict]:
         return [self.rows[p] for p in sorted(self.rows)]
+
+
+class FactoredSpan(SparseSpan):
+    """Echelon span of tagged vectors that keeps a sparse triangular factor.
+
+    Each kept row is recorded as ``row = sigma * (v + sum(d_j * row_j))``:
+    its own input vector ``v`` scaled, plus the multipliers ``d_j`` of the
+    earlier rows it was reduced against.  Vectors that turn out dependent
+    are dropped, so when vectors are added in unknown order the kept ones
+    are exactly the pivot unknowns of that column system, and
+    :meth:`combination` gives the solution whose free unknowns are 0.
+    """
+
+    __slots__ = ("factor",)
+
+    def __init__(self):
+        super().__init__()
+        self.factor: list[tuple] = []  # (pivot, tag, sigma, {pivot_j: d_j})
+
+    def add(self, row: dict, tag) -> int | None:
+        """Insert the vector ``row`` under ``tag``; returns the new pivot
+        column, or None if the vector is dependent (and dropped)."""
+        ints = _to_int_row(row)
+        if not ints:
+            return None
+        k = next(iter(ints))
+        sigma = Fraction(ints[k]) / Fraction(row[k])
+        mults = {}
+        row = ints
+        while True:
+            lead = min(row)
+            prow = self.rows.get(lead)
+            if prow is None:
+                break
+            a, b = prow[lead], row[lead]
+            mults[lead] = Fraction(-b) / (a * sigma)
+            row, g = _combine(row, b, prow, a)
+            if not row:
+                return None
+            sigma = sigma * a / g
+        self.rows[lead] = row
+        self.factor.append((lead, tag, sigma, mults))
+        return lead
+
+    def combination(self, hits: dict) -> dict:
+        """Back substitution through the factor: given pivot -> factor with
+        ``sum(factor * rows[pivot])`` (from :meth:`reduce_full`), return
+        tag -> coefficient of the same vector over the kept input vectors."""
+        hits = dict(hits)
+        out = {}
+        for lead, tag, sigma, mults in reversed(self.factor):
+            g = hits.get(lead)
+            if not g:
+                continue
+            x = g * sigma
+            out[tag] = x
+            for j, d in mults.items():
+                hits[j] = hits.get(j, 0) + x * d
+        return out
 
 
 class QuotientModel:
@@ -156,7 +217,7 @@ class QuotientModel:
                 self.qrows[lead] = (self.dim, r)
                 self.dim += 1
                 return True
-            r = _combine(r, r[lead], hit[1], hit[1][lead])
+            r = _combine(r, r[lead], hit[1], hit[1][lead])[0]
             r = self.base._echelonize(r)
         return False
 

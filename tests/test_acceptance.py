@@ -250,10 +250,7 @@ def test_criterion_8_every_generator_reverifies():
         # pipeline outputs
         rep = locate_i1_i2(f)
         if rep.theorem_applicable:
-            # cap the completion degree for the largest target dimension to
-            # keep the verification pass fast; certificates stay at order CERT
-            extra = 4 if f.p >= 5 else None
-            mod = complete_generators(f, report=rep, max_extra_degree=extra)
+            mod = complete_generators(f, report=rep)
             for cert in mod.generators:
                 if not verify_certificate(f, cert):
                     failures.append((name, "kernel-completion"))

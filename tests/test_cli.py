@@ -156,3 +156,38 @@ def test_exit_inconsistent_fault_injected(capsys, monkeypatch):
     code, _, err = run(["analyze", "whitney-psi2", "--mode", "both"], capsys)
     assert code == 4
     assert "inconsistent" in err
+
+
+def test_exit_hypothesis_obstruction_pinned(capsys):
+    # the pre-transport block generates the module of another normal form
+    code, _, err = run(["check", "phi-63", "--fields", "pre"], capsys)
+    assert code == 1
+    assert err == (
+        "hypothesis violated: branch 'a': lift equation inconsistent at jet order 4\n"
+    )
+
+
+def test_exit_inconsistent_escaped_pullback_class(capsys, monkeypatch):
+    from liftfields import ksmaps
+
+    monkeypatch.setattr(ksmaps.QuotientModel, "coords", lambda self, row: None)
+    code, _, err = run(["analyze", "whitney-psi2"], capsys)
+    assert code == 4
+    assert "pullback class escaped" in err
+
+
+def test_exit_inconsistent_bad_syzygy(capsys, monkeypatch):
+    from liftfields import lift
+    from liftfields.poly import Polynomial
+
+    syzygy_basis = lift.syzygy_basis
+
+    def skewed(gens):
+        # break every syzygy's coefficient of the parameter coordinate L
+        one = Polynomial.constant(gens[0].nvars, 1)
+        return [s[:-1] + (s[-1] + one,) for s in syzygy_basis(gens)]
+
+    monkeypatch.setattr(lift, "syzygy_basis", skewed)
+    code, _, err = run(["unfold", "fold-line"], capsys)
+    assert code == 4
+    assert "syzygy combination" in err

@@ -1,5 +1,7 @@
 """Lift certification, kernel completion, unfolding restriction, transport."""
 
+from fractions import Fraction
+
 import pytest
 
 from liftfields import (
@@ -11,13 +13,15 @@ from liftfields import (
     lift_of_squaring_map,
     locate_i1_i2,
     nakayama_minimize,
+    reduce_to_core,
     restrict_from_unfolding,
     solve_lift,
     transport,
     verify_certificate,
 )
-from liftfields import catalog
-from liftfields.poly import Polynomial, vec_add
+from liftfields import catalog, germs
+from liftfields.linalg import solve_sparse
+from liftfields.poly import Polynomial, mono_index_map, monomials_below, vec_add
 
 from conftest import germ, poly, vfield
 
@@ -46,6 +50,27 @@ def test_non_liftable_field_rejected():
     with pytest.raises(NotLiftableError) as err:
         solve_lift(cusp, bad, CERT)
     assert err.value.obstruction_degree is not None
+
+
+@pytest.mark.parametrize(
+    "name, texts, branch, degree",
+    [
+        ("cusp-pair", ["2*X", "3*Y"], "b", 3),  # the Euler field of branch a
+        ("cusp-pair", ["2*X + Y^2", "3*Y"], "a", 7),
+        ("phi-63", ["V", "0", "X"], "a", 3),  # first field of the pre block
+        ("phi-63", ["X", "0", "V*W"], "a", 4),
+    ],
+    ids=["cusp-pair-euler-of-a", "cusp-pair-perturbed", "phi-63-pre-1", "phi-63-pre-2"],
+)
+def test_obstruction_degree_pinned(name, texts, branch, degree):
+    f = germ(name)
+    with pytest.raises(NotLiftableError) as err:
+        solve_lift(f, vfield(texts, f.target_vars), CERT)
+    assert err.value.branch == branch
+    assert err.value.obstruction_degree == degree
+    assert str(err.value) == (
+        f"branch {branch!r}: lift equation inconsistent at jet order {degree + 1}"
+    )
 
 
 def test_unfolding_fields_certify(catalog_docs):
@@ -198,3 +223,90 @@ def test_compare_modules_reports_witness():
     assert not cmp.equal
     assert cmp.missing_from_left == [1]
     assert cmp.missing_from_right == []
+
+
+# ---------------------------------------------------------------------------
+# factored tangent spans against the raw Jacobian system
+# ---------------------------------------------------------------------------
+
+def _raw_lift(branch, eta, order):
+    """Solve df_j(xi) = eta∘f_j mod jet order by assembling the whole
+    Jacobian system and handing it to solve_sparse; xi or None."""
+    n, p = branch.n, branch.p
+    jac = branch.jacobian()
+    monos = monomials_below(n, order)
+    idx = mono_index_map(n, order)
+    equations = [dict() for _ in range(p * len(monos))]
+    for src in range(n):
+        for a_rank, alpha in enumerate(monos):
+            u = a_rank * n + src
+            for q in range(p):
+                g = jac[q][src].mul_monomial(alpha).truncate(order)
+                for m, c in g.terms.items():
+                    eq = equations[idx[m] * p + q]
+                    eq[u] = eq.get(u, 0) + c
+    b = [Fraction(0)] * (p * len(monos))
+    for q, comp in enumerate(eta):
+        for m, c in comp.substitute(list(branch.components), order).terms.items():
+            b[idx[m] * p + q] += c
+    sol = solve_sparse(equations, b, n * len(monos))
+    if sol is None:
+        return None
+    return tuple(
+        Polynomial(n, {alpha: sol[a_rank * n + src] for a_rank, alpha in enumerate(monos)})
+        for src in range(n)
+    )
+
+
+def test_factored_solve_matches_raw_system(catalog_docs):
+    """Every recorded fields block at order 12: solve_lift gives the xi of
+    solve_sparse on the raw system (free unknowns 0), and is obstructed on
+    the first branch where the raw system is inconsistent."""
+    solved = obstructed = 0
+    for name, doc in catalog_docs.items():
+        f = doc.to_multigerm()
+        if f.n > f.p:
+            f = reduce_to_core(f)  # as the check command does
+        F = doc.to_unfolding_spec().F if doc.unfolding is not None else None
+        for block in doc.fields.values():
+            target = F if block.over_unfolding else f
+            for vf in block.fields:
+                raw = [_raw_lift(b, vf, CERT) for b in target.branches]
+                if None in raw:
+                    with pytest.raises(NotLiftableError) as err:
+                        solve_lift(target, vf, CERT)
+                    first = target.branches[raw.index(None)].label
+                    assert err.value.branch == first, (name, block.name)
+                    obstructed += 1
+                else:
+                    assert solve_lift(target, vf, CERT).lifts == tuple(raw), (name, block.name)
+                    solved += 1
+    assert solved > 50 and obstructed >= 1
+
+
+def test_completion_factors_each_tangent_span_once(monkeypatch):
+    built = []
+
+    class CountingSpan(germs.FactoredSpan):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(germs, "FactoredSpan", CountingSpan)
+    used = []
+    tangent_span = germs.MultiGerm.tangent_span
+
+    def recording(self, j, order):
+        span = tangent_span(self, j, order)
+        used.append((j, order, span))
+        return span
+
+    monkeypatch.setattr(germs.MultiGerm, "tangent_span", recording)
+    f = germ("phi-3")
+    mod = complete_generators(f)
+    keys = {(j, order) for j, order, _ in used}
+    assert len(built) == len(keys) == f.num_branches
+    assert all(order == mod.cert_order for _, order, _ in used)
+    # one lookup per branch for completion, then one per branch per generator
+    assert len(used) == f.num_branches * (1 + mod.count)
+    assert {id(span) for _, _, span in used} == {id(span) for span in built}

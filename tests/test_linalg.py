@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from liftfields.linalg import (
+    FactoredSpan,
     SparseSpan,
     dense_rref,
     kernel_basis,
@@ -105,3 +106,27 @@ def test_dense_rref_idempotent():
     m = [[2, 4], [1, 3]]
     rows, pivots = dense_rref([list(map(Fraction, row)) for row in m])
     assert dense_rref([row[:] for row in rows]) == (rows, pivots)
+
+
+@given(
+    st.lists(
+        st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                 min_size=4, max_size=4),
+        min_size=1, max_size=6,
+    ),
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_factored_span_matches_solve_sparse(vectors, x):
+    """Vectors added in order u are the columns of a system; back
+    substitution gives solve_sparse's solution (free unknowns 0)."""
+    span = FactoredSpan()
+    for u, v in enumerate(vectors):
+        span.add({k: c for k, c in enumerate(v) if c}, u)
+    b = [sum((v[k] * c for v, c in zip(vectors, x)), Fraction(0)) for k in range(4)]
+    hits = {}
+    assert span.reduce_full({k: c for k, c in enumerate(b) if c}, hits) == {}
+    got = span.combination(hits)
+    equations = [{u: v[k] for u, v in enumerate(vectors) if v[k]} for k in range(4)]
+    want = solve_sparse(equations, b, len(vectors))
+    assert [got.get(u, 0) for u in range(len(vectors))] == want
