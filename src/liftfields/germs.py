@@ -18,9 +18,9 @@ from .linalg import FactoredSpan, SparseSpan, matrix_rank
 from .modules import (
     IdealPowerTower,
     ScalarClassMap,
+    jet_times,
     poly_to_scalar_row,
     scalar_multiples_span,
-    scalar_row_to_poly,
 )
 from .poly import (
     Polynomial,
@@ -252,25 +252,22 @@ class MultiGerm:
         ell = self.branch_ell(j, cap)
         order = ell * (i + 2) + 1
         tower = self.branch_tower(j, order)
-        upper = tower.span(i + 1)
-        cmap = ScalarClassMap(upper, b.n, order)
+        cmap = ScalarClassMap(tower.span(i + 1), b.n, order)
         # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
-        reps: list[Polynomial] = []
+        reps: list[dict] = []
         seen = SparseSpan()
         for row in tower.span(i).basis_rows():
-            g = scalar_row_to_poly(row, b.n, order)
-            cls = cmap.reduce(g)
-            if seen.add(dict(cls)) is not None:
-                reps.append(g)
+            if seen.add(cmap.reduce(row)) is not None:
+                reps.append(row)
         idelta = len(reps)
         # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p
         jac = b.jacobian()
         columns = []
-        for g in reps:
+        for row in reps:
             for m in range(b.n):
                 col: dict[int, Fraction] = {}
                 for q in range(b.p):
-                    prod = (jac[q][m] * g).truncate(order)
+                    prod = jet_times(row, jac[q][m].terms.items(), b.n, order)
                     for idx, v in cmap.reduce(prod).items():
                         col[q * cmap.dim + idx] = v
                 columns.append(col)

@@ -17,6 +17,16 @@ quotient off a single echelon extension — no subspace intersections needed.
 
 All jets are taken at order M = ell*(i+2)+1 where ell is the Nakayama
 exponent (m^ell ⊆ I), which resolves the quotient exactly.
+
+The model never leaves integer column space: the ideal-power spans are
+products of integer basis rows with the generators on monomial column
+indices, every column's quotient class is computed once
+(ScalarClassMap.classes), and a tangent row is the sum of the classes of
+its Jacobian terms.  The columns are factored once, left to right, with a
+fraction-free FactoredSpan: the rank is the factor's dimension, and each
+dependent column c gives the kernel vector e_c minus its combination of the
+independent columns before it, which is the reduced-echelon kernel basis.
+Models are kept in the germ's cache, so each level is built once.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Optional, Sequence
 
 from .germs import ConsistencyError, HypothesisError, MultiGerm
-from .linalg import QuotientModel, SparseSpan, dense_rref, kernel_basis
-from .modules import ScalarClassMap, scalar_row_to_poly
-from .poly import Monomial, Polynomial, mono_degree, monomials_below, monomials_of_degree
+from .linalg import FactoredSpan, QuotientModel, SparseSpan
+from .modules import ScalarClassMap, poly_to_scalar_row, row_low_degree
+from .poly import Monomial, Polynomial, mono_index_map, monomials_of_degree
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
@@ -46,6 +57,7 @@ class KSMapModel:
     domain_basis: list[tuple[int, Monomial]]  # (target component, monomial), degree i
     target_dim: int
     columns: list[list[Fraction]]  # one column per domain basis element
+    _factor: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def domain_dim(self) -> int:
@@ -57,10 +69,22 @@ class KSMapModel:
             for r in range(self.target_dim)
         ]
 
+    def _column(self, c: int) -> dict:
+        return {r: v for r, v in enumerate(self.columns[c]) if v}
+
+    def _factored(self) -> tuple[FactoredSpan, list[int]]:
+        """Fraction-free factor of the columns, added left to right, and the
+        dependent columns (those in the span of the columns before them)."""
+        if self._factor is None:
+            span, dependent = FactoredSpan(), []
+            for c in range(self.domain_dim):
+                if span.add(self._column(c), c) is None:
+                    dependent.append(c)
+            self._factor = (span, dependent)
+        return self._factor
+
     def rank(self) -> int:
-        if not hasattr(self, "_rank"):
-            self._rank = len(dense_rref(self.matrix_rows())[1]) if self.target_dim else 0
-        return self._rank
+        return self._factored()[0].dim
 
     @property
     def surjective(self) -> bool:
@@ -80,27 +104,31 @@ class KSMapModel:
 
     def kernel_fields(self, target_vars: Sequence[str]) -> list[tuple[Polynomial, ...]]:
         """Vector-field representatives of a kernel basis (homogeneous of
-        degree i in the target variables)."""
+        degree i in the target variables): one per dependent column c,
+        e_c minus its combination of the independent columns before it
+        (the reduced-echelon kernel basis)."""
         p = len(target_vars)
+        span, dependent = self._factored()
         out = []
-        if self.target_dim:
-            vecs = kernel_basis(self.matrix_rows(), self.domain_dim)
-        else:
-            vecs = [
-                [Fraction(int(k == c)) for k in range(self.domain_dim)]
-                for c in range(self.domain_dim)
-            ]
-        for v in vecs:
+        for c in dependent:
+            hits: dict = {}
+            span.reduce_full(self._column(c), hits)
+            v = {t: -x for t, x in span.combination(hits).items()}
+            v[c] = Fraction(1)
             comps = [Polynomial.zero(p) for _ in range(p)]
-            for coeff, (q, m) in zip(v, self.domain_basis):
-                if coeff:
-                    comps[q] = comps[q] + Polynomial.monomial(p, m, coeff)
+            for k in sorted(v):
+                q, m = self.domain_basis[k]
+                comps[q] = comps[q] + Polynomial.monomial(p, m, v[k])
             out.append(tuple(comps))
         return out
 
 
 def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
-    """Build the level-i matrix model at its exact truncation order."""
+    """Build the level-i matrix model at its exact truncation order (once
+    per germ and level; the model is kept in ``f._cache``)."""
+    key = ("ks", i)
+    if key in f._cache:
+        return f._cache[key]
     if f.corank() > 1:
         raise HypothesisError("Kodaira-Spencer-Mather models require corank <= 1")
     n, p = f.n, f.p
@@ -117,73 +145,73 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
         offsets.append(total)
         total += p * cmaps[j].dim
 
-    def branch_vector(j: int, comps: Sequence[Polynomial]) -> dict:
-        """Collapse a vector of source polynomials (one per target direction)
-        of branch j into the global quotient coordinates."""
-        row = {}
-        base = offsets[j]
-        cm = cmaps[j]
-        for q, g in enumerate(comps):
-            if g.is_zero():
-                continue
-            for idx, v in cm.reduce(g).items():
-                row[base + q * cm.dim + idx] = v
-        return row
+    def branch_row(j: int, q: int, row: dict) -> dict:
+        """Collapse a scalar jet row of branch j, placed in target
+        direction q, into the global quotient coordinates."""
+        base = offsets[j] + q * cmaps[j].dim
+        return {base + k: v for k, v in cmaps[j].reduce(row).items()}
 
-    # image of TR_e(f): rows tf(x^a e_m); multipliers of degree >= (i+1)*ell
-    # land in A_(i+1) and collapse to zero, so they are skipped
+    # image of TR_e(f): rows tf(x^a e_m) summed from the column classes;
+    # multipliers of degree >= (i+1)*ell land in A_(i+1) and collapse to
+    # zero, so they are skipped
+    idx = mono_index_map(n, order)
     tangent = SparseSpan()
     for j, b in enumerate(f.branches):
         jac = b.jacobian()
+        classes = cmaps[j].classes
+        terms = [
+            [(offsets[j] + q * cmaps[j].dim, t, c)
+             for q in range(p) for t, c in jac[q][src].terms.items()]
+            for src in range(n)
+        ]
         for d in range((i + 1) * ell):
             for m in monomials_of_degree(n, d):
                 for src in range(n):
-                    comps = [jac[q][src].mul_monomial(m).truncate(order) for q in range(p)]
-                    tangent.add(branch_vector(j, comps))
+                    row: dict = {}
+                    for base, t, c in terms[src]:
+                        col = idx.get(tuple(map(add, m, t)))
+                        if col is not None:
+                            for k, w in classes[col].items():
+                                row[base + k] = row.get(base + k, 0) + c * w
+                    tangent.add(row)
 
     # extend by generators of A_i to cut out the target quotient
     qm = QuotientModel(tangent)
     for j in range(f.num_branches):
-        tower = f.branch_tower(j, order)
-        cands = []
-        for row in tower.span(i).basis_rows():
-            g = scalar_row_to_poly(row, n, order)
-            if g.low_degree() < (i + 1) * ell:
-                cands.append(g)
-        cands.sort(key=lambda g: g.low_degree())
-        zero = [Polynomial.zero(n)] * p
+        # basis rows come by ascending pivot, hence by ascending low degree
+        cands = [
+            row for row in f.branch_tower(j, order).span(i).basis_rows()
+            if row_low_degree(row, n, order) < (i + 1) * ell
+        ]
         for q in range(p):
-            for g in cands:
-                comps = list(zero)
-                comps[q] = g
-                qm.extend(branch_vector(j, comps))
+            for row in cands:
+                qm.extend(branch_row(j, q, row))
 
     # columns: classes of eta∘f for monomial fields eta = X^beta e_q
     domain: list[tuple[int, Monomial]] = [
         (q, m) for m in monomials_of_degree(p, i) for q in range(p)
     ]
-    pullbacks: list[list[Polynomial]] = []
-    for j, b in enumerate(f.branches):
+    pullbacks: list[dict] = []
+    for b in f.branches:
         per = {}
         for m in monomials_of_degree(p, i):
             g = Polynomial.constant(n, 1)
             for var, e in enumerate(m):
                 for _ in range(e):
                     g = (g * b.components[var]).truncate(order)
-            per[m] = g
+            per[m] = poly_to_scalar_row(g, order)
         pullbacks.append(per)
     columns = []
     for q, m in domain:
         row = {}
         for j in range(f.num_branches):
-            comps = [Polynomial.zero(n)] * p
-            comps[q] = pullbacks[j][m]
-            row.update(branch_vector(j, comps))
+            row.update(branch_row(j, q, pullbacks[j][m]))
         coords = qm.coords(row)
         if coords is None:
             raise ConsistencyError("pullback class escaped the modeled quotient")
         columns.append(coords)
-    return KSMapModel(i, order, domain, qm.dim, columns)
+    f._cache[key] = KSMapModel(i, order, domain, qm.dim, columns)
+    return f._cache[key]
 
 
 # ---------------------------------------------------------------------------

@@ -385,13 +385,11 @@ def nakayama_minimize(
     changed = True
     while changed:
         changed = False
+        positive = module_jet_span(kept, rank, rank, cert_order, min_mult_degree=1)
         for idx in range(len(kept)):
             g = kept[idx]
             others = [h for t, h in enumerate(kept) if t != idx]
-            span = module_jet_span(others, rank, rank, cert_order)
-            span = span_sum(
-                span, module_jet_span(kept, rank, rank, cert_order, min_mult_degree=1)
-            )
+            span = span_sum(module_jet_span(others, rank, rank, cert_order), positive)
             if span_contains(span, g, rank, cert_order):
                 kept.pop(idx)
                 changed = True

@@ -332,17 +332,3 @@ def dense_rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list
 def matrix_rank(matrix: list[list[Fraction]]) -> int:
     return len(dense_rref(matrix)[1])
 
-
-def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of a dense rational matrix."""
-    rref, pivots = dense_rref(matrix)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rref, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis

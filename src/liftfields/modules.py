@@ -14,19 +14,22 @@ symbolic layer drives the unfolding-intersection pipeline.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import QuotientModel, SparseSpan
+from .linalg import SparseSpan
 from .poly import (
     Monomial,
     Polynomial,
+    count_monomials_below,
     grevlex_key,
     mono_degree,
     mono_div,
     mono_divides,
     mono_index_map,
     mono_lcm,
-    mono_mul,
     monomials_below,
     monomials_of_degree,
 )
@@ -253,24 +256,6 @@ def span_sum(a: SparseSpan, b: SparseSpan) -> SparseSpan:
     return out
 
 
-def span_intersection(a: SparseSpan, b: SparseSpan, ambient_dim: int) -> SparseSpan:
-    """Zassenhaus: echelonize rows (x|x) for x in a and (y|0) for y in b;
-    rows pivoted in the right half have zero left half and their right
-    halves span the intersection."""
-    work = SparseSpan()
-    for row in a.basis_rows():
-        double = dict(row)
-        double.update({k + ambient_dim: v for k, v in row.items()})
-        work.add(double)
-    for row in b.basis_rows():
-        work.add(dict(row))
-    out = SparseSpan()
-    for pivot, row in work.rows.items():
-        if pivot >= ambient_dim:
-            out.add({k - ambient_dim: v for k, v in row.items()})
-    return out
-
-
 def span_contains(span: SparseSpan, comps: Sequence[Polynomial], rank: int, order: int) -> bool:
     return span.contains(vector_to_row(comps, rank, order))
 
@@ -278,15 +263,42 @@ def span_contains(span: SparseSpan, comps: Sequence[Polynomial], rank: int, orde
 # ---------------------------------------------------------------------------
 # scalar ideal filtrations and quotient class maps
 # ---------------------------------------------------------------------------
+#
+# A scalar jet row is a dict {column: coefficient} over the monomials of
+# degree < order in ascending grevlex order (mono_index_map), so columns are
+# graded: every monomial of degree < d precedes every one of degree d.
+
+@lru_cache(maxsize=None)
+def _column_degrees(nvars: int, order: int) -> tuple:
+    return tuple(mono_degree(m) for m in monomials_below(nvars, order))
+
+
+def row_low_degree(row: dict, nvars: int, order: int) -> int:
+    """Lowest degree among the columns of a nonzero scalar jet row."""
+    return _column_degrees(nvars, order)[min(row)]
+
+
+def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None) -> dict:
+    """Product of a scalar jet row with the polynomial whose (monomial,
+    coefficient) pairs are ``terms``, computed on column indices and
+    truncated below degree ``cover`` (default ``order``)."""
+    cover = order if cover is None else cover
+    monos = monomials_below(nvars, order)
+    degs = _column_degrees(nvars, order)
+    idx = mono_index_map(nvars, order)
+    out: dict = {}
+    for t, c in terms:
+        dt = mono_degree(t)
+        for col, v in row.items():
+            if degs[col] + dt < cover:
+                key = idx[tuple(map(add, monos[col], t))]
+                out[key] = out.get(key, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
 
 def poly_to_scalar_row(g: Polynomial, order: int) -> dict:
     idx = mono_index_map(g.nvars, order)
     return {idx[m]: c for m, c in g.terms.items() if mono_degree(m) < order}
-
-
-def scalar_row_to_poly(row: dict, nvars: int, order: int) -> Polynomial:
-    monos = monomials_below(nvars, order)
-    return Polynomial(nvars, {monos[k]: Fraction(v) for k, v in row.items()})
 
 
 def scalar_multiples_span(gens: Sequence[Polynomial], order: int) -> SparseSpan:
@@ -295,29 +307,30 @@ def scalar_multiples_span(gens: Sequence[Polynomial], order: int) -> SparseSpan:
     if not gens:
         return span
     nv = gens[0].nvars
+    idx = mono_index_map(nv, order)
     for g in gens:
         low = g.low_degree()
         if low < 0:
             continue
         for d in range(max(order - low, 0)):
             for m in monomials_of_degree(nv, d):
-                span.add(poly_to_scalar_row(g.mul_monomial(m).truncate(order), order))
+                span.add(jet_times({idx[m]: 1}, g.terms.items(), nv, order))
     return span
 
 
 class IdealPowerTower:
     """Jet spans of the powers I^k of a finitely generated ideal.
 
-    F(1) is the span of all monomial multiples of the generators; F(k+1) is
-    generated from a basis of F(k) by multiplying with the generators, which
-    keeps the generator count proportional to dim F(k).  F(0) is the span of
-    all monomials (the whole ring).
+    F(0) is the span of all monomials (the whole ring); F(k) is generated
+    by the products of the generators with a basis of F(k-1) (for k = 1,
+    with every monomial), which keeps the generator count proportional to
+    dim F(k-1).  Products are formed on column indices: the content-free
+    integer basis rows times the generators scaled to integer coefficients.
 
     When the Nakayama exponent ell (m^ell contained in I) is known, every
     monomial of degree >= k*ell lies in I^k, so those coordinates are seeded
-    as pivots and generator multiples are truncated at degree k*ell.  This
-    collapses the work to the low-degree slice where the filtration is
-    nontrivial.
+    as pivots and products are truncated at degree k*ell.  This collapses
+    the work to the low-degree slice where the filtration is nontrivial.
     """
 
     def __init__(self, gens: Sequence[Polynomial], order: int, ell: int | None = None):
@@ -326,92 +339,67 @@ class IdealPowerTower:
         self.ell = ell
         self.nvars = gens[0].nvars
         self._spans: dict[int, SparseSpan] = {}
+        # a positive scale per generator, so content-free products are the
+        # same rows as the rational ones
+        self._terms = []
+        for g in self.gens:
+            den = lcm(*(c.denominator for c in g.terms.values()))
+            self._terms.append([(m, int(c * den)) for m, c in g.terms.items()])
 
     def _cover(self, k: int) -> int:
         if self.ell is None:
             return self.order
         return min(self.order, k * self.ell)
 
-    def _seed(self, span: SparseSpan, cover: int):
-        if cover >= self.order:
-            return
-        for r, m in enumerate(monomials_below(self.nvars, self.order)):
-            if mono_degree(m) >= cover:
-                span.add_pure_pivot(r)
-
     def span(self, k: int) -> SparseSpan:
         if k in self._spans:
             return self._spans[k]
-        if k == 0:
-            full = SparseSpan()
-            for i in range(len(monomials_below(self.nvars, self.order))):
-                full.add_pure_pivot(i)
-            self._spans[0] = full
-            return full
-        cover = self._cover(k)
+        n, order = self.nvars, self.order
+        degs = _column_degrees(n, order)
         span = SparseSpan()
-        self._seed(span, cover)
-        if k == 1:
-            for g in self.gens:
-                low = g.low_degree()
-                for d in range(max(cover - low, 0)):
-                    for m in monomials_of_degree(self.nvars, d):
-                        span.add(
-                            poly_to_scalar_row(g.mul_monomial(m).truncate(cover), self.order)
-                        )
+        if k == 0:
+            for c in range(len(degs)):
+                span.add_pure_pivot(c)
         else:
-            prev = self.span(k - 1)
-            basis = [
-                scalar_row_to_poly(r, self.nvars, self.order) for r in prev.basis_rows()
-            ]
-            for g in self.gens:
-                glow = g.low_degree()
-                for b in basis:
-                    if b.low_degree() + glow >= cover:
-                        continue
-                    span.add(poly_to_scalar_row((g * b).truncate(cover), self.order))
+            cover = self._cover(k)
+            for c, d in enumerate(degs):
+                if d >= cover:
+                    span.add_pure_pivot(c)
+            if k == 1:
+                prev = [(c, {c: 1}) for c in range(len(degs))]
+            else:
+                prev = sorted(self.span(k - 1).rows.items())
+            for terms in self._terms:
+                glow = min(mono_degree(t) for t, _ in terms)
+                for pivot, row in prev:  # a row's pivot has its lowest degree
+                    if degs[pivot] + glow < cover:
+                        span.add(jet_times(row, terms, n, order, cover))
         self._spans[k] = span
         return span
-
-    def power_products(self, k: int) -> list[Polynomial]:
-        """A finite generator list of I^k itself (k-fold products)."""
-        if k == 0:
-            return [Polynomial.constant(self.nvars, 1)]
-        out = [Polynomial.constant(self.nvars, 1)]
-        for _ in range(k):
-            out = [(a * g).truncate(None) for a in out for g in self.gens]
-        # dedupe
-        seen, uniq = set(), []
-        for p in out:
-            if p in seen or p.is_zero():
-                continue
-            seen.add(p)
-            uniq.append(p)
-        return uniq
 
 
 class ScalarClassMap:
     """Coordinates on the quotient R/(span) of the truncated polynomial ring.
 
-    The quotient basis is the set of non-pivot monomials (ascending degree);
-    reduce() maps a polynomial to its exact coordinate vector.
+    The quotient basis is the set of non-pivot monomials (ascending degree).
+    Every column's class is computed once, so reduce() maps a scalar jet
+    row to its exact coordinate vector by summing column classes.
     """
 
     def __init__(self, span: SparseSpan, nvars: int, order: int):
-        self.nvars = nvars
-        self.order = order
-        self.monos = monomials_below(nvars, order)
-        self.index = mono_index_map(nvars, order)
-        pivots = set(span.rows)
-        self.quotient_ranks = [i for i in range(len(self.monos)) if i not in pivots]
-        self.rank_to_q = {r: q for q, r in enumerate(self.quotient_ranks)}
-        self.dim = len(self.quotient_ranks)
-        self._classes = self._build_classes(span)
+        ncols = count_monomials_below(nvars, order)
+        quotient = [c for c in range(ncols) if c not in span.rows]
+        self.dim = len(quotient)
+        # column -> its class {quotient basis index: coefficient}
+        self.classes: dict[int, dict[int, Fraction]] = {
+            c: {q: Fraction(1)} for q, c in enumerate(quotient)
+        }
+        self._build_classes(span)
 
-    def _build_classes(self, span: SparseSpan) -> dict:
+    def _build_classes(self, span: SparseSpan) -> None:
         """Fully reduce each pivot row so it expresses its pivot monomial in
         quotient coordinates; back-substitution in descending pivot order."""
-        classes: dict[int, dict[int, Fraction]] = {}
+        classes = self.classes
         for pivot in sorted(span.rows, reverse=True):
             row = span.rows[pivot]
             lead = Fraction(row[pivot])
@@ -420,28 +408,14 @@ class ScalarClassMap:
                 if col == pivot:
                     continue
                 coef = -Fraction(v) / lead
-                if col in self.rank_to_q:
-                    acc[self.rank_to_q[col]] = acc.get(self.rank_to_q[col], Fraction(0)) + coef
-                else:
-                    for q, w in classes[col].items():
-                        acc[q] = acc.get(q, Fraction(0)) + coef * w
+                for q, w in classes[col].items():
+                    acc[q] = acc.get(q, Fraction(0)) + coef * w
             classes[pivot] = {q: w for q, w in acc.items() if w}
-        return classes
 
-    def reduce(self, g: Polynomial) -> dict[int, Fraction]:
-        """Quotient coordinates {basis index: coefficient} of [g]."""
+    def reduce(self, row: dict) -> dict[int, Fraction]:
+        """Quotient coordinates {basis index: coefficient} of a jet row."""
         out: dict[int, Fraction] = {}
-        for m, c in g.terms.items():
-            if mono_degree(m) >= self.order:
-                continue
-            r = self.index[m]
-            if r in self.rank_to_q:
-                q = self.rank_to_q[r]
-                out[q] = out.get(q, Fraction(0)) + c
-            else:
-                for q, w in self._classes[r].items():
-                    out[q] = out.get(q, Fraction(0)) + c * w
+        for col, c in row.items():
+            for q, w in self.classes[col].items():
+                out[q] = out.get(q, Fraction(0)) + c * w
         return {q: v for q, v in out.items() if v}
-
-    def quotient_monomials(self) -> list[Monomial]:
-        return [self.monos[r] for r in self.quotient_ranks]

@@ -324,10 +324,6 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.render([f'x{i}' for i in range(self.nvars)])})"
 
 
-def poly_vector_zero(rank: int, nvars: int) -> tuple:
-    return tuple(Polynomial.zero(nvars) for _ in range(rank))
-
-
 def vec_add(a: Iterable[Polynomial], b: Iterable[Polynomial]) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -335,6 +331,3 @@ def vec_add(a: Iterable[Polynomial], b: Iterable[Polynomial]) -> tuple:
 def vec_scale(a: Iterable[Polynomial], c) -> tuple:
     return tuple(x.scale(c) for x in a)
 
-
-def vec_truncate(a: Iterable[Polynomial], order: int | None) -> tuple:
-    return tuple(x.truncate(order) for x in a)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Any, Optional, Sequence
 
@@ -39,11 +40,6 @@ class ReportConfig:
             "cert_order": self.cert_order,
             "mode": self.mode,
         }
-
-
-def _level_value(v) -> int | str:
-    """Levels are integers or the sentinels used by the scan."""
-    return v
 
 
 def render_field(vf: FieldVector, names: Sequence[str]) -> str:
@@ -96,8 +92,8 @@ class AnalysisReport:
         if self.ks is not None:
             doc["ks"] = {
                 "cap": self.ks.cap,
-                "i1": _level_value(self.ks.i1),
-                "i2": _level_value(self.ks.i2),
+                "i1": self.ks.i1,
+                "i2": self.ks.i2,
                 "levels": [
                     {
                         "i": rec.i,
@@ -224,8 +220,20 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=None)
+def _validator():
+    """A validator for the shipped schema, built once.  The schema itself is
+    checked against its metaschema by the test suite, not per report."""
+    from jsonschema.validators import validator_for
+
+    schema = load_schema()
+    return validator_for(schema)(schema)
+
+
 def validate_report(doc: dict) -> None:
     """Raise jsonschema.ValidationError if the report violates the schema."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    jsonschema.validate(doc, load_schema())
+    error = best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise error

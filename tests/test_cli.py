@@ -2,11 +2,12 @@
 
 import json
 
+import jsonschema
 import pytest
 
 from liftfields import cli
 from liftfields.germs import ConsistencyError
-from liftfields.report import validate_report
+from liftfields.report import load_schema, validate_report
 
 
 def run(argv, capsys):
@@ -33,6 +34,29 @@ def test_analyze_json_validates(capsys):
     validate_report(doc)
     assert doc["min_generators"]["count"] == 4
     assert doc["ks"]["i1"] == 0 and doc["ks"]["i2"] == 0
+
+
+def test_report_schema_is_valid():
+    # reports are validated against the schema without re-checking it, so
+    # the schema's own validity against its metaschema is checked here
+    schema = load_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_validate_report_rejects_malformed(capsys):
+    _, out, _ = run(["analyze", "whitney-psi2", "--json"], capsys)
+    doc = json.loads(out)
+    validate_report(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(dict(doc, surplus=1))
+    bad = json.loads(out)
+    bad["ks"]["levels"][0]["kernel_dim"] = "0"
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(bad)
+    bad = json.loads(out)
+    bad["ks"]["cap"] = 6.5
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(bad)
 
 
 def test_kernel(capsys):

@@ -1,9 +1,12 @@
 """Level-by-level matrix models: first-surjective and last-injective levels,
 stability classification, and minimal generator counts."""
 
+from fractions import Fraction
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from liftfields import (
     HypothesisError,
@@ -15,8 +18,11 @@ from liftfields import (
     reduce_to_core,
 )
 from liftfields import catalog
+from liftfields.ksmaps import KSMapModel
+from liftfields.poly import monomials_of_degree
 
 from conftest import germ
+from oracles import dense_kernel_fields
 
 
 def _core(doc):
@@ -139,6 +145,48 @@ def test_identity_dimension_count_iff_level0_bijective(catalog_docs):
         rep = locate_i1_i2(f)
         bijective = rep.levels[0].surjective and rep.levels[0].injective
         assert identity == bijective, name
+
+
+# ---------------------------------------------------------------------------
+# column factor of the level models against the dense RREF oracle
+# ---------------------------------------------------------------------------
+
+def _assert_factor_matches_dense(model, names):
+    want = dense_kernel_fields(model, names)
+    assert model.rank() == model.domain_dim - len(want)
+    assert model.kernel_fields(names) == want
+
+
+def test_column_factor_matches_dense_oracle_on_catalog(catalog_docs):
+    # levels 0..i1+1 (the count level), or 0..1 where no level is surjective
+    for name, doc in catalog_docs.items():
+        f = _core(doc)
+        i1 = locate_i1_i2(f).i1
+        for i in range((i1 if isinstance(i1, int) else 0) + 2):
+            _assert_factor_matches_dense(ks_matrix(f, i), f.target_vars)
+
+
+def test_column_factor_matches_dense_oracle_rieger_ruas():
+    f = germ("rieger-ruas")
+    for i in range(5):
+        _assert_factor_matches_dense(ks_matrix(f, i), f.target_vars)
+
+
+@given(st.integers(0, 2), st.integers(0, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_column_factor_matches_dense_oracle_random(i, rows, data):
+    domain = [(q, m) for m in monomials_of_degree(2, i) for q in range(2)]
+    column = st.lists(st.integers(-2, 2), min_size=rows, max_size=rows)
+    columns = [list(map(Fraction, data.draw(column))) for _ in domain]
+    _assert_factor_matches_dense(KSMapModel(i, 1, domain, rows, columns), ("X", "Y"))
+
+
+def test_level_models_built_once():
+    f = germ("cusp-pair")
+    assert ks_matrix(f, 2) is ks_matrix(f, 2)
+    rep = locate_i1_i2(f)
+    assert classify_stable(f).stable == rep.levels[0].surjective
+    assert ks_matrix(f, 0) is ks_matrix(f, 0)
 
 
 # ---------------------------------------------------------------------------

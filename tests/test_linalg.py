@@ -9,10 +9,11 @@ from liftfields.linalg import (
     FactoredSpan,
     SparseSpan,
     dense_rref,
-    kernel_basis,
     matrix_rank,
     solve_sparse,
 )
+
+from oracles import kernel_basis
 
 
 def _to_rows(matrix):

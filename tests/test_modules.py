@@ -11,13 +11,16 @@ from liftfields.modules import (
     module_jet_span,
     module_membership,
     normal_form,
+    poly_to_scalar_row,
     scalar_multiples_span,
     span_contains,
     syzygy_basis,
 )
+from liftfields import reduce_to_core, truncation_order
 from liftfields.poly import Polynomial, count_monomials_below
 
 from conftest import poly
+from oracles import polynomial_tower_spans
 
 XY = ("x", "y")
 
@@ -121,7 +124,29 @@ def test_scalar_class_map_reduce_linear():
     order = 6
     tower = IdealPowerTower([_p("x"), _p("y")], order)
     cmap = ScalarClassMap(tower.span(2), 2, order)
-    a = cmap.reduce(_p("1 + x + x^2"))
-    b = cmap.reduce(_p("1 + x"))
+    a = cmap.reduce(poly_to_scalar_row(_p("1 + x + x^2"), order))
+    b = cmap.reduce(poly_to_scalar_row(_p("1 + x"), order))
     # x^2 lies in the span, so both reduce to the same class
     assert a == b
+
+
+def test_tower_spans_match_polynomial_products(catalog_docs):
+    # column-space products give the echelon rows of the Polynomial
+    # construction, with the Nakayama cut at the level-model orders of
+    # levels 0..2 and without it
+    for name, doc in catalog_docs.items():
+        f = doc.to_multigerm()
+        f = reduce_to_core(f) if f.n > f.p else f
+        for j, b in enumerate(f.branches):
+            gens = list(b.components)
+            ell = f.branch_ell(j)
+            for i in range(3):
+                order = truncation_order(f, i)
+                want = polynomial_tower_spans(gens, order, ell, i + 1)
+                tower = f.branch_tower(j, order)
+                for k, span in enumerate(want):
+                    assert tower.span(k).rows == span.rows, (name, j, order, k)
+            want = polynomial_tower_spans(gens, ell + 2, None, 2)
+            tower = IdealPowerTower(gens, ell + 2)
+            for k, span in enumerate(want):
+                assert tower.span(k).rows == span.rows, (name, j, k)
