@@ -17,7 +17,8 @@ Subcommands operate on a germ document, given either as a path to a
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
 mismatch, unstable unfolding); 2 resource cap reached before a decision;
 3 parse or semantic error in the input; 4 internal consistency failure
-(formula and brute-force computations disagree).
+(formula and brute-force computations disagree, or a ``--json`` report
+breaks the shipped schema).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .germs import GermInvariants
@@ -221,19 +221,17 @@ def load_schema() -> dict:
 
 
 @lru_cache(maxsize=None)
-def _validator():
-    """A validator for the shipped schema, built once.  The schema itself is
-    checked against its metaschema by the test suite, not per report."""
-    from jsonschema.validators import validator_for
+def _checker() -> Callable[[Any], None]:
+    # imported on first use, so only runs that validate a report load the
+    # checker (and compile it, where bytecode is not cached)
+    from .schema import build_checker
 
-    schema = load_schema()
-    return validator_for(schema)(schema)
+    return build_checker(load_schema())
 
 
 def validate_report(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the report violates the schema."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise error
+    """Raise :class:`liftfields.schema.ReportSchemaError` if the report
+    violates the shipped schema.  The checker is built from
+    ``report_schema.json`` on the first call and reused; the schema's own
+    validity against its metaschema is checked by the test suite."""
+    _checker()(doc)

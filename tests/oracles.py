@@ -1,16 +1,25 @@
 """Independent reference computations the fast paths are checked against.
 
 These are the dense and polynomial constructions the library used before
-it moved to sparse column-space code; they stay here as oracles only.
+it moved to sparse column-space code, and the jsonschema package's report
+validation; they stay here as oracles only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from jsonschema.validators import validator_for
+
 from liftfields.linalg import SparseSpan, dense_rref
 from liftfields.modules import poly_to_scalar_row
 from liftfields.poly import Polynomial, mono_degree, monomials_below, monomials_of_degree
+
+
+def jsonschema_validator(schema: dict):
+    """The jsonschema package's validator for ``schema``'s draft: the
+    reference the in-package report checker must agree with."""
+    return validator_for(schema)(schema)
 
 
 def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -1,13 +1,18 @@
 """CLI contract: subcommands, exit codes, and JSON schema stability."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import liftfields
 from liftfields import cli
 from liftfields.germs import ConsistencyError
-from liftfields.report import load_schema, validate_report
+from liftfields.report import AnalysisReport, load_schema, validate_report
+from liftfields.schema import ReportSchemaError
 
 
 def run(argv, capsys):
@@ -47,16 +52,35 @@ def test_validate_report_rejects_malformed(capsys):
     _, out, _ = run(["analyze", "whitney-psi2", "--json"], capsys)
     doc = json.loads(out)
     validate_report(doc)
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         validate_report(dict(doc, surplus=1))
     bad = json.loads(out)
     bad["ks"]["levels"][0]["kernel_dim"] = "0"
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         validate_report(bad)
     bad = json.loads(out)
     bad["ks"]["cap"] = 6.5
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(ReportSchemaError):
         validate_report(bad)
+
+
+def test_json_report_does_not_import_jsonschema():
+    # each CLI run is a fresh interpreter, so validating its report must not
+    # pay for importing the jsonschema package
+    code = (
+        "import sys\n"
+        "from liftfields import cli\n"
+        "assert cli.main(['analyze', 'e0', '--json']) == 0\n"
+        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(liftfields.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["germ"] == "e0"
 
 
 def test_kernel(capsys):
@@ -189,6 +213,28 @@ def test_exit_hypothesis_obstruction_pinned(capsys):
     assert err == (
         "hypothesis violated: branch 'a': lift equation inconsistent at jet order 4\n"
     )
+
+
+def _surplus_key(monkeypatch):
+    to_json = AnalysisReport.to_json
+    monkeypatch.setattr(AnalysisReport, "to_json", lambda self: dict(to_json(self), surplus=1))
+
+
+SURPLUS_ERR = (
+    "inconsistent: report breaks its schema at #: additional property 'surplus' is not allowed\n"
+)
+
+
+def test_exit_inconsistent_report_breaks_schema(capsys, monkeypatch):
+    _surplus_key(monkeypatch)
+    code, out, err = run(["analyze", "e0", "--json"], capsys)
+    assert (code, out, err) == (4, "", SURPLUS_ERR)
+
+
+def test_exit_inconsistent_catalog_report_breaks_schema(capsys, monkeypatch):
+    _surplus_key(monkeypatch)
+    code, out, err = run(["catalog", "--run-all", "--json"], capsys)
+    assert (code, out, err) == (4, "", SURPLUS_ERR)
 
 
 def test_exit_inconsistent_escaped_pullback_class(capsys, monkeypatch):
