@@ -14,6 +14,10 @@ the germ (MultiGerm.tangent_span).  Completion residuals are normal forms
 modulo that span; a lift is the pullback's reduction followed by back
 substitution through the recorded multipliers, and a nonzero remainder
 gives the obstruction degree directly.
+
+The Nakayama minimization builds the positive-degree jet span m*M of the
+restricted fields once and keeps, scanning from the last field to the first,
+each field whose jet row enlarges it: one module jet span per restriction.
 """
 
 from __future__ import annotations
@@ -25,13 +29,7 @@ from typing import Optional, Sequence
 from .germs import ConsistencyError, HypothesisError, MultiGerm, UnfoldingSpec
 from .ksmaps import KSReport, ks_matrix, locate_i1_i2, min_generators, truncation_order
 from .linalg import solve_sparse
-from .modules import (
-    module_jet_span,
-    span_contains,
-    span_sum,
-    syzygy_basis,
-    vector_to_row,
-)
+from .modules import module_jet_span, span_contains, syzygy_basis, vector_to_row
 from .poly import (
     Polynomial,
     count_monomials_below,
@@ -379,31 +377,33 @@ def transport(
 def nakayama_minimize(
     fields: Sequence[FieldVector], rank: int, cert_order: int
 ) -> list[FieldVector]:
-    """Greedily drop fields lying in the module generated by the others plus
-    positive-degree multiples of everything (jet-level Nakayama test)."""
-    kept = [tuple(c for c in g) for g in fields]
-    changed = True
-    while changed:
-        changed = False
-        positive = module_jet_span(kept, rank, rank, cert_order, min_mult_degree=1)
-        for idx in range(len(kept)):
-            g = kept[idx]
-            others = [h for t, h in enumerate(kept) if t != idx]
-            span = span_sum(module_jet_span(others, rank, rank, cert_order), positive)
-            if span_contains(span, g, rank, cert_order):
-                kept.pop(idx)
-                changed = True
-                break
-    return kept
+    """A minimal generating subset of the fields (jet-level Nakayama test).
+
+    The positive-degree span m*M of all the fields is built once.  Walking
+    the fields from last to first, a field is kept exactly when its jet row
+    enlarges the span (m*M plus the rows kept so far); the kept fields are
+    returned in input order.  This is the result of greedily dropping the
+    lowest-index field lying in <others> + m*M: a dropped field g leaves
+    m*M unchanged at the jet level (x^a g lies in m*M' + m^2*M, and so on
+    up to m^order*M = 0), so the greedy loop works in the fixed quotient
+    M / m*M.  There the lowest-index dependent field lies in the span of the
+    fields after it, so every greedy drop is also a scan drop, and the loop
+    ends at the basis the scan picks from the top index down.
+    """
+    span = module_jet_span(fields, rank, rank, cert_order, min_mult_degree=1)
+    kept = [
+        tuple(g)
+        for g in reversed(fields)
+        if span.add(vector_to_row(g, rank, cert_order)) is not None
+    ]
+    return kept[::-1]
 
 
 def generator_count_certified(
     fields: Sequence[FieldVector], rank: int, cert_order: int
 ) -> int:
     """dim (M / m*M) at the jet level: the Nakayama generator count."""
-    full = module_jet_span(fields, rank, rank, cert_order)
-    positive = module_jet_span(fields, rank, rank, cert_order, min_mult_degree=1)
-    return full.dim - positive.dim
+    return len(nakayama_minimize(fields, rank, cert_order))
 
 
 @dataclass

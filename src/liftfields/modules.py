@@ -96,40 +96,27 @@ def _term_key(term):
 
 def _lead(v: ModElement):
     """(term, coefficient) of the leading term, or None for zero."""
-    best = None
-    for term, c in v.terms():
-        if best is None or _term_key(term) > _term_key(best[0]):
-            best = (term, c)
-    return best
+    return max(v.terms(), key=lambda t: _term_key(t[0]), default=None)
 
 
-def _reduce_once(v: ModElement, basis: Sequence[ModElement]):
-    """One top-reduction step against the basis; None if no reducer applies."""
-    lv = _lead(v)
-    if lv is None:
-        return None
-    (pos, m), c = lv
-    for b in basis:
-        (bpos, bm), bc = _lead(b)
-        if bpos == pos and mono_divides(bm, m):
-            return v - b.mul_monomial(mono_div(m, bm), c / bc)
-    return None
-
-
-def normal_form(v: ModElement, basis: Sequence[ModElement]) -> ModElement:
-    """Full reduction of v modulo the basis (every term reduced)."""
+def normal_form(v: ModElement, basis: Sequence[ModElement], leads=None) -> ModElement:
+    """Full reduction of v modulo the basis (every term reduced); ``leads``
+    are the basis elements' leading terms when the caller has them."""
+    if leads is None:
+        leads = [_lead(b) for b in basis]
     remainder = ModElement([Polynomial.zero(v.nvars)] * v.rank)
     while not v.is_zero():
-        step = _reduce_once(v, basis)
-        if step is not None:
-            v = step
-            continue
         (pos, m), c = _lead(v)
-        lead_piece = [Polynomial.zero(v.nvars)] * v.rank
-        lead_piece[pos] = Polynomial.monomial(v.nvars, m, c)
-        lead_piece = ModElement(lead_piece)
-        remainder = remainder + lead_piece
-        v = v - lead_piece
+        for b, ((bpos, bm), bc) in zip(basis, leads):
+            if bpos == pos and mono_divides(bm, m):  # top reduction
+                v = v - b.mul_monomial(mono_div(m, bm), c / bc)
+                break
+        else:
+            lead_piece = [Polynomial.zero(v.nvars)] * v.rank
+            lead_piece[pos] = Polynomial.monomial(v.nvars, m, c)
+            lead_piece = ModElement(lead_piece)
+            remainder = remainder + lead_piece
+            v = v - lead_piece
     return remainder
 
 
@@ -137,34 +124,38 @@ def groebner_basis(gens: Sequence[ModElement]) -> list[ModElement]:
     """Buchberger's algorithm with the position-over-term order.
 
     S-pairs are formed only between elements whose leading terms share a
-    position; termination is guaranteed by Dickson's lemma.
+    position and are taken smallest lcm degree first, ties in the order the
+    pairs were formed.  Each element's leading term is computed once, when
+    it joins the basis.  Termination is guaranteed by Dickson's lemma.
     """
     basis = [g for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    leads = [_lead(g) for g in basis]
+    pairs = []  # (lcm degree, i, j), in the order the pairs were formed
+
+    def form(i: int, j: int) -> None:
+        (pi, mi), _ = leads[i]
+        (pj, mj), _ = leads[j]
+        if pi == pj:
+            pairs.append((mono_degree(mono_lcm(mi, mj)), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            form(i, j)
     while pairs:
-        # normal selection: smallest lcm degree first
-        pairs.sort(
-            key=lambda ij: mono_degree(
-                mono_lcm(_lead(basis[ij[0]])[0][1], _lead(basis[ij[1]])[0][1])
-            )
-            if _lead(basis[ij[0]])[0][0] == _lead(basis[ij[1]])[0][0]
-            else -1
-        )
-        i, j = pairs.pop(0)
-        (pi, mi), ci = _lead(basis[i])
-        (pj, mj), cj = _lead(basis[j])
-        if pi != pj:
-            continue
+        pairs.sort(key=lambda pair: pair[0])  # stable: ties stay in formation order
+        _, i, j = pairs.pop(0)
+        (_, mi), ci = leads[i]
+        (_, mj), cj = leads[j]
         lcm = mono_lcm(mi, mj)
         s = basis[i].mul_monomial(mono_div(lcm, mi), Fraction(1, 1) / ci) - basis[
             j
         ].mul_monomial(mono_div(lcm, mj), Fraction(1, 1) / cj)
-        r = normal_form(s, basis)
+        r = normal_form(s, basis, leads)
         if not r.is_zero():
             basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            leads.append(_lead(r))
+            for k in range(len(basis) - 1):
+                form(k, len(basis) - 1)
     return basis
 
 
@@ -236,24 +227,31 @@ def module_jet_span(
     gens: Iterable[Sequence[Polynomial]], rank: int, nvars: int, order: int, min_mult_degree: int = 0
 ) -> SparseSpan:
     """Jet span of all monomial multiples x^a * g (deg a >= min_mult_degree)
-    of the generators, truncated at the given order."""
+    of the generators, truncated at the given order.  Rows are built on
+    column indices (x^a * x^t e_pos goes to ``idx[a*t] * rank + pos``) from
+    each generator scaled to integer coefficients by a positive denominator,
+    so the echelon rows are those of the rational multiples."""
+    idx = mono_index_map(nvars, order)
     span = SparseSpan()
     for g in gens:
-        low = min((c.low_degree() for c in g if not c.is_zero()), default=-1)
-        if low < 0:
+        terms = [
+            (pos, t, mono_degree(t), c)
+            for pos, comp in enumerate(g)
+            for t, c in comp.terms.items()
+            if mono_degree(t) < order
+        ]
+        if not terms:
             continue
-        for d in range(min_mult_degree, max(order - low, min_mult_degree)):
-            for m in monomials_of_degree(nvars, d):
-                mult = [c.mul_monomial(m).truncate(order) for c in g]
-                span.add(vector_to_row(mult, rank, order))
+        den = lcm(*(c.denominator for *_, c in terms))
+        terms = [(pos, t, dt, int(c * den)) for pos, t, dt, c in terms]
+        for d in range(min_mult_degree, order - min(dt for _, _, dt, _ in terms)):
+            for a in monomials_of_degree(nvars, d):
+                span.add({
+                    idx[tuple(map(add, a, t))] * rank + pos: c
+                    for pos, t, dt, c in terms
+                    if dt + d < order
+                })
     return span
-
-
-def span_sum(a: SparseSpan, b: SparseSpan) -> SparseSpan:
-    out = a.copy()
-    for row in b.basis_rows():
-        out.add(dict(row))
-    return out
 
 
 def span_contains(span: SparseSpan, comps: Sequence[Polynomial], rank: int, order: int) -> bool:

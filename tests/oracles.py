@@ -1,8 +1,9 @@
 """Independent reference computations the fast paths are checked against.
 
 These are the dense and polynomial constructions the library used before
-it moved to sparse column-space code, and the jsonschema package's report
-validation; they stay here as oracles only.
+it moved to sparse column-space code, the greedy Nakayama loop and the
+Buchberger loop that recomputes leading terms, and the jsonschema package's
+report validation; they stay here as oracles only.
 """
 
 from __future__ import annotations
@@ -12,8 +13,22 @@ from fractions import Fraction
 from jsonschema.validators import validator_for
 
 from liftfields.linalg import SparseSpan, dense_rref
-from liftfields.modules import poly_to_scalar_row
-from liftfields.poly import Polynomial, mono_degree, monomials_below, monomials_of_degree
+from liftfields.modules import (
+    ModElement,
+    _term_key,
+    poly_to_scalar_row,
+    span_contains,
+    vector_to_row,
+)
+from liftfields.poly import (
+    Polynomial,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    monomials_below,
+    monomials_of_degree,
+)
 
 
 def jsonschema_validator(schema: dict):
@@ -93,3 +108,94 @@ def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]
                         span.add(poly_to_scalar_row((g * b).truncate(cover), order))
         spans.append(span)
     return spans
+
+
+def polynomial_module_jet_span(gens, rank: int, nvars: int, order: int, min_mult_degree: int = 0) -> SparseSpan:
+    """Jet span of the monomial multiples x^a * g (deg a >= min_mult_degree)
+    of the generators, each multiple formed and truncated as a Polynomial."""
+    span = SparseSpan()
+    for g in gens:
+        low = min((c.low_degree() for c in g if not c.is_zero()), default=-1)
+        if low < 0:
+            continue
+        for d in range(min_mult_degree, max(order - low, min_mult_degree)):
+            for m in monomials_of_degree(nvars, d):
+                mult = [c.mul_monomial(m).truncate(order) for c in g]
+                span.add(vector_to_row(mult, rank, order))
+    return span
+
+
+def greedy_nakayama_minimize(fields, rank: int, cert_order: int) -> list[tuple]:
+    """Repeatedly drop the lowest-index field lying in the module generated
+    by the others plus the positive-degree multiples of every kept field."""
+    kept = [tuple(g) for g in fields]
+    changed = True
+    while changed:
+        changed = False
+        positive = polynomial_module_jet_span(kept, rank, rank, cert_order, min_mult_degree=1)
+        for idx in range(len(kept)):
+            others = [h for t, h in enumerate(kept) if t != idx]
+            span = polynomial_module_jet_span(others, rank, rank, cert_order)
+            for row in positive.basis_rows():
+                span.add(dict(row))
+            if span_contains(span, kept[idx], rank, cert_order):
+                kept.pop(idx)
+                changed = True
+                break
+    return kept
+
+
+def _scan_lead(v: ModElement):
+    best = None
+    for term, c in v.terms():
+        if best is None or _term_key(term) > _term_key(best[0]):
+            best = (term, c)
+    return best
+
+
+def _scan_normal_form(v: ModElement, basis) -> ModElement:
+    remainder = ModElement([Polynomial.zero(v.nvars)] * v.rank)
+    while not v.is_zero():
+        (pos, m), c = _scan_lead(v)
+        for b in basis:
+            (bpos, bm), bc = _scan_lead(b)
+            if bpos == pos and mono_divides(bm, m):
+                v = v - b.mul_monomial(mono_div(m, bm), c / bc)
+                break
+        else:
+            piece = [Polynomial.zero(v.nvars)] * v.rank
+            piece[pos] = Polynomial.monomial(v.nvars, m, c)
+            piece = ModElement(piece)
+            remainder = remainder + piece
+            v = v - piece
+    return remainder
+
+
+def uncached_groebner_basis(gens) -> list[ModElement]:
+    """Buchberger with the position-over-term order, re-sorting every pair
+    (smallest lcm degree first, stable) and recomputing leading terms each
+    time they are needed."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        pairs.sort(
+            key=lambda ij: mono_degree(
+                mono_lcm(_scan_lead(basis[ij[0]])[0][1], _scan_lead(basis[ij[1]])[0][1])
+            )
+            if _scan_lead(basis[ij[0]])[0][0] == _scan_lead(basis[ij[1]])[0][0]
+            else -1
+        )
+        i, j = pairs.pop(0)
+        (pi, mi), ci = _scan_lead(basis[i])
+        (pj, mj), cj = _scan_lead(basis[j])
+        if pi != pj:
+            continue
+        top = mono_lcm(mi, mj)
+        s = basis[i].mul_monomial(mono_div(top, mi), Fraction(1) / ci) - basis[
+            j
+        ].mul_monomial(mono_div(top, mj), Fraction(1) / cj)
+        r = _scan_normal_form(s, basis)
+        if not r.is_zero():
+            basis.append(r)
+            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+    return basis

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from liftfields import (
     NotLiftableError,
@@ -19,11 +21,19 @@ from liftfields import (
     transport,
     verify_certificate,
 )
-from liftfields import catalog, germs
+from liftfields import catalog, germs, lift, modules
 from liftfields.linalg import solve_sparse
-from liftfields.poly import Polynomial, mono_index_map, monomials_below, vec_add
+from liftfields.poly import (
+    Polynomial,
+    mono_index_map,
+    monomials_below,
+    monomials_of_degree,
+    vec_add,
+    vec_scale,
+)
 
 from conftest import germ, poly, vfield
+from oracles import greedy_nakayama_minimize, polynomial_module_jet_span, uncached_groebner_basis
 
 CERT = 12
 
@@ -209,6 +219,143 @@ def test_nakayama_drops_redundant_generator():
     redundant = ref + [tuple(vec_add(ref[0], ref[1]))]
     kept = nakayama_minimize(redundant, 3, CERT)
     assert len(kept) == 4
+
+
+def _unfolding_inputs(doc):
+    """(spec, lift_F) as the unfold command takes them: the recorded liftF
+    block when the document has one, else the completed unfolding module."""
+    spec = doc.to_unfolding_spec()
+    block = doc.fields.get("liftF")
+    if block is not None and block.over_unfolding:
+        return spec, block.fields
+    return spec, complete_generators(spec.F).fields()
+
+
+@pytest.fixture(scope="module")
+def raw_restrictions(catalog_docs):
+    """name -> (raw restricted fields, rank) handed to nakayama_minimize by
+    restrict_from_unfolding, for every entry with an unfolding block."""
+    out = {}
+    minimize = lift.nakayama_minimize
+    for name, doc in catalog_docs.items():
+        if doc.unfolding is None:
+            continue
+        seen = []
+        spec, lift_F = _unfolding_inputs(doc)
+
+        def recording(fields, rank, order):
+            seen.append((list(fields), rank))
+            return minimize(fields, rank, order)
+
+        lift.nakayama_minimize = recording
+        try:
+            restrict_from_unfolding(spec, lift_F=lift_F, cert_order=CERT, check_expected=False)
+        finally:
+            lift.nakayama_minimize = minimize
+        (out[name],) = seen
+    return out
+
+
+def test_nakayama_scan_matches_greedy_on_restrictions(raw_restrictions):
+    assert len(raw_restrictions) == 8
+    dropped = 0
+    for name, (raw, rank) in raw_restrictions.items():
+        kept = nakayama_minimize(raw, rank, CERT)
+        assert kept == greedy_nakayama_minimize(raw, rank, CERT), name
+        dropped += len(raw) - len(kept)
+        # a trailing sum makes the kept set depend on the scan direction
+        padded = raw + [tuple(vec_add(raw[0], raw[-1]))]
+        kept = nakayama_minimize(padded, rank, CERT)
+        assert kept == greedy_nakayama_minimize(padded, rank, CERT), name
+        assert padded[-1] in kept, name
+    assert dropped > 0
+
+
+# pools of liftable fields the drawn lists are built from, and a small jet
+# order so the greedy oracle stays cheap
+_POOLS = {
+    "sfold-1-plus": "vees",
+    "whitney-psi2": "reference",
+    "cusp-pair": "reference",
+    "fold-line": "reference",
+}
+_HCERT = 6
+
+
+@st.composite
+def _field_lists(draw):
+    """Lists over one pool with duplicates, rational scalar multiples,
+    positive-degree multiples, sums and fields whose jet vanishes below
+    _HCERT; possibly empty."""
+    name = draw(st.sampled_from(sorted(_POOLS)))
+    pool = [tuple(g) for g in catalog.load(name).fields[_POOLS[name]].fields]
+    p = len(pool[0])
+    index = st.integers(0, len(pool) - 1)
+    out = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["field", "dup", "scale", "times", "sum", "high"]))
+        g = pool[draw(index)]
+        if kind == "dup" and out:
+            g = out[draw(st.integers(0, len(out) - 1))]
+        elif kind == "scale":
+            num = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+            g = tuple(vec_scale(g, Fraction(num, draw(st.integers(1, 4)))))
+        elif kind in ("times", "high"):
+            d = draw(st.integers(1, 2)) if kind == "times" else _HCERT
+            mono = Polynomial.monomial(p, draw(st.sampled_from(monomials_of_degree(p, d))))
+            g = tuple(mono * c for c in g)
+        elif kind == "sum":
+            g = tuple(vec_add(g, pool[draw(index)]))
+        out.append(g)
+    return out, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_field_lists())
+def test_nakayama_scan_matches_greedy_on_drawn_lists(drawn):
+    fields, rank = drawn
+    kept = nakayama_minimize(fields, rank, _HCERT)
+    assert kept == greedy_nakayama_minimize(fields, rank, _HCERT)
+    # the count is dim(all multiples) - dim(positive-degree multiples)
+    full = polynomial_module_jet_span(fields, rank, rank, _HCERT)
+    positive = polynomial_module_jet_span(fields, rank, rank, _HCERT, min_mult_degree=1)
+    assert generator_count_certified(fields, rank, _HCERT) == full.dim - positive.dim
+
+
+def test_nakayama_of_nothing_is_nothing():
+    assert nakayama_minimize([], 3, CERT) == []
+    assert generator_count_certified([], 3, CERT) == 0
+
+
+def test_syzygies_of_unfoldings_match_uncached_buchberger(catalog_docs, monkeypatch):
+    inputs = []
+    for name, doc in catalog_docs.items():
+        if doc.unfolding is not None:
+            spec, lift_F = _unfolding_inputs(doc)
+            k = spec.param_target_index
+            inputs.append([eta[k] for eta in lift_F] + [Polynomial.variable(spec.F.p, k)])
+    assert len(inputs) == 8
+    got = [modules.syzygy_basis(gens) for gens in inputs]
+    monkeypatch.setattr(modules, "groebner_basis", uncached_groebner_basis)
+    assert got == [modules.syzygy_basis(gens) for gens in inputs]
+
+
+def test_restriction_builds_one_module_jet_span(monkeypatch):
+    built = []
+    module_jet_span = modules.module_jet_span
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return module_jet_span(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "module_jet_span", counting)
+    monkeypatch.setattr(lift, "module_jet_span", counting)
+    doc = catalog.load("sfold-1-plus")
+    mod = restrict_from_unfolding(
+        doc.to_unfolding_spec(), lift_F=doc.fields["liftF"].fields, cert_order=CERT
+    )
+    assert mod.count == 4
+    assert len(built) == 1
 
 
 def test_generator_count_certified():

@@ -2,6 +2,8 @@
 
 from math import comb
 
+import pytest
+
 from liftfields.modules import (
     IdealPowerTower,
     ModElement,
@@ -20,7 +22,7 @@ from liftfields import reduce_to_core, truncation_order
 from liftfields.poly import Polynomial, count_monomials_below
 
 from conftest import poly
-from oracles import polynomial_tower_spans
+from oracles import polynomial_module_jet_span, polynomial_tower_spans
 
 XY = ("x", "y")
 
@@ -91,6 +93,22 @@ def test_module_jet_span_counts_multiples():
     assert span.dim == count_monomials_below(2, order)
     pos = module_jet_span([(_p("1"), _p("0"))], 2, 2, order, min_mult_degree=1)
     assert span.dim - pos.dim == 1
+
+
+@pytest.mark.parametrize("order", [6, 12])
+def test_module_jet_span_matches_polynomial_multiples(catalog_docs, order):
+    # column-space multiples give the echelon rows (so the pivots and the
+    # dimension) of the Polynomial construction on every recorded block
+    blocks = 0
+    for name, doc in catalog_docs.items():
+        for block in doc.fields.values():
+            rank = len(block.fields[0])
+            for low in (0, 1):
+                got = module_jet_span(block.fields, rank, rank, order, low)
+                want = polynomial_module_jet_span(block.fields, rank, rank, order, low)
+                assert got.rows == want.rows, (name, block.name, low)
+            blocks += 1
+    assert blocks == 21
 
 
 def test_scalar_multiples_span():
