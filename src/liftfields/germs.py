@@ -9,7 +9,6 @@ one-parameter stable unfoldings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -46,23 +45,22 @@ class HypothesisError(ValueError):
     """Raised when an operation's mathematical hypothesis fails."""
 
 
-@dataclass(frozen=True)
 class Branch:
     """One branch of a multigerm: a polynomial map with f(0) = 0."""
 
-    label: str
-    source_vars: tuple[str, ...]
-    components: tuple[Polynomial, ...]
-
-    def __post_init__(self):
-        n = len(self.source_vars)
-        for c in self.components:
+    def __init__(self, label: str, source_vars: tuple[str, ...],
+                 components: tuple[Polynomial, ...]):
+        n = len(source_vars)
+        for c in components:
             if c.nvars != n:
                 raise ValueError(
-                    f"branch {self.label!r}: component has {c.nvars} variables, expected {n}"
+                    f"branch {label!r}: component has {c.nvars} variables, expected {n}"
                 )
             if c.constant_term():
-                raise ValueError(f"branch {self.label!r}: component has nonzero constant term")
+                raise ValueError(f"branch {label!r}: component has nonzero constant term")
+        self.label = label
+        self.source_vars = source_vars
+        self.components = components
 
     @property
     def n(self) -> int:
@@ -285,22 +283,18 @@ class MultiGerm:
         return f"MultiGerm(n={self.n}, p={self.p}, branches=[{names}])"
 
 
-@dataclass
 class GermInvariants:
     """Summary of the contact-class invariants of a multigerm."""
 
-    n: int
-    p: int
-    corank: int
-    delta: int
-    delta_per_branch: tuple[int, ...]
-    gamma: int
-    num_branches: int
-    stabilized_order: int
-    ell: int
-    i_delta: dict[int, int] = field(default_factory=dict)
-    i_gamma: dict[int, int] = field(default_factory=dict)
-    mode: str = "formula"
+    def __init__(self, n: int, p: int, corank: int, delta: int, delta_per_branch: tuple[int, ...],
+                 gamma: int, num_branches: int, stabilized_order: int, ell: int,
+                 mode: str = "formula"):
+        self.n, self.p, self.corank = n, p, corank
+        self.delta, self.delta_per_branch, self.gamma = delta, delta_per_branch, gamma
+        self.num_branches, self.stabilized_order, self.ell = num_branches, stabilized_order, ell
+        self.i_delta: dict[int, int] = {}  # level -> higher delta, filled by invariants()
+        self.i_gamma: dict[int, int] = {}
+        self.mode = mode
 
 
 def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula", cap: int = DEFAULT_ORDER_CAP) -> GermInvariants:
@@ -375,21 +369,15 @@ def reduce_to_core(f: MultiGerm) -> MultiGerm:
 # one-parameter stable unfoldings
 # ---------------------------------------------------------------------------
 
-@dataclass
 class UnfoldingSpec:
-    """A one-parameter unfolding F(x, t) = (f_t(x), t) of a base germ."""
+    """A one-parameter unfolding F(x, t) = (f_t(x), t) of a base germ;
+    param_target_index is the parameter's position among F's target vars."""
 
-    F: MultiGerm
-    base: MultiGerm
-    param_source_name: str
-    param_target_index: int  # position of the parameter among F's target vars
-    stable_certified: bool = False
-
-    def __post_init__(self):
-        F, base = self.F, self.base
+    def __init__(self, F: MultiGerm, base: MultiGerm, param_source_name: str,
+                 param_target_index: int, stable_certified: bool = False):
         if F.n != base.n + 1 or F.p != base.p + 1:
             raise ValueError("unfolding must add exactly one source and one target dimension")
-        k = self.param_target_index
+        k = param_target_index
         param_src = base.n  # parameter is the last source variable of F
         for bF, bf in zip(F.branches, base.branches):
             if bF.components[k] != Polynomial.variable(F.n, param_src):
@@ -404,6 +392,10 @@ class UnfoldingSpec:
                     raise ValueError(
                         f"branch {bF.label!r}: setting the parameter to zero does not recover the base germ"
                     )
+        self.F, self.base = F, base
+        self.param_source_name = param_source_name
+        self.param_target_index = param_target_index
+        self.stable_certified = stable_certified
 
 
 def build_unfolding(

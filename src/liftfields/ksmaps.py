@@ -31,7 +31,6 @@ Models are kept in the germ's cache, so each level is built once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -48,26 +47,19 @@ def truncation_order(f: MultiGerm, i: int) -> int:
     return f.ell() * (i + 2) + 1
 
 
-@dataclass
 class KSMapModel:
-    """Explicit matrix of the level-i map over exact rationals."""
+    """Explicit matrix of the level-i map over exact rationals: one column
+    per domain basis element (target component, monomial of degree i)."""
 
-    i: int
-    truncation_order: int
-    domain_basis: list[tuple[int, Monomial]]  # (target component, monomial), degree i
-    target_dim: int
-    columns: list[list[Fraction]]  # one column per domain basis element
-    _factor: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, i: int, truncation_order: int, domain_basis: list[tuple[int, Monomial]],
+                 target_dim: int, columns: list[list[Fraction]]):
+        self.i, self.truncation_order, self.domain_basis = i, truncation_order, domain_basis
+        self.target_dim, self.columns = target_dim, columns
+        self._factor: Optional[tuple] = None
 
     @property
     def domain_dim(self) -> int:
         return len(self.domain_basis)
-
-    def matrix_rows(self) -> list[list[Fraction]]:
-        return [
-            [self.columns[c][r] for c in range(self.domain_dim)]
-            for r in range(self.target_dim)
-        ]
 
     def _column(self, c: int) -> dict:
         return {r: v for r, v in enumerate(self.columns[c]) if v}
@@ -218,21 +210,19 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
 # level location and generator counts
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LevelRecord:
-    i: int
-    surjective: bool
-    injective: bool
-    kernel_dim: int
-    cokernel_dim: int
+    def __init__(self, i: int, surjective: bool, injective: bool, kernel_dim: int,
+                 cokernel_dim: int):
+        self.i, self.surjective, self.injective = i, surjective, injective
+        self.kernel_dim, self.cokernel_dim = kernel_dim, cokernel_dim
 
 
-@dataclass
 class KSReport:
-    levels: list[LevelRecord]
-    i1: int | str  # int, or "infinity up to cap"
-    i2: int | str  # int, "-infinity", or "infinity up to cap"
-    cap: int
+    def __init__(self, levels: list[LevelRecord], i1: int | str, i2: int | str, cap: int):
+        self.levels = levels
+        self.i1 = i1  # int, or "infinity up to cap"
+        self.i2 = i2  # int, "-infinity", or "infinity up to cap"
+        self.cap = cap
 
     @property
     def theorem_applicable(self) -> bool:
@@ -270,10 +260,9 @@ def locate_i1_i2(f: MultiGerm, cap: int = 6, full_scan: bool = False) -> KSRepor
     return KSReport(levels, i1, i2, cap)
 
 
-@dataclass
 class StabilityVerdict:
-    stable: bool
-    isolated: bool
+    def __init__(self, stable: bool, isolated: bool):
+        self.stable, self.isolated = stable, isolated
 
 
 def classify_stable(f: MultiGerm) -> StabilityVerdict:
@@ -282,13 +271,12 @@ def classify_stable(f: MultiGerm) -> StabilityVerdict:
     return StabilityVerdict(model.surjective, model.injective)
 
 
-@dataclass
 class MinGeneratorCount:
-    count: int
-    i: int
-    formula_count: Optional[int] = None
-    bruteforce_count: Optional[int] = None
-    mode: str = "both"
+    def __init__(self, count: int, i: int, formula_count: Optional[int] = None,
+                 bruteforce_count: Optional[int] = None, mode: str = "both"):
+        self.count, self.i = count, i
+        self.formula_count, self.bruteforce_count = formula_count, bruteforce_count
+        self.mode = mode
 
 
 def min_generators(

@@ -22,7 +22,6 @@ each field whose jet row enlarges it: one module jet span per restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -51,26 +50,24 @@ class NotLiftableError(ValueError):
         self.obstruction_degree = obstruction_degree
 
 
-@dataclass(frozen=True)
 class LiftCertificate:
     """A solved lift equation: eta∘f_j = df_j(xi_j) per branch, exactly or
-    modulo the jet order."""
+    modulo the jet order.  lifts holds, per branch, the n source polynomials
+    of xi_j; residual_low_degree is None when exact."""
 
-    eta: FieldVector
-    lifts: tuple  # per branch: tuple of n source polynomials
-    order: int
-    exact: bool
-    residual_low_degree: Optional[int]  # None when exact
+    def __init__(self, eta: FieldVector, lifts: tuple, order: int, exact: bool,
+                 residual_low_degree: Optional[int]):
+        self.eta, self.lifts, self.order = eta, lifts, order
+        self.exact, self.residual_low_degree = exact, residual_low_degree
 
 
-@dataclass
 class LiftModule:
     """A generating set of the module of liftable fields, with certificates."""
 
-    generators: list[LiftCertificate]
-    cert_order: int
-    expected_count: Optional[int]
-    provenance: str
+    def __init__(self, generators: list[LiftCertificate], cert_order: int,
+                 expected_count: Optional[int], provenance: str):
+        self.generators, self.cert_order = generators, cert_order
+        self.expected_count, self.provenance = expected_count, provenance
 
     @property
     def count(self) -> int:
@@ -406,12 +403,17 @@ def generator_count_certified(
     return len(nakayama_minimize(fields, rank, cert_order))
 
 
-@dataclass
 class ModuleComparison:
-    equal: bool
-    cert_order: int
-    missing_from_left: list[int]  # indices of right-hand fields not in left module
-    missing_from_right: list[int]
+    """Jet-level double inclusion: missing_from_left holds the indices of
+    right-hand fields not in the left module, and vice versa."""
+
+    def __init__(self, equal: bool, cert_order: int,
+                 missing_from_left: list[int], missing_from_right: list[int]):
+        self.equal, self.cert_order = equal, cert_order
+        self.missing_from_left, self.missing_from_right = missing_from_left, missing_from_right
+
+    def __repr__(self):
+        return f"ModuleComparison({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 def compare_modules(

@@ -67,11 +67,6 @@ class SparseSpan:
     def dim(self) -> int:
         return len(self.rows)
 
-    def copy(self) -> "SparseSpan":
-        s = SparseSpan()
-        s.rows = {p: dict(r) for p, r in self.rows.items()}
-        return s
-
     def _echelonize(self, row: dict) -> dict:
         """Cancel leading entries against existing pivots until the leading
         column is free (or the row vanishes)."""

@@ -19,12 +19,19 @@ option overrides::
     }
 
 Polynomials use ``+ - *`` and ``^`` for powers; rational literals are written
-``a/b``.  Comments run from ``#`` to end of line.  Errors carry line/column.
+``a/b``.  Comments run from ``#`` to end of line.
+
+Validation: declarations may come in any order, except that ``diffeo`` and
+``fields`` blocks follow the target or unfolding they use; only ``branch`` and
+``fields`` may repeat.  Names are unique within each variable list, among the
+branch labels (of the germ, of the unfolding) and among the fields blocks.
+Once the whole document is read, each branch must have n source variables and
+p components and the target p names (one more each in the unfolding); every
+vector must match its target.  Errors are ParseErrors at the offending token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,12 +55,12 @@ class ParseError(ValueError):
 _SYMBOLS = "{}()=;,+-*/^"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "name", "int", "sym", "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "name", "int", "sym", "eof"
+        self.text, self.line, self.col = text, line, col
 
 
 def tokenize(text: str) -> list[Token]:
@@ -84,9 +91,9 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():  # not isdigit: int() refuses digits such as '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, start_col))
             col += j - i
@@ -106,38 +113,35 @@ def tokenize(text: str) -> list[Token]:
 # document model
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BranchDecl:
-    label: str
-    source_vars: tuple[str, ...]
-    components: tuple[Polynomial, ...]
+    def __init__(self, label: str, source_vars: tuple[str, ...],
+                 components: tuple[Polynomial, ...]):
+        self.label, self.source_vars, self.components = label, source_vars, components
 
 
-@dataclass
 class UnfoldingDecl:
-    param_target_index: int  # 0-based position of the parameter in the target
-    target_vars: tuple[str, ...]
-    branches: list[BranchDecl]
+    def __init__(self, param_target_index: int, target_vars: tuple[str, ...],
+                 branches: list[BranchDecl]):
+        self.param_target_index = param_target_index  # 0-based position in the target
+        self.target_vars, self.branches = target_vars, branches
 
 
-@dataclass
 class FieldsDecl:
-    name: str
-    over_unfolding: bool
-    fields: list[tuple[Polynomial, ...]]
+    def __init__(self, name: str, over_unfolding: bool, fields: list[tuple[Polynomial, ...]]):
+        self.name, self.over_unfolding, self.fields = name, over_unfolding, fields
 
 
-@dataclass
 class GermDocument:
-    name: str
-    n: int
-    p: int
-    target_vars: tuple[str, ...]
-    branches: list[BranchDecl]
-    unfolding: Optional[UnfoldingDecl] = None
-    diffeo: Optional[tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]] = None
-    fields: dict[str, FieldsDecl] = field(default_factory=dict)
-    options: dict[str, int] = field(default_factory=dict)
+    def __init__(self, name: str, n: int, p: int, target_vars: tuple[str, ...],
+                 branches: list[BranchDecl], unfolding: Optional[UnfoldingDecl] = None,
+                 diffeo: Optional[tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]] = None,
+                 fields: dict[str, FieldsDecl] | None = None,
+                 options: dict[str, int] | None = None):
+        self.name, self.n, self.p = name, n, p
+        self.target_vars, self.branches = target_vars, branches
+        self.unfolding, self.diffeo = unfolding, diffeo
+        self.fields = {} if fields is None else fields
+        self.options = {} if options is None else options
 
     # -- conversions ----------------------------------------------------
     def to_multigerm(self) -> MultiGerm:
@@ -208,6 +212,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # (token, what, count, dim, extra): once the whole document is read,
+        # count must equal n or p (as dim names) plus extra
+        self.arities: list[tuple[Token, str, int, str, int]] = []
 
     # -- token helpers --------------------------------------------------
     def peek(self) -> Token:
@@ -239,19 +246,24 @@ class _Parser:
     # -- grammar --------------------------------------------------------
     def document(self) -> GermDocument:
         self.expect("name", "germ")
-        name = self.expect("name").text
+        name_tok = self.expect("name")
         self.expect("sym", "{")
-        n = p = None
+        n = p = at_tok = None
         target: tuple[str, ...] | None = None
         branches: list[BranchDecl] = []
         unfolding = None
         diffeo = None
         fields: dict[str, FieldsDecl] = {}
         options: dict[str, int] = {}
+        seen: set[str] = set()
         while not self.accept("sym", "}"):
             t = self.peek()
             if t.kind != "name":
                 self.error("expected a declaration")
+            if t.text in seen:
+                self.error(f"{t.text!r} is declared twice")
+            if t.text not in ("branch", "fields"):
+                seen.add(t.text)
             if t.text == "n" or t.text == "p":
                 self.next()
                 self.expect("sym", "=")
@@ -262,13 +274,11 @@ class _Parser:
                 else:
                     p = val
             elif t.text == "target":
-                self.next()
-                target = self.name_list()
-                self.expect("sym", ";")
+                target = self.target_decl(0)
             elif t.text == "branch":
-                branches.append(self.branch_decl(n, p))
+                branches.append(self.branch_decl(branches))
             elif t.text == "unfolding":
-                unfolding = self.unfolding_block(n, p)
+                unfolding, at_tok = self.unfolding_block()
             elif t.text == "diffeo":
                 diffeo = self.diffeo_block(target)
             elif t.text == "fields":
@@ -282,70 +292,82 @@ class _Parser:
                 self.error(f"unknown declaration {t.text!r}")
         self.expect("eof")
         if n is None or p is None:
-            raise ParseError(f"germ {name!r} must declare n and p", 1, 1)
+            self.error(f"germ {name_tok.text!r} must declare n and p", name_tok)
+        if not branches:
+            self.error(f"germ {name_tok.text!r} has no branches", name_tok)
+        for tok, what, got, dim, extra in self.arities:
+            want = (n if dim == "n" else p) + extra
+            if got != want:
+                self.error(f"{what}, expected {want}", tok)
         if target is None:
             target = tuple(f"X{i+1}" for i in range(p))
-        if len(target) != p:
-            raise ParseError(
-                f"germ {name!r}: target declares {len(target)} variables, p = {p}", 1, 1
-            )
-        if not branches:
-            raise ParseError(f"germ {name!r} has no branches", 1, 1)
-        return GermDocument(name, n, p, target, branches, unfolding, diffeo, fields, options)
+        if unfolding is not None:
+            if at_tok is None:
+                unfolding.param_target_index = p  # default: the last target component
+            elif not 0 <= unfolding.param_target_index <= p:
+                self.error(f"parameter position {at_tok.text} out of range", at_tok)
+        return GermDocument(
+            name_tok.text, n, p, target, branches, unfolding, diffeo, fields, options
+        )
 
     def name_list(self) -> tuple[str, ...]:
         self.expect("sym", "(")
         names = [self.expect("name").text]
         while self.accept("sym", ","):
-            names.append(self.expect("name").text)
+            tok = self.expect("name")
+            if tok.text in names:
+                self.error(f"repeated name {tok.text!r}", tok)
+            names.append(tok.text)
         self.expect("sym", ")")
         return tuple(names)
 
-    def branch_decl(self, n: int | None, p: int | None, extra: int = 0) -> BranchDecl:
+    def target_decl(self, extra: int) -> tuple[str, ...]:
+        head = self.expect("name", "target")
+        names = self.name_list()
+        self.expect("sym", ";")
+        self.arities.append((head, f"target: {len(names)} variables", len(names), "p", extra))
+        return names
+
+    def branch_decl(self, earlier: list[BranchDecl], extra: int = 0) -> BranchDecl:
         head = self.expect("name", "branch")
-        label = self.expect("name").text
+        tok = self.expect("name")
+        label = tok.text
+        if any(b.label == label for b in earlier):
+            self.error(f"repeated branch label {label!r}", tok)
         svars = self.name_list()
-        if n is not None and len(svars) != n + extra:
-            self.error(
-                f"branch {label!r}: {len(svars)} source variables, expected {n + extra}",
-                head,
-            )
         self.expect("sym", "=")
         comps = self.poly_tuple(svars)
         self.expect("sym", ";")
-        if p is not None and len(comps) != p + extra:
-            self.error(f"branch {label!r}: {len(comps)} components, expected {p + extra}", head)
         for c in comps:
             if c.constant_term():
                 self.error(f"branch {label!r}: component has nonzero constant term", head)
+        what = f"branch {label!r}: "
+        self.arities.append((head, what + f"{len(svars)} source variables", len(svars), "n", extra))
+        self.arities.append((head, what + f"{len(comps)} components", len(comps), "p", extra))
         return BranchDecl(label, svars, comps)
 
-    def unfolding_block(self, n: int | None, p: int | None) -> UnfoldingDecl:
+    def unfolding_block(self) -> tuple[UnfoldingDecl, Token | None]:
         self.expect("name", "unfolding")
-        index = p  # default: the parameter is the last target component
-        if self.accept("name", "at"):
-            tok = self.expect("int")
-            index = int(tok.text) - 1
-            if p is not None and not 0 <= index <= p:
-                self.error(f"parameter position {tok.text} out of range", tok)
+        at_tok = self.expect("int") if self.accept("name", "at") else None
         self.expect("sym", "{")
         target: tuple[str, ...] | None = None
         branches: list[BranchDecl] = []
         while not self.accept("sym", "}"):
             t = self.peek()
             if t.kind == "name" and t.text == "target":
-                self.next()
-                target = self.name_list()
-                self.expect("sym", ";")
+                if target is not None:
+                    self.error("'target' is declared twice")
+                target = self.target_decl(1)
             elif t.kind == "name" and t.text == "branch":
-                branches.append(self.branch_decl(n, p, extra=1))
+                branches.append(self.branch_decl(branches, extra=1))
             else:
                 self.error("expected 'target' or 'branch' in unfolding block")
         if not branches:
             self.error("unfolding block has no branches")
         if target is None:
             target = tuple(f"X{i+1}" for i in range(len(branches[0].components)))
-        return UnfoldingDecl(index, target, branches)
+        index = None if at_tok is None else int(at_tok.text) - 1
+        return UnfoldingDecl(index, target, branches), at_tok
 
     def diffeo_block(self, target: tuple[str, ...] | None):
         head = self.expect("name", "diffeo")
@@ -388,7 +410,11 @@ class _Parser:
         self.expect("sym", "{")
         fields = []
         while not self.accept("sym", "}"):
-            fields.append(self.poly_tuple(names))
+            tok = self.peek()
+            vf = self.poly_tuple(names)
+            if len(vf) != len(names):
+                self.error(f"field has {len(vf)} components, expected {len(names)}", tok)
+            fields.append(vf)
             self.expect("sym", ";")
         return FieldsDecl(name, over_unfolding, fields)
 
@@ -467,7 +493,11 @@ class _Parser:
 
 def parse(text: str) -> GermDocument:
     """Parse a germ document; raises ParseError with line/column on failure."""
-    return _Parser(tokenize(text)).document()
+    parser = _Parser(tokenize(text))
+    try:
+        return parser.document()
+    except RecursionError:  # parentheses or signs nested past the interpreter's stack
+        parser.error("expression nested too deeply")
 
 
 def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:

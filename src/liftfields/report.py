@@ -10,7 +10,6 @@ are reproducible from the report alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Any, Callable, Optional, Sequence
@@ -24,14 +23,13 @@ from .poly import Polynomial
 FieldVector = Sequence[Polynomial]
 
 
-@dataclass
 class ReportConfig:
     """Echo of the knobs an invocation ran with."""
 
-    max_i: int = 6
-    max_degree: int = 12
-    cert_order: int = 12
-    mode: str = "both"
+    def __init__(self, max_i: int = 6, max_degree: int = 12, cert_order: int = 12,
+                 mode: str = "both"):
+        self.max_i, self.max_degree = max_i, max_degree
+        self.cert_order, self.mode = cert_order, mode
 
     def to_json(self) -> dict:
         return {
@@ -46,22 +44,23 @@ def render_field(vf: FieldVector, names: Sequence[str]) -> str:
     return "(" + ", ".join(c.render(names) for c in vf) + ")"
 
 
-@dataclass
 class AnalysisReport:
-    command: str
-    germ_name: str
-    config: ReportConfig
-    invariants: Optional[GermInvariants] = None
-    ks: Optional[KSReport] = None
-    stability: Optional[StabilityVerdict] = None
-    min_generators: Optional[MinGeneratorCount] = None
-    lift: Optional[LiftModule] = None
-    lift_target_vars: Optional[Sequence[str]] = None
-    kernel_level: Optional[int] = None
-    kernel_fields: Optional[list[FieldVector]] = None
-    extra: dict[str, Any] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    """What one CLI invocation computed about one germ document; the
+    subcommand fills in the parts it computes."""
+
+    def __init__(self, command: str, germ_name: str, config: ReportConfig):
+        self.command, self.germ_name, self.config = command, germ_name, config
+        self.invariants: Optional[GermInvariants] = None
+        self.ks: Optional[KSReport] = None
+        self.stability: Optional[StabilityVerdict] = None
+        self.min_generators: Optional[MinGeneratorCount] = None
+        self.lift: Optional[LiftModule] = None
+        self.lift_target_vars: Optional[Sequence[str]] = None
+        self.kernel_level: Optional[int] = None
+        self.kernel_fields: Optional[list[FieldVector]] = None
+        self.extra: dict[str, Any] = {}
+        self.warnings: list[str] = []
+        self.timings: dict[str, float] = {}
 
     # -- serialization --------------------------------------------------
     def to_json(self) -> dict:

@@ -58,7 +58,8 @@ def dense_kernel_fields(model, target_vars) -> list[tuple[Polynomial, ...]]:
     the model's rank is its domain dimension minus their number)."""
     p = len(target_vars)
     if model.target_dim:
-        vecs = kernel_basis(model.matrix_rows(), model.domain_dim)
+        rows = [[col[r] for col in model.columns] for r in range(model.target_dim)]
+        vecs = kernel_basis(rows, model.domain_dim)
     else:
         vecs = [
             [Fraction(int(k == c)) for k in range(model.domain_dim)]

@@ -65,13 +65,17 @@ def test_validate_report_rejects_malformed(capsys):
 
 
 def test_json_report_does_not_import_jsonschema():
-    # each CLI run is a fresh interpreter, so validating its report must not
-    # pay for importing the jsonschema package
+    # each CLI run is a fresh interpreter, so no subcommand may pay for
+    # importing the jsonschema package, or dataclasses and the inspect
+    # module it pulls in (about 30 ms of every start)
     code = (
         "import sys\n"
         "from liftfields import cli\n"
-        "assert cli.main(['analyze', 'e0', '--json']) == 0\n"
-        "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+        "for argv in (['analyze', 'e0'], ['construct', 'e0'], ['check', 'e0'],\n"
+        "             ['unfold', 'fold-line']):\n"
+        "    assert cli.main(argv + ['--json']) == 0, argv\n"
+        "for mod in ('jsonschema', 'dataclasses', 'inspect'):\n"
+        "    assert mod not in sys.modules, mod + ' was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(liftfields.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -80,7 +84,7 @@ def test_json_report_does_not_import_jsonschema():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["germ"] == "e0"
+    assert proc.stdout.count('"tool": "liftfields"') == 4
 
 
 def test_kernel(capsys):
@@ -163,6 +167,38 @@ def test_exit_parse_error_bad_syntax(tmp_path, capsys):
     code, _, err = run(["analyze", str(path)], capsys)
     assert code == 3
     assert "line" in err
+
+
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        # a field vector with too few components, over the base target ...
+        ("germ g { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);\n"
+         "  fields r { (2*X, 3*Y);\n (X); } }",
+         "line 3, column 2", "field has 1 components, expected 2"),
+        # ... and too many over the unfolding's target
+        ("germ g { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);\n"
+         "  unfolding { target (X, Y, T); branch a(y, t) = (y^2, y^3 + t*y, t); }\n"
+         "  fields r over unfolding { (X, Y, T, T); } }",
+         "line 3, column 29", "field has 4 components, expected 3"),
+        # a branch declared before n and p is still checked against them
+        ("germ g { branch a(y) = (y^2); n = 1; p = 2; }",
+         "line 1, column 10", "branch 'a': 1 components, expected 2"),
+        ("germ g { n = 1; p = 2; target (X, X); branch a(y) = (y^2, y^3); }",
+         "line 1, column 35", "repeated name 'X'"),
+        ("germ g { n = 2; p = 2; branch a(x, x) = (x, x^2); }",
+         "line 1, column 36", "repeated name 'x'"),
+        ("germ g { n = 1; p = 2; branch a(y) = (y^2, y^3);\n branch a(y) = (y^3, y^2); }",
+         "line 2, column 9", "repeated branch label 'a'"),
+    ],
+)
+def test_exit_parse_error_malformed_document(tmp_path, capsys, text, where, message):
+    path = tmp_path / "bad.germ"
+    path.write_text(text)
+    for argv in (["analyze", str(path)], ["check", str(path), "--fields", "r"]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {where}: {message}\n"
 
 
 def test_exit_parse_error_missing_document(capsys):

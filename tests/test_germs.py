@@ -10,9 +10,51 @@ from liftfields import (
     invariants,
     reduce_to_core,
 )
-from liftfields.germs import build_unfolding
+from liftfields.germs import GermInvariants, UnfoldingSpec, build_unfolding
+from liftfields.parser import GermDocument
+from liftfields.report import AnalysisReport, ReportConfig
 
 from conftest import germ, monogerm, poly
+
+
+# ---------------------------------------------------------------------------
+# record constructors
+# ---------------------------------------------------------------------------
+
+def test_branch_rejects_bad_components():
+    y = ("y",)
+    with pytest.raises(ValueError, match="component has 2 variables, expected 1"):
+        Branch("a", y, (poly("y^2", y), poly("y*z", ("y", "z"))))
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        Branch("a", y, (poly("y^2", y), poly("y^3 + 1", y)))
+
+
+def test_unfolding_spec_rejects_non_parameter_component():
+    base = monogerm(["y^2", "y^3"], ("y",), ("X", "Y"))
+    names = ("y", "t")
+    F = monogerm(["y^2", "y^3 + t*y", "t"], names, ("X", "Y", "T"))
+    assert UnfoldingSpec(F, base, "t", 2).param_target_index == 2
+    with pytest.raises(ValueError, match="target component 1 must be the parameter"):
+        UnfoldingSpec(F, base, "t", 0)
+    # the slice t = 0 must give back the base germ
+    G = monogerm(["y^2 + y^4", "y^3 + t*y", "t"], names, ("X", "Y", "T"))
+    with pytest.raises(ValueError, match="does not recover the base germ"):
+        UnfoldingSpec(G, base, "t", 2)
+
+
+def test_default_built_records_share_no_containers():
+    def containers(obj):
+        return [v for v in vars(obj).values() if isinstance(v, (dict, list))]
+
+    pairs = [
+        (GermDocument("g", 1, 2, ("X", "Y"), []) for _ in range(2)),
+        (AnalysisReport("analyze", "g", ReportConfig()) for _ in range(2)),
+        (GermInvariants(1, 2, 1, 2, (2,), 1, 1, 3, 2) for _ in range(2)),
+    ]
+    for a, b in pairs:
+        assert containers(a) and len(containers(a)) == len(containers(b))
+        for x, y in zip(containers(a), containers(b)):
+            assert x is not y
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +167,7 @@ def test_unfolding_spec_zero_slice(catalog_docs):
     for name, doc in catalog_docs.items():
         if doc.unfolding is None:
             continue
-        spec = doc.to_unfolding_spec()  # __post_init__ validates the slice
+        spec = doc.to_unfolding_spec()  # the constructor validates the slice
         assert spec.F.n == spec.base.n + 1
         assert spec.F.p == spec.base.p + 1
 

@@ -1,11 +1,14 @@
 """Germ-document grammar: parsing, diagnostics, and rendering round-trips."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from liftfields import ParseError, parse
-from liftfields.parser import parse_polynomial
+from liftfields import GermDocument, ParseError, catalog, parse
+from liftfields.parser import parse_polynomial, tokenize
 
 
 def test_minimal_document():
@@ -101,3 +104,119 @@ def test_round_trip_all_catalog_entries(catalog_docs):
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("x + 1 y", ("x", "y"))
+
+
+def test_deep_nesting_rejected():
+    deep = "(" * 5000 + "x" + ")" * 5000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(f"germ g {{ n = 1; p = 1; branch a(x) = ({deep}); }}")
+
+
+def test_unicode_digit_rejected():
+    # '²' passes str.isdigit but int() refuses it
+    with pytest.raises(ParseError, match="line 1, column 14: unexpected character"):
+        parse("germ g { n = ²; p = 1; }")
+
+
+# ---------------------------------------------------------------------------
+# validation once the whole document is read
+# ---------------------------------------------------------------------------
+
+_UNFOLDING = "unfolding { branch a(y, t) = (y^2, y^3 + t*y, t); }"
+
+
+def test_declarations_in_any_order():
+    doc = parse(f"germ g {{ branch a(y) = (y^2, y^3); {_UNFOLDING} p = 2; n = 1; }}")
+    assert (doc.n, doc.p, doc.target_vars) == (1, 2, ("X1", "X2"))
+    # without 'at', the parameter is the last target component, whenever p is declared
+    assert doc.unfolding.param_target_index == 2
+    assert doc.to_unfolding_spec().F.p == 3
+    text = doc.render()
+    assert parse(text).render() == text
+
+
+@pytest.mark.parametrize(
+    "body, where, message",
+    [
+        ("n = 1; p = 2; branch a(y) = (y^2, y^3); n = 1;", "1, column 50", "'n' is declared twice"),
+        ("target (X, Y); n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);",
+         "1, column 39", "'target' is declared twice"),
+        ("n = 1; p = 2; target (X, Y, Z); branch a(y) = (y^2, y^3);",
+         "1, column 24", "target: 3 variables, expected 2"),
+        ("branch a(y, z) = (y^2, z^3); n = 1; p = 2;",
+         "1, column 10", "branch 'a': 2 source variables, expected 1"),
+        ("unfolding { branch a(y) = (y^2, y^3, y); } n = 1; p = 2; branch a(y) = (y^2, y^3);",
+         "1, column 22", "branch 'a': 1 source variables, expected 2"),
+        ("unfolding { target (X, T); branch a(y, t) = (y^2, y^3 + t*y, t); }"
+         " n = 1; p = 2; branch a(y) = (y^2, y^3);",
+         "1, column 22", "target: 2 variables, expected 3"),
+        ("unfolding at 4 { branch a(y, t) = (y^2, y^3 + t*y, t); }"
+         " n = 1; p = 2; branch a(y) = (y^2, y^3);",
+         "1, column 23", "parameter position 4 out of range"),
+        ("unfolding { branch a(y, t) = (y^2, y^3 + t*y, t); branch a(y, t) = (y, t, t); }"
+         " n = 1; p = 2; branch a(y) = (y^2, y^3);",
+         "1, column 67", "repeated branch label 'a'"),
+        ("branch a(y) = (y^2, y^3); p = 2;", "1, column 6", "germ 'g' must declare n and p"),
+    ],
+)
+def test_semantic_errors_at_offending_token(body, where, message):
+    with pytest.raises(ParseError) as err:
+        parse(f"germ g {{ {body} }}")
+    assert str(err.value) == f"line {where}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any text gives a GermDocument or a ParseError, and what parses
+# renders to text that parses back to the same rendering
+# ---------------------------------------------------------------------------
+
+_ALPHABET = (
+    ["germ", "n", "p", "target", "branch", "unfolding", "at", "diffeo", "H", "Hinv",
+     "fields", "over", "options", "x", "y", "t", "X", "Y", "T", "a"]
+    + [str(k) for k in range(10)]
+    + list("{}()=;,+-*/^")
+)
+
+
+def _check_parse(text):
+    try:
+        doc = parse(text)
+    except ParseError:
+        return
+    assert isinstance(doc, GermDocument)
+    rendered = doc.render()
+    assert parse(rendered).render() == rendered
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(st.sampled_from(_ALPHABET), max_size=40))
+def test_fuzz_token_strings(framed, tokens):
+    # a framed string starts like a document, so the parser gets past the header
+    _check_parse(" ".join((["germ", "g", "{"] if framed else []) + tokens))
+
+
+@lru_cache(maxsize=None)
+def _catalog_tokens(name):
+    return tuple(t.text for t in tokenize(catalog.load(name).render())[:-1])
+
+
+@st.composite
+def _mutated_catalog_text(draw):
+    tokens = list(_catalog_tokens(draw(st.sampled_from(catalog.names()))))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_catalog_text())
+def test_fuzz_mutated_catalog_documents(text):
+    _check_parse(text)
