@@ -187,6 +187,15 @@ def _cmd_check(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
         )
     f, _ = _core_germ(doc)
     F = doc.to_unfolding_spec().F if doc.unfolding is not None else None
+    for block in blocks:  # a block read from a file may be over another target
+        want = f.p + block.over_unfolding
+        lengths = {len(vf) for vf in block.fields} - {want}
+        if lengths:
+            where = "unfolding's" if block.over_unfolding else "germ's"
+            raise ParseError(
+                f"fields block {block.name!r} in {block_name!r} has fields of length"
+                f" {min(lengths)}, but the {where} target has {want} coordinates", 0, 0
+            )
     checked = []
     t0 = time.perf_counter()
     for block in blocks:

@@ -180,6 +180,14 @@ class MultiGerm:
             )
         return self._cache[key]
 
+    def prenormal(self, j: int):
+        """Branch j's division.PrenormalForm, or None; tested once."""
+        key = ("prenormal", j)
+        if key not in self._cache:
+            from .division import prenormal_form  # compiled on first use only
+            self._cache[key] = prenormal_form(self.branches[j])
+        return self._cache[key]
+
     def tangent_span(self, j: int, order: int) -> FactoredSpan:
         """Jet span below ``order`` of branch j's tangent space, factored once.
 

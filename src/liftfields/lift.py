@@ -2,18 +2,17 @@
 
 A vector field eta on the target is liftable over the multigerm f when, for
 every branch f_j, there is a source field xi_j with eta∘f_j = df_j(xi_j).
-This module solves that equation exactly at a jet order (solve_lift), builds
-generating sets two ways — completing kernel vectors of the matrix model by
-a bounded-degree ansatz (complete_generators), and restricting the liftable
+This module solves that equation (solve_lift), builds generating sets
+two ways — completing kernel vectors of the matrix model by a
+bounded-degree ansatz (complete_generators), and restricting the liftable
 module of a one-parameter stable unfolding through a syzygy computation
 (restrict_from_unfolding) — and certifies results by re-solving, jet-level
 module equality, and a Nakayama generator count.
 
-Each branch's tangent jet span is factored once per jet order and cached on
-the germ (MultiGerm.tangent_span).  Completion residuals are normal forms
-modulo that span; a lift is the pullback's reduction followed by back
-substitution through the recorded multipliers, and a nonzero remainder
-gives the obstruction degree directly.
+Lifts are decided branch by branch: by division in K[x][y] on branches in
+prenormal form (MultiGerm.prenormal), exactly; otherwise, or to report an
+obstruction degree, modulo the tangent jet span, factored once per jet
+order and cached on the germ (MultiGerm.tangent_span).
 
 The Nakayama minimization builds the positive-degree jet span m*M of the
 restricted fields once and keeps, scanning from the last field to the first,
@@ -22,12 +21,13 @@ each field whose jet row enlarges it: one module jet span per restriction.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Optional, Sequence
 
 from .germs import ConsistencyError, HypothesisError, MultiGerm, UnfoldingSpec
 from .ksmaps import KSReport, ks_matrix, locate_i1_i2, min_generators, truncation_order
-from .linalg import solve_sparse
+from .linalg import FactoredSpan
 from .modules import module_jet_span, span_contains, syzygy_basis, vector_to_row
 from .poly import (
     Polynomial,
@@ -36,6 +36,19 @@ from .poly import (
     monomials_below,
     monomials_of_degree,
 )
+
+
+@lru_cache(maxsize=None)
+def _mono_rank(m: tuple) -> int:
+    """Rank of m in monomials_below(len(m), order), for any order > deg m:
+    lower degrees, then same-degree monomials first in grevlex order."""
+    left = mono_degree(m)
+    rank = count_monomials_below(len(m), left)
+    for i in range(len(m) - 1, 0, -1):
+        rank += comb(i + left - m[i] - 1, i)
+        left -= m[i]
+    return rank
+
 
 FieldVector = tuple  # tuple of Polynomials in the target variables
 
@@ -92,22 +105,34 @@ def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
     ]
 
 
-def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
-    """Solve the lift equation for eta over every branch of f at the given
-    jet order; raises NotLiftableError with the first obstructed degree.
+def _residual_low(branch, full: Sequence[Polynomial], xi) -> Optional[int]:
+    """Lowest degree of the residual eta∘f_j - df_j(xi_j); None if it is 0."""
+    lows = [(u - v).low_degree() for u, v in zip(full, _tangent_image(branch, xi)) if u != v]
+    return min(lows, default=None)
 
-    The pullback of eta is reduced modulo the branch's factored tangent
-    span; a nonzero remainder is the obstruction (its lowest column gives
-    the degree), otherwise xi is read off by back substitution.
+
+def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
+    """Solve the lift equation for eta over every branch of f; raises
+    NotLiftableError with the first obstructed branch and degree.
+
+    A prenormal branch is solved exactly by division.  Any other branch, or
+    one whose normal form does not vanish, is reduced modulo its tangent jet
+    span: a nonzero remainder is the obstruction (its lowest column gives
+    the degree), and otherwise xi is read off by back substitution.
     """
     n, p = f.n, f.p
     monos = monomials_below(n, order)
     lifts = []
-    exact = True
     residual_low = None
     for j, b in enumerate(f.branches):
-        span = f.tangent_span(j, order)
         full = _pullback(eta, b, None)
+        form = f.prenormal(j)
+        if form is not None:
+            nf, xi = form.normal_form(full)
+            if not any(nf):
+                lifts.append(xi)
+                continue
+        span = f.tangent_span(j, order)
         hits: dict = {}
         left = span.reduce_full(vector_to_row(full, p, order), hits)
         if left:
@@ -117,38 +142,24 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                 b.label,
                 deg - 1,
             )
-        sol = span.combination(hits)
-        xi = []
-        for src in range(n):
-            terms = {}
-            for a_rank, alpha in enumerate(monos):
-                c = sol.get(a_rank * n + src)
-                if c:
-                    terms[alpha] = c
-            xi.append(Polynomial(n, terms))
-        xi = tuple(xi)
-        image = _tangent_image(b, xi)
-        res = [u - v for u, v in zip(full, image)]
-        lows = [r.low_degree() for r in res if not r.is_zero()]
-        if lows:
-            exact = False
-            low = min(lows)
+        terms: list[dict] = [{} for _ in range(n)]
+        for u, c in span.combination(hits).items():
+            terms[u % n][monos[u // n]] = c
+        xi = tuple(Polynomial(n, t) for t in terms)
+        low = _residual_low(b, full, xi)
+        if low is not None:
             residual_low = low if residual_low is None else min(residual_low, low)
         lifts.append(xi)
-    return LiftCertificate(tuple(eta), tuple(lifts), order, exact, residual_low)
+    return LiftCertificate(tuple(eta), tuple(lifts), order, residual_low is None, residual_low)
 
 
 def verify_certificate(f: MultiGerm, cert: LiftCertificate) -> bool:
     """Recheck a certificate from scratch: the residual of each branch must
     vanish (exact) or start at or above the certified jet order."""
     for b, xi in zip(f.branches, cert.lifts):
-        res = [
-            u - v
-            for u, v in zip(_pullback(cert.eta, b, None), _tangent_image(b, xi))
-        ]
-        for r in res:
-            if not r.is_zero() and r.low_degree() < cert.order:
-                return False
+        low = _residual_low(b, _pullback(cert.eta, b, None), xi)
+        if low is not None and low < cert.order:
+            return False
     return True
 
 
@@ -166,10 +177,11 @@ def complete_generators(
     the level-(i+1) matrix model with higher-order terms.
 
     Each generator is eta0 + (terms of degree i+2 .. D) where eta0 is a
-    homogeneous degree-(i+1) kernel representative; the unknown coefficients
-    are solved from the vanishing of the residual of eta∘f_j modulo the jet
-    span of the tangent space, branch by branch.  D is increased until a
-    completion exists (up to the degree bound).
+    homogeneous degree-(i+1) kernel representative.  The residuals of the
+    candidate terms X^beta e_q (division normal forms, or jet remainders
+    on branches that are not prenormal) enter one factored span degree by
+    degree, until it holds -residual(eta0); the completion is then the
+    combination of the kept candidates, the others at 0.
     """
     if report is None:
         report = locate_i1_i2(f, cap)
@@ -178,7 +190,7 @@ def complete_generators(
             f"kernel completion needs matching levels; found i1={report.i1}, i2={report.i2}"
         )
     i = report.i1
-    n, p = f.n, f.p
+    n, p, nb = f.n, f.p, f.num_branches
     ell = f.ell()
     d_max = max_extra_degree if max_extra_degree is not None else 2 * (i + 2) * ell
     d_max = max(d_max, i + 1)
@@ -188,66 +200,63 @@ def complete_generators(
     kernel = model.kernel_fields(f.target_vars)
     expected = min_generators(f, mode="bruteforce", report=report).count
 
-    # per-branch tangent-space jet spans (the lift condition decouples);
-    # the same factored spans certify every generator in solve_lift
-    tspans = [f.tangent_span(j, order) for j in range(f.num_branches)]
+    forms = [f.prenormal(j) for j in range(nb)]
+    # the lift condition decouples: one column block per branch, interleaved
+    # so that columns still ascend with the monomial degree
+    tspans = [None if form else f.tangent_span(j, order) for j, form in enumerate(forms)]
+    trunc = [None if form else order for form in forms]
 
-    def residual(field: FieldVector) -> dict:
-        """Concatenated canonical residuals of eta∘f_j over all branches."""
+    def residual(pulls: list) -> dict:
+        """Residual columns of a field from its pullback on every branch."""
         out = {}
-        offset = 0
-        blk = p * count_monomials_below(n, order)
-        for b, span in zip(f.branches, tspans):
-            row = vector_to_row(_pullback(field, b, order), p, order)
-            for k, v in span.reduce_full(row).items():
-                out[offset + k] = v
-            offset += blk
+        for j, v in enumerate(pulls):
+            if forms[j] is not None:
+                for q, comp in enumerate(forms[j].normal_form(v)[0]):
+                    for m, c in comp.terms.items():
+                        out[(_mono_rank(m) * p + q) * nb + j] = c
+            else:
+                for k, c in tspans[j].reduce_full(vector_to_row(v, p, order)).items():
+                    out[k * nb + j] = c
         return out
 
-    cache: dict[tuple[int, tuple], dict] = {}
+    powers = [{(0,) * p: Polynomial.constant(n, 1)} for _ in range(nb)]
 
-    def candidate_residual(q, beta):
-        key = (q, beta)
-        if key not in cache:
-            comps = [Polynomial.zero(p)] * p
-            comps[q] = Polynomial.monomial(p, beta)
-            cache[key] = residual(tuple(comps))
-        return cache[key]
+    def pulled(j: int, beta: tuple) -> Polynomial:
+        """X^beta∘f_j, each monomial pulled back once."""
+        memo = powers[j]
+        if beta not in memo:
+            r = max(q for q in range(p) if beta[q])
+            lower = beta[:r] + (beta[r] - 1,) + beta[r + 1:]
+            memo[beta] = (pulled(j, lower) * f.branches[j].components[r]).truncate(trunc[j])
+        return memo[beta]
 
+    zero = Polynomial.zero(n)
+    span = FactoredSpan()  # kept candidates are independent: completions are unique
+    candidates: list[tuple[int, tuple]] = []  # tag -> (q, beta)
     generators = []
+    d_hi = i + 1  # candidates of degree i+2 .. d_hi are in the span
     for eta0 in kernel:
-        r0 = residual(eta0)
-        solved = None
-        for d_hi in range(i + 1, d_max + 1):
-            candidates = [
-                (q, beta)
-                for d in range(i + 2, d_hi + 1)
-                for beta in monomials_of_degree(p, d)
-                for q in range(p)
-            ]
-            if not candidates and r0:
-                continue
-            # equations indexed by ambient coordinate; unknowns by candidate
-            eq_rows: dict[int, dict] = {}
-            for u, (q, beta) in enumerate(candidates):
-                for k, v in candidate_residual(q, beta).items():
-                    eq_rows.setdefault(k, {})[u] = v
-            coords = sorted(set(eq_rows) | set(r0))
-            equations = [eq_rows.get(k, {}) for k in coords]
-            rhs = [-r0.get(k, Fraction(0)) for k in coords]
-            sol = solve_sparse(equations, rhs, len(candidates))
-            if sol is not None:
-                eta = list(eta0)
-                for c, (q, beta) in zip(sol, candidates):
-                    if c:
-                        eta[q] = eta[q] + Polynomial.monomial(p, beta, c)
-                solved = tuple(eta)
+        r0 = residual([_pullback(eta0, b, t) for b, t in zip(f.branches, trunc)])
+        while True:
+            hits: dict = {}
+            if not span.reduce_full({k: -c for k, c in r0.items()}, hits):
                 break
-        if solved is None:
-            raise HypothesisError(
-                f"no polynomial completion of a kernel field within degree {d_max}"
-            )
-        generators.append(solve_lift(f, solved, order))
+            if d_hi >= d_max:
+                raise HypothesisError(
+                    f"no polynomial completion of a kernel field within degree {d_max}"
+                )
+            d_hi += 1
+            for beta in monomials_of_degree(p, d_hi):
+                pulls = [pulled(j, beta) for j in range(nb)]
+                for q in range(p):
+                    vs = [[zero] * q + [P] + [zero] * (p - q - 1) for P in pulls]
+                    span.add(residual(vs), len(candidates))
+                    candidates.append((q, beta))
+        eta = list(eta0)
+        for tag, c in sorted(span.combination(hits).items()):
+            q, beta = candidates[tag]
+            eta[q] = eta[q] + Polynomial.monomial(p, beta, c)
+        generators.append(solve_lift(f, tuple(eta), order))
     if len(generators) != expected:
         raise HypothesisError(
             f"completion produced {len(generators)} generators, expected {expected}"

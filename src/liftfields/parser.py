@@ -503,7 +503,10 @@ def parse(text: str) -> GermDocument:
 def parse_polynomial(text: str, var_names: Sequence[str]) -> Polynomial:
     """Parse a standalone polynomial expression over the named variables."""
     parser = _Parser(tokenize(text))
-    value = parser.expr(tuple(var_names))
+    try:
+        value = parser.expr(tuple(var_names))
+    except RecursionError:  # as in parse
+        parser.error("expression nested too deeply")
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)

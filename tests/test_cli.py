@@ -201,6 +201,20 @@ def test_exit_parse_error_malformed_document(tmp_path, capsys, text, where, mess
         assert err == f"error: {where}: {message}\n"
 
 
+def test_exit_parse_error_fields_file_of_other_target(tmp_path, capsys):
+    path = tmp_path / "other.germ"
+    path.write_text(
+        "germ other { n = 2; p = 3; target (V, W, X); branch a(v, y) = (v, y^2, v*y);"
+        " fields reference { (V, 0, X); } }"
+    )
+    code, out, err = run(["check", "e0", "--fields", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: line 0, column 0: fields block 'reference' in {str(path)!r} has fields"
+        " of length 3, but the germ's target has 2 coordinates\n"
+    )
+
+
 def test_exit_parse_error_missing_document(capsys):
     code, _, _ = run(["analyze", "no-such-entry"], capsys)
     assert code == 3

@@ -1,6 +1,8 @@
 """Lift certification, kernel completion, unfolding restriction, transport."""
 
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -21,7 +23,8 @@ from liftfields import (
     transport,
     verify_certificate,
 )
-from liftfields import catalog, germs, lift, modules
+from liftfields import catalog, cli, germs, lift, linalg, modules
+from liftfields.germs import Branch, HypothesisError, MultiGerm
 from liftfields.linalg import solve_sparse
 from liftfields.poly import (
     Polynomial,
@@ -449,7 +452,7 @@ def test_completion_factors_each_tangent_span_once(monkeypatch):
         return span
 
     monkeypatch.setattr(germs.MultiGerm, "tangent_span", recording)
-    f = germ("phi-3")
+    f = germ("rieger-36")  # the catalog germ that is not prenormal keeps the jet path
     mod = complete_generators(f)
     keys = {(j, order) for j, order, _ in used}
     assert len(built) == len(keys) == f.num_branches
@@ -457,3 +460,124 @@ def test_completion_factors_each_tangent_span_once(monkeypatch):
     # one lookup per branch for completion, then one per branch per generator
     assert len(used) == f.num_branches * (1 + mod.count)
     assert {id(span) for _, _, span in used} == {id(span) for span in built}
+
+
+# ---------------------------------------------------------------------------
+# division lifts against the jet path
+# ---------------------------------------------------------------------------
+
+def _jet_only():
+    """Every branch taken as not prenormal: lifts and completions use the
+    tangent jet spans alone."""
+    return mock.patch.object(germs.MultiGerm, "prenormal", lambda self, j: None)
+
+
+def test_monomial_rank_matches_enumeration():
+    for n in range(1, 5):
+        for rank, m in enumerate(monomials_below(n, 8)):
+            assert lift._mono_rank(m) == rank
+
+
+def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
+    built, solved = [], []
+    monkeypatch.setattr(germs.MultiGerm, "tangent_span", lambda *a: built.append(a))
+    monkeypatch.setattr(linalg, "solve_sparse", lambda *a: solved.append(a))
+    assert not hasattr(lift, "solve_sparse")
+    for argv in (
+        ["construct", "phi-3"],
+        ["construct", "cusp-pair"],
+        ["check", "bigerm-69"],
+        ["check", "sfold-1-plus", "--fields", "liftF"],
+        ["unfold", "bigerm-69"],
+        ["reduce", "suspended-69"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == [] and solved == []
+
+
+def test_division_verdicts_match_jets(catalog_docs):
+    """Every catalog fields block, over the base and over the unfolding:
+    the division normal form vanishes exactly when the jet path lifts at
+    order 12, and the lifts agree wherever the jet certificate is exact."""
+    liftable = obstructed = 0
+    for name, doc in catalog_docs.items():
+        f = doc.to_multigerm()
+        if f.n > f.p:
+            f = reduce_to_core(f)  # as the check command does
+        F = doc.to_unfolding_spec().F if doc.unfolding is not None else None
+        for block in doc.fields.values():
+            target = F if block.over_unfolding else f
+            forms = [target.prenormal(j) for j in range(target.num_branches)]
+            assert None not in forms, name
+            for vf in block.fields:
+                normal = [
+                    form.normal_form(lift._pullback(vf, b, None))
+                    for form, b in zip(forms, target.branches)
+                ]
+                divides = not any(any(nf) for nf, _ in normal)
+                with _jet_only():
+                    try:
+                        cert = solve_lift(target, vf, CERT)
+                    except NotLiftableError:
+                        cert = None
+                assert divides == (cert is not None), (name, block.name)
+                if cert is None:
+                    obstructed += 1
+                    continue
+                liftable += 1
+                if cert.exact:
+                    assert cert.lifts == tuple(xi for _, xi in normal), (name, block.name)
+                assert solve_lift(target, vf, CERT).lifts == tuple(xi for _, xi in normal)
+    assert liftable > 50 and obstructed >= 1
+
+
+@st.composite
+def _small_germs(draw):
+    """Branch component texts from the seeded benchmark families: folds
+    (x, x*y + y^a + c*y^b) with b below or above a, which are not prenormal,
+    and plane curves (x^a, x^b + c*x^d) alone or as a bigerm, which are."""
+    c = draw(st.sampled_from(["1", "-1", "2", "1/2", "-3/2"]))
+    kind = draw(st.sampled_from(["fold-below", "fold-above", "curve", "bigerm"]))
+    if kind.startswith("fold"):
+        a = draw(st.integers(3, 4))
+        b = draw(st.integers(2, a - 1) if kind == "fold-below" else st.integers(a + 1, a + 2))
+        return ("x", "y"), [("x", f"x*y + y^{a} + {c}*y^{b}")]
+    a = draw(st.integers(2, 4))
+    b = a + draw(st.integers(1, 2))
+    curves = []
+    for _ in range(2 if kind == "bigerm" else 1):
+        d = b + draw(st.integers(1, 2))
+        curves.append((f"x^{a}", f"x^{b} + {c}*x^{d}"))
+    if kind == "bigerm":
+        curves[1] = curves[1][::-1]
+    return ("x",), curves
+
+
+def _small_germ(drawn):
+    source, comps = drawn
+    return MultiGerm([
+        Branch(label, source, tuple(poly(t, source) for t in texts))
+        for label, texts in zip("ab", comps)
+    ])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_germs())
+def test_completion_division_matches_jets(drawn):
+    """complete_generators succeeds, or raises, exactly as the jet path
+    does; every certificate verifies, and is exact on prenormal germs."""
+    outcomes = []
+    for jets in (False, True):
+        f = _small_germ(drawn)
+        with _jet_only() if jets else nullcontext():
+            try:
+                mod = complete_generators(f, cap=3, max_extra_degree=12)
+            except HypothesisError as exc:
+                outcomes.append(str(exc))
+                continue
+            assert all(verify_certificate(f, c) for c in mod.generators)
+            if not jets and None not in map(f.prenormal, range(f.num_branches)):
+                assert all(c.exact for c in mod.generators)
+            outcomes.append(mod.count)
+    assert outcomes[0] == outcomes[1]

@@ -110,6 +110,8 @@ def test_deep_nesting_rejected():
     deep = "(" * 5000 + "x" + ")" * 5000
     with pytest.raises(ParseError, match="nested too deeply"):
         parse(f"germ g {{ n = 1; p = 1; branch a(x) = ({deep}); }}")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_polynomial(deep, ("x",))
 
 
 def test_unicode_digit_rejected():
