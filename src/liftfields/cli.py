@@ -15,7 +15,8 @@ Subcommands operate on a germ document, given either as a path to a
 - ``catalog``    list built-in entries, or run them all with ``--run-all``
 
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
-mismatch, unstable unfolding); 2 resource cap reached before a decision;
+mismatch, unstable unfolding); 2 resource cap reached before a decision, or
+an input too large to finish (a power past the parser's bound);
 3 parse or semantic error in the input; 4 internal consistency failure
 (formula and brute-force computations disagree, or a ``--json`` report
 breaks the shipped schema).
@@ -53,7 +54,7 @@ from .lift import (
     solve_lift,
     transport,
 )
-from .parser import ParseError, parse
+from .parser import ParseError, PowerTooLargeError, parse
 from .report import AnalysisReport, ReportConfig, render_field, validate_report
 
 EXIT_OK = 0
@@ -375,15 +376,15 @@ def main(argv=None) -> int:
             raise AssertionError(args.command)
         _emit(rep, args.json)
         return EXIT_OK
+    except (ResourceCapError, PowerTooLargeError) as exc:
+        sys.stderr.write(f"cap reached: {exc}\n")
+        return EXIT_RESOURCE
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except ConsistencyError as exc:
         sys.stderr.write(f"inconsistent: {exc}\n")
         return EXIT_INCONSISTENT
-    except ResourceCapError as exc:
-        sys.stderr.write(f"cap reached: {exc}\n")
-        return EXIT_RESOURCE
     except (HypothesisError, NotLiftableError, NotFiniteMultiplicityError) as exc:
         sys.stderr.write(f"hypothesis violated: {exc}\n")
         return EXIT_HYPOTHESIS

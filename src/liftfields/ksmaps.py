@@ -19,10 +19,13 @@ All jets are taken at order M = ell*(i+2)+1 where ell is the Nakayama
 exponent (m^ell ⊆ I), which resolves the quotient exactly.
 
 The model never leaves integer column space: the ideal-power spans are
-products of integer basis rows with the generators on monomial column
-indices, every column's quotient class is computed once
-(ScalarClassMap.classes), and a tangent row is the sum of the classes of
-its Jacobian terms.  The columns are factored once, left to right, with a
+pure monomial pivots read off the exponents on coordinate branches and
+products of integer basis rows with the generators elsewhere, every
+column's quotient class is computed once (ScalarClassMap.classes), and a
+tangent row is the sum of the classes of its Jacobian terms (multipliers
+whose class is zero give none).  Candidate and pullback rows are reduced
+to their branch's quotient coordinates once, then placed in every target
+direction.  The columns are factored once, left to right, with a
 fraction-free FactoredSpan: the rank is the factor's dimension, and each
 dependent column c gives the kernel vector e_c minus its combination of the
 independent columns before it, which is the reduced-echelon kernel basis.
@@ -137,15 +140,16 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
         offsets.append(total)
         total += p * cmaps[j].dim
 
-    def branch_row(j: int, q: int, row: dict) -> dict:
-        """Collapse a scalar jet row of branch j, placed in target
-        direction q, into the global quotient coordinates."""
+    def place(j: int, q: int, coords: dict) -> dict:
+        """Branch j's quotient coordinates of a scalar row (reduced once),
+        placed in target direction q of the global quotient coordinates."""
         base = offsets[j] + q * cmaps[j].dim
-        return {base + k: v for k, v in cmaps[j].reduce(row).items()}
+        return {base + k: v for k, v in coords.items()}
 
     # image of TR_e(f): rows tf(x^a e_m) summed from the column classes;
-    # multipliers of degree >= (i+1)*ell land in A_(i+1) and collapse to
-    # zero, so they are skipped
+    # a multiplier x^a whose class is zero (every one of degree >=
+    # (i+1)*ell among them) lies in A_(i+1) with all its multiples, so its
+    # rows are zero and skipped
     idx = mono_index_map(n, order)
     tangent = SparseSpan()
     for j, b in enumerate(f.branches):
@@ -158,6 +162,8 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
         ]
         for d in range((i + 1) * ell):
             for m in monomials_of_degree(n, d):
+                if not classes[idx[m]]:
+                    continue
                 for src in range(n):
                     row: dict = {}
                     for base, t, c in terms[src]:
@@ -175,29 +181,30 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
             row for row in f.branch_tower(j, order).span(i).basis_rows()
             if row_low_degree(row, n, order) < (i + 1) * ell
         ]
+        cands = [coords for coords in map(cmaps[j].reduce, cands) if coords]
         for q in range(p):
-            for row in cands:
-                qm.extend(branch_row(j, q, row))
+            for coords in cands:
+                qm.extend(place(j, q, coords))
 
     # columns: classes of eta∘f for monomial fields eta = X^beta e_q
     domain: list[tuple[int, Monomial]] = [
         (q, m) for m in monomials_of_degree(p, i) for q in range(p)
     ]
     pullbacks: list[dict] = []
-    for b in f.branches:
+    for j, b in enumerate(f.branches):
         per = {}
         for m in monomials_of_degree(p, i):
             g = Polynomial.constant(n, 1)
             for var, e in enumerate(m):
                 for _ in range(e):
                     g = (g * b.components[var]).truncate(order)
-            per[m] = poly_to_scalar_row(g, order)
+            per[m] = cmaps[j].reduce(poly_to_scalar_row(g, order))
         pullbacks.append(per)
     columns = []
     for q, m in domain:
         row = {}
         for j in range(f.num_branches):
-            row.update(branch_row(j, q, pullbacks[j][m]))
+            row.update(place(j, q, pullbacks[j][m]))
         coords = qm.coords(row)
         if coords is None:
             raise ConsistencyError("pullback class escaped the modeled quotient")

@@ -319,16 +319,20 @@ def scalar_multiples_span(gens: Sequence[Polynomial], order: int) -> SparseSpan:
 class IdealPowerTower:
     """Jet spans of the powers I^k of a finitely generated ideal.
 
-    F(0) is the span of all monomials (the whole ring); F(k) is generated
-    by the products of the generators with a basis of F(k-1) (for k = 1,
-    with every monomial), which keeps the generator count proportional to
-    dim F(k-1).  Products are formed on column indices: the content-free
-    integer basis rows times the generators scaled to integer coefficients.
+    F(0) is the span of all monomials (the whole ring).  In coordinate form
+    (the single-term generators before any longer one are positive and
+    include c*x_i for every variable but at most one, y, and ell is the
+    least power m of y in a generator) I = (x', y^m) in the local ring,
+    and the m-primary I^k + m^order has the same jets there: F(k) is the
+    pure pivots x'^a*y^b with |a| + b//m >= k, the very rows of the
+    products below, where the longer generators' products vanish or pass
+    k*ell.
 
-    When the Nakayama exponent ell (m^ell contained in I) is known, every
-    monomial of degree >= k*ell lies in I^k, so those coordinates are seeded
-    as pivots and products are truncated at degree k*ell.  This collapses
-    the work to the low-degree slice where the filtration is nontrivial.
+    Otherwise F(k) is spanned by the generators times a basis of F(k-1)
+    (for k = 1, every monomial), formed on column indices from content-free
+    integer rows and integer-scaled generators.  When ell (m^ell in I) is
+    known, monomials of degree >= k*ell lie in I^k: they are seeded as
+    pivots and products are truncated there.
     """
 
     def __init__(self, gens: Sequence[Polynomial], order: int, ell: int | None = None):
@@ -343,6 +347,24 @@ class IdealPowerTower:
         for g in self.gens:
             den = lcm(*(c.denominator for c in g.terms.values()))
             self._terms.append([(m, int(c * den)) for m, c in g.terms.items()])
+        self.power = self._coordinate_power()
+
+    def _coordinate_power(self) -> tuple[int, int] | None:
+        """(y, m) when the generators are in coordinate form, else None."""
+        free = set(range(self.nvars))
+        for terms in self._terms:
+            if len(terms) > 1:
+                break
+            (t, c), = terms
+            if c < 0:  # its products would be rows -x^a, not pure pivots
+                return None
+            if sum(t) == 1:
+                free.discard(t.index(1))
+        if len(free) > 1:
+            return None
+        y = free.pop() if free else self.nvars - 1
+        m = min((t[y] for terms in self._terms for t, _ in terms if sum(t) == t[y]), default=0)
+        return (y, m) if m == self.ell and m >= 1 else None
 
     def _cover(self, k: int) -> int:
         if self.ell is None:
@@ -355,7 +377,12 @@ class IdealPowerTower:
         n, order = self.nvars, self.order
         degs = _column_degrees(n, order)
         span = SparseSpan()
-        if k == 0:
+        if self.power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
+            y, m = self.power
+            for c, t in enumerate(monomials_below(n, order)):
+                if sum(t) - t[y] + t[y] // m >= k:
+                    span.rows[c] = {c: 1}
+        elif k == 0:
             for c in range(len(degs)):
                 span.add_pure_pivot(c)
         else:
@@ -400,6 +427,9 @@ class ScalarClassMap:
         classes = self.classes
         for pivot in sorted(span.rows, reverse=True):
             row = span.rows[pivot]
+            if len(row) == 1:
+                classes[pivot] = {}
+                continue
             lead = Fraction(row[pivot])
             acc: dict[int, Fraction] = {}
             for col, v in row.items():

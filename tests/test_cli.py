@@ -232,6 +232,18 @@ def test_exit_resource_cap(capsys):
     assert "cap" in err
 
 
+def test_exit_resource_oversized_power(tmp_path, capsys):
+    # refused at the exponent before anything is expanded
+    path = tmp_path / "huge.germ"
+    path.write_text("germ huge { n = 3; p = 1; branch a(x, y, z) = ((x+y+z)^100); }")
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "cap reached: line 1, column 56: power too large to expand:"
+        " a 3-term base to the power 100\n"
+    )
+
+
 def test_exit_hypothesis_violation(tmp_path, capsys):
     # a claimed field that is not liftable
     path = tmp_path / "claim.germ"

@@ -17,9 +17,12 @@ from liftfields import (
     min_generators,
     reduce_to_core,
 )
-from liftfields import catalog
-from liftfields.ksmaps import KSMapModel
-from liftfields.poly import monomials_of_degree
+from liftfields import catalog, ksmaps, modules
+from liftfields.germs import Branch, MultiGerm
+from liftfields.ksmaps import KSMapModel, truncation_order
+from liftfields.linalg import SparseSpan
+from liftfields.modules import IdealPowerTower, ScalarClassMap
+from liftfields.poly import Polynomial, mono_index_map, monomials_of_degree
 
 from conftest import germ
 from oracles import dense_kernel_fields
@@ -187,6 +190,114 @@ def test_level_models_built_once():
     rep = locate_i1_i2(f)
     assert classify_stable(f).stable == rep.levels[0].surjective
     assert ks_matrix(f, 0) is ks_matrix(f, 0)
+
+
+# ---------------------------------------------------------------------------
+# coordinate towers: same models as the product path, less work
+# ---------------------------------------------------------------------------
+
+def _force_product_towers(monkeypatch):
+    monkeypatch.setattr(IdealPowerTower, "_coordinate_power", lambda self: None)
+
+
+def _models(f, levels):
+    return [
+        (m.columns, m.target_dim, m.kernel_fields(f.target_vars))
+        for m in (ks_matrix(f, i) for i in levels)
+    ]
+
+
+def test_coordinate_towers_give_the_product_models(catalog_docs, monkeypatch):
+    # levels 0..i1+1 of every entry (0..2 where no level is surjective) and
+    # rieger-ruas up to level 4, against the same models built on product
+    # towers
+    levels, want = {}, {}
+    for name, doc in catalog_docs.items():
+        f = _core(doc)
+        rep = locate_i1_i2(f)
+        top = rep.i1 + 1 if isinstance(rep.i1, int) else 2
+        levels[name] = range(max(top, 4 if name == "rieger-ruas" else 0) + 1)
+        want[name] = _models(f, levels[name])
+    _force_product_towers(monkeypatch)
+    for name, doc in catalog_docs.items():
+        assert _models(_core(doc), levels[name]) == want[name], name
+
+
+def test_coordinate_towers_build_no_products_and_skip_zero_multipliers(monkeypatch):
+    products, tangent_rows = [], []
+    jet_times = modules.jet_times
+    monkeypatch.setattr(
+        modules, "jet_times", lambda *a, **k: products.append(1) or jet_times(*a, **k)
+    )
+
+    class CountingSpan(SparseSpan):
+        __slots__ = ()
+
+        def add(self, row):
+            tangent_rows.append(row)
+            return super().add(row)
+
+    monkeypatch.setattr(ksmaps, "SparseSpan", CountingSpan)  # the tangent span only
+    f, i = germ("rieger-ruas"), 4
+    f.ell()  # ell is found from jet products of its own, before the count
+    products.clear()
+    ks_matrix(f, i)
+    assert products == []
+    order, ell = truncation_order(f, i), f.ell()
+    idx = mono_index_map(f.n, order)
+    live = total = 0
+    for j in range(f.num_branches):
+        tower = f.branch_tower(j, order)
+        assert tower.power is not None
+        classes = ScalarClassMap(tower.span(i + 1), f.n, order).classes
+        for d in range((i + 1) * ell):
+            for m in monomials_of_degree(f.n, d):
+                total += 1
+                live += bool(classes[idx[m]])
+    assert 0 < live < total
+    assert len(tangent_rows) == f.n * live
+    _force_product_towers(monkeypatch)  # the counter sees the product path
+    ks_matrix(germ("cusp-pair"), 1)
+    assert products
+
+
+# catalog entries with 2 <= n <= p whose product towers stay cheap
+_SHEARED = ["morin-2", "morin-3", "multistable", "phi-63", "rieger-36", "sfold-1-plus",
+            "whitney-psi2", "whitney-psi3"]
+
+
+def _sheared(f):
+    """f after the source change x_i -> x_i + y^2 (y the last variable) in
+    every component, which leaves no single-term coordinate."""
+    n = f.n
+    shear = [Polynomial.variable(n, v) for v in range(n)]
+    y2 = Polynomial.variable(n, n - 1) ** 2
+    shear[:-1] = [x + y2 for x in shear[:-1]]
+    return MultiGerm(
+        [Branch(b.label, b.source_vars, tuple(c.substitute(shear) for c in b.components))
+         for b in f.branches],
+        f.target_vars,
+    )
+
+
+@pytest.mark.parametrize("name", _SHEARED)
+def test_product_towers_invariant_under_source_change(name):
+    f = germ(name)
+    g = _sheared(f)
+    assert all(
+        g.branch_tower(j, truncation_order(g, 0)).power is None for j in range(g.num_branches)
+    )
+    rf, rg = locate_i1_i2(f), locate_i1_i2(g)
+    assert (rf.i1, rf.i2) == (rg.i1, rg.i2)
+    assert [(r.kernel_dim, r.cokernel_dim) for r in rf.levels] == [
+        (r.kernel_dim, r.cokernel_dim) for r in rg.levels
+    ]
+    if rf.theorem_applicable:
+        assert min_generators(f).count == min_generators(g).count
+    a, b = invariants(f, max_i=3, mode="both"), invariants(g, max_i=3, mode="both")
+    assert (a.delta, a.gamma, a.ell, a.i_delta, a.i_gamma) == (
+        b.delta, b.gamma, b.ell, b.i_delta, b.i_gamma
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Module Groebner bases, syzygies, and jet-level spans."""
 
+from fractions import Fraction
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from liftfields.modules import (
     IdealPowerTower,
@@ -19,7 +22,7 @@ from liftfields.modules import (
     syzygy_basis,
 )
 from liftfields import reduce_to_core, truncation_order
-from liftfields.poly import Polynomial, count_monomials_below
+from liftfields.poly import Polynomial, count_monomials_below, monomials_below
 
 from conftest import poly
 from oracles import polynomial_module_jet_span, polynomial_tower_spans
@@ -162,9 +165,82 @@ def test_tower_spans_match_polynomial_products(catalog_docs):
                 order = truncation_order(f, i)
                 want = polynomial_tower_spans(gens, order, ell, i + 1)
                 tower = f.branch_tower(j, order)
+                assert tower.power is not None, (name, j)  # every branch is coordinate
                 for k, span in enumerate(want):
                     assert tower.span(k).rows == span.rows, (name, j, order, k)
             want = polynomial_tower_spans(gens, ell + 2, None, 2)
             tower = IdealPowerTower(gens, ell + 2)
             for k, span in enumerate(want):
                 assert tower.span(k).rows == span.rows, (name, j, k)
+
+
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _coordinate_gens(draw):
+    """Generator lists in coordinate form: c*x_i (c > 0) for every variable
+    but the last, y, then one or two generators of mixed and pure-y terms
+    with rational coefficients, the first with a pure power of y and more
+    than one term.  Returns the list and m, the least pure power of y."""
+    n = draw(st.integers(1, 3))
+    gens = [Polynomial.monomial(n, tuple(int(v == i) for v in range(n)), abs(draw(_COEFFS)))
+            for i in range(n - 1)]
+    for k in range(draw(st.integers(1, 2))):
+        pure = (0,) * (n - 1) + (draw(st.integers(1, 4)),)
+        terms = {pure: draw(_COEFFS)} if k == 0 else {}
+        for _ in range(draw(st.integers(0, 3))):
+            mono = tuple(draw(st.integers(0, 3)) for _ in range(n))
+            if any(mono):
+                terms[mono] = draw(_COEFFS)
+        if k == 0 and len(terms) == 1:
+            terms[pure[:-1] + (pure[-1] + 1,)] = draw(_COEFFS)
+        if terms:
+            gens.append(Polynomial(n, terms))
+    m = min(t[-1] for g in gens for t in g.terms if sum(t) == t[-1])
+    return gens, m
+
+
+@settings(max_examples=40, deadline=None)
+@given(_coordinate_gens(), st.integers(1, 8), st.permutations(range(5)))
+def test_closed_form_tower_matches_polynomial_products(case, order, perm):
+    # with the Nakayama cut ell = m the tower is read off the exponents;
+    # without it, or with a coordinate listed after a generator of more
+    # than one term, it takes the product path: the rows are the
+    # Polynomial construction's on every path
+    gens, m = case
+    shuffled = [gens[k] for k in perm if k < len(gens)]
+    negated = [-g for g in shuffled]
+    for gens, ell, closed in ((gens, m, True), (gens, None, False), (shuffled, m, None),
+                              (negated, m, None)):
+        tower = IdealPowerTower(gens, order, ell)
+        if closed is not None:
+            assert (tower.power is not None) == closed
+        for k, span in enumerate(polynomial_tower_spans(gens, order, ell, 3)):
+            assert tower.span(k).rows == span.rows, (k, ell)
+
+
+def test_coordinate_form_detection():
+    def power(texts, ell, names=XY):
+        return IdealPowerTower([poly(t, names) for t in texts], 5, ell).power
+
+    assert power(["2*x", "x*y + y^3 - 1/2*y^4"], 3) == (1, 3)
+    assert power(["x", "y"], 1) == (1, 1)
+    assert power(["y", "3*x"], 1) == (1, 1)
+    assert power(["y^2 + y^5"], 2, ("y",)) == (0, 2)
+    assert power(["x", "y^3", "x*y + y^2"], 2) == (1, 2)
+    assert power(["x", "x*y + y^3"], 2) is None  # ell is not the power of y
+    assert power(["x*y + y^3", "x"], 3) is None  # coordinate after a longer generator
+    assert power(["-x", "x*y + y^3"], 3) is None  # negative coordinate
+    assert power(["x + y^2", "y^3"], 3) is None  # no single-term coordinate
+    assert power(["x", "x*y"], 1) is None  # no pure power of y
+    assert power(["x", "1 + y"], 1) is None  # a unit generator
+
+
+def test_coordinate_tower_reads_powers_off_the_exponents():
+    # columns 1, y, x, y^2, x*y, x^2, y^3, x*y^2, ...: x^a*y^b is in I^k
+    # for I = (x, y^3) exactly when a + b//3 >= k
+    tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], 8, 3)
+    for k in range(4):
+        want = {c for c, (a, b) in enumerate(monomials_below(2, 8)) if a + b // 3 >= k}
+        assert tower.span(k).rows == {c: {c: 1} for c in want}

@@ -1,14 +1,17 @@
 """Germ-document grammar: parsing, diagnostics, and rendering round-trips."""
 
+import time
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from liftfields import GermDocument, ParseError, catalog, parse
-from liftfields.parser import parse_polynomial, tokenize
+from liftfields.parser import POWER_LIMIT, PowerTooLargeError, parse_polynomial, tokenize
 
 
 def test_minimal_document():
@@ -112,6 +115,41 @@ def test_deep_nesting_rejected():
         parse(f"germ g {{ n = 1; p = 1; branch a(x) = ({deep}); }}")
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_polynomial(deep, ("x",))
+
+
+@pytest.mark.parametrize("text", ["(x+y+z)^100", "(x+y)^800", "y^100001", "((x+y)^20)^5"])
+def test_oversized_power_refused_before_expansion(text):
+    start = time.perf_counter()
+    with pytest.raises(PowerTooLargeError, match="power too large to expand"):
+        parse_polynomial(text, ("x", "y", "z"))
+    with pytest.raises(PowerTooLargeError, match="line 1, column"):
+        parse(f"germ g {{ n = 3; p = 1; branch a(x, y, z) = ({text}); }}")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_oversized_power_error_is_a_parse_error_at_the_exponent():
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("1 + (x+y+z)^100", ("x", "y", "z"))
+    assert isinstance(info.value, PowerTooLargeError)
+    assert (info.value.line, info.value.col) == (1, 13)
+
+
+def test_powers_within_bound_expand():
+    # (x+y)^200 costs 200 * 201 = 40,200 <= POWER_LIMIT
+    assert 200 * 201 <= POWER_LIMIT
+    value = parse_polynomial("(x+y)^200", ("x", "y"))
+    assert len(value.terms) == 201
+    assert value.coeff((100, 100)) == comb(200, 100)
+    assert parse_polynomial("(x-x)^7 + 0^0", ("x",)) == parse_polynomial("1", ("x",))
+
+
+def test_generated_documents_parse_within_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import germgen
+
+    for seed in range(1, 11):
+        for gen in germgen.generate(seed):
+            assert parse(gen.text).name == gen.name
 
 
 def test_unicode_digit_rejected():
