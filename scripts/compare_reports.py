@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Compare two liftfields trees command by command on the benchmark's workloads.
+
+Usage, from the repository root::
+
+    python3 scripts/compare_reports.py TREE_A TREE_B [--seeds 1 2] [--smoke]
+
+Every command of ``perfbench/workloads.py`` (taken from TREE_A) runs in both
+trees, each in a fresh interpreter that calls ``liftfields.cli.main`` with
+the command's arguments and ``--json`` (the tree's ``src`` on the path).  The JSON report (with every
+``timings`` member dropped), the exit code and stderr must be the same
+byte for byte.  The commands that differ are printed, and the exit code is
+1 on any difference.  ``--smoke`` keeps only the benchmark's smoke command
+of each workload.  Generated germs go to a temporary directory; nothing
+under either tree is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+RUN = "import sys; from liftfields.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _strip_timings(doc):
+    if isinstance(doc, dict):
+        return {k: _strip_timings(v) for k, v in doc.items() if k != "timings"}
+    if isinstance(doc, list):
+        return [_strip_timings(v) for v in doc]
+    return doc
+
+
+def run_command(tree: str, argv: list[str], cwd: str) -> tuple:
+    """(exit code, report without timings or raw stdout, stderr)."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.join(tree, "src"))
+    env.pop("LIFTFIELDS_WORKDIR", None)
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv, "--json"], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    try:
+        out = _strip_timings(json.loads(proc.stdout))
+    except ValueError:
+        out = proc.stdout
+    return proc.returncode, out, proc.stderr
+
+
+def commands(tree: str, seeds: list[int], smoke: bool, workdir: str):
+    """(workload, seed, argv) of every command, germs written under workdir."""
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    import workloads as wl
+
+    out = []
+    for seed in seeds:
+        for name in wl.NAMES:
+            sub = os.path.join(workdir, f"{name}-{seed}")
+            os.makedirs(sub, exist_ok=True)
+            for cmd in wl.build(name, seed, sub):
+                if not smoke or wl.SMOKE[name](cmd):
+                    out.append((name, seed, list(cmd.argv)))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree_a")
+    ap.add_argument("tree_b")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--smoke", action="store_true")
+    args = ap.parse_args(argv)
+    trees = [os.path.abspath(t) for t in (args.tree_a, args.tree_b)]
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="compare_reports_") as workdir:
+        cmds = commands(trees[0], args.seeds, args.smoke, workdir)
+        for name, seed, cmd in cmds:
+            a, b = (run_command(tree, cmd, workdir) for tree in trees)
+            if a != b:
+                differ += 1
+                parts = [what for what, x, y in zip(("exit code", "report", "stderr"), a, b)
+                         if x != y]
+                print(f"DIFFERS {name} seed {seed}: {' '.join(cmd)} ({', '.join(parts)})")
+                if a[0] != b[0] or a[2] != b[2]:
+                    print(f"  A: exit {a[0]} {a[2].strip()[-300:]!r}")
+                    print(f"  B: exit {b[0]} {b[2].strip()[-300:]!r}")
+    print(f"{len(cmds)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

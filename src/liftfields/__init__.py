@@ -11,6 +11,7 @@ from .germs import (
     ConsistencyError,
     GermInvariants,
     HypothesisError,
+    InputError,
     MultiGerm,
     NotFiniteMultiplicityError,
     UnfoldingSpec,
@@ -47,8 +48,8 @@ from .parser import GermDocument, ParseError, parse
 __all__ = [
     "__version__",
     "Polynomial", "monomials_below", "monomials_of_degree",
-    "Branch", "ConsistencyError", "GermInvariants", "HypothesisError", "MultiGerm",
-    "NotFiniteMultiplicityError", "UnfoldingSpec", "build_unfolding", "invariants",
+    "Branch", "ConsistencyError", "GermInvariants", "HypothesisError", "InputError",
+    "MultiGerm", "NotFiniteMultiplicityError", "UnfoldingSpec", "build_unfolding", "invariants",
     "reduce_to_core",
     "KSReport", "MinGeneratorCount", "StabilityVerdict", "classify_stable", "ks_matrix",
     "locate_i1_i2", "min_generators", "truncation_order",

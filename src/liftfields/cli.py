@@ -17,9 +17,10 @@ Subcommands operate on a germ document, given either as a path to a
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
 mismatch, unstable unfolding); 2 resource cap reached before a decision, or
 an input too large to finish (a power past the parser's bound);
-3 parse or semantic error in the input; 4 internal consistency failure
-(formula and brute-force computations disagree, or a ``--json`` report
-breaks the shipped schema).
+3 parse or semantic error in the input (no valid germ, unfolding or diffeo
+pair, or a diffeo block whose maps are not inverse); 4 internal consistency
+failure (formula and brute-force computations disagree, a ``--json`` report
+breaks the shipped schema, or any other ``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read
@@ -36,6 +37,7 @@ import time
 from . import catalog
 from .germs import (
     HypothesisError,
+    InputError,
     NotFiniteMultiplicityError,
     invariants,
     reduce_to_core,
@@ -379,7 +381,7 @@ def main(argv=None) -> int:
     except (ResourceCapError, PowerTooLargeError) as exc:
         sys.stderr.write(f"cap reached: {exc}\n")
         return EXIT_RESOURCE
-    except ParseError as exc:
+    except (ParseError, InputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except ConsistencyError as exc:
@@ -388,9 +390,9 @@ def main(argv=None) -> int:
     except (HypothesisError, NotLiftableError, NotFiniteMultiplicityError) as exc:
         sys.stderr.write(f"hypothesis violated: {exc}\n")
         return EXIT_HYPOTHESIS
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    except ValueError as exc:  # escaped a layer: a fault, not an input error
+        sys.stderr.write(f"inconsistent: {exc}\n")
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":  # pragma: no cover

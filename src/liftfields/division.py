@@ -8,6 +8,7 @@ module on first use, so a command that lifts nothing does not compile it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .poly import Polynomial
@@ -42,7 +43,7 @@ class PrenormalForm:
             a = rows.pop(e, None)
             if not a:
                 continue
-            a = a.scale(1 / self.c)
+            a = a.scale(Fraction(1, self.c))
             quot = quot + a.mul_monomial(y_power[e - k])
             for s, low in self.lower.items():
                 rows[e - k + s] = rows.get(e - k + s, Polynomial.zero(n)) - a * low

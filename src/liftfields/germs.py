@@ -33,6 +33,21 @@ from .poly import (
 DEFAULT_ORDER_CAP = 24
 
 
+def monomial_pullbacks(components: Sequence[Polynomial], order: Optional[int]):
+    """beta -> X^beta∘(components) truncated at ``order`` (None: not at all),
+    each one product with the memoized pullback of degree one lower."""
+    memo = {(0,) * len(components): Polynomial.constant(components[0].nvars, 1)}
+
+    def pulled(beta: tuple) -> Polynomial:
+        if beta not in memo:
+            r = max(q for q, e in enumerate(beta) if e)
+            lower = beta[:r] + (beta[r] - 1,) + beta[r + 1:]
+            memo[beta] = (pulled(lower) * components[r]).truncate(order)
+        return memo[beta]
+
+    return pulled
+
+
 class NotFiniteMultiplicityError(ValueError):
     """Raised when jet elimination fails to stabilize below the order cap."""
 
@@ -45,6 +60,10 @@ class HypothesisError(ValueError):
     """Raised when an operation's mathematical hypothesis fails."""
 
 
+class InputError(ValueError):
+    """The input is not a valid germ, unfolding or diffeomorphism pair."""
+
+
 class Branch:
     """One branch of a multigerm: a polynomial map with f(0) = 0."""
 
@@ -53,11 +72,11 @@ class Branch:
         n = len(source_vars)
         for c in components:
             if c.nvars != n:
-                raise ValueError(
+                raise InputError(
                     f"branch {label!r}: component has {c.nvars} variables, expected {n}"
                 )
             if c.constant_term():
-                raise ValueError(f"branch {label!r}: component has nonzero constant term")
+                raise InputError(f"branch {label!r}: component has nonzero constant term")
         self.label = label
         self.source_vars = source_vars
         self.components = components
@@ -96,14 +115,14 @@ class MultiGerm:
     def __init__(self, branches: Sequence[Branch], target_vars: Sequence[str] | None = None):
         branches = tuple(branches)
         if not branches:
-            raise ValueError("a multigerm needs at least one branch")
+            raise InputError("a multigerm needs at least one branch")
         n, p = branches[0].n, branches[0].p
         labels = set()
         for b in branches:
             if (b.n, b.p) != (n, p):
-                raise ValueError("branches disagree on source or target dimension")
+                raise InputError("branches disagree on source or target dimension")
             if b.label in labels:
-                raise ValueError(f"duplicate branch label {b.label!r}")
+                raise InputError(f"duplicate branch label {b.label!r}")
             labels.add(b.label)
         self.branches = branches
         self.n = n
@@ -112,7 +131,7 @@ class MultiGerm:
             target_vars = tuple(f"X{i+1}" for i in range(p))
         self.target_vars = tuple(target_vars)
         if len(self.target_vars) != p:
-            raise ValueError("target variable count must equal p")
+            raise InputError("target variable count must equal p")
         self._cache: dict = {}
 
     @property
@@ -262,8 +281,11 @@ class MultiGerm:
         # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
         reps: list[dict] = []
         seen = SparseSpan()
-        for row in tower.span(i).basis_rows():
-            if seen.add(cmap.reduce(row)) is not None:
+        for c, row in sorted(tower.span(i).rows.items()):
+            if len(row) == 1 and not cmap.classes[c]:
+                continue  # a monomial of F_{i+1}: its class is zero
+            coords = cmap.reduce(row)
+            if coords and seen.add(coords) is not None:
                 reps.append(row)
         idelta = len(reps)
         # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p
@@ -384,12 +406,12 @@ class UnfoldingSpec:
     def __init__(self, F: MultiGerm, base: MultiGerm, param_source_name: str,
                  param_target_index: int, stable_certified: bool = False):
         if F.n != base.n + 1 or F.p != base.p + 1:
-            raise ValueError("unfolding must add exactly one source and one target dimension")
+            raise InputError("unfolding must add exactly one source and one target dimension")
         k = param_target_index
         param_src = base.n  # parameter is the last source variable of F
         for bF, bf in zip(F.branches, base.branches):
             if bF.components[k] != Polynomial.variable(F.n, param_src):
-                raise ValueError(
+                raise InputError(
                     f"branch {bF.label!r}: target component {k + 1} must be the parameter"
                 )
             zero = [Polynomial.variable(base.n, m) for m in range(base.n)]
@@ -397,7 +419,7 @@ class UnfoldingSpec:
             rest = [c for q, c in enumerate(bF.components) if q != k]
             for q, c in enumerate(rest):
                 if c.substitute(zero) != bf.components[q]:
-                    raise ValueError(
+                    raise InputError(
                         f"branch {bF.label!r}: setting the parameter to zero does not recover the base germ"
                     )
         self.F, self.base = F, base

@@ -25,24 +25,27 @@ column's quotient class is computed once (ScalarClassMap.classes), and a
 tangent row is the sum of the classes of its Jacobian terms (multipliers
 whose class is zero give none).  Candidate and pullback rows are reduced
 to their branch's quotient coordinates once, then placed in every target
-direction.  The columns are factored once, left to right, with a
+direction.  All of these rows are integer.  A column's quotient
+coordinates come from fraction-free elimination with one exact division
+per entry.  The columns are factored once, left to right, with a
 fraction-free FactoredSpan: the rank is the factor's dimension, and each
 dependent column c gives the kernel vector e_c minus its combination of the
-independent columns before it, which is the reduced-echelon kernel basis.
-Models are kept in the germ's cache, so each level is built once.
+independent columns before it (read off the relation found when c was
+added), which is the reduced-echelon kernel basis.  Models are kept in the
+germ's cache, so each level is built once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .germs import ConsistencyError, HypothesisError, MultiGerm
+from .germs import ConsistencyError, HypothesisError, MultiGerm, monomial_pullbacks
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
-from .modules import ScalarClassMap, poly_to_scalar_row, row_low_degree
-from .poly import Monomial, Polynomial, mono_index_map, monomials_of_degree
+from .modules import ScalarClassMap, poly_to_scalar_row
+from .poly import (Monomial, Polynomial, count_monomials_below, mono_index_map,
+                   monomials_of_degree)
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
@@ -55,7 +58,7 @@ class KSMapModel:
     per domain basis element (target component, monomial of degree i)."""
 
     def __init__(self, i: int, truncation_order: int, domain_basis: list[tuple[int, Monomial]],
-                 target_dim: int, columns: list[list[Fraction]]):
+                 target_dim: int, columns: list[list]):
         self.i, self.truncation_order, self.domain_basis = i, truncation_order, domain_basis
         self.target_dim, self.columns = target_dim, columns
         self._factor: Optional[tuple] = None
@@ -64,17 +67,14 @@ class KSMapModel:
     def domain_dim(self) -> int:
         return len(self.domain_basis)
 
-    def _column(self, c: int) -> dict:
-        return {r: v for r, v in enumerate(self.columns[c]) if v}
-
-    def _factored(self) -> tuple[FactoredSpan, list[int]]:
+    def _factored(self) -> tuple[FactoredSpan, list[tuple]]:
         """Fraction-free factor of the columns, added left to right, and the
-        dependent columns (those in the span of the columns before them)."""
+        dependent columns (those in the span of the columns before them),
+        each with its relation (c, d, den) to the factor's rows."""
         if self._factor is None:
             span, dependent = FactoredSpan(), []
-            for c in range(self.domain_dim):
-                if span.add(self._column(c), c) is None:
-                    dependent.append(c)
+            for c, col in enumerate(self.columns):
+                span.add({r: v for r, v in enumerate(col) if v}, c, dependent)
             self._factor = (span, dependent)
         return self._factor
 
@@ -105,11 +105,9 @@ class KSMapModel:
         p = len(target_vars)
         span, dependent = self._factored()
         out = []
-        for c in dependent:
-            hits: dict = {}
-            span.reduce_full(self._column(c), hits)
-            v = {t: -x for t, x in span.combination(hits).items()}
-            v[c] = Fraction(1)
+        for c, d, den in dependent:  # column c = -sum(d_j * rows[j]) / den
+            v = span.combination(d, den)
+            v[c] = 1
             comps = [Polynomial.zero(p) for _ in range(p)]
             for k in sorted(v):
                 q, m = self.domain_basis[k]
@@ -175,13 +173,13 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
 
     # extend by generators of A_i to cut out the target quotient
     qm = QuotientModel(tangent)
+    cut = count_monomials_below(n, (i + 1) * ell)  # columns of degree < (i+1)*ell
     for j in range(f.num_branches):
-        # basis rows come by ascending pivot, hence by ascending low degree
-        cands = [
-            row for row in f.branch_tower(j, order).span(i).basis_rows()
-            if row_low_degree(row, n, order) < (i + 1) * ell
-        ]
-        cands = [coords for coords in map(cmaps[j].reduce, cands) if coords]
+        # F(i)'s basis rows by pivot (lowest column) below cut; F(i+1)'s monomials are 0
+        rows, classes = f.branch_tower(j, order).span(i).rows, cmaps[j].classes
+        cands = [cmaps[j].reduce(rows[c]) for c in range(cut)
+                 if c in rows and (len(rows[c]) > 1 or classes[c])]
+        cands = [coords for coords in cands if coords]
         for q in range(p):
             for coords in cands:
                 qm.extend(place(j, q, coords))
@@ -192,14 +190,11 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     ]
     pullbacks: list[dict] = []
     for j, b in enumerate(f.branches):
-        per = {}
-        for m in monomials_of_degree(p, i):
-            g = Polynomial.constant(n, 1)
-            for var, e in enumerate(m):
-                for _ in range(e):
-                    g = (g * b.components[var]).truncate(order)
-            per[m] = cmaps[j].reduce(poly_to_scalar_row(g, order))
-        pullbacks.append(per)
+        pulled = monomial_pullbacks(b.components, order)
+        pullbacks.append({
+            m: cmaps[j].reduce(poly_to_scalar_row(pulled(m), order))
+            for m in monomials_of_degree(p, i)
+        })
     columns = []
     for q, m in domain:
         row = {}

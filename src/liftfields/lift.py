@@ -25,7 +25,8 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .germs import ConsistencyError, HypothesisError, MultiGerm, UnfoldingSpec
+from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, UnfoldingSpec,
+                    monomial_pullbacks)
 from .ksmaps import KSReport, ks_matrix, locate_i1_i2, min_generators, truncation_order
 from .linalg import FactoredSpan
 from .modules import module_jet_span, span_contains, syzygy_basis, vector_to_row
@@ -219,16 +220,7 @@ def complete_generators(
                     out[k * nb + j] = c
         return out
 
-    powers = [{(0,) * p: Polynomial.constant(n, 1)} for _ in range(nb)]
-
-    def pulled(j: int, beta: tuple) -> Polynomial:
-        """X^beta∘f_j, each monomial pulled back once."""
-        memo = powers[j]
-        if beta not in memo:
-            r = max(q for q in range(p) if beta[q])
-            lower = beta[:r] + (beta[r] - 1,) + beta[r + 1:]
-            memo[beta] = (pulled(j, lower) * f.branches[j].components[r]).truncate(trunc[j])
-        return memo[beta]
+    pullbacks = [monomial_pullbacks(b.components, t) for b, t in zip(f.branches, trunc)]
 
     zero = Polynomial.zero(n)
     span = FactoredSpan()  # kept candidates are independent: completions are unique
@@ -247,7 +239,7 @@ def complete_generators(
                 )
             d_hi += 1
             for beta in monomials_of_degree(p, d_hi):
-                pulls = [pulled(j, beta) for j in range(nb)]
+                pulls = [pulled(beta) for pulled in pullbacks]
                 for q in range(p):
                     vs = [[zero] * q + [P] + [zero] * (p - q - 1) for P in pulls]
                     span.add(residual(vs), len(candidates))
@@ -360,10 +352,10 @@ def transport(
     ident = [Polynomial.variable(p, r) for r in range(p)]
     for comp, want in zip((h.substitute(list(H_inv), cert_order) for h in H), ident):
         if comp.truncate(cert_order) != want.truncate(cert_order):
-            raise ValueError("H∘H_inv is not the identity to the certified order")
+            raise InputError("H∘H_inv is not the identity to the certified order")
     for comp, want in zip((h.substitute(list(H), cert_order) for h in H_inv), ident):
         if comp.truncate(cert_order) != want.truncate(cert_order):
-            raise ValueError("H_inv∘H is not the identity to the certified order")
+            raise InputError("H_inv∘H is not the identity to the certified order")
     out = []
     for eta in fields:
         pushed = []

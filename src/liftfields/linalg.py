@@ -1,40 +1,44 @@
 """Exact sparse linear algebra over Q.
 
-Rows are dicts ``column -> coefficient``.  Echelon spans keep integer,
-content-free rows and eliminate fraction-free (cross-multiply, divide by the
-gcd), which keeps intermediate coefficients small.  The leading entry of a
-row is its *smallest* column index, so with columns ordered by ascending
-monomial degree the pivots sit at low jet degrees.
+Rows are dicts ``column -> coefficient``, each coefficient an int or a
+Fraction.  Echelon spans keep integer, content-free rows and eliminate
+fraction-free (cross-multiply, divide by the gcd), which keeps intermediate
+coefficients small.  Reductions that must report rational values (normal
+forms, quotient coordinates, combinations) also stay in integers: they
+carry one common scale and divide by it once per output entry.  The leading
+entry of a row is its *smallest* column index, so with columns ordered by
+ascending monomial degree the pivots sit at low jet degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable
+
+
+def exact_div(a, b: int):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _clear(row: dict) -> tuple[dict, int]:
+    """(den * row, den): the row's nonzero entries as integers, den > 0 the
+    least common denominator (the content is kept)."""
+    try:
+        gcd(*row.values())  # refuses a Fraction
+        return {k: c for k, c in row.items() if c}, 1
+    except TypeError:
+        den = lcm(*(c.denominator for c in row.values()))
+        return {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}, den
 
 
 def _to_int_row(row: dict) -> dict:
     """Clear denominators and divide by the content.  Returns {col: int}."""
-    if not row:
-        return {}
-    den = 1
-    for c in row.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = {}
-    for k, c in row.items():
-        v = int(c * den) if isinstance(c, Fraction) else c * den
-        if v:
-            ints[k] = v
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {k: v // g for k, v in ints.items()}
-    return ints
+    ints = _clear(row)[0]
+    g = gcd(*ints.values())
+    return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
 def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> tuple[dict, int]:
@@ -47,12 +51,30 @@ def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> tuple[dict, int
             out[k] = s
         else:
             out.pop(k, None)
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
+    g = gcd(*out.values())
     if g > 1:
         out = {k: v // g for k, v in out.items()}
     return out, g
+
+
+def _cancel(r: dict, col: int, prow: dict) -> tuple[int, int]:
+    """Cancel r's entry at col (the pivot of prow) in place with the least
+    multipliers: r <- s*r - t*prow, s > 0.  Returns (s, t)."""
+    a, b = prow[col], r[col]
+    g = gcd(a, b)
+    s, t = a // g, b // g
+    if s < 0:
+        s, t = -s, -t
+    if s != 1:
+        for k in r:
+            r[k] *= s
+    for k, v in prow.items():
+        x = r.get(k, 0) - t * v
+        if x:
+            r[k] = x
+        else:
+            del r[k]
+    return s, t
 
 
 class SparseSpan:
@@ -100,25 +122,19 @@ class SparseSpan:
         supported on non-pivot columns only and depends linearly on the
         input.  Returns a rational row.  When ``hits`` is given it receives
         pivot -> factor with row = sum(factor * rows[pivot]) + result."""
-        r = {k: Fraction(v) for k, v in row.items() if v}
+        r, scale = _clear(row)  # scale * row = sum(...) + r throughout
+        steps = []
         while True:
-            hit = None
-            for k in sorted(r):
-                if k in self.rows:
-                    hit = k
-                    break
+            hit = min((k for k in r if k in self.rows), default=None)
             if hit is None:
-                return r
-            prow = self.rows[hit]
-            factor = r[hit] / prow[hit]
-            if hits is not None:
-                hits[hit] = factor
-            for k, v in prow.items():
-                s = r.get(k, Fraction(0)) - factor * v
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
+                break
+            s, t = _cancel(r, hit, self.rows[hit])
+            scale *= s
+            steps.append((hit, t, scale))
+        if hits is not None:
+            for hit, t, at in steps:
+                hits[hit] = exact_div(t * (scale // at), scale)
+        return {k: exact_div(v, scale) for k, v in r.items()}
 
     def add_pure_pivot(self, col: int):
         """Fast path for a standard basis vector known to be new."""
@@ -132,11 +148,11 @@ class SparseSpan:
 class FactoredSpan(SparseSpan):
     """Echelon span of tagged vectors that keeps a sparse triangular factor.
 
-    Each kept row is recorded as ``row = sigma * (v + sum(d_j * row_j))``:
-    its own input vector ``v`` scaled, plus the multipliers ``d_j`` of the
-    earlier rows it was reduced against.  Vectors that turn out dependent
-    are dropped, so when vectors are added in unknown order the kept ones
-    are exactly the pivot unknowns of that column system, and
+    Each kept row is recorded with integers m, c and d_j such that
+    ``m * row = c * v + sum(d_j * row_j)``: its own input vector ``v`` and
+    the earlier rows it was reduced against.  Vectors that turn out
+    dependent are dropped, so when vectors are added in unknown order the
+    kept ones are exactly the pivot unknowns of that column system, and
     :meth:`combination` gives the solution whose free unknowns are 0.
     """
 
@@ -144,48 +160,62 @@ class FactoredSpan(SparseSpan):
 
     def __init__(self):
         super().__init__()
-        self.factor: list[tuple] = []  # (pivot, tag, sigma, {pivot_j: d_j})
+        self.factor: list[tuple] = []  # (pivot, tag, m, c, {pivot_j: d_j})
 
-    def add(self, row: dict, tag) -> int | None:
+    def add(self, row: dict, tag, dependent: list | None = None) -> int | None:
         """Insert the vector ``row`` under ``tag``; returns the new pivot
-        column, or None if the vector is dependent (and dropped)."""
+        column, or None if the vector is dependent (and dropped).  A
+        dependent vector v is appended to ``dependent``, when given, as
+        (tag, d, c) with v = -sum(d_j * rows[j]) / c."""
         ints = _to_int_row(row)
-        if not ints:
-            return None
-        k = next(iter(ints))
-        sigma = Fraction(ints[k]) / Fraction(row[k])
-        mults = {}
-        row = ints
-        while True:
-            lead = min(row)
+        k = next(iter(ints), None)
+        m, c = (1, 1) if k is None else (row[k].numerator, row[k].denominator * ints[k])
+        steps, acc = [], 1  # acc: the product of the multipliers of row
+        while ints:
+            lead = min(ints)
             prow = self.rows.get(lead)
             if prow is None:
                 break
-            a, b = prow[lead], row[lead]
-            mults[lead] = Fraction(-b) / (a * sigma)
-            row, g = _combine(row, b, prow, a)
-            if not row:
-                return None
-            sigma = sigma * a / g
-        self.rows[lead] = row
-        self.factor.append((lead, tag, sigma, mults))
+            a, b = prow[lead], ints[lead]
+            ints, g = _combine(ints, b, prow, a)
+            acc *= a
+            steps.append((lead, -b * m, acc))
+            m *= g
+        d = {j: v * (acc // at) for j, v, at in steps}
+        if not ints:
+            if dependent is not None:
+                dependent.append((tag, d, c * acc))
+            return None
+        self.rows[lead] = ints
+        self.factor.append((lead, tag, m, c * acc, d))
         return lead
 
-    def combination(self, hits: dict) -> dict:
+    def combination(self, hits: dict, den: int = 1) -> dict:
         """Back substitution through the factor: given pivot -> factor with
-        ``sum(factor * rows[pivot])`` (from :meth:`reduce_full`), return
-        tag -> coefficient of the same vector over the kept input vectors."""
-        hits = dict(hits)
+        ``sum(factor * rows[pivot]) / den`` (from :meth:`reduce_full`, or a
+        dependent vector's relation), return tag -> coefficient of the same
+        vector over the kept input vectors.  The coefficients are carried as
+        integers over one growing scale (each written with the scale at
+        that time) and divided once at the end."""
+        lcd = lcm(*(h.denominator for h in hits.values()))
+        scale, sign = abs(den) * lcd, (1 if den > 0 else -1)
+        pending = {j: (sign * h.numerator * (lcd // h.denominator), scale) for j, h in hits.items()}
         out = {}
-        for lead, tag, sigma, mults in reversed(self.factor):
-            g = hits.get(lead)
-            if not g:
+        for lead, tag, m, c, d in reversed(self.factor):
+            num, at = pending.pop(lead, (0, scale))
+            if not num:
                 continue
-            x = g * sigma
-            out[tag] = x
-            for j, d in mults.items():
-                hits[j] = hits.get(j, 0) + x * d
-        return out
+            num *= scale // at
+            g = gcd(num, m)
+            s, t = m // g, num // g
+            if s < 0:
+                s, t = -s, -t
+            scale *= s
+            out[tag] = (t * c, scale)
+            for j, v in d.items():
+                num, at = pending.get(j, (0, scale))
+                pending[j] = (num * (scale // at) + t * v, scale)
+        return {tag: exact_div(num, at) for tag, (num, at) in out.items()}
 
 
 class QuotientModel:
@@ -216,45 +246,30 @@ class QuotientModel:
             r = self.base._echelonize(r)
         return False
 
-    def coords(self, row: dict) -> list[Fraction] | None:
+    def coords(self, row: dict) -> list | None:
         """Coordinates of [row] in the quotient basis; None if the vector is
-        not in base + <quotient basis>.  Full Fraction elimination (the
-        content-reduced fast path cannot track the rational scale)."""
-        r = {k: Fraction(v) for k, v in row.items() if v}
-        r = self._reduce_fraction(r, self.base)
-        out = [Fraction(0)] * self.dim
+        not in base + <quotient basis>.  Fraction-free: leading entries are
+        cancelled against base and basis rows with the least multipliers,
+        keeping scale * row = (base rows) + sum(a_i * basis row i) + r, and
+        the coordinates are a_i / scale."""
+        r, scale = _clear(row)
+        steps = []
         while r:
             lead = min(r)
-            hit = self.qrows.get(lead)
-            if hit is None:
-                return None
-            idx, prow = hit
-            factor = r[lead] / prow[lead]
-            out[idx] += factor
-            for k, v in prow.items():
-                s = r.get(k, Fraction(0)) - factor * v
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
-            r = self._reduce_fraction(r, self.base)
-        return out
-
-    @staticmethod
-    def _reduce_fraction(r: dict, span: SparseSpan) -> dict:
-        while r:
-            lead = min(r)
-            prow = span.rows.get(lead)
+            prow = self.base.rows.get(lead)
+            idx = None
             if prow is None:
-                return r
-            factor = r[lead] / prow[lead]
-            for k, v in prow.items():
-                s = r.get(k, Fraction(0)) - factor * v
-                if s:
-                    r[k] = s
-                else:
-                    r.pop(k, None)
-        return r
+                if lead not in self.qrows:
+                    return None
+                idx, prow = self.qrows[lead]
+            s, t = _cancel(r, lead, prow)
+            scale *= s
+            if idx is not None:
+                steps.append((idx, t, scale))
+        out = [0] * self.dim
+        for idx, t, at in steps:
+            out[idx] = exact_div(t * (scale // at), scale)
+        return out
 
 
 def solve_sparse(

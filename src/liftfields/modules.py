@@ -19,7 +19,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import SparseSpan
+from .linalg import SparseSpan, exact_div
 from .poly import (
     Monomial,
     Polynomial,
@@ -109,7 +109,7 @@ def normal_form(v: ModElement, basis: Sequence[ModElement], leads=None) -> ModEl
         (pos, m), c = _lead(v)
         for b, ((bpos, bm), bc) in zip(basis, leads):
             if bpos == pos and mono_divides(bm, m):  # top reduction
-                v = v - b.mul_monomial(mono_div(m, bm), c / bc)
+                v = v - b.mul_monomial(mono_div(m, bm), Fraction(c, bc))
                 break
         else:
             lead_piece = [Polynomial.zero(v.nvars)] * v.rank
@@ -271,11 +271,6 @@ def _column_degrees(nvars: int, order: int) -> tuple:
     return tuple(mono_degree(m) for m in monomials_below(nvars, order))
 
 
-def row_low_degree(row: dict, nvars: int, order: int) -> int:
-    """Lowest degree among the columns of a nonzero scalar jet row."""
-    return _column_degrees(nvars, order)[min(row)]
-
-
 def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None) -> dict:
     """Product of a scalar jet row with the polynomial whose (monomial,
     coefficient) pairs are ``terms``, computed on column indices and
@@ -326,7 +321,7 @@ class IdealPowerTower:
     and the m-primary I^k + m^order has the same jets there: F(k) is the
     pure pivots x'^a*y^b with |a| + b//m >= k, the very rows of the
     products below, where the longer generators' products vanish or pass
-    k*ell.
+    k*ell.  Each column's level |a| + b//m is computed once per tower.
 
     Otherwise F(k) is spanned by the generators times a basis of F(k-1)
     (for k = 1, every monomial), formed on column indices from content-free
@@ -348,6 +343,10 @@ class IdealPowerTower:
             den = lcm(*(c.denominator for c in g.terms.values()))
             self._terms.append([(m, int(c * den)) for m, c in g.terms.items()])
         self.power = self._coordinate_power()
+        if self.power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
+            y, m = self.power
+            self._levels = [sum(t) - t[y] + t[y] // m for t in monomials_below(self.nvars, order)]
+            self._units = [{c: 1} for c in range(len(self._levels))]  # rows shared by the spans
 
     def _coordinate_power(self) -> tuple[int, int] | None:
         """(y, m) when the generators are in coordinate form, else None."""
@@ -375,17 +374,14 @@ class IdealPowerTower:
         if k in self._spans:
             return self._spans[k]
         n, order = self.nvars, self.order
-        degs = _column_degrees(n, order)
         span = SparseSpan()
-        if self.power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
-            y, m = self.power
-            for c, t in enumerate(monomials_below(n, order)):
-                if sum(t) - t[y] + t[y] // m >= k:
-                    span.rows[c] = {c: 1}
+        if self.power is not None:
+            span.rows = {c: self._units[c] for c, level in enumerate(self._levels) if level >= k}
         elif k == 0:
-            for c in range(len(degs)):
+            for c in range(count_monomials_below(n, order)):
                 span.add_pure_pivot(c)
         else:
+            degs = _column_degrees(n, order)
             cover = self._cover(k)
             for c, d in enumerate(degs):
                 if d >= cover:
@@ -416,34 +412,30 @@ class ScalarClassMap:
         quotient = [c for c in range(ncols) if c not in span.rows]
         self.dim = len(quotient)
         # column -> its class {quotient basis index: coefficient}
-        self.classes: dict[int, dict[int, Fraction]] = {
-            c: {q: Fraction(1)} for q, c in enumerate(quotient)
-        }
+        self.classes: dict[int, dict] = {c: {q: 1} for q, c in enumerate(quotient)}
         self._build_classes(span)
 
     def _build_classes(self, span: SparseSpan) -> None:
         """Fully reduce each pivot row so it expresses its pivot monomial in
-        quotient coordinates; back-substitution in descending pivot order."""
+        quotient coordinates; back-substitution in descending pivot order,
+        in integers with one exact division by the pivot entry."""
         classes = self.classes
         for pivot in sorted(span.rows, reverse=True):
             row = span.rows[pivot]
             if len(row) == 1:
                 classes[pivot] = {}
                 continue
-            lead = Fraction(row[pivot])
-            acc: dict[int, Fraction] = {}
+            acc: dict = {}
             for col, v in row.items():
-                if col == pivot:
-                    continue
-                coef = -Fraction(v) / lead
-                for q, w in classes[col].items():
-                    acc[q] = acc.get(q, Fraction(0)) + coef * w
-            classes[pivot] = {q: w for q, w in acc.items() if w}
+                if col != pivot:
+                    for q, w in classes[col].items():
+                        acc[q] = acc.get(q, 0) - v * w
+            classes[pivot] = {q: exact_div(w, row[pivot]) for q, w in acc.items() if w}
 
-    def reduce(self, row: dict) -> dict[int, Fraction]:
+    def reduce(self, row: dict) -> dict:
         """Quotient coordinates {basis index: coefficient} of a jet row."""
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for col, c in row.items():
             for q, w in self.classes[col].items():
-                out[q] = out.get(q, Fraction(0)) + c * w
+                out[q] = out.get(q, 0) + c * w
         return {q: v for q, v in out.items() if v}

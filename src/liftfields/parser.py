@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .germs import Branch, MultiGerm, UnfoldingSpec
+from .germs import Branch, InputError, MultiGerm, UnfoldingSpec
 from .poly import Polynomial
 
 
@@ -165,7 +165,7 @@ class GermDocument:
 
     def to_unfolding_spec(self) -> UnfoldingSpec:
         if self.unfolding is None:
-            raise ValueError(f"document {self.name!r} has no unfolding block")
+            raise InputError(f"document {self.name!r} has no unfolding block")
         u = self.unfolding
         F = MultiGerm(
             [Branch(b.label, b.source_vars, b.components) for b in u.branches],
@@ -176,7 +176,7 @@ class GermDocument:
 
     def diffeo_pair(self) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
         if self.diffeo is None:
-            raise ValueError(f"document {self.name!r} has no diffeo block")
+            raise InputError(f"document {self.name!r} has no diffeo block")
         return self.diffeo
 
     # -- rendering ------------------------------------------------------

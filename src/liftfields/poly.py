@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Monomials are exponent tuples, coefficients are ``fractions.Fraction``.  All
-operations are pure; a ``Polynomial`` is never mutated after construction.
+Monomials are exponent tuples.  Coefficients are exact: an ``int`` for
+every integral value and a ``fractions.Fraction`` only when a denominator is
+present; a ``float`` is refused.  All operations are pure; a ``Polynomial``
+is never mutated after construction.
 """
 
 from __future__ import annotations
@@ -13,8 +15,23 @@ from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def coefficient(c):
+    """c as an exact coefficient: an int when integral, else a Fraction.
+    A float is refused, so no rounded value enters a polynomial."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"polynomial coefficients are exact; got the float {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact(terms: dict) -> dict:
+    """terms, in place, with coefficient() applied to each non-int value."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = coefficient(c)
+    return terms
 
 
 def mono_degree(m: Monomial) -> int:
@@ -58,12 +75,10 @@ def monomials_of_degree(nvars: int, d: int) -> tuple:
         return ()
     if nvars == 1:
         return ((d,),)
-    out = []
-    for e in range(d + 1):
-        for rest in monomials_of_degree(nvars - 1, d - e):
-            out.append((e,) + rest)
-    out.sort(key=grevlex_key)
-    return tuple(out)
+    # grevlex: the last exponent descending, then the rest in grevlex order
+    return tuple(
+        rest + (e,) for e in range(d, -1, -1) for rest in monomials_of_degree(nvars - 1, d - e)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -89,18 +104,20 @@ def count_monomials_below(nvars: int, order: int) -> int:
 class Polynomial:
     """A polynomial over Q in a fixed number of variables.
 
-    ``terms`` maps exponent tuples to nonzero Fractions.  Equality is
-    term-by-term; zero coefficients are never stored.
+    ``terms`` maps exponent tuples to nonzero coefficients: an int for every
+    integral value, a Fraction otherwise (see :func:`coefficient`, which
+    construction and arithmetic pass every other value through).  Equality
+    is term-by-term; zero coefficients are never stored.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Monomial, int | Fraction] | None = None):
         self.nvars = nvars
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = coefficient(c)
                 if c:
                     if len(m) != nvars:
                         raise ValueError(f"monomial {m} has wrong arity for {nvars} variables")
@@ -114,17 +131,17 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): ONE})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, nvars: int, m: Monomial, c=1) -> "Polynomial":
-        return cls(nvars, {tuple(m): Fraction(c)})
+        return cls(nvars, {tuple(m): c})
 
     # ---- queries ------------------------------------------------------
     def is_zero(self) -> bool:
@@ -138,11 +155,11 @@ class Polynomial:
         """Degree of the lowest-order term; -1 for zero."""
         return min((mono_degree(m) for m in self.terms), default=-1)
 
-    def coeff(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(m), ZERO)
+    def coeff(self, m: Monomial) -> int | Fraction:
+        return self.terms.get(tuple(m), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, ZERO)
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.nvars, 0)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -166,9 +183,9 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
+            s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = s if type(s) is int else coefficient(s)
             else:
                 terms.pop(m, None)
         out = Polynomial.__new__(Polynomial)
@@ -193,9 +210,9 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = terms.get(m, ZERO) + c1 * c2
+                s = terms.get(m, 0) + c1 * c2
                 if s:
-                    terms[m] = s
+                    terms[m] = s if type(s) is int else coefficient(s)
                 else:
                     terms.pop(m, None)
         out = Polynomial.__new__(Polynomial)
@@ -206,21 +223,21 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
         out = Polynomial.__new__(Polynomial)
         out.nvars = self.nvars
-        out.terms = {m: c * v for m, v in self.terms.items()}
+        out.terms = _exact({m: c * v for m, v in self.terms.items()})
         return out
 
     def mul_monomial(self, m: Monomial, c=1) -> "Polynomial":
-        c = Fraction(c)
+        c = coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
         out = Polynomial.__new__(Polynomial)
         out.nvars = self.nvars
-        out.terms = {mono_mul(t, m): c * v for t, v in self.terms.items()}
+        out.terms = _exact({mono_mul(t, m): c * v for t, v in self.terms.items()})
         return out
 
     def __pow__(self, k: int) -> "Polynomial":
@@ -245,7 +262,7 @@ class Polynomial:
             e = m[var]
             if e:
                 m2 = m[:var] + (e - 1,) + m[var + 1 :]
-                terms[m2] = terms.get(m2, ZERO) + c * e
+                terms[m2] = terms.get(m2, 0) + c * e
         return Polynomial(self.nvars, terms)
 
     def truncate(self, order: int | None) -> "Polynomial":

@@ -161,7 +161,7 @@ def _scan_normal_form(v: ModElement, basis) -> ModElement:
         for b in basis:
             (bpos, bm), bc = _scan_lead(b)
             if bpos == pos and mono_divides(bm, m):
-                v = v - b.mul_monomial(mono_div(m, bm), c / bc)
+                v = v - b.mul_monomial(mono_div(m, bm), Fraction(c, bc))
                 break
         else:
             piece = [Polynomial.zero(v.nvars)] * v.rank

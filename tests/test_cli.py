@@ -226,6 +226,18 @@ def test_exit_parse_error_missing_block(capsys):
     assert "unfolding" in err
 
 
+def test_exit_parse_error_diffeo_not_inverse(tmp_path, capsys):
+    path = tmp_path / "skew.germ"
+    path.write_text(
+        "germ skew { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
+        " diffeo { H = (X + Y^2, Y); Hinv = (X + Y^2, Y); }"
+        " fields reference { (2*X, 3*Y); } }"
+    )
+    code, out, err = run(["transport", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: H∘H_inv is not the identity to the certified order\n"
+
+
 def test_exit_resource_cap(capsys):
     code, _, err = run(["construct", "sfold-1-plus"], capsys)
     assert code == 2
@@ -266,6 +278,16 @@ def test_exit_inconsistent_fault_injected(capsys, monkeypatch):
     code, _, err = run(["analyze", "whitney-psi2", "--mode", "both"], capsys)
     assert code == 4
     assert "inconsistent" in err
+
+
+def test_exit_inconsistent_value_error_escaping_a_layer(capsys, monkeypatch):
+    # a library ValueError is a fault, not an input error
+    def boom(*args, **kwargs):
+        raise ValueError("variable count mismatch: 2 vs 3")
+
+    monkeypatch.setattr(cli, "locate_i1_i2", boom)
+    code, out, err = run(["analyze", "e0"], capsys)
+    assert (code, out, err) == (4, "", "inconsistent: variable count mismatch: 2 vs 3\n")
 
 
 def test_exit_hypothesis_obstruction_pinned(capsys):

@@ -13,6 +13,7 @@ from liftfields import (
     compare_modules,
     complete_generators,
     generator_count_certified,
+    invariants,
     ks_matrix,
     lift_of_squaring_map,
     locate_i1_i2,
@@ -24,6 +25,7 @@ from liftfields import (
     verify_certificate,
 )
 from liftfields import catalog, cli, germs, lift, linalg, modules
+from liftfields import poly as poly_module
 from liftfields.germs import Branch, HypothesisError, MultiGerm
 from liftfields.linalg import solve_sparse
 from liftfields.poly import (
@@ -35,7 +37,7 @@ from liftfields.poly import (
     vec_scale,
 )
 
-from conftest import germ, poly, vfield
+from conftest import germ, monogerm, poly, vfield
 from oracles import greedy_nakayama_minimize, polynomial_module_jet_span, uncached_groebner_basis
 
 CERT = 12
@@ -581,3 +583,69 @@ def test_completion_division_matches_jets(drawn):
                 assert all(c.exact for c in mod.generators)
             outcomes.append(mod.count)
     assert outcomes[0] == outcomes[1]
+
+
+def test_division_by_a_leading_constant_is_exact():
+    # d/dy (y^3 + x*y) = 3*y^2 + x: dividing y^2 by it leaves quotient 1/3
+    # and remainder -x/3, exactly (a float 1/3 would be
+    # 6004799503160661/18014398509481984)
+    f = monogerm(["x", "y^3 + x*y"], ("x", "y"), ("X", "Y"))
+    form = f.prenormal(0)
+    assert (form.k, form.c) == (2, 3)
+    quot, rem = form.divide(poly("y^2", ("x", "y")))
+    assert quot == Polynomial.constant(2, Fraction(1, 3))
+    assert rem == poly("-1/3*x", ("x", "y"))
+    cert = solve_lift(f, vfield(["2/3*X", "Y"], ("X", "Y")), CERT)  # the Euler field / 3
+    assert cert.exact and cert.lifts == (vfield(["2/3*x", "1/3*y"], ("x", "y")),)
+
+
+# ---------------------------------------------------------------------------
+# the integer level layer against an all-Fraction build
+# ---------------------------------------------------------------------------
+
+def _all_fractions():
+    """Every polynomial coefficient kept as a Fraction, integral or not, so
+    that every row of the level layer carries Fractions."""
+    return mock.patch.object(poly_module, "coefficient", Fraction)
+
+
+def _level_layer(f):
+    """The models at levels 0..i1+1 (0..2 with no surjective level), the
+    invariants in both modes, and the completed generators with their lifts."""
+    rep = locate_i1_i2(f)
+    top = rep.i1 + 1 if isinstance(rep.i1, int) else 2
+    models = [ks_matrix(f, i) for i in range(top + 1)]
+    inv = invariants(f, max_i=3, mode="both")
+    try:
+        mod = complete_generators(f, report=rep)
+        gens = [(c.eta, c.lifts, c.exact) for c in mod.generators]
+    except HypothesisError as exc:
+        gens = str(exc)
+    return (
+        [(m.target_dim, m.rank(), m.kernel_fields(f.target_vars)) for m in models],
+        (inv.delta, inv.gamma, inv.i_delta, inv.i_gamma, inv.ell),
+        gens,
+    )
+
+
+def _catalog_germ(name):
+    f = catalog.load(name).to_multigerm()
+    return reduce_to_core(f) if f.n > f.p else f
+
+
+def test_integer_level_layer_matches_fraction_build(catalog_docs):
+    want = {name: _level_layer(_catalog_germ(name)) for name in catalog_docs}
+    with _all_fractions():
+        f = _catalog_germ("rieger-ruas")
+        assert {type(c) for b in f.branches for g in b.components for c in g.terms.values()} \
+            == {Fraction}
+        for name in catalog_docs:
+            assert _level_layer(_catalog_germ(name)) == want[name], name
+
+
+@settings(max_examples=15, deadline=None)
+@given(_small_germs())
+def test_integer_level_layer_matches_fraction_build_on_rational_germs(drawn):
+    want = _level_layer(_small_germ(drawn))
+    with _all_fractions():
+        assert _level_layer(_small_germ(drawn)) == want

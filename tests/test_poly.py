@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from liftfields.poly import (
@@ -76,6 +77,35 @@ def test_grevlex_total_order():
     monos = monomials_below(3, 4)
     keys = [grevlex_key(m) for m in monos]
     assert len(set(keys)) == len(keys)
+
+
+def test_monomials_of_degree_are_built_in_grevlex_order():
+    for nvars in range(1, 5):
+        for d in range(6):
+            monos = monomials_of_degree(nvars, d)
+            assert list(monos) == sorted(monos, key=grevlex_key)
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    f = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): 3})
+    assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
+    assert type(poly("6/3*x + 1/2*y", XY).coeff((1, 0))) is int
+    g = f.scale(Fraction(2)).mul_monomial((1, 1), Fraction(3, 1))
+    assert {type(c) for c in g.terms.values()} == {int}
+    assert g == Polynomial(2, {(2, 1): 12, (1, 2): 3, (1, 1): 18})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polynomial(2, {(1, 0): 0.5}),
+    lambda: Polynomial.constant(2, 1.0),
+    lambda: Polynomial.monomial(2, (1, 1), 2.0),
+    lambda: poly("x + y", XY).scale(0.5),
+    lambda: poly("x + y", XY) * 3.0,
+    lambda: poly("x + y", XY).mul_monomial((1, 0), 0.25),
+])
+def test_floats_are_refused(make):
+    with pytest.raises(TypeError, match="float"):
+        make()
 
 
 def test_render_parse_round_trip():

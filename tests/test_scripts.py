@@ -1,5 +1,6 @@
 """The scripts the README advertises run to completion."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,3 +21,32 @@ def test_script_exits_zero(script):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip()
+
+
+def test_compare_reports_tree_against_itself():
+    # the benchmark's smoke command of each workload, seed 1, in this tree twice
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "compare_reports.py"), ROOT, ROOT,
+         "--seeds", "1", "--smoke"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "3 commands, 0 differ"
+
+
+def test_compare_reports_flags_differences(monkeypatch, capsys):
+    path = os.path.join(ROOT, "scripts", "compare_reports.py")
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod._strip_timings({"timings": {"kernel": 0.1}, "runs": [{"timings": {}, "rc": 0}]}) \
+        == {"runs": [{"rc": 0}]}
+    monkeypatch.setattr(mod, "commands", lambda *a: [("levels", 1, ["analyze", "e0"])])
+    reports = {"/a": (0, {"count": 4}, ""), "/b": (0, {"count": 4}, "")}
+    monkeypatch.setattr(mod, "run_command", lambda tree, argv, cwd: reports[tree])
+    assert mod.main(["/a", "/b"]) == 0
+    reports["/b"] = (4, "", "inconsistent: injected\n")
+    assert mod.main(["/a", "/b"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS levels seed 1: analyze e0 (exit code, report, stderr)" in out
+    assert out.splitlines()[-1] == "1 commands, 1 differ"
