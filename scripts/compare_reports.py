@@ -9,8 +9,10 @@ Every command of ``perfbench/workloads.py`` (taken from TREE_A) runs in both
 trees, each in a fresh interpreter that calls ``liftfields.cli.main`` with
 the command's arguments and ``--json`` (the tree's ``src`` on the path).  The JSON report (with every
 ``timings`` member dropped), the exit code and stderr must be the same
-byte for byte.  The commands that differ are printed, and the exit code is
-1 on any difference.  ``--smoke`` keeps only the benchmark's smoke command
+byte for byte.  So must the stdout, stderr and exit code of ``--help``, at
+top level and for each subcommand, and of an unknown subcommand.  The
+commands that differ are printed, and the exit code is 1 on any
+difference.  ``--smoke`` keeps only the benchmark's smoke command
 of each workload.  Generated germs go to a temporary directory; nothing
 under either tree is written.
 """
@@ -25,6 +27,9 @@ import sys
 import tempfile
 
 RUN = "import sys; from liftfields.cli import main; sys.exit(main(sys.argv[1:]))"
+SUBCOMMANDS = ("analyze", "kernel", "construct", "unfold", "check", "transport", "reduce",
+               "catalog")
+HELP = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), ["no-such-command"]]
 
 
 def _strip_timings(doc):
@@ -36,10 +41,11 @@ def _strip_timings(doc):
 
 
 def run_command(tree: str, argv: list[str], cwd: str) -> tuple:
-    """(exit code, report without timings or raw stdout, stderr)."""
+    """(exit code, report without timings or raw stdout, stderr) of the CLI
+    run with argv as given."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.join(tree, "src"))
     env.pop("LIFTFIELDS_WORKDIR", None)
-    proc = subprocess.run([sys.executable, "-c", RUN, *argv, "--json"], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True)
     try:
         out = _strip_timings(json.loads(proc.stdout))
@@ -49,7 +55,9 @@ def run_command(tree: str, argv: list[str], cwd: str) -> tuple:
 
 
 def commands(tree: str, seeds: list[int], smoke: bool, workdir: str):
-    """(workload, seed, argv) of every command, germs written under workdir."""
+    """(workload, seed, argv) of every workload command, with ``--json``
+    appended and germs written under workdir, then ("help", None, argv) of
+    every help run."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as wl
 
@@ -60,8 +68,8 @@ def commands(tree: str, seeds: list[int], smoke: bool, workdir: str):
             os.makedirs(sub, exist_ok=True)
             for cmd in wl.build(name, seed, sub):
                 if not smoke or wl.SMOKE[name](cmd):
-                    out.append((name, seed, list(cmd.argv)))
-    return out
+                    out.append((name, seed, [*cmd.argv, "--json"]))
+    return out + [("help", None, argv) for argv in HELP]
 
 
 def main(argv=None) -> int:
@@ -81,7 +89,8 @@ def main(argv=None) -> int:
                 differ += 1
                 parts = [what for what, x, y in zip(("exit code", "report", "stderr"), a, b)
                          if x != y]
-                print(f"DIFFERS {name} seed {seed}: {' '.join(cmd)} ({', '.join(parts)})")
+                where = name if seed is None else f"{name} seed {seed}"
+                print(f"DIFFERS {where}: {' '.join(cmd)} ({', '.join(parts)})")
                 if a[0] != b[0] or a[2] != b[2]:
                     print(f"  A: exit {a[0]} {a[2].strip()[-300:]!r}")
                     print(f"  B: exit {b[0]} {b[2].strip()[-300:]!r}")

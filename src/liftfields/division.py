@@ -2,8 +2,8 @@
 
 On a branch (x_1..x_{n-1}, g(x, y)) where one component's y-derivative is a
 Weierstrass polynomial in y, df(xi) = eta∘f is decided by division in
-K[x][y], exactly and with no jet order.  MultiGerm.prenormal imports this
-module on first use, so a command that lifts nothing does not compile it.
+K[x][y], exactly and with no jet order.  Like every layer, this module is
+compiled on first use, so a command that lifts nothing does not compile it.
 """
 
 from __future__ import annotations

@@ -13,14 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .linalg import FactoredSpan, SparseSpan, matrix_rank
-from .modules import (
-    IdealPowerTower,
-    ScalarClassMap,
-    jet_times,
-    poly_to_scalar_row,
-    scalar_multiples_span,
-)
+from . import division, ksmaps, linalg, modules
 from .poly import (
     Polynomial,
     count_monomials_below,
@@ -106,7 +99,7 @@ class Branch:
         return rows
 
     def corank(self) -> int:
-        return self.n - matrix_rank(self.linear_part())
+        return self.n - linalg.matrix_rank(self.linear_part())
 
 
 class MultiGerm:
@@ -151,7 +144,7 @@ class MultiGerm:
         b = self.branches[j]
         prev = None
         for order in range(2, cap + 1):
-            span = scalar_multiples_span(list(b.components), order)
+            span = modules.scalar_multiples_span(list(b.components), order)
             codim = count_monomials_below(b.n, order) - span.dim
             if prev is not None and codim == prev:
                 self._cache[key] = (codim, order)
@@ -171,9 +164,9 @@ class MultiGerm:
             return self._cache[key]
         b = self.branches[j]
         for ell in range(1, cap + 1):
-            span = scalar_multiples_span(list(b.components), ell + 1)
+            span = modules.scalar_multiples_span(list(b.components), ell + 1)
             ok = all(
-                span.contains(poly_to_scalar_row(Polynomial.monomial(b.n, m), ell + 1))
+                span.contains(modules.poly_to_scalar_row(Polynomial.monomial(b.n, m), ell + 1))
                 for m in monomials_of_degree(b.n, ell)
             )
             if ok:
@@ -191,10 +184,10 @@ class MultiGerm:
         return self.higher_invariants(0, mode="bruteforce", cap=cap)[1]
 
     # -- ideal power towers ---------------------------------------------
-    def branch_tower(self, j: int, order: int) -> IdealPowerTower:
+    def branch_tower(self, j: int, order: int) -> modules.IdealPowerTower:
         key = ("tower", j, order)
         if key not in self._cache:
-            self._cache[key] = IdealPowerTower(
+            self._cache[key] = modules.IdealPowerTower(
                 list(self.branches[j].components), order, ell=self.branch_ell(j)
             )
         return self._cache[key]
@@ -203,11 +196,10 @@ class MultiGerm:
         """Branch j's division.PrenormalForm, or None; tested once."""
         key = ("prenormal", j)
         if key not in self._cache:
-            from .division import prenormal_form  # compiled on first use only
-            self._cache[key] = prenormal_form(self.branches[j])
+            self._cache[key] = division.prenormal_form(self.branches[j])
         return self._cache[key]
 
-    def tangent_span(self, j: int, order: int) -> FactoredSpan:
+    def tangent_span(self, j: int, order: int) -> linalg.FactoredSpan:
         """Jet span below ``order`` of branch j's tangent space, factored once.
 
         The vectors df_j(x^alpha e_src) are added in unknown order
@@ -219,7 +211,7 @@ class MultiGerm:
             jac = self.branches[j].jacobian()
             n, p = self.n, self.p
             idx = mono_index_map(n, order)
-            span = FactoredSpan()
+            span = linalg.FactoredSpan()
             for a_rank, alpha in enumerate(monomials_below(n, order)):
                 for src in range(n):
                     # columns of x^alpha * d(component q)/d(x_src), truncated
@@ -277,10 +269,10 @@ class MultiGerm:
         ell = self.branch_ell(j, cap)
         order = ell * (i + 2) + 1
         tower = self.branch_tower(j, order)
-        cmap = ScalarClassMap(tower.span(i + 1), b.n, order)
+        cmap = modules.ScalarClassMap(tower.span(i + 1), b.n, order)
         # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
         reps: list[dict] = []
-        seen = SparseSpan()
+        seen = linalg.SparseSpan()
         for c, row in sorted(tower.span(i).rows.items()):
             if len(row) == 1 and not cmap.classes[c]:
                 continue  # a monomial of F_{i+1}: its class is zero
@@ -295,11 +287,11 @@ class MultiGerm:
             for m in range(b.n):
                 col: dict[int, Fraction] = {}
                 for q in range(b.p):
-                    prod = jet_times(row, jac[q][m].terms.items(), b.n, order)
+                    prod = modules.jet_times(row, jac[q][m].terms.items(), b.n, order)
                     for idx, v in cmap.reduce(prod).items():
                         col[q * cmap.dim + idx] = v
                 columns.append(col)
-        rank_span = SparseSpan()
+        rank_span = linalg.SparseSpan()
         rank = 0
         for col in columns:
             if rank_span.add(col) is not None:
@@ -441,8 +433,6 @@ def build_unfolding(
     (degree, component) order and the first stable one is returned.  Raises
     if no candidate up to the degree cap is stable.
     """
-    from .ksmaps import classify_stable  # local import to avoid a cycle
-
     n, p = f.n, f.p
     k = 0 if param_position == "first" else p
     ydirs = [_kernel_direction(b) for b in f.branches]
@@ -460,7 +450,7 @@ def build_unfolding(
             tvars = list(f.target_vars)
             tvars.insert(k, param_source_name.upper())
             F = MultiGerm(branches, tvars)
-            verdict = classify_stable(F)
+            verdict = ksmaps.classify_stable(F)
             if verdict.stable:
                 return UnfoldingSpec(F, f, param_source_name, k, stable_certified=True)
     raise HypothesisError(f"no one-parameter stable unfolding found up to degree {search_cap}")

@@ -25,11 +25,9 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
+from . import ksmaps, linalg, modules
 from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, UnfoldingSpec,
                     monomial_pullbacks)
-from .ksmaps import KSReport, ks_matrix, locate_i1_i2, min_generators, truncation_order
-from .linalg import FactoredSpan
-from .modules import module_jet_span, span_contains, syzygy_basis, vector_to_row
 from .poly import (
     Polynomial,
     count_monomials_below,
@@ -135,7 +133,7 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                 continue
         span = f.tangent_span(j, order)
         hits: dict = {}
-        left = span.reduce_full(vector_to_row(full, p, order), hits)
+        left = span.reduce_full(modules.vector_to_row(full, p, order), hits)
         if left:
             deg = mono_degree(monos[min(left) // p]) + 1
             raise NotLiftableError(
@@ -172,7 +170,7 @@ def complete_generators(
     f: MultiGerm,
     cap: int = 6,
     max_extra_degree: Optional[int] = None,
-    report: Optional[KSReport] = None,
+    report: Optional[ksmaps.KSReport] = None,
 ) -> LiftModule:
     """Build a minimal generating set by completing each kernel vector of
     the level-(i+1) matrix model with higher-order terms.
@@ -185,7 +183,7 @@ def complete_generators(
     combination of the kept candidates, the others at 0.
     """
     if report is None:
-        report = locate_i1_i2(f, cap)
+        report = ksmaps.locate_i1_i2(f, cap)
     if not report.theorem_applicable:
         raise HypothesisError(
             f"kernel completion needs matching levels; found i1={report.i1}, i2={report.i2}"
@@ -195,11 +193,11 @@ def complete_generators(
     ell = f.ell()
     d_max = max_extra_degree if max_extra_degree is not None else 2 * (i + 2) * ell
     d_max = max(d_max, i + 1)
-    order = truncation_order(f, i) + d_max
+    order = ksmaps.truncation_order(f, i) + d_max
 
-    model = ks_matrix(f, i + 1)
+    model = ksmaps.ks_matrix(f, i + 1)
     kernel = model.kernel_fields(f.target_vars)
-    expected = min_generators(f, mode="bruteforce", report=report).count
+    expected = ksmaps.min_generators(f, mode="bruteforce", report=report).count
 
     forms = [f.prenormal(j) for j in range(nb)]
     # the lift condition decouples: one column block per branch, interleaved
@@ -216,14 +214,14 @@ def complete_generators(
                     for m, c in comp.terms.items():
                         out[(_mono_rank(m) * p + q) * nb + j] = c
             else:
-                for k, c in tspans[j].reduce_full(vector_to_row(v, p, order)).items():
+                for k, c in tspans[j].reduce_full(modules.vector_to_row(v, p, order)).items():
                     out[k * nb + j] = c
         return out
 
     pullbacks = [monomial_pullbacks(b.components, t) for b, t in zip(f.branches, trunc)]
 
     zero = Polynomial.zero(n)
-    span = FactoredSpan()  # kept candidates are independent: completions are unique
+    span = linalg.FactoredSpan()  # kept candidates are independent: completions are unique
     candidates: list[tuple[int, tuple]] = []  # tag -> (q, beta)
     generators = []
     d_hi = i + 1  # candidates of degree i+2 .. d_hi are in the span
@@ -294,7 +292,7 @@ def restrict_from_unfolding(
     if lift_F is None:
         lift_F = complete_generators(F).fields()
     lam = Polynomial.variable(P_, k)
-    syz = syzygy_basis([eta[k] for eta in lift_F] + [lam])
+    syz = modules.syzygy_basis([eta[k] for eta in lift_F] + [lam])
 
     # restriction substitution: drop the parameter coordinate, set L = 0
     values = []
@@ -325,7 +323,7 @@ def restrict_from_unfolding(
     expected = None
     if check_expected:
         try:
-            expected = min_generators(base, mode="bruteforce").count
+            expected = ksmaps.min_generators(base, mode="bruteforce").count
         except HypothesisError:
             expected = None
         if expected is not None and len(generators) != expected:
@@ -388,11 +386,11 @@ def nakayama_minimize(
     fields after it, so every greedy drop is also a scan drop, and the loop
     ends at the basis the scan picks from the top index down.
     """
-    span = module_jet_span(fields, rank, rank, cert_order, min_mult_degree=1)
+    span = modules.module_jet_span(fields, rank, rank, cert_order, min_mult_degree=1)
     kept = [
         tuple(g)
         for g in reversed(fields)
-        if span.add(vector_to_row(g, rank, cert_order)) is not None
+        if span.add(modules.vector_to_row(g, rank, cert_order)) is not None
     ]
     return kept[::-1]
 
@@ -424,12 +422,12 @@ def compare_modules(
     cert_order: int,
 ) -> ModuleComparison:
     """Jet-level double inclusion of the generated modules at cert_order."""
-    lspan = module_jet_span(left, rank, rank, cert_order)
-    rspan = module_jet_span(right, rank, rank, cert_order)
+    lspan = modules.module_jet_span(left, rank, rank, cert_order)
+    rspan = modules.module_jet_span(right, rank, rank, cert_order)
     miss_l = [
-        i for i, g in enumerate(right) if not span_contains(lspan, g, rank, cert_order)
+        i for i, g in enumerate(right) if not modules.span_contains(lspan, g, rank, cert_order)
     ]
     miss_r = [
-        i for i, g in enumerate(left) if not span_contains(rspan, g, rank, cert_order)
+        i for i, g in enumerate(left) if not modules.span_contains(rspan, g, rank, cert_order)
     ]
     return ModuleComparison(not miss_l and not miss_r, cert_order, miss_l, miss_r)

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from . import __version__
-from .germs import GermInvariants
-from .ksmaps import KSReport, MinGeneratorCount, StabilityVerdict
-from .lift import LiftModule
+from . import __version__, schema
 from .poly import Polynomial
+
+if TYPE_CHECKING:
+    from .germs import GermInvariants
+    from .ksmaps import KSReport, MinGeneratorCount, StabilityVerdict
+    from .lift import LiftModule
 
 FieldVector = Sequence[Polynomial]
 
@@ -221,11 +223,7 @@ def load_schema() -> dict:
 
 @lru_cache(maxsize=None)
 def _checker() -> Callable[[Any], None]:
-    # imported on first use, so only runs that validate a report load the
-    # checker (and compile it, where bytecode is not cached)
-    from .schema import build_checker
-
-    return build_checker(load_schema())
+    return schema.build_checker(load_schema())
 
 
 def validate_report(doc: dict) -> None:

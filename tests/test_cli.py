@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import liftfields
-from liftfields import cli
+from liftfields import cli, ksmaps, modules
 from liftfields.germs import ConsistencyError
 from liftfields.report import AnalysisReport, load_schema, validate_report
 from liftfields.schema import ReportSchemaError
@@ -64,27 +64,86 @@ def test_validate_report_rejects_malformed(capsys):
         validate_report(bad)
 
 
-def test_json_report_does_not_import_jsonschema():
-    # each CLI run is a fresh interpreter, so no subcommand may pay for
-    # importing the jsonschema package, or dataclasses and the inspect
-    # module it pulls in (about 30 ms of every start)
-    code = (
-        "import sys\n"
-        "from liftfields import cli\n"
-        "for argv in (['analyze', 'e0'], ['construct', 'e0'], ['check', 'e0'],\n"
-        "             ['unfold', 'fold-line']):\n"
-        "    assert cli.main(argv + ['--json']) == 0, argv\n"
-        "for mod in ('jsonschema', 'dataclasses', 'inspect'):\n"
-        "    assert mod not in sys.modules, mod + ' was imported'\n"
-    )
+def _fresh_interpreter(code: str) -> str:
+    """Run code in a new interpreter with this liftfields and perfbench on
+    the path; its stdout."""
     src = os.path.dirname(os.path.dirname(liftfields.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    path = os.pathsep.join(p for p in (src, bench, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count('"tool": "liftfields"') == 4
+    return proc.stdout
+
+
+def test_json_report_does_not_import_jsonschema():
+    # each CLI run is a fresh interpreter, so no subcommand may pay for
+    # importing the jsonschema package, or dataclasses and the inspect
+    # module it pulls in (about 30 ms of every start), nor for compiling a
+    # layer it does not run; every layer the benchmark's tracer hooks is
+    # still registered once the CLI is imported
+    code = (
+        "import sys, types\n"
+        "from layertrace import TARGETS\n"
+        "from liftfields import cli\n"
+        "missing = {{m for m, *_ in TARGETS}} - set(sys.modules)\n"
+        "assert not missing, missing\n"
+        "for argv in {commands}:\n"
+        "    assert cli.main(argv + ['--json']) == 0, argv\n"
+        "for mod in ('jsonschema', 'dataclasses', 'inspect'):\n"
+        "    assert mod not in sys.modules, mod + ' was imported'\n"
+        "for layer in {unused}:\n"
+        "    mod = sys.modules['liftfields.' + layer]\n"
+        "    assert type(mod) is not types.ModuleType, layer + ' was compiled'\n"
+    )
+    runs = [
+        ([["analyze", "e0"], ["construct", "e0"], ["check", "e0"], ["unfold", "fold-line"]], []),
+        ([["check", "e0"], ["check", "bigerm-69"], ["transport", "phi-63"],
+          ["reduce", "suspended-69"]], ["ksmaps", "linalg", "modules"]),
+        ([["analyze", "e0"], ["kernel", "curve-457", "--level", "2"]], ["lift"]),
+    ]
+    for commands, unused in runs:
+        out = _fresh_interpreter(code.format(commands=commands, unused=unused))
+        assert out.count('"tool": "liftfields"') == len(commands)
+
+
+def test_public_names_resolve_to_their_layers():
+    for name in liftfields.__all__[1:]:
+        layer = "liftfields." + liftfields._LAYER_OF[name]
+        obj = getattr(liftfields, name)
+        assert obj is getattr(sys.modules[layer], name) and obj.__module__ == layer, name
+        assert name in dir(liftfields)
+    assert liftfields.__all__[0] == "__version__" and "__version__" in dir(liftfields)
+    with pytest.raises(AttributeError):
+        liftfields.no_such_name
+    out = _fresh_interpreter(
+        "from liftfields import *\n"
+        "names = [n for n in dir() if not n.startswith('_')]\n"
+        "print(len(names), __version__, solve_lift.__module__, Polynomial.__module__)\n"
+    )
+    assert out.split() == [str(len(liftfields.__all__) - 1), liftfields.__version__,
+                           "liftfields.lift", "liftfields.poly"]
+
+
+SHARED_OPTIONS = ["-h", "--help", "--max-i", "--max-degree", "--cert-order", "--json", "--mode"]
+OWN_OPTIONS = {"kernel": ["--level"], "check": ["--fields"], "transport": ["--fields"],
+               "catalog": ["--run-all"]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "kernel", "construct", "unfold", "check",
+                                     "transport", "reduce", "catalog"])
+def test_subcommand_help_lists_its_options(command, capsys):
+    # only the invoked subparser is given its arguments
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: liftfields {command} ")
+    options = {tok.strip(",[]") for tok in out.split() if tok.startswith(("-", "[-"))}
+    assert options == set(SHARED_OPTIONS + OWN_OPTIONS.get(command, []))
+    assert ("positional arguments:\n  document" in out) == (command != "catalog")
 
 
 def test_kernel(capsys):
@@ -274,7 +333,7 @@ def test_exit_inconsistent_fault_injected(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ConsistencyError("injected: formula 4, bruteforce 5")
 
-    monkeypatch.setattr(cli, "min_generators", boom)
+    monkeypatch.setattr(ksmaps, "min_generators", boom)
     code, _, err = run(["analyze", "whitney-psi2", "--mode", "both"], capsys)
     assert code == 4
     assert "inconsistent" in err
@@ -285,7 +344,7 @@ def test_exit_inconsistent_value_error_escaping_a_layer(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("variable count mismatch: 2 vs 3")
 
-    monkeypatch.setattr(cli, "locate_i1_i2", boom)
+    monkeypatch.setattr(ksmaps, "locate_i1_i2", boom)
     code, out, err = run(["analyze", "e0"], capsys)
     assert (code, out, err) == (4, "", "inconsistent: variable count mismatch: 2 vs 3\n")
 
@@ -322,8 +381,6 @@ def test_exit_inconsistent_catalog_report_breaks_schema(capsys, monkeypatch):
 
 
 def test_exit_inconsistent_escaped_pullback_class(capsys, monkeypatch):
-    from liftfields import ksmaps
-
     monkeypatch.setattr(ksmaps.QuotientModel, "coords", lambda self, row: None)
     code, _, err = run(["analyze", "whitney-psi2"], capsys)
     assert code == 4
@@ -331,17 +388,16 @@ def test_exit_inconsistent_escaped_pullback_class(capsys, monkeypatch):
 
 
 def test_exit_inconsistent_bad_syzygy(capsys, monkeypatch):
-    from liftfields import lift
     from liftfields.poly import Polynomial
 
-    syzygy_basis = lift.syzygy_basis
+    syzygy_basis = modules.syzygy_basis
 
     def skewed(gens):
         # break every syzygy's coefficient of the parameter coordinate L
         one = Polynomial.constant(gens[0].nvars, 1)
         return [s[:-1] + (s[-1] + one,) for s in syzygy_basis(gens)]
 
-    monkeypatch.setattr(lift, "syzygy_basis", skewed)
+    monkeypatch.setattr(modules, "syzygy_basis", skewed)
     code, _, err = run(["unfold", "fold-line"], capsys)
     assert code == 4
     assert "syzygy combination" in err

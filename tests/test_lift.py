@@ -354,7 +354,6 @@ def test_restriction_builds_one_module_jet_span(monkeypatch):
         return module_jet_span(*args, **kwargs)
 
     monkeypatch.setattr(modules, "module_jet_span", counting)
-    monkeypatch.setattr(lift, "module_jet_span", counting)
     doc = catalog.load("sfold-1-plus")
     mod = restrict_from_unfolding(
         doc.to_unfolding_spec(), lift_F=doc.fields["liftF"].fields, cert_order=CERT
@@ -437,19 +436,24 @@ def test_factored_solve_matches_raw_system(catalog_docs):
 
 
 def test_completion_factors_each_tangent_span_once(monkeypatch):
-    built = []
+    built, building = [], []
 
-    class CountingSpan(germs.FactoredSpan):
+    class CountingSpan(linalg.FactoredSpan):
         def __init__(self):
             super().__init__()
-            built.append(self)
+            if building:  # a tangent span, not the completion's own span
+                built.append(self)
 
-    monkeypatch.setattr(germs, "FactoredSpan", CountingSpan)
+    monkeypatch.setattr(linalg, "FactoredSpan", CountingSpan)
     used = []
     tangent_span = germs.MultiGerm.tangent_span
 
     def recording(self, j, order):
-        span = tangent_span(self, j, order)
+        building.append(j)
+        try:
+            span = tangent_span(self, j, order)
+        finally:
+            building.pop()
         used.append((j, order, span))
         return span
 

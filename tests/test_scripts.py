@@ -24,14 +24,15 @@ def test_script_exits_zero(script):
 
 
 def test_compare_reports_tree_against_itself():
-    # the benchmark's smoke command of each workload, seed 1, in this tree twice
+    # the benchmark's smoke command of each workload, seed 1, and the ten help
+    # and unknown-subcommand runs, in this tree twice
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "compare_reports.py"), ROOT, ROOT,
          "--seeds", "1", "--smoke"],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "3 commands, 0 differ"
+    assert proc.stdout.splitlines()[-1] == "13 commands, 0 differ"
 
 
 def test_compare_reports_flags_differences(monkeypatch, capsys):
