@@ -3,7 +3,8 @@
 
 Usage, from the repository root::
 
-    python3 scripts/compare_reports.py TREE_A TREE_B [--seeds 1 2] [--smoke]
+    python3 scripts/compare_reports.py TREE_A TREE_B [--seeds 1 2 | 1-20] [--workload NAME]
+                                       [--smoke]
 
 Every command of ``perfbench/workloads.py`` (taken from TREE_A) runs in both
 trees, each in a fresh interpreter that calls ``liftfields.cli.main`` with
@@ -12,9 +13,11 @@ the command's arguments and ``--json`` (the tree's ``src`` on the path).  The JS
 byte for byte.  So must the stdout, stderr and exit code of ``--help``, at
 top level and for each subcommand, and of an unknown subcommand.  The
 commands that differ are printed, and the exit code is 1 on any
-difference.  ``--smoke`` keeps only the benchmark's smoke command
-of each workload.  Generated germs go to a temporary directory; nothing
-under either tree is written.
+difference.  ``--seeds`` takes seed numbers and ranges such as ``1-20``.
+``--workload`` keeps one workload's commands (and drops the help runs);
+``--smoke`` keeps only the benchmark's smoke command of each workload.
+Generated germs go to a temporary directory; nothing under either tree is
+written.
 """
 
 from __future__ import annotations
@@ -54,35 +57,45 @@ def run_command(tree: str, argv: list[str], cwd: str) -> tuple:
     return proc.returncode, out, proc.stderr
 
 
-def commands(tree: str, seeds: list[int], smoke: bool, workdir: str):
-    """(workload, seed, argv) of every workload command, with ``--json``
-    appended and germs written under workdir, then ("help", None, argv) of
-    every help run."""
+def seed_list(text: str) -> list[int]:
+    """A seed number, or a range ``first-last`` of them."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def commands(tree: str, seeds: list[int], smoke: bool, workdir: str, workload=None):
+    """(workload, seed, argv) of every command of the workload (all of them
+    when None), with ``--json`` appended and germs written under workdir,
+    then, for all workloads, ("help", None, argv) of every help run."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as wl
 
+    if workload is not None and workload not in wl.NAMES:
+        raise SystemExit(f"--workload must be one of {', '.join(wl.NAMES)}")
     out = []
     for seed in seeds:
-        for name in wl.NAMES:
+        for name in wl.NAMES if workload is None else [workload]:
             sub = os.path.join(workdir, f"{name}-{seed}")
             os.makedirs(sub, exist_ok=True)
             for cmd in wl.build(name, seed, sub):
                 if not smoke or wl.SMOKE[name](cmd):
                     out.append((name, seed, [*cmd.argv, "--json"]))
-    return out + [("help", None, argv) for argv in HELP]
+    return out + ([("help", None, argv) for argv in HELP] if workload is None else [])
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("tree_a")
     ap.add_argument("tree_b")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--seeds", type=seed_list, nargs="+", default=[[1], [2]])
+    ap.add_argument("--workload")
     ap.add_argument("--smoke", action="store_true")
     args = ap.parse_args(argv)
     trees = [os.path.abspath(t) for t in (args.tree_a, args.tree_b)]
     differ = 0
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as workdir:
-        cmds = commands(trees[0], args.seeds, args.smoke, workdir)
+        seeds = [seed for group in args.seeds for seed in group]
+        cmds = commands(trees[0], seeds, args.smoke, workdir, args.workload)
         for name, seed, cmd in cmds:
             a, b = (run_command(tree, cmd, workdir) for tree in trees)
             if a != b:

@@ -20,7 +20,6 @@ import time
 
 from liftfields import catalog, compare_modules, restrict_from_unfolding, solve_lift
 from liftfields.parser import parse_polynomial
-from liftfields.poly import vec_scale
 
 
 def main():
@@ -57,7 +56,7 @@ def main():
         combo = tuple(
             -Y * a + U * b + X.scale(s) * c for a, b, c in zip(v[0], v[1], v[3])
         )
-        assert combo == tuple(vec_scale(v[4], 3))
+        assert combo == tuple(c.scale(3) for c in v[4])
 
         dt = time.perf_counter() - t0
         print(

@@ -37,11 +37,11 @@ del _layer
 _LAYER_OF = {name: layer for layer, names in (
     ("poly", ("Polynomial", "monomials_below", "monomials_of_degree")),
     ("germs", ("Branch", "ConsistencyError", "GermInvariants", "HypothesisError", "InputError",
-               "MultiGerm", "NotFiniteMultiplicityError", "UnfoldingSpec", "build_unfolding",
-               "invariants", "reduce_to_core")),
+               "MultiGerm", "NotFiniteMultiplicityError", "NotLiftableError", "UnfoldingSpec",
+               "build_unfolding", "invariants", "reduce_to_core")),
     ("ksmaps", ("KSReport", "MinGeneratorCount", "StabilityVerdict", "classify_stable",
                 "ks_matrix", "locate_i1_i2", "min_generators", "truncation_order")),
-    ("lift", ("LiftCertificate", "LiftModule", "NotLiftableError", "compare_modules",
+    ("lift", ("LiftCertificate", "LiftModule", "compare_modules",
               "complete_generators", "generator_count_certified", "lift_of_squaring_map",
               "nakayama_minimize", "restrict_from_unfolding", "solve_lift", "transport",
               "verify_certificate")),

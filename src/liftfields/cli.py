@@ -41,6 +41,7 @@ from .germs import (
     HypothesisError,
     InputError,
     NotFiniteMultiplicityError,
+    NotLiftableError,
     invariants,
     reduce_to_core,
 )
@@ -98,7 +99,7 @@ def _emit(report: AnalysisReport, as_json: bool) -> None:
     if as_json:
         doc = report.to_json()
         validate_report(doc)
-        sys.stdout.write(report.to_json_text())
+        sys.stdout.write(report.to_json_text(doc))
     else:
         sys.stdout.write(report.to_text())
 
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"inconsistent: {exc}\n")
         return EXIT_INCONSISTENT
-    except (HypothesisError, lift.NotLiftableError, NotFiniteMultiplicityError) as exc:
+    except (HypothesisError, NotLiftableError, NotFiniteMultiplicityError) as exc:
         sys.stderr.write(f"hypothesis violated: {exc}\n")
         return EXIT_HYPOTHESIS
     except ValueError as exc:  # escaped a layer: a fault, not an input error

@@ -8,18 +8,9 @@ compiled on first use, so a command that lifts nothing does not compile it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .poly import Polynomial
-
-
-def y_coefficients(c: Polynomial, y: int) -> dict[int, Polynomial]:
-    """c as a polynomial in variable y: exponent -> coefficient free of y."""
-    rows: dict[int, dict] = {}
-    for m, v in c.terms.items():
-        rows.setdefault(m[y], {})[m[:y] + (0,) + m[y + 1:]] = v
-    return {e: Polynomial(c.nvars, ms) for e, ms in rows.items()}
+from .poly import Polynomial, exact_div, mono_mul
 
 
 class PrenormalForm:
@@ -27,48 +18,55 @@ class PrenormalForm:
     coords pairs n-1 source variables x_i with the first target slot whose
     component is x_i, y is the other variable (the last if all have slots),
     and component h, the first of least k, has y-derivative
-    c*y^k + sum(lower[e]*y^e, e < k), each lower[e] vanishing at 0."""
+    W = c*y^k + tail, each tail term of y-degree below k and vanishing at 0."""
 
-    def __init__(self, coords, y, h, k, c, lower, jac):
-        self.coords, self.y, self.h, self.k, self.c = coords, y, h, k, c
-        self.lower, self.jac = lower, jac
+    def __init__(self, coords, y, h, k, c, jac):
+        self.coords, self.y, self.h, self.k, self.c, self.jac = coords, y, h, k, c, jac
+        self.tail = [(m, v) for m, v in jac[h][y].terms.items() if m[y] < k]
 
-    def divide(self, r: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """(q, rem) with r = q*h + rem and rem of y-degree below k."""
-        n, y, k = r.nvars, self.y, self.k
-        y_power = [(0,) * y + (e,) + (0,) * (n - y - 1) for e in range(r.degree() + 1)]
-        rows = y_coefficients(r, y)
-        quot = Polynomial.zero(n)
-        for e in range(max(rows, default=-1), k - 1, -1):
-            a = rows.pop(e, None)
-            if not a:
-                continue
-            a = a.scale(Fraction(1, self.c))
-            quot = quot + a.mul_monomial(y_power[e - k])
-            for s, low in self.lower.items():
-                rows[e - k + s] = rows.get(e - k + s, Polynomial.zero(n)) - a * low
-        return quot, sum((a.mul_monomial(y_power[e]) for e, a in rows.items()), Polynomial.zero(n))
+    def divide(self, r: Polynomial) -> tuple[Polynomial, Polynomial, int]:
+        """(q, rem, s) with s*r = q*W + rem, rem of y-degree below k and
+        s = c^t (c's numerator) for t steps: r is scaled once, then each step
+        divides by c exactly, so no Fraction appears unless r or W has one."""
+        n, y, k, c = r.nvars, self.y, self.k, self.c
+        top = max((m[y] for m in r.terms), default=-1)
+        s = c.numerator ** max(0, top - k + 1)
+        rows: dict[int, dict] = {}
+        for m, v in r.terms.items():
+            rows.setdefault(m[y], {})[m] = s * v
+        quot = {}
+        for e in range(top, k - 1, -1):
+            for m, v in rows.pop(e, {}).items():
+                if v:
+                    m, v = m[:y] + (e - k,) + m[y + 1:], exact_div(v, c)
+                    quot[m] = v
+                    for lm, lv in self.tail:
+                        t = mono_mul(m, lm)
+                        row = rows.setdefault(t[y], {})
+                        row[t] = row.get(t, 0) - v * lv
+        return Polynomial(n, quot), Polynomial(n, {m: v for row in rows.values()
+                                                   for m, v in row.items()}), s
 
-    def normal_form(self, v: Sequence[Polynomial]) -> tuple[list[Polynomial], tuple]:
-        """(normal form, xi) of a pullback v: xi_{x_i} = v at x_i's slot, and
-        r_k = xi_y * d g_k/dy at each other slot k, xi_y the quotient of r_h
-        by h.  The normal form (remainder, r_k - xi_y * d g_k/dy) is linear in
-        v and vanishes exactly when v is in the tangent module (uniqueness of
-        Weierstrass division); then xi is the lift."""
+    def normal_form(self, v: Sequence[Polynomial]) -> tuple[list[Polynomial], tuple, int]:
+        """(normal form, xi, s) of a pullback v, both times the scale s of the
+        division: xi_{x_i} = v at x_i's slot, r_k = xi_y * d g_k/dy at each
+        other slot k, xi_y the quotient of r_h by W.  The normal form
+        (remainder, r_k - xi_y * d g_k/dy) is K[x_1..x_{n-1}]-linear in v and
+        vanishes exactly when v is in the tangent module; then xi / s lifts v."""
         jac, y, h = self.jac, self.y, self.h
         zero = Polynomial.zero(v[0].nvars)
         xi, nf = [zero] * len(jac[0]), [zero] * len(v)
-        for s, i in self.coords:
-            xi[i] = v[s]
         taken = {s for s, _ in self.coords}
         r = {
             k: v[k] - sum((jac[k][i] * v[s] for s, i in self.coords), zero)
             for k in range(len(v)) if k not in taken
         }
-        xi[y], nf[h] = self.divide(r.pop(h))
+        xi[y], nf[h], scale = self.divide(r.pop(h))
+        for s, i in self.coords:
+            xi[i] = v[s].scale(scale)
         for k, rk in r.items():
-            nf[k] = rk - xi[y] * jac[k][y]
-        return nf, tuple(xi)
+            nf[k] = rk.scale(scale) - xi[y] * jac[k][y]
+        return nf, tuple(xi), scale
 
 
 def prenormal_form(b) -> Optional[PrenormalForm]:
@@ -84,15 +82,13 @@ def prenormal_form(b) -> Optional[PrenormalForm]:
         return None
     y = missing[0]
     coords = tuple((first[i], i) for i in range(n) if i != y)
-    best = None
+    taken, best = {s for s, _ in coords}, None
     for q, comp in enumerate(b.components):
-        if q in (s for s, _ in coords):
-            continue
-        lower = y_coefficients(comp.diff(y), y)
-        k = max(lower, default=0)
-        top = lower.pop(k, None)
-        if (top is not None and list(top.terms) == [(0,) * n]
-                and not any(a.constant_term() for a in lower.values())
+        w = comp.diff(y).terms
+        k = max((m[y] for m in w), default=0)
+        # c*y^k is the only term of y-degree k and the only power of y alone
+        pure = [m for m in w if m[y] == sum(m) or m[y] == k]
+        if (q not in taken and len(pure) == 1 and sum(pure[0]) == k
                 and (best is None or k < best[1])):
-            best = (q, k, top.constant_term(), lower)
+            best = (q, k, w[pure[0]])
     return None if best is None else PrenormalForm(coords, y, *best, b.jacobian())

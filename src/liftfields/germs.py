@@ -57,6 +57,15 @@ class InputError(ValueError):
     """The input is not a valid germ, unfolding or diffeomorphism pair."""
 
 
+class NotLiftableError(ValueError):
+    """The vector field is not liftable; carries the obstructed branch and
+    the jet degree at which the obstruction first appears."""
+
+    def __init__(self, message: str, branch: str, obstruction_degree: int):
+        super().__init__(message)
+        self.branch, self.obstruction_degree = branch, obstruction_degree
+
+
 class Branch:
     """One branch of a multigerm: a polynomial map with f(0) = 0."""
 

@@ -22,16 +22,19 @@ each field whose jet row enlarges it: one module jet span per restriction.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from itertools import product
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from . import ksmaps, linalg, modules
-from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, UnfoldingSpec,
-                    monomial_pullbacks)
+from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm,
+                    NotLiftableError, UnfoldingSpec, monomial_pullbacks)
 from .poly import (
     Polynomial,
     count_monomials_below,
+    exact_div,
     mono_degree,
+    mono_mul,
     monomials_below,
     monomials_of_degree,
 )
@@ -50,16 +53,6 @@ def _mono_rank(m: tuple) -> int:
 
 
 FieldVector = tuple  # tuple of Polynomials in the target variables
-
-
-class NotLiftableError(ValueError):
-    """The vector field is not liftable; carries the obstructed branch and
-    the jet degree at which the obstruction first appears."""
-
-    def __init__(self, message: str, branch: str, obstruction_degree: int):
-        super().__init__(message)
-        self.branch = branch
-        self.obstruction_degree = obstruction_degree
 
 
 class LiftCertificate:
@@ -89,9 +82,29 @@ class LiftModule:
         return [c.eta for c in self.generators]
 
 
-def _pullback(eta: FieldVector, branch, order: Optional[int]) -> list[Polynomial]:
-    """eta∘f_j componentwise, optionally truncated."""
-    return [c.substitute(list(branch.components), order) for c in eta]
+def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: Optional[int]) -> list[Polynomial]:
+    """eta∘f_j componentwise, truncated at ``order`` (None: not at all).  A
+    slot X'_s whose component is a variable x_i pulls back to it, so a term
+    X'^a*Y^b is the x^a-shift of Y^b∘f_j, memoized per branch on the germ."""
+    key, b = ("pullback", j), f.branches[j]
+    if key not in f._cache:
+        xs = [Polynomial.variable(f.n, i) for i in range(f.n)]
+        f._cache[key] = ({q: xs.index(c) for q, c in enumerate(b.components) if c in xs},
+                         monomial_pullbacks(b.components, None))
+    coords, pulled = f._cache[key]
+    out = []
+    for comp in eta:
+        terms: dict = {}
+        for beta, v in comp.terms.items():
+            shift, rest = [0] * f.n, list(beta)
+            for q, i in coords.items():
+                shift[i], rest[q] = shift[i] + beta[q], 0
+            for m, w in pulled(tuple(rest)).terms.items():
+                m = mono_mul(m, shift)
+                if order is None or sum(m) < order:
+                    terms[m] = terms.get(m, 0) + v * w
+        out.append(Polynomial(f.n, terms))
+    return out
 
 
 def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
@@ -123,14 +136,17 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
     monos = monomials_below(n, order)
     lifts = []
     residual_low = None
+    den = lcm(*(c.denominator for comp in eta for c in comp.terms.values()))
+    integral = [comp.scale(den) for comp in eta]  # divided back once per lift coefficient
     for j, b in enumerate(f.branches):
-        full = _pullback(eta, b, None)
         form = f.prenormal(j)
         if form is not None:
-            nf, xi = form.normal_form(full)
-            if not any(nf):
-                lifts.append(xi)
+            nf, xi, s = form.normal_form(_pullback(f, j, integral, None))
+            if not any(nf):  # xi / (s * den) lifts eta
+                lifts.append(tuple(Polynomial(n, {m: exact_div(c, s * den)
+                                                  for m, c in x.terms.items()}) for x in xi))
                 continue
+        full = _pullback(f, j, eta, None)
         span = f.tangent_span(j, order)
         hits: dict = {}
         left = span.reduce_full(modules.vector_to_row(full, p, order), hits)
@@ -155,8 +171,8 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
 def verify_certificate(f: MultiGerm, cert: LiftCertificate) -> bool:
     """Recheck a certificate from scratch: the residual of each branch must
     vanish (exact) or start at or above the certified jet order."""
-    for b, xi in zip(f.branches, cert.lifts):
-        low = _residual_low(b, _pullback(cert.eta, b, None), xi)
+    for j, (b, xi) in enumerate(zip(f.branches, cert.lifts)):
+        low = _residual_low(b, _pullback(f, j, cert.eta, None), xi)
         if low is not None and low < cert.order:
             return False
     return True
@@ -165,6 +181,46 @@ def verify_certificate(f: MultiGerm, cert: LiftCertificate) -> bool:
 # ---------------------------------------------------------------------------
 # generator construction I: kernel completion
 # ---------------------------------------------------------------------------
+
+def _residual_columns(f: MultiGerm, order: int):
+    """column(terms) -> (s * residual column of sum(c * X^beta e_q) over terms
+    (q, beta, c), s), s an integer: division normal forms, or jet remainders
+    on branches that are not prenormal.  On a prenormal branch the column of
+    X'^a*Y^b e_q (X' the coordinate slots) is the x^a-shift of Y^b e_q's."""
+    n, p, nb = f.n, f.p, f.num_branches
+    forms = [f.prenormal(j) for j in range(nb)]
+    # the lift condition decouples: one column block per branch, interleaved
+    # so that columns still ascend with the monomial degree
+    tspans = [None if form else f.tangent_span(j, order) for j, form in enumerate(forms)]
+    normal_forms: dict = {}  # (j, Y^b, q) -> (s * normal form of Y^b e_q, s)
+
+    def column(terms: list) -> tuple[dict, int]:
+        blocks = []
+        for (q, beta, c), (j, form) in product(terms, enumerate(forms)):
+            v = [Polynomial.zero(p)] * p
+            if form is None:
+                v[q] = Polynomial.monomial(p, beta)
+                r = modules.vector_to_row(_pullback(f, j, v, order), p, order)
+                blocks.append((1, c, {k * nb + j: a for k, a in tspans[j].reduce_full(r).items()}))
+                continue
+            shift, rest = [0] * n, list(beta)
+            for s, x in form.coords:
+                shift[x], rest[s] = beta[s], 0
+            key = (j, tuple(rest), q)
+            if key not in normal_forms:
+                v[q] = Polynomial.monomial(p, rest)
+                normal_forms[key] = form.normal_form(_pullback(f, j, v, None))[::2]
+            nf, s = normal_forms[key]
+            blocks.append((s, c, {(_mono_rank(mono_mul(m, shift)) * p + k) * nb + j: a
+                                  for k, comp in enumerate(nf) for m, a in comp.terms.items()}))
+        scale, out = lcm(*(s for s, _, _ in blocks)), {}
+        for s, c, block in blocks:
+            for k, a in block.items():
+                out[k] = out.get(k, 0) + c * (scale // s) * a
+        return out, scale
+
+    return column
+
 
 def complete_generators(
     f: MultiGerm,
@@ -176,9 +232,8 @@ def complete_generators(
     the level-(i+1) matrix model with higher-order terms.
 
     Each generator is eta0 + (terms of degree i+2 .. D) where eta0 is a
-    homogeneous degree-(i+1) kernel representative.  The residuals of the
-    candidate terms X^beta e_q (division normal forms, or jet remainders
-    on branches that are not prenormal) enter one factored span degree by
+    homogeneous degree-(i+1) kernel representative.  The residual columns
+    of the candidate terms X^beta e_q enter one factored span degree by
     degree, until it holds -residual(eta0); the completion is then the
     combination of the kept candidates, the others at 0.
     """
@@ -188,64 +243,42 @@ def complete_generators(
         raise HypothesisError(
             f"kernel completion needs matching levels; found i1={report.i1}, i2={report.i2}"
         )
-    i = report.i1
-    n, p, nb = f.n, f.p, f.num_branches
+    i, p = report.i1, f.p
     ell = f.ell()
     d_max = max_extra_degree if max_extra_degree is not None else 2 * (i + 2) * ell
     d_max = max(d_max, i + 1)
     order = ksmaps.truncation_order(f, i) + d_max
 
-    model = ksmaps.ks_matrix(f, i + 1)
-    kernel = model.kernel_fields(f.target_vars)
+    kernel = ksmaps.ks_matrix(f, i + 1).kernel_fields(f.target_vars)
     expected = ksmaps.min_generators(f, mode="bruteforce", report=report).count
+    for key in [key for key in f._cache if key[0] in ("tower", "ks")]:
+        del f._cache[key]  # the level work is done: free its towers and models
 
-    forms = [f.prenormal(j) for j in range(nb)]
-    # the lift condition decouples: one column block per branch, interleaved
-    # so that columns still ascend with the monomial degree
-    tspans = [None if form else f.tangent_span(j, order) for j, form in enumerate(forms)]
-    trunc = [None if form else order for form in forms]
-
-    def residual(pulls: list) -> dict:
-        """Residual columns of a field from its pullback on every branch."""
-        out = {}
-        for j, v in enumerate(pulls):
-            if forms[j] is not None:
-                for q, comp in enumerate(forms[j].normal_form(v)[0]):
-                    for m, c in comp.terms.items():
-                        out[(_mono_rank(m) * p + q) * nb + j] = c
-            else:
-                for k, c in tspans[j].reduce_full(modules.vector_to_row(v, p, order)).items():
-                    out[k * nb + j] = c
-        return out
-
-    pullbacks = [monomial_pullbacks(b.components, t) for b, t in zip(f.branches, trunc)]
-
-    zero = Polynomial.zero(n)
+    column = _residual_columns(f, order)
     span = linalg.FactoredSpan()  # kept candidates are independent: completions are unique
-    candidates: list[tuple[int, tuple]] = []  # tag -> (q, beta)
+    candidates: list[tuple[int, tuple, int]] = []  # tag -> (q, beta, scale of its column)
     generators = []
     d_hi = i + 1  # candidates of degree i+2 .. d_hi are in the span
     for eta0 in kernel:
-        r0 = residual([_pullback(eta0, b, t) for b, t in zip(f.branches, trunc)])
+        r0, den = column([(q, beta, -c) for q, comp in enumerate(eta0)
+                          for beta, c in comp.terms.items()])
         while True:
             hits: dict = {}
-            if not span.reduce_full({k: -c for k, c in r0.items()}, hits):
+            if not span.reduce_full(r0, hits):
                 break
             if d_hi >= d_max:
                 raise HypothesisError(
                     f"no polynomial completion of a kernel field within degree {d_max}"
                 )
             d_hi += 1
-            for beta in monomials_of_degree(p, d_hi):
-                pulls = [pulled(beta) for pulled in pullbacks]
-                for q in range(p):
-                    vs = [[zero] * q + [P] + [zero] * (p - q - 1) for P in pulls]
-                    span.add(residual(vs), len(candidates))
-                    candidates.append((q, beta))
+            for beta, q in product(monomials_of_degree(p, d_hi), range(p)):
+                col, s = column([(q, beta, 1)])
+                span.add(col, len(candidates))
+                candidates.append((q, beta, s))
         eta = list(eta0)
-        for tag, c in sorted(span.combination(hits).items()):
-            q, beta = candidates[tag]
-            eta[q] = eta[q] + Polynomial.monomial(p, beta, c)
+        for tag, c in sorted(span.combination(hits, den).items()):
+            q, beta, s = candidates[tag]
+            eta[q] = eta[q] + Polynomial.monomial(p, beta, c * s)
         generators.append(solve_lift(f, tuple(eta), order))
     if len(generators) != expected:
         raise HypothesisError(

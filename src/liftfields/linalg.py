@@ -14,13 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
-
-def exact_div(a, b: int):
-    """a / b exactly: an int when b divides a, else a Fraction."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
+from .poly import exact_div
 
 
 def _clear(row: dict) -> tuple[dict, int]:
@@ -41,20 +36,23 @@ def _to_int_row(row: dict) -> dict:
     return {k: v // g for k, v in ints.items()} if g > 1 else ints
 
 
-def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> tuple[dict, int]:
-    """Fraction-free elimination: (lead_p*row - lead_r*prow) / g with g the
-    content of the difference.  Returns the reduced row and g."""
-    out = {k: lead_p * v for k, v in row.items()}
+def _eliminate(row: dict, lead_r: int, prow: dict, lead_p: int) -> dict:
+    """Fraction-free elimination: lead_p*row - lead_r*prow, a new row."""
+    out = {k: lead_p * v for k, v in row.items()} if lead_p != 1 else dict(row)
     for k, v in prow.items():
         s = out.get(k, 0) - lead_r * v
         if s:
             out[k] = s
         else:
             out.pop(k, None)
+    return out
+
+
+def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> dict:
+    """_eliminate, divided by its content."""
+    out = _eliminate(row, lead_r, prow, lead_p)
     g = gcd(*out.values())
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out, g
+    return {k: v // g for k, v in out.items()} if g > 1 else out
 
 
 def _cancel(r: dict, col: int, prow: dict) -> tuple[int, int]:
@@ -97,7 +95,7 @@ class SparseSpan:
             prow = self.rows.get(lead)
             if prow is None:
                 return row
-            row = _combine(row, row[lead], prow, prow[lead])[0]
+            row = _combine(row, row[lead], prow, prow[lead])
         return row
 
     def add(self, row: dict) -> int | None:
@@ -177,10 +175,12 @@ class FactoredSpan(SparseSpan):
             if prow is None:
                 break
             a, b = prow[lead], ints[lead]
-            ints, g = _combine(ints, b, prow, a)
+            ints = _eliminate(ints, b, prow, a)  # its content is divided out once, below
             acc *= a
             steps.append((lead, -b * m, acc))
-            m *= g
+        g = gcd(*ints.values())
+        if g > 1:
+            ints, m = {k: v // g for k, v in ints.items()}, m * g
         d = {j: v * (acc // at) for j, v, at in steps}
         if not ints:
             if dependent is not None:
@@ -242,7 +242,7 @@ class QuotientModel:
                 self.qrows[lead] = (self.dim, r)
                 self.dim += 1
                 return True
-            r = _combine(r, r[lead], hit[1], hit[1][lead])[0]
+            r = _combine(r, r[lead], hit[1], hit[1][lead])
             r = self.base._echelonize(r)
         return False
 

@@ -19,11 +19,12 @@ from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import SparseSpan, exact_div
+from .linalg import SparseSpan
 from .poly import (
     Monomial,
     Polynomial,
     count_monomials_below,
+    exact_div,
     grevlex_key,
     mono_degree,
     mono_div,

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Mapping, Sequence
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -38,8 +39,14 @@ def mono_degree(m: Monomial) -> int:
     return sum(m)
 
 
+def exact_div(a, b: int):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -339,12 +346,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.render([f'x{i}' for i in range(self.nvars)])})"
-
-
-def vec_add(a: Iterable[Polynomial], b: Iterable[Polynomial]) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(a: Iterable[Polynomial], c) -> tuple:
-    return tuple(x.scale(c) for x in a)
-

@@ -148,8 +148,8 @@ class AnalysisReport:
             doc["extra"] = self.extra
         return doc
 
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False) + "\n"
+    def to_json_text(self, doc: Optional[dict] = None) -> str:  # doc: to_json(), if at hand
+        return json.dumps(self.to_json() if doc is None else doc, indent=2) + "\n"
 
     # -- plain-text rendering -------------------------------------------
     def to_text(self) -> str:

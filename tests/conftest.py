@@ -18,6 +18,16 @@ def vfield(texts, names):
     return tuple(poly(t, names) for t in texts)
 
 
+def vec_add(a, b):
+    """Componentwise sum of two vector fields."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_scale(a, c):
+    """A vector field times a constant."""
+    return tuple(x.scale(c) for x in a)
+
+
 def germ(name):
     """A catalog entry's multigerm."""
     return catalog.load(name).to_multigerm()

@@ -200,3 +200,41 @@ def uncached_groebner_basis(gens) -> list[ModElement]:
             basis.append(r)
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     return basis
+
+
+def rational_normal_form(form, v) -> list[Polynomial]:
+    """The division normal form of a pullback v over Q: Weierstrass division
+    of r_h by W = d g_h/dy, each step dividing its leading coefficient by c
+    as a Fraction, with no scale."""
+    jac, y, h, k = form.jac, form.y, form.h, form.k
+    zero = Polynomial.zero(v[0].nvars)
+    taken = {s for s, _ in form.coords}
+    r = {q: v[q] - sum((jac[q][i] * v[s] for s, i in form.coords), zero)
+         for q in range(len(v)) if q not in taken}
+    rem, quot = r.pop(h), zero
+    while rem.terms and max(m[y] for m in rem.terms) >= k:
+        e = max(m[y] for m in rem.terms)
+        lead = Polynomial(rem.nvars, {m[:y] + (e - k,) + m[y + 1:]: Fraction(c) / form.c
+                                      for m, c in rem.terms.items() if m[y] == e})
+        quot, rem = quot + lead, rem - lead * jac[h][y]
+    nf = [zero] * len(v)
+    nf[h] = rem
+    for q, rq in r.items():
+        nf[q] = rq - quot * jac[q][y]
+    return nf
+
+
+def residual_column(f, q: int, beta: tuple, rank) -> dict:
+    """The residual column of the candidate X^beta e_q on a germ whose
+    branches are all prenormal, as kernel completion used to build it: the
+    full pullback X^beta∘f_j by Polynomial.substitute on every branch, then
+    its rational division normal form; ``rank`` numbers the source
+    monomials."""
+    out = {}
+    for j, b in enumerate(f.branches):
+        v = [Polynomial.zero(f.n)] * f.p
+        v[q] = Polynomial.monomial(f.p, beta).substitute(list(b.components))
+        for slot, comp in enumerate(rational_normal_form(f.prenormal(j), v)):
+            for m, c in comp.terms.items():
+                out[(rank(m) * f.p + slot) * f.num_branches + j] = c
+    return out

@@ -26,9 +26,8 @@ from liftfields import (
     transport,
     verify_certificate,
 )
-from liftfields.poly import Polynomial, vec_add, vec_scale
 
-from conftest import germ, poly, vfield
+from conftest import germ, poly, vec_scale, vfield
 
 CERT = 12
 

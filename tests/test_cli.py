@@ -127,6 +127,42 @@ def test_public_names_resolve_to_their_layers():
                            "liftfields.lift", "liftfields.poly"]
 
 
+UNSTABLE_UNFOLDING = """germ unstable {
+  n = 1; p = 2; target (Y, U);
+  branch a(y) = (y^2, 0);
+  unfolding at 1 { target (X, Y, U); branch a(y, t) = (t, y^2, 0); }
+}
+"""
+
+
+def test_hypothesis_exit_does_not_compile_lift(tmp_path):
+    # NotLiftableError lives in germs beside the other exit-1 errors, so the
+    # handler that catches them compiles no layer the command did not run
+    path = tmp_path / "unstable.germ"
+    path.write_text(UNSTABLE_UNFOLDING)
+    out = _fresh_interpreter(
+        "import sys, types\n"
+        "import liftfields\n"
+        "from liftfields import cli, germs\n"
+        f"print(cli.main(['unfold', {str(path)!r}]))\n"
+        "print(type(sys.modules['liftfields.lift']) is types.ModuleType)\n"
+        "print(liftfields.NotLiftableError is germs.NotLiftableError"
+        " is liftfields.lift.NotLiftableError)\n"
+    )
+    assert out.split() == ["1", "False", "True"]
+
+
+def test_json_report_is_built_once(capsys, monkeypatch):
+    # the dict that is validated is the one written, rendered as before
+    built = []
+    to_json = AnalysisReport.to_json
+    monkeypatch.setattr(AnalysisReport, "to_json",
+                        lambda self: built.append(self) or to_json(self))
+    code, out, _ = run(["kernel", "rieger-ruas", "--level", "2", "--json"], capsys)
+    assert code == 0 and len(built) == 1
+    assert out == built[0].to_json_text() == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 SHARED_OPTIONS = ["-h", "--help", "--max-i", "--max-degree", "--cert-order", "--json", "--mode"]
 OWN_OPTIONS = {"kernel": ["--level"], "check": ["--fields"], "transport": ["--fields"],
                "catalog": ["--run-all"]}

@@ -24,7 +24,7 @@ from liftfields import (
     transport,
     verify_certificate,
 )
-from liftfields import catalog, cli, germs, lift, linalg, modules
+from liftfields import catalog, cli, division, germs, lift, linalg, modules
 from liftfields import poly as poly_module
 from liftfields.germs import Branch, HypothesisError, MultiGerm
 from liftfields.linalg import solve_sparse
@@ -33,12 +33,11 @@ from liftfields.poly import (
     mono_index_map,
     monomials_below,
     monomials_of_degree,
-    vec_add,
-    vec_scale,
 )
 
-from conftest import germ, monogerm, poly, vfield
-from oracles import greedy_nakayama_minimize, polynomial_module_jet_span, uncached_groebner_basis
+from conftest import germ, monogerm, poly, vec_add, vec_scale, vfield
+from oracles import (greedy_nakayama_minimize, polynomial_module_jet_span, residual_column,
+                     uncached_groebner_basis)
 
 CERT = 12
 
@@ -517,11 +516,9 @@ def test_division_verdicts_match_jets(catalog_docs):
             forms = [target.prenormal(j) for j in range(target.num_branches)]
             assert None not in forms, name
             for vf in block.fields:
-                normal = [
-                    form.normal_form(lift._pullback(vf, b, None))
-                    for form, b in zip(forms, target.branches)
-                ]
-                divides = not any(any(nf) for nf, _ in normal)
+                normal = [form.normal_form(lift._pullback(target, j, vf, None))
+                          for j, form in enumerate(forms)]
+                divides = not any(any(nf) for nf, _, _ in normal)
                 with _jet_only():
                     try:
                         cert = solve_lift(target, vf, CERT)
@@ -532,9 +529,10 @@ def test_division_verdicts_match_jets(catalog_docs):
                     obstructed += 1
                     continue
                 liftable += 1
+                lifts = tuple(tuple(x.scale(Fraction(1, s)) for x in xi) for _, xi, s in normal)
                 if cert.exact:
-                    assert cert.lifts == tuple(xi for _, xi in normal), (name, block.name)
-                assert solve_lift(target, vf, CERT).lifts == tuple(xi for _, xi in normal)
+                    assert cert.lifts == lifts, (name, block.name)
+                assert solve_lift(target, vf, CERT).lifts == lifts
     assert liftable > 50 and obstructed >= 1
 
 
@@ -590,17 +588,120 @@ def test_completion_division_matches_jets(drawn):
 
 
 def test_division_by_a_leading_constant_is_exact():
-    # d/dy (y^3 + x*y) = 3*y^2 + x: dividing y^2 by it leaves quotient 1/3
-    # and remainder -x/3, exactly (a float 1/3 would be
-    # 6004799503160661/18014398509481984)
+    # d/dy (y^3 + x*y) = 3*y^2 + x: y^2 is divided in integers as 3*y^2,
+    # with quotient 1 and remainder -x, so y^2 = 1/3*(3*y^2 + x) - x/3
+    # exactly (a float 1/3 would be 6004799503160661/18014398509481984)
     f = monogerm(["x", "y^3 + x*y"], ("x", "y"), ("X", "Y"))
     form = f.prenormal(0)
     assert (form.k, form.c) == (2, 3)
-    quot, rem = form.divide(poly("y^2", ("x", "y")))
-    assert quot == Polynomial.constant(2, Fraction(1, 3))
-    assert rem == poly("-1/3*x", ("x", "y"))
+    quot, rem, scale = form.divide(poly("y^2", ("x", "y")))
+    assert (quot, rem, scale) == (Polynomial.constant(2, 1), poly("-x", ("x", "y")), 3)
     cert = solve_lift(f, vfield(["2/3*X", "Y"], ("X", "Y")), CERT)  # the Euler field / 3
     assert cert.exact and cert.lifts == (vfield(["2/3*x", "1/3*y"], ("x", "y")),)
+
+
+@st.composite
+def _prenormal_germs(draw):
+    """Germs of 1-3 prenormal branches (x_1..x_{n-1}, c*y^a + sum x_i*y^e_i)
+    in n <= 3 variables, with one more slot y^(a+1) + x_1*y when p = n + 1,
+    each branch with its own c, exponents and order of slots, so that the
+    coordinate slots and the division scales differ from branch to branch."""
+    n = draw(st.integers(1, 3))
+    p = n + draw(st.integers(0, 1))
+    xs = [f"x{i}" for i in range(1, n)]
+    branches = []
+    for label in "abc"[:draw(st.integers(1, 3))]:
+        c, a = draw(st.sampled_from([1, 2, 3, -2])), draw(st.integers(2, 4))
+        h = f"{c}*y^{a}" + "".join(f" + {x}*y^{draw(st.integers(1, a - 1))}" for x in xs
+                                   if draw(st.booleans()))
+        comps = xs + [h] + [f"y^{a + 1}" + (f" + {xs[0]}*y" if xs else "")] * (p - n)
+        comps = draw(st.permutations(comps))
+        branches.append(Branch(label, (*xs, "y"), tuple(poly(t, (*xs, "y")) for t in comps)))
+    return MultiGerm(branches)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_prenormal_germs(), st.data())
+def test_shifted_columns_match_full_normal_forms(f, data):
+    """Each candidate column, shifted from that of its non-coordinate part
+    and divided in integers, is its scale times the rational normal form of
+    the full pullback, on every branch; so is a seed's combined column."""
+    assert None not in map(f.prenormal, range(f.num_branches))
+    column = lift._residual_columns(f, 0)  # no jet order: every branch divides
+    want = {}
+    for d in range(4):
+        for beta in monomials_of_degree(f.p, d):
+            for q in range(f.p):
+                col, s = column([(q, beta, 1)])
+                want[q, beta] = residual_column(f, q, beta, lift._mono_rank)
+                assert type(s) is int and {type(c) for c in col.values()} <= {int}
+                assert col == {k: s * c for k, c in want[q, beta].items()}, (q, beta)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(sorted(want)),
+                                         st.sampled_from([1, -3, Fraction(1, 2)])),
+                               min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    col, s = column([(q, beta, c) for (q, beta), c in terms])
+    total: dict = {}
+    for key, c in terms:
+        for k, v in want[key].items():
+            total[k] = total.get(k, 0) + c * v
+    assert {k: v for k, v in col.items() if v} == {k: s * v for k, v in total.items() if v}
+
+
+def test_pullback_memo_matches_substitute(catalog_docs):
+    """The memoized, shifted pullback of every catalog fields block, and of
+    every target monomial of degree <= 3 (trigerm's (x, x) has two slots
+    on one variable), equals Polynomial.substitute on each branch, in full
+    and truncated."""
+    checked = 0
+    for doc in catalog_docs.values():
+        f = doc.to_multigerm()
+        if f.n > f.p:
+            f = reduce_to_core(f)
+        F = doc.to_unfolding_spec().F if doc.unfolding is not None else None
+        monomials = [(Polynomial.monomial(f.p, m),) for d in range(4)
+                     for m in monomials_of_degree(f.p, d)]
+        for block in [*doc.fields.values(), None]:
+            target = F if block and block.over_unfolding else f
+            for vf in block.fields if block else monomials:
+                for j, b in enumerate(target.branches):
+                    for order in (None, 5):
+                        assert lift._pullback(target, j, vf, order) == [
+                            c.substitute(list(b.components), order) for c in vf]
+                checked += 1
+    assert checked > 400
+
+
+def test_completion_divides_once_per_branch_monomial_and_slot(monkeypatch):
+    """rieger-ruas at degree 4: the 525 candidates X^beta e_q of degrees 3
+    and 4 and the 17 seeds read their columns off 75 normal forms, one per
+    Y^b e_q with Y^b of degree <= 4 in the two non-coordinate slots; then
+    solve_lift divides once per generator, and nothing is substituted."""
+    f = germ("rieger-ruas")
+    calls, lifting = {"completion": 0, "solve_lift": 0, "substitute": 0}, []
+    normal_form, solve, substitute = (division.PrenormalForm.normal_form, lift.solve_lift,
+                                      Polynomial.substitute)
+
+    def counting_normal_form(self, v):
+        calls["solve_lift" if lifting else "completion"] += 1
+        return normal_form(self, v)
+
+    def counting_solve(*args):
+        lifting.append(True)
+        try:
+            return solve(*args)
+        finally:
+            lifting.pop()
+
+    def counting_substitute(*args, **kwargs):
+        calls["substitute"] += 1
+        return substitute(*args, **kwargs)
+
+    monkeypatch.setattr(division.PrenormalForm, "normal_form", counting_normal_form)
+    monkeypatch.setattr(lift, "solve_lift", counting_solve)
+    monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
+    mod = complete_generators(f, max_extra_degree=4)
+    assert mod.count == 17 and all(c.exact for c in mod.generators)
+    assert calls == {"completion": 15 * 5, "solve_lift": 17, "substitute": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,17 @@ def test_compare_reports_tree_against_itself():
     assert proc.stdout.splitlines()[-1] == "13 commands, 0 differ"
 
 
+def test_compare_reports_one_workload_over_a_seed_range():
+    # construct's smoke command for seeds 1 and 2, and no help runs
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "compare_reports.py"), ROOT, ROOT,
+         "--seeds", "1-2", "--workload", "construct", "--smoke"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "2 commands, 0 differ"
+
+
 def test_compare_reports_flags_differences(monkeypatch, capsys):
     path = os.path.join(ROOT, "scripts", "compare_reports.py")
     spec = importlib.util.spec_from_file_location("compare_reports", path)
@@ -42,6 +53,7 @@ def test_compare_reports_flags_differences(monkeypatch, capsys):
     spec.loader.exec_module(mod)
     assert mod._strip_timings({"timings": {"kernel": 0.1}, "runs": [{"timings": {}, "rc": 0}]}) \
         == {"runs": [{"rc": 0}]}
+    assert (mod.seed_list("3"), mod.seed_list("1-4")) == ([3], [1, 2, 3, 4])
     monkeypatch.setattr(mod, "commands", lambda *a: [("levels", 1, ["analyze", "e0"])])
     reports = {"/a": (0, {"count": 4}, ""), "/b": (0, {"count": 4}, "")}
     monkeypatch.setattr(mod, "run_command", lambda tree, argv, cwd: reports[tree])
