@@ -301,11 +301,9 @@ class MultiGerm:
                         col[q * cmap.dim + idx] = v
                 columns.append(col)
         rank_span = linalg.SparseSpan()
-        rank = 0
         for col in columns:
-            if rank_span.add(col) is not None:
-                rank += 1
-        igamma = len(columns) - rank
+            rank_span.add(col)
+        igamma = len(columns) - rank_span.dim
         self._cache[key] = (idelta, igamma)
         return idelta, igamma
 

@@ -25,14 +25,16 @@ column's quotient class is computed once (ScalarClassMap.classes), and a
 tangent row is the sum of the classes of its Jacobian terms (multipliers
 whose class is zero give none).  Candidate and pullback rows are reduced
 to their branch's quotient coordinates once, then placed in every target
-direction.  All of these rows are integer.  A column's quotient
-coordinates come from fraction-free elimination with one exact division
-per entry.  The columns are factored once, left to right, with a
-fraction-free FactoredSpan: the rank is the factor's dimension, and each
-dependent column c gives the kernel vector e_c minus its combination of the
-independent columns before it (read off the relation found when c was
-added), which is the reduced-echelon kernel basis.  Models are kept in the
-germ's cache, so each level is built once.
+direction.  All of these rows are integer.  The generators of A_i that
+enlarge the tangent span are added to it as the quotient basis, and a
+column's quotient coordinates are the factors of those rows in its full
+reduction over that span, one exact division per entry.  The columns are
+factored once, left to right, with a fraction-free FactoredSpan: the rank
+is the factor's dimension, and each dependent column c gives the kernel
+vector e_c minus its combination of the independent columns before it
+(read off the relation found when c was added), which is the
+reduced-echelon kernel basis.  Models are kept in the germ's cache, so
+each level is built once.
 """
 
 from __future__ import annotations

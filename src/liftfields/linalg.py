@@ -1,13 +1,15 @@
 """Exact sparse linear algebra over Q.
 
 Rows are dicts ``column -> coefficient``, each coefficient an int or a
-Fraction.  Echelon spans keep integer, content-free rows and eliminate
-fraction-free (cross-multiply, divide by the gcd), which keeps intermediate
-coefficients small.  Reductions that must report rational values (normal
-forms, quotient coordinates, combinations) also stay in integers: they
-carry one common scale and divide by it once per output entry.  The leading
-entry of a row is its *smallest* column index, so with columns ordered by
-ascending monomial degree the pivots sit at low jet degrees.
+Fraction.  The leading entry of a row is its *smallest* column index, so
+with columns ordered by ascending monomial degree the pivots sit at low
+jet degrees.  Spans, factors and quotient models all reduce through one
+loop, ``SparseSpan._reduce``: it cancels the entries of an integer row r on
+pivot columns in place with the least multipliers (r <- s*r - t*prow,
+s > 0), keeping ``scale * row = sum(t * (scale // at) * rows[pivot]) + r``
+with ``at`` the scale right after that pivot.  A row that stays nonzero is
+kept content-free with a positive lead, so it is fixed by its line; a
+rational result is divided by the scale once per output entry.
 """
 
 from __future__ import annotations
@@ -27,32 +29,6 @@ def _clear(row: dict) -> tuple[dict, int]:
     except TypeError:
         den = lcm(*(c.denominator for c in row.values()))
         return {k: c.numerator * (den // c.denominator) for k, c in row.items() if c}, den
-
-
-def _to_int_row(row: dict) -> dict:
-    """Clear denominators and divide by the content.  Returns {col: int}."""
-    ints = _clear(row)[0]
-    g = gcd(*ints.values())
-    return {k: v // g for k, v in ints.items()} if g > 1 else ints
-
-
-def _eliminate(row: dict, lead_r: int, prow: dict, lead_p: int) -> dict:
-    """Fraction-free elimination: lead_p*row - lead_r*prow, a new row."""
-    out = {k: lead_p * v for k, v in row.items()} if lead_p != 1 else dict(row)
-    for k, v in prow.items():
-        s = out.get(k, 0) - lead_r * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _combine(row: dict, lead_r: int, prow: dict, lead_p: int) -> dict:
-    """_eliminate, divided by its content."""
-    out = _eliminate(row, lead_r, prow, lead_p)
-    g = gcd(*out.values())
-    return {k: v // g for k, v in out.items()} if g > 1 else out
 
 
 def _cancel(r: dict, col: int, prow: dict) -> tuple[int, int]:
@@ -81,38 +57,53 @@ class SparseSpan:
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: dict[int, dict] = {}  # pivot column -> integer row
+        self.rows: dict[int, dict] = {}  # pivot column -> content-free integer row, lead > 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _echelonize(self, row: dict) -> dict:
-        """Cancel leading entries against existing pivots until the leading
-        column is free (or the row vanishes)."""
-        while row:
-            lead = min(row)
-            prow = self.rows.get(lead)
-            if prow is None:
-                return row
-            row = _combine(row, row[lead], prow, prow[lead])
-        return row
+    def _reduce(self, r: dict, full: bool = False, scale: int = 1) -> tuple[int, list]:
+        """Cancel the integer row r against the pivot rows, in place: its
+        leading entries, or with ``full`` every entry on a pivot column.
+        If scale * row = r on entry, then on return scale * row =
+        sum(t * (scale // at) * rows[pivot]) + r over the returned steps
+        (pivot, t, at); each pivot is cancelled at most once."""
+        rows, steps = self.rows, []
+        while r:
+            hit = min(r)
+            if full and hit not in rows:  # the least pivot column r has
+                hit = min((k for k in r if k in rows), default=None)
+            if hit not in rows:
+                break
+            s, t = _cancel(r, hit, rows[hit])
+            scale *= s
+            steps.append((hit, t, scale))
+        return scale, steps
+
+    def _store(self, r: dict) -> tuple[int, int]:
+        """Keep the nonzero integer row r as rows[lead] = r / g, content-free
+        with a positive lead.  Returns (lead, g)."""
+        lead = min(r)
+        g = gcd(*r.values())
+        if r[lead] < 0:
+            g = -g
+        if g != 1:
+            for k in r:
+                r[k] //= g
+        self.rows[lead] = r
+        return lead, g
 
     def add(self, row: dict) -> int | None:
         """Insert a row; returns the new pivot column, or None if dependent."""
-        row = self._echelonize(_to_int_row(row))
-        if not row:
-            return None
-        lead = min(row)
-        self.rows[lead] = row
-        return lead
+        r = _clear(row)[0]
+        self._reduce(r)
+        return self._store(r)[0] if r else None
 
     def contains(self, row: dict) -> bool:
-        return not self._echelonize(_to_int_row(row))
-
-    def residual(self, row: dict) -> dict:
-        """Leading-term reduction of ``row`` modulo the span (integer row)."""
-        return self._echelonize(_to_int_row(row))
+        r = _clear(row)[0]
+        self._reduce(r)
+        return not r
 
     def reduce_full(self, row: dict, hits: dict | None = None) -> dict:
         """Canonical normal form modulo the span: eliminate *every* entry
@@ -120,15 +111,8 @@ class SparseSpan:
         supported on non-pivot columns only and depends linearly on the
         input.  Returns a rational row.  When ``hits`` is given it receives
         pivot -> factor with row = sum(factor * rows[pivot]) + result."""
-        r, scale = _clear(row)  # scale * row = sum(...) + r throughout
-        steps = []
-        while True:
-            hit = min((k for k in r if k in self.rows), default=None)
-            if hit is None:
-                break
-            s, t = _cancel(r, hit, self.rows[hit])
-            scale *= s
-            steps.append((hit, t, scale))
+        r, den = _clear(row)
+        scale, steps = self._reduce(r, True, den)
         if hits is not None:
             for hit, t, at in steps:
                 hits[hit] = exact_div(t * (scale // at), scale)
@@ -138,9 +122,6 @@ class SparseSpan:
         """Fast path for a standard basis vector known to be new."""
         if col not in self.rows:
             self.rows[col] = {col: 1}
-
-    def basis_rows(self) -> list[dict]:
-        return [self.rows[p] for p in sorted(self.rows)]
 
 
 class FactoredSpan(SparseSpan):
@@ -165,29 +146,15 @@ class FactoredSpan(SparseSpan):
         column, or None if the vector is dependent (and dropped).  A
         dependent vector v is appended to ``dependent``, when given, as
         (tag, d, c) with v = -sum(d_j * rows[j]) / c."""
-        ints = _to_int_row(row)
-        k = next(iter(ints), None)
-        m, c = (1, 1) if k is None else (row[k].numerator, row[k].denominator * ints[k])
-        steps, acc = [], 1  # acc: the product of the multipliers of row
-        while ints:
-            lead = min(ints)
-            prow = self.rows.get(lead)
-            if prow is None:
-                break
-            a, b = prow[lead], ints[lead]
-            ints = _eliminate(ints, b, prow, a)  # its content is divided out once, below
-            acc *= a
-            steps.append((lead, -b * m, acc))
-        g = gcd(*ints.values())
-        if g > 1:
-            ints, m = {k: v // g for k, v in ints.items()}, m * g
-        d = {j: v * (acc // at) for j, v, at in steps}
-        if not ints:
+        r, den = _clear(row)
+        scale, steps = self._reduce(r)
+        d = {j: -t * (scale // at) for j, t, at in steps}  # r = scale * den * v + sum(d_j * rows[j])
+        if not r:
             if dependent is not None:
-                dependent.append((tag, d, c * acc))
+                dependent.append((tag, d, scale * den))
             return None
-        self.rows[lead] = ints
-        self.factor.append((lead, tag, m, c * acc, d))
+        lead, g = self._store(r)
+        self.factor.append((lead, tag, g, scale * den, d))
         return lead
 
     def combination(self, hits: dict, den: int = 1) -> dict:
@@ -221,54 +188,38 @@ class FactoredSpan(SparseSpan):
 class QuotientModel:
     """Coordinates on span(base + extra) / span(base).
 
-    Built by feeding candidate vectors through :meth:`extend`; each vector
-    that enlarges the span becomes one quotient basis element.  ``coords``
-    maps any vector of base + <quotient basis> to its exact rational
-    coordinate tuple.
+    :meth:`extend` adds candidate vectors to the base span itself; each one
+    that enlarges it becomes one quotient basis element, known by its
+    pivot.  ``coords`` maps any vector of the enlarged span to its exact
+    rational coordinate tuple.
     """
 
     def __init__(self, base: SparseSpan):
-        self.base = base
-        self.qrows: dict[int, tuple[int, dict]] = {}  # pivot -> (basis index, row)
-        self.dim = 0
+        self.span = base
+        self.index: dict[int, int] = {}  # pivot of a quotient basis row -> basis index
+
+    @property
+    def dim(self) -> int:
+        return len(self.index)
 
     def extend(self, row: dict) -> bool:
         """Try to add a vector class; True if it enlarged the quotient."""
-        r = self.base._echelonize(_to_int_row(row))
-        while r:
-            lead = min(r)
-            hit = self.qrows.get(lead)
-            if hit is None:
-                self.qrows[lead] = (self.dim, r)
-                self.dim += 1
-                return True
-            r = _combine(r, r[lead], hit[1], hit[1][lead])
-            r = self.base._echelonize(r)
-        return False
+        lead = self.span.add(row)
+        if lead is not None:
+            self.index[lead] = len(self.index)
+        return lead is not None
 
     def coords(self, row: dict) -> list | None:
         """Coordinates of [row] in the quotient basis; None if the vector is
-        not in base + <quotient basis>.  Fraction-free: leading entries are
-        cancelled against base and basis rows with the least multipliers,
-        keeping scale * row = (base rows) + sum(a_i * basis row i) + r, and
-        the coordinates are a_i / scale."""
-        r, scale = _clear(row)
-        steps = []
-        while r:
-            lead = min(r)
-            prow = self.base.rows.get(lead)
-            idx = None
-            if prow is None:
-                if lead not in self.qrows:
-                    return None
-                idx, prow = self.qrows[lead]
-            s, t = _cancel(r, lead, prow)
-            scale *= s
-            if idx is not None:
-                steps.append((idx, t, scale))
+        not in base + <quotient basis>.  They are the factors of the basis
+        rows in the full reduction of row, the unique expression of a
+        vector of the span over its rows."""
+        hits: dict = {}
+        if self.span.reduce_full(row, hits):
+            return None
         out = [0] * self.dim
-        for idx, t, at in steps:
-            out[idx] = exact_div(t * (scale // at), scale)
+        for pivot in hits.keys() & self.index.keys():
+            out[self.index[pivot]] = hits[pivot]
         return out
 
 

@@ -160,11 +160,6 @@ def groebner_basis(gens: Sequence[ModElement]) -> list[ModElement]:
     return basis
 
 
-def module_membership(v: ModElement, basis: Sequence[ModElement]) -> bool:
-    """Exact membership in the submodule generated by a Groebner basis."""
-    return normal_form(v, basis).is_zero()
-
-
 def syzygy_basis(gens: Sequence[Polynomial]) -> list[tuple[Polynomial, ...]]:
     """Generators of the syzygy module {(a_1..a_m) : sum a_i g_i = 0}.
 

@@ -16,6 +16,7 @@ from liftfields.linalg import SparseSpan, dense_rref
 from liftfields.modules import (
     ModElement,
     _term_key,
+    normal_form,
     poly_to_scalar_row,
     span_contains,
     vector_to_row,
@@ -75,6 +76,16 @@ def dense_kernel_fields(model, target_vars) -> list[tuple[Polynomial, ...]]:
     return out
 
 
+def basis_rows(span: SparseSpan) -> list[dict]:
+    """The span's echelon rows in ascending pivot order."""
+    return [span.rows[p] for p in sorted(span.rows)]
+
+
+def module_membership(v: ModElement, basis) -> bool:
+    """Exact membership in the submodule generated by a Groebner basis."""
+    return normal_form(v, basis).is_zero()
+
+
 def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]:
     """Jet spans F(0..kmax) of the powers of the ideal (gens), built with
     Polynomial products: F(1) from monomial multiples of the generators,
@@ -101,7 +112,7 @@ def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]
         else:
             basis = [
                 Polynomial(nv, {monos[c]: Fraction(v) for c, v in row.items()})
-                for row in spans[k - 1].basis_rows()
+                for row in basis_rows(spans[k - 1])
             ]
             for g in gens:
                 for b in basis:
@@ -137,7 +148,7 @@ def greedy_nakayama_minimize(fields, rank: int, cert_order: int) -> list[tuple]:
         for idx in range(len(kept)):
             others = [h for t, h in enumerate(kept) if t != idx]
             span = polynomial_module_jet_span(others, rank, rank, cert_order)
-            for row in positive.basis_rows():
+            for row in basis_rows(positive):
                 span.add(dict(row))
             if span_contains(span, kept[idx], rank, cert_order):
                 kept.pop(idx)

@@ -1,12 +1,14 @@
 """Exact sparse/dense linear algebra: ranks, solving, kernels."""
 
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from liftfields.linalg import (
     FactoredSpan,
+    QuotientModel,
     SparseSpan,
     dense_rref,
     matrix_rank,
@@ -42,7 +44,7 @@ def test_sparse_span_contains_and_residual():
     span.add({0: Fraction(1), 1: Fraction(1)})
     assert span.contains({0: Fraction(2), 1: Fraction(2)})
     assert not span.contains({0: Fraction(1)})
-    res = span.residual({0: Fraction(1), 2: Fraction(3)})
+    res = span.reduce_full({0: Fraction(1), 2: Fraction(3)})
     assert res and 2 in res
 
 
@@ -131,3 +133,70 @@ def test_factored_span_matches_solve_sparse(vectors, x):
     equations = [{u: v[k] for u, v in enumerate(vectors) if v[k]} for k in range(4)]
     want = solve_sparse(equations, b, len(vectors))
     assert [got.get(u, 0) for u in range(len(vectors))] == want
+
+
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+vectors = st.lists(st.lists(fractions, min_size=5, max_size=5), max_size=7)
+
+
+def _lin(pairs):
+    """sum(a * row) over (a, row) pairs, as a dict without zeros."""
+    out = {}
+    for a, row in pairs:
+        for k, c in row.items():
+            out[k] = out.get(k, 0) + a * c
+    return {k: c for k, c in out.items() if c}
+
+
+@given(vectors)
+@settings(max_examples=60, deadline=None)
+def test_stored_rows_and_factor_relations(vecs):
+    """Kept rows are content-free integer rows with a positive lead; every
+    factor entry and every dependent relation holds exactly."""
+    inputs = _to_rows(vecs)
+    plain, factored, dependent = SparseSpan(), FactoredSpan(), []
+    for u, v in enumerate(inputs):
+        plain.add(v)
+        factored.add(v, u, dependent)
+    for span in (plain, factored):
+        assert span.dim == matrix_rank(vecs)
+        for pivot, row in span.rows.items():
+            assert pivot == min(row) and row[pivot] > 0
+            assert all(type(c) is int for c in row.values())
+            assert gcd(*row.values()) == 1
+    rows = factored.rows
+    assert sorted(lead for lead, *_ in factored.factor) == sorted(rows)
+    for lead, tag, m, c, d in factored.factor:
+        rhs = [(c, inputs[tag])] + [(dj, rows[j]) for j, dj in d.items()]
+        assert _lin([(m, rows[lead])]) == _lin(rhs)
+    assert len(dependent) == len(vecs) - factored.dim
+    for tag, d, c in dependent:
+        assert inputs[tag] == _lin([(Fraction(-dj, c), rows[j]) for j, dj in d.items()])
+
+
+@given(vectors, vectors, st.lists(fractions, min_size=5, max_size=5),
+       st.lists(st.integers(-3, 3), min_size=14, max_size=14))
+@settings(max_examples=60, deadline=None)
+def test_quotient_model_matches_dense_rank(base, extras, probe, a):
+    """QuotientModel against the dense rank: coordinates exist exactly on
+    span(base + extras), vanish on the base, are linear, and the kept
+    extras' coordinates have full rank."""
+    b_rows, e_rows = _to_rows(base), _to_rows(extras)
+    span = SparseSpan()
+    for v in b_rows:
+        span.add(v)
+    qm = QuotientModel(span)
+    kept = [v for v in e_rows if qm.extend(v)]
+    rank_all = matrix_rank(base + extras)
+    assert qm.dim == rank_all - matrix_rank(base)
+    outside = matrix_rank(base + extras + [probe]) > rank_all
+    assert (qm.coords(_to_rows([probe])[0]) is None) == outside
+    for v in b_rows:
+        assert qm.coords(v) == [0] * qm.dim
+    pairs = list(zip(a, b_rows + e_rows))
+    parts = [qm.coords(v) for _, v in pairs]
+    assert qm.coords(_lin(pairs)) == [sum(c * x[i] for (c, _), x in zip(pairs, parts))
+                                      for i in range(qm.dim)]
+    assert len(kept) == qm.dim
+    if kept:
+        assert matrix_rank([qm.coords(v) for v in kept]) == qm.dim

@@ -14,7 +14,6 @@ from liftfields.modules import (
     groebner_basis,
     jet_span,
     module_jet_span,
-    module_membership,
     normal_form,
     poly_to_scalar_row,
     scalar_multiples_span,
@@ -25,7 +24,7 @@ from liftfields import reduce_to_core, truncation_order
 from liftfields.poly import Polynomial, count_monomials_below, monomials_below
 
 from conftest import poly
-from oracles import polynomial_module_jet_span, polynomial_tower_spans
+from oracles import module_membership, polynomial_module_jet_span, polynomial_tower_spans
 
 XY = ("x", "y")
 
