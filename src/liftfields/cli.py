@@ -169,7 +169,6 @@ def _cmd_unfold(doc, cfg: ReportConfig) -> AnalysisReport:
     spec = doc.to_unfolding_spec()
     if not ksmaps.classify_stable(spec.F).stable:
         raise HypothesisError("unfolding not stable")
-    spec.stable_certified = True
     lift_F = None
     block = doc.fields.get("liftF")
     if block is not None and block.over_unfolding:

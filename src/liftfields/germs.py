@@ -5,13 +5,18 @@ A multigerm is a finite family of polynomial map branches (K^n, s_j) ->
 gamma, the higher-order versions of both (by closed formula and by direct
 jet elimination), the quadratic-suspension reduction for n > p, and
 one-parameter stable unfoldings.
+
+Each jet object derived from a germ (ideal spans, delta, ell, towers, class
+maps, prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models)
+has one builder under ``cached(kind)``, so it is built once per germ and arguments.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import division, ksmaps, linalg, modules
 from .poly import (
@@ -19,26 +24,26 @@ from .poly import (
     count_monomials_below,
     mono_index_map,
     mono_mul,
+    monomial_pullbacks,
     monomials_below,
     monomials_of_degree,
 )
 
-DEFAULT_ORDER_CAP = 24
+ORDER_CAP = 24  # the largest jet order delta and ell are searched to
 
 
-def monomial_pullbacks(components: Sequence[Polynomial], order: Optional[int]):
-    """beta -> X^beta∘(components) truncated at ``order`` (None: not at all),
-    each one product with the memoized pullback of degree one lower."""
-    memo = {(0,) * len(components): Polynomial.constant(components[0].nvars, 1)}
-
-    def pulled(beta: tuple) -> Polynomial:
-        if beta not in memo:
-            r = max(q for q, e in enumerate(beta) if e)
-            lower = beta[:r] + (beta[r] - 1,) + beta[r + 1:]
-            memo[beta] = (pulled(lower) * components[r]).truncate(order)
-        return memo[beta]
-
-    return pulled
+def cached(kind: str):
+    """Decorate a MultiGerm method (or a function of a germ): the result for
+    (kind, *args) is built once and kept in the germ's ``_cache``."""
+    def decorate(build):
+        @wraps(build)
+        def get(f, *args):
+            key = (kind, *args)
+            if key not in f._cache:
+                f._cache[key] = build(f, *args)
+            return f._cache[key]
+        return get
+    return decorate
 
 
 class NotFiniteMultiplicityError(ValueError):
@@ -144,70 +149,77 @@ class MultiGerm:
         return max(b.corank() for b in self.branches)
 
     # -- delta and the Nakayama exponent --------------------------------
-    def branch_delta(self, j: int, cap: int = DEFAULT_ORDER_CAP) -> tuple[int, int]:
+    @cached("ideal")
+    def _ideal_span(self, j: int, order: int) -> linalg.SparseSpan:
+        """Jet span below ``order`` of branch j's pullback ideal."""
+        b = self.branches[j]
+        return modules.module_jet_span([(c,) for c in b.components], 1, b.n, order)
+
+    @cached("bdelta")
+    def branch_delta(self, j: int) -> tuple[int, int]:
         """(delta(f_j), stabilized jet order).  Stabilization requires the
         quotient dimension to repeat for two consecutive truncation orders."""
-        key = ("bdelta", j, cap)
-        if key in self._cache:
-            return self._cache[key]
         b = self.branches[j]
         prev = None
-        for order in range(2, cap + 1):
-            span = modules.scalar_multiples_span(list(b.components), order)
-            codim = count_monomials_below(b.n, order) - span.dim
+        for order in range(2, ORDER_CAP + 1):
+            codim = count_monomials_below(b.n, order) - self._ideal_span(j, order).dim
             if prev is not None and codim == prev:
-                self._cache[key] = (codim, order)
                 return codim, order
             prev = codim
         raise NotFiniteMultiplicityError(
-            f"branch {b.label!r}: multiplicity not finite up to jet order {cap}"
+            f"branch {b.label!r}: multiplicity not finite up to jet order {ORDER_CAP}"
         )
 
-    def delta(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        return sum(self.branch_delta(j, cap)[0] for j in range(self.num_branches))
+    def delta(self) -> int:
+        return sum(self.branch_delta(j)[0] for j in range(self.num_branches))
 
-    def branch_ell(self, j: int, cap: int = DEFAULT_ORDER_CAP) -> int:
+    @cached("ell")
+    def branch_ell(self, j: int) -> int:
         """Least ell with m^ell contained in (pullback ideal) + m^(ell+1)."""
-        key = ("ell", j, cap)
-        if key in self._cache:
-            return self._cache[key]
         b = self.branches[j]
-        for ell in range(1, cap + 1):
-            span = modules.scalar_multiples_span(list(b.components), ell + 1)
-            ok = all(
-                span.contains(modules.poly_to_scalar_row(Polynomial.monomial(b.n, m), ell + 1))
-                for m in monomials_of_degree(b.n, ell)
-            )
-            if ok:
-                self._cache[key] = ell
+        for ell in range(1, ORDER_CAP + 1):
+            span, idx = self._ideal_span(j, ell + 1), mono_index_map(b.n, ell + 1)
+            if all(span.contains({idx[m]: 1}) for m in monomials_of_degree(b.n, ell)):
                 return ell
         raise NotFiniteMultiplicityError(
-            f"branch {b.label!r}: no Nakayama exponent up to {cap}"
+            f"branch {b.label!r}: no Nakayama exponent up to {ORDER_CAP}"
         )
 
-    def ell(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        return max(self.branch_ell(j, cap) for j in range(self.num_branches))
+    def ell(self) -> int:
+        return max(self.branch_ell(j) for j in range(self.num_branches))
 
-    def gamma(self, cap: int = DEFAULT_ORDER_CAP) -> int:
+    def gamma(self) -> int:
         """dim ker(induced map on local algebras); computed directly."""
-        return self.higher_invariants(0, mode="bruteforce", cap=cap)[1]
+        return self.higher_invariants(0, mode="bruteforce")[1]
 
-    # -- ideal power towers ---------------------------------------------
+    # -- derived jet objects, each built once (see ``cached``) -----------
+    @cached("tower")
     def branch_tower(self, j: int, order: int) -> modules.IdealPowerTower:
-        key = ("tower", j, order)
-        if key not in self._cache:
-            self._cache[key] = modules.IdealPowerTower(
-                list(self.branches[j].components), order, ell=self.branch_ell(j)
-            )
-        return self._cache[key]
+        return modules.IdealPowerTower(
+            list(self.branches[j].components), order, ell=self.branch_ell(j)
+        )
 
+    @cached("cmap")
+    def class_map(self, j: int, order: int, k: int) -> modules.ScalarClassMap:
+        """Coordinates on R/I^k below ``order``, I branch j's pullback ideal."""
+        return modules.ScalarClassMap(self.branch_tower(j, order).span(k), self.n, order)
+
+    @cached("prenormal")
     def prenormal(self, j: int):
-        """Branch j's division.PrenormalForm, or None; tested once."""
-        key = ("prenormal", j)
-        if key not in self._cache:
-            self._cache[key] = division.prenormal_form(self.branches[j])
-        return self._cache[key]
+        """Branch j's division.PrenormalForm, or None."""
+        return division.prenormal_form(self.branches[j])
 
+    @cached("pullback")
+    def pullbacks(self, j: int):
+        """(coords, pulled) of branch j: coords maps each target slot whose
+        component is a source variable x_i to i, and pulled(beta) is
+        X^beta∘f_j, untruncated and memoized."""
+        comps = self.branches[j].components
+        xs = [Polynomial.variable(self.n, i) for i in range(self.n)]
+        return ({q: xs.index(c) for q, c in enumerate(comps) if c in xs},
+                monomial_pullbacks(comps, None))
+
+    @cached("tangent")
     def tangent_span(self, j: int, order: int) -> linalg.FactoredSpan:
         """Jet span below ``order`` of branch j's tangent space, factored once.
 
@@ -215,29 +227,24 @@ class MultiGerm:
         u = rank(alpha)*n + src (tagged u), so the lift equation
         df_j(xi) = rhs is solved by reducing rhs and back-substituting.
         """
-        key = ("tangent", j, order)
-        if key not in self._cache:
-            jac = self.branches[j].jacobian()
-            n, p = self.n, self.p
-            idx = mono_index_map(n, order)
-            span = linalg.FactoredSpan()
-            for a_rank, alpha in enumerate(monomials_below(n, order)):
-                for src in range(n):
-                    # columns of x^alpha * d(component q)/d(x_src), truncated
-                    row = {}
-                    for q in range(p):
-                        for m, c in jac[q][src].terms.items():
-                            col = idx.get(mono_mul(m, alpha))
-                            if col is not None:
-                                row[col * p + q] = c
-                    span.add(row, a_rank * n + src)
-            self._cache[key] = span
-        return self._cache[key]
+        jac = self.branches[j].jacobian()
+        n, p = self.n, self.p
+        idx = mono_index_map(n, order)
+        span = linalg.FactoredSpan()
+        for a_rank, alpha in enumerate(monomials_below(n, order)):
+            for src in range(n):
+                # columns of x^alpha * d(component q)/d(x_src), truncated
+                row = {}
+                for q in range(p):
+                    for m, c in jac[q][src].terms.items():
+                        col = idx.get(mono_mul(m, alpha))
+                        if col is not None:
+                            row[col * p + q] = c
+                span.add(row, a_rank * n + src)
+        return span
 
     # -- higher delta / gamma -------------------------------------------
-    def higher_invariants(
-        self, i: int, mode: str = "formula", cap: int = DEFAULT_ORDER_CAP
-    ) -> tuple[int, int]:
+    def higher_invariants(self, i: int, mode: str = "formula") -> tuple[int, int]:
         """(i-delta, i-gamma).
 
         Formula mode evaluates the binomial identities
@@ -248,13 +255,13 @@ class MultiGerm:
         if mode == "formula":
             if self.corank() > 1:
                 raise HypothesisError("formula mode requires corank <= 1")
-            delta = self.delta(cap)
+            delta = self.delta()
             gamma = delta - self.num_branches
             c = comb(self.n + i - 1, i)
             return c * delta, c * gamma
         if mode == "both":
-            by_formula = self.higher_invariants(i, "formula", cap)
-            by_force = self.higher_invariants(i, "bruteforce", cap)
+            by_formula = self.higher_invariants(i, "formula")
+            by_force = self.higher_invariants(i, "bruteforce")
             if by_formula != by_force:
                 raise ConsistencyError(
                     f"level-{i} invariants disagree: formula {by_formula},"
@@ -265,24 +272,20 @@ class MultiGerm:
             raise ValueError(f"unknown mode {mode!r}")
         idelta = igamma = 0
         for j in range(self.num_branches):
-            d, g = self._branch_higher_bruteforce(j, i, cap)
+            d, g = self._branch_higher_bruteforce(j, i)
             idelta += d
             igamma += g
         return idelta, igamma
 
-    def _branch_higher_bruteforce(self, j: int, i: int, cap: int) -> tuple[int, int]:
-        key = ("bhigher", j, i)
-        if key in self._cache:
-            return self._cache[key]
+    @cached("bhigher")
+    def _branch_higher_bruteforce(self, j: int, i: int) -> tuple[int, int]:
         b = self.branches[j]
-        ell = self.branch_ell(j, cap)
-        order = ell * (i + 2) + 1
-        tower = self.branch_tower(j, order)
-        cmap = modules.ScalarClassMap(tower.span(i + 1), b.n, order)
+        order = self.branch_ell(j) * (i + 2) + 1
+        cmap = self.class_map(j, order, i + 1)
         # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
         reps: list[dict] = []
         seen = linalg.SparseSpan()
-        for c, row in sorted(tower.span(i).rows.items()):
+        for c, row in sorted(self.branch_tower(j, order).span(i).rows.items()):
             if len(row) == 1 and not cmap.classes[c]:
                 continue  # a monomial of F_{i+1}: its class is zero
             coords = cmap.reduce(row)
@@ -291,7 +294,7 @@ class MultiGerm:
         idelta = len(reps)
         # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p
         jac = b.jacobian()
-        columns = []
+        rank_span = linalg.SparseSpan()
         for row in reps:
             for m in range(b.n):
                 col: dict[int, Fraction] = {}
@@ -299,13 +302,8 @@ class MultiGerm:
                     prod = modules.jet_times(row, jac[q][m].terms.items(), b.n, order)
                     for idx, v in cmap.reduce(prod).items():
                         col[q * cmap.dim + idx] = v
-                columns.append(col)
-        rank_span = linalg.SparseSpan()
-        for col in columns:
-            rank_span.add(col)
-        igamma = len(columns) - rank_span.dim
-        self._cache[key] = (idelta, igamma)
-        return idelta, igamma
+                rank_span.add(col)
+        return idelta, idelta * b.n - rank_span.dim
 
     def __repr__(self):
         names = ", ".join(b.label for b in self.branches)
@@ -326,23 +324,23 @@ class GermInvariants:
         self.mode = mode
 
 
-def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula", cap: int = DEFAULT_ORDER_CAP) -> GermInvariants:
-    per_branch = tuple(f.branch_delta(j, cap)[0] for j in range(f.num_branches))
-    stab = max(f.branch_delta(j, cap)[1] for j in range(f.num_branches))
+def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula") -> GermInvariants:
+    per_branch = tuple(f.branch_delta(j)[0] for j in range(f.num_branches))
+    stab = max(f.branch_delta(j)[1] for j in range(f.num_branches))
     inv = GermInvariants(
         n=f.n,
         p=f.p,
         corank=f.corank(),
         delta=sum(per_branch),
         delta_per_branch=per_branch,
-        gamma=f.higher_invariants(0, mode=mode, cap=cap)[1],
+        gamma=f.higher_invariants(0, mode=mode)[1],
         num_branches=f.num_branches,
         stabilized_order=stab,
-        ell=f.ell(cap),
+        ell=f.ell(),
         mode=mode,
     )
     for i in range(max_i + 1):
-        d, g = f.higher_invariants(i, mode=mode, cap=cap)
+        d, g = f.higher_invariants(i, mode=mode)
         inv.i_delta[i] = d
         inv.i_gamma[i] = g
     return inv
@@ -403,7 +401,7 @@ class UnfoldingSpec:
     param_target_index is the parameter's position among F's target vars."""
 
     def __init__(self, F: MultiGerm, base: MultiGerm, param_source_name: str,
-                 param_target_index: int, stable_certified: bool = False):
+                 param_target_index: int):
         if F.n != base.n + 1 or F.p != base.p + 1:
             raise InputError("unfolding must add exactly one source and one target dimension")
         k = param_target_index
@@ -424,16 +422,14 @@ class UnfoldingSpec:
         self.F, self.base = F, base
         self.param_source_name = param_source_name
         self.param_target_index = param_target_index
-        self.stable_certified = stable_certified
 
 
-def build_unfolding(
-    f: MultiGerm,
-    param_source_name: str = "t",
-    param_position: str = "first",
-    search_cap: int = 6,
-) -> UnfoldingSpec:
-    """Search for a one-parameter stable unfolding F(x,t) = (f(x) + t*y^a e_q, t).
+UNFOLDING_DEGREE_CAP = 6  # the largest power y^a build_unfolding tries
+
+
+def build_unfolding(f: MultiGerm) -> UnfoldingSpec:
+    """Search for a one-parameter stable unfolding F(x,t) = (t, f(x) + t*y^a e_q),
+    the parameter T first among F's target variables.
 
     The deformation monomial is a power of the distinguished (non-immersive)
     source variable of each branch; candidates are scanned in ascending
@@ -441,9 +437,8 @@ def build_unfolding(
     if no candidate up to the degree cap is stable.
     """
     n, p = f.n, f.p
-    k = 0 if param_position == "first" else p
     ydirs = [_kernel_direction(b) for b in f.branches]
-    for a in range(1, search_cap + 1):
+    for a in range(1, UNFOLDING_DEGREE_CAP + 1):
         for q in range(p):
             branches = []
             for b, y in zip(f.branches, ydirs):
@@ -452,15 +447,14 @@ def build_unfolding(
                 mono[y] = a
                 mono[n] = 1
                 comps[q] = comps[q] + Polynomial.monomial(n + 1, tuple(mono))
-                comps.insert(k, Polynomial.variable(n + 1, n))
-                branches.append(Branch(b.label, b.source_vars + (param_source_name,), tuple(comps)))
-            tvars = list(f.target_vars)
-            tvars.insert(k, param_source_name.upper())
-            F = MultiGerm(branches, tvars)
-            verdict = ksmaps.classify_stable(F)
-            if verdict.stable:
-                return UnfoldingSpec(F, f, param_source_name, k, stable_certified=True)
-    raise HypothesisError(f"no one-parameter stable unfolding found up to degree {search_cap}")
+                comps.insert(0, Polynomial.variable(n + 1, n))
+                branches.append(Branch(b.label, b.source_vars + ("t",), tuple(comps)))
+            F = MultiGerm(branches, ("T",) + tuple(f.target_vars))
+            if ksmaps.classify_stable(F).stable:
+                return UnfoldingSpec(F, f, "t", 0)
+    raise HypothesisError(
+        f"no one-parameter stable unfolding found up to degree {UNFOLDING_DEGREE_CAP}"
+    )
 
 
 def _suspend(c: Polynomial, n: int) -> Polynomial:

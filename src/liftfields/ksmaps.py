@@ -43,11 +43,11 @@ from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .germs import ConsistencyError, HypothesisError, MultiGerm, monomial_pullbacks
+from .germs import ConsistencyError, HypothesisError, MultiGerm, cached
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
-from .modules import ScalarClassMap, poly_to_scalar_row
+from .modules import ScalarClassMap, vector_to_row
 from .poly import (Monomial, Polynomial, count_monomials_below, mono_index_map,
-                   monomials_of_degree)
+                   monomial_pullbacks, monomials_of_degree)
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
@@ -57,10 +57,10 @@ def truncation_order(f: MultiGerm, i: int) -> int:
 
 class KSMapModel:
     """Explicit matrix of the level-i map over exact rationals: one column
-    per domain basis element (target component, monomial of degree i)."""
+    {row: value} per domain basis element (target component, monomial)."""
 
     def __init__(self, i: int, truncation_order: int, domain_basis: list[tuple[int, Monomial]],
-                 target_dim: int, columns: list[list]):
+                 target_dim: int, columns: list[dict]):
         self.i, self.truncation_order, self.domain_basis = i, truncation_order, domain_basis
         self.target_dim, self.columns = target_dim, columns
         self._factor: Optional[tuple] = None
@@ -76,7 +76,7 @@ class KSMapModel:
         if self._factor is None:
             span, dependent = FactoredSpan(), []
             for c, col in enumerate(self.columns):
-                span.add({r: v for r, v in enumerate(col) if v}, c, dependent)
+                span.add(col, c, dependent)
             self._factor = (span, dependent)
         return self._factor
 
@@ -118,12 +118,10 @@ class KSMapModel:
         return out
 
 
+@cached("ks")
 def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     """Build the level-i matrix model at its exact truncation order (once
-    per germ and level; the model is kept in ``f._cache``)."""
-    key = ("ks", i)
-    if key in f._cache:
-        return f._cache[key]
+    per germ and level)."""
     if f.corank() > 1:
         raise HypothesisError("Kodaira-Spencer-Mather models require corank <= 1")
     n, p = f.n, f.p
@@ -135,8 +133,7 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     offsets: list[int] = []
     total = 0
     for j in range(f.num_branches):
-        tower = f.branch_tower(j, order)
-        cmaps.append(ScalarClassMap(tower.span(i + 1), n, order))
+        cmaps.append(f.class_map(j, order, i + 1))
         offsets.append(total)
         total += p * cmaps[j].dim
 
@@ -194,7 +191,7 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     for j, b in enumerate(f.branches):
         pulled = monomial_pullbacks(b.components, order)
         pullbacks.append({
-            m: cmaps[j].reduce(poly_to_scalar_row(pulled(m), order))
+            m: cmaps[j].reduce(vector_to_row([pulled(m)], 1, order))
             for m in monomials_of_degree(p, i)
         })
     columns = []
@@ -206,8 +203,7 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
         if coords is None:
             raise ConsistencyError("pullback class escaped the modeled quotient")
         columns.append(coords)
-    f._cache[key] = KSMapModel(i, order, domain, qm.dim, columns)
-    return f._cache[key]
+    return KSMapModel(i, order, domain, qm.dim, columns)
 
 
 # ---------------------------------------------------------------------------

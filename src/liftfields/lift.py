@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import ksmaps, linalg, modules
 from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm,
-                    NotLiftableError, UnfoldingSpec, monomial_pullbacks)
+                    NotLiftableError, UnfoldingSpec)
 from .poly import (
     Polynomial,
     count_monomials_below,
@@ -85,13 +85,8 @@ class LiftModule:
 def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: Optional[int]) -> list[Polynomial]:
     """eta∘f_j componentwise, truncated at ``order`` (None: not at all).  A
     slot X'_s whose component is a variable x_i pulls back to it, so a term
-    X'^a*Y^b is the x^a-shift of Y^b∘f_j, memoized per branch on the germ."""
-    key, b = ("pullback", j), f.branches[j]
-    if key not in f._cache:
-        xs = [Polynomial.variable(f.n, i) for i in range(f.n)]
-        f._cache[key] = ({q: xs.index(c) for q, c in enumerate(b.components) if c in xs},
-                         monomial_pullbacks(b.components, None))
-    coords, pulled = f._cache[key]
+    X'^a*Y^b is the x^a-shift of Y^b∘f_j (MultiGerm.pullbacks)."""
+    coords, pulled = f.pullbacks(j)
     out = []
     for comp in eta:
         terms: dict = {}
@@ -130,7 +125,9 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
     A prenormal branch is solved exactly by division.  Any other branch, or
     one whose normal form does not vanish, is reduced modulo its tangent jet
     span: a nonzero remainder is the obstruction (its lowest column gives
-    the degree), and otherwise xi is read off by back substitution.
+    the degree), and otherwise xi is read off by back substitution.  A
+    nonzero normal form with no obstruction below ``order`` is still one:
+    the error then carries ``order`` as a lower bound on its degree.
     """
     n, p = f.n, f.p
     monos = monomials_below(n, order)
@@ -157,6 +154,10 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                 b.label,
                 deg - 1,
             )
+        if form is not None:  # division decides; the jets only miss the degree
+            raise NotLiftableError(f"branch {b.label!r}: lift equation inconsistent: nonzero"
+                                   f" division normal form, obstruction degree at least {order}",
+                                   b.label, order)
         terms: list[dict] = [{} for _ in range(n)]
         for u, c in span.combination(hits).items():
             terms[u % n][monos[u // n]] = c
@@ -251,8 +252,8 @@ def complete_generators(
 
     kernel = ksmaps.ks_matrix(f, i + 1).kernel_fields(f.target_vars)
     expected = ksmaps.min_generators(f, mode="bruteforce", report=report).count
-    for key in [key for key in f._cache if key[0] in ("tower", "ks")]:
-        del f._cache[key]  # the level work is done: free its towers and models
+    for key in [key for key in f._cache if key[0] in ("tower", "cmap", "ks")]:
+        del f._cache[key]  # the level work is done: free its towers, class maps and models
 
     column = _residual_columns(f, order)
     span = linalg.FactoredSpan()  # kept candidates are independent: completions are unique
@@ -457,10 +458,8 @@ def compare_modules(
     """Jet-level double inclusion of the generated modules at cert_order."""
     lspan = modules.module_jet_span(left, rank, rank, cert_order)
     rspan = modules.module_jet_span(right, rank, rank, cert_order)
-    miss_l = [
-        i for i, g in enumerate(right) if not modules.span_contains(lspan, g, rank, cert_order)
-    ]
-    miss_r = [
-        i for i, g in enumerate(left) if not modules.span_contains(rspan, g, rank, cert_order)
-    ]
+    miss_l = [i for i, g in enumerate(right)
+              if not lspan.contains(modules.vector_to_row(g, rank, cert_order))]
+    miss_r = [i for i, g in enumerate(left)
+              if not rspan.contains(modules.vector_to_row(g, rank, cert_order))]
     return ModuleComparison(not miss_l and not miss_r, cert_order, miss_l, miss_r)

@@ -191,7 +191,7 @@ class QuotientModel:
     :meth:`extend` adds candidate vectors to the base span itself; each one
     that enlarges it becomes one quotient basis element, known by its
     pivot.  ``coords`` maps any vector of the enlarged span to its exact
-    rational coordinate tuple.
+    rational coordinates, sparse.
     """
 
     def __init__(self, base: SparseSpan):
@@ -209,18 +209,16 @@ class QuotientModel:
             self.index[lead] = len(self.index)
         return lead is not None
 
-    def coords(self, row: dict) -> list | None:
-        """Coordinates of [row] in the quotient basis; None if the vector is
-        not in base + <quotient basis>.  They are the factors of the basis
-        rows in the full reduction of row, the unique expression of a
-        vector of the span over its rows."""
-        hits: dict = {}
-        if self.span.reduce_full(row, hits):
+    def coords(self, row: dict) -> dict | None:
+        """Coordinates {basis index: value} of [row]; None if the vector is not
+        in base + <quotient basis>.  They are the factors of the basis rows in
+        the full reduction of row (the unique expression over the span's rows)."""
+        r, den = _clear(row)
+        scale, steps = self.span._reduce(r, True, den)
+        if r:
             return None
-        out = [0] * self.dim
-        for pivot in hits.keys() & self.index.keys():
-            out[self.index[pivot]] = hits[pivot]
-        return out
+        return {self.index[hit]: exact_div(t * (scale // at), scale)
+                for hit, t, at in steps if hit in self.index}
 
 
 def solve_sparse(

@@ -5,7 +5,9 @@ Two layers live here:
 * symbolic: Groebner bases of submodules of R^r (position-over-term order),
   normal forms, and syzygy computation via the augmented-module trick;
 * jet-level: exact linear algebra on truncated module elements (spans of
-  monomial multiples, quotient class maps, ideal-power filtrations).
+  monomial multiples, quotient class maps, ideal-power filtrations).  An
+  ideal's jet span is its rank-1 module's, ``module_jet_span([(g,) ...], 1,
+  n, order)``; a scalar jet row is ``vector_to_row([g], 1, order)``.
 
 The jet layer is where almost all invariants are actually computed; the
 symbolic layer drives the unfolding-intersection pipeline.
@@ -188,27 +190,13 @@ def syzygy_basis(gens: Sequence[Polynomial]) -> list[tuple[Polynomial, ...]]:
 # jet layer: truncated spans of vectors of polynomials
 # ---------------------------------------------------------------------------
 
-def vector_ambient_index(rank: int, nvars: int, order: int):
-    """Column index for (position, monomial) pairs: monomial-major, so the
-    smallest columns carry the lowest jet degrees."""
-    idx = mono_index_map(nvars, order)
-
-    def col(pos: int, m: Monomial) -> int:
-        return idx[m] * rank + pos
-
-    return col
-
-
 def vector_to_row(comps: Sequence[Polynomial], rank: int, order: int) -> dict:
-    """Sparse coefficient row of a truncated vector of polynomials."""
-    nv = comps[0].nvars
-    col = vector_ambient_index(rank, nv, order)
-    row = {}
-    for pos, c in enumerate(comps):
-        for m, v in c.terms.items():
-            if mono_degree(m) < order:
-                row[col(pos, m)] = v
-    return row
+    """Sparse coefficient row of a truncated vector of polynomials; column
+    idx[m] * rank + pos, monomial-major, so the smallest columns carry the
+    lowest jet degrees."""
+    idx = mono_index_map(comps[0].nvars, order)
+    return {idx[m] * rank + pos: v
+            for pos, c in enumerate(comps) for m, v in c.terms.items() if mono_degree(m) < order}
 
 
 def jet_span(vectors: Iterable[Sequence[Polynomial]], rank: int, order: int) -> SparseSpan:
@@ -250,10 +238,6 @@ def module_jet_span(
     return span
 
 
-def span_contains(span: SparseSpan, comps: Sequence[Polynomial], rank: int, order: int) -> bool:
-    return span.contains(vector_to_row(comps, rank, order))
-
-
 # ---------------------------------------------------------------------------
 # scalar ideal filtrations and quotient class maps
 # ---------------------------------------------------------------------------
@@ -283,28 +267,6 @@ def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None
                 key = idx[tuple(map(add, monos[col], t))]
                 out[key] = out.get(key, 0) + c * v
     return {k: v for k, v in out.items() if v}
-
-
-def poly_to_scalar_row(g: Polynomial, order: int) -> dict:
-    idx = mono_index_map(g.nvars, order)
-    return {idx[m]: c for m, c in g.terms.items() if mono_degree(m) < order}
-
-
-def scalar_multiples_span(gens: Sequence[Polynomial], order: int) -> SparseSpan:
-    """Jet span of the ideal (gens): all x^a * g truncated at order."""
-    span = SparseSpan()
-    if not gens:
-        return span
-    nv = gens[0].nvars
-    idx = mono_index_map(nv, order)
-    for g in gens:
-        low = g.low_degree()
-        if low < 0:
-            continue
-        for d in range(max(order - low, 0)):
-            for m in monomials_of_degree(nv, d):
-                span.add(jet_times({idx[m]: 1}, g.terms.items(), nv, order))
-    return span
 
 
 class IdealPowerTower:

@@ -3,7 +3,8 @@
 Monomials are exponent tuples.  Coefficients are exact: an ``int`` for
 every integral value and a ``fractions.Fraction`` only when a denominator is
 present; a ``float`` is refused.  All operations are pure; a ``Polynomial``
-is never mutated after construction.
+is never mutated after construction.  Composition has one engine,
+``monomial_pullbacks``, which ``Polynomial.substitute`` sums over the terms.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ class Polynomial:
 
         All substituted polynomials must share a variable count; the result
         lives in that ring.  ``order`` truncates the result (and all
-        intermediates) at the given jet order.
+        intermediates) at the given jet order: the sum of c * pulled(m).
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution values, got {len(values)}")
@@ -296,23 +297,12 @@ class Polynomial:
         for v in values:
             if v.nvars != tvars:
                 raise ValueError("substitution values disagree on variable count")
-        # cache powers per variable as needed
-        powers: list[dict] = [{0: Polynomial.constant(tvars, 1)} for _ in range(self.nvars)]
-
-        def power(i: int, e: int) -> Polynomial:
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = (power(i, e - 1) * values[i]).truncate(order)
-            return cache[e]
-
-        result = Polynomial.zero(tvars)
+        pulled = monomial_pullbacks(values, order)
+        terms: dict = {}
         for m, c in self.terms.items():
-            term = Polynomial.constant(tvars, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = (term * power(i, e)).truncate(order)
-            result = result + term
-        return result.truncate(order)
+            for t, v in pulled(m).terms.items():
+                terms[t] = terms.get(t, 0) + c * v
+        return Polynomial(tvars, terms)
 
     # ---- rendering ----------------------------------------------------
     def render(self, names: Sequence[str]) -> str:
@@ -346,3 +336,23 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {self.render([f'x{i}' for i in range(self.nvars)])})"
+
+
+def monomial_pullbacks(components: Sequence[Polynomial], order: int | None):
+    """beta -> X^beta∘(components) truncated at ``order`` (None: not at all),
+    memoized, each one product with the pullback of degree one lower: the
+    chain down to a memoized monomial is walked, then multiplied back up."""
+    memo = {(0,) * len(components): Polynomial.constant(components[0].nvars, 1).truncate(order)}
+
+    def pulled(beta: tuple) -> Polynomial:
+        chain = []
+        while beta not in memo:
+            r = max(q for q, e in enumerate(beta) if e)
+            chain.append((beta, r))
+            beta = beta[:r] + (beta[r] - 1,) + beta[r + 1:]
+        for up, r in reversed(chain):
+            memo[up] = (memo[beta] * components[r]).truncate(order)
+            beta = up
+        return memo[beta]
+
+    return pulled

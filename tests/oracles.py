@@ -17,8 +17,6 @@ from liftfields.modules import (
     ModElement,
     _term_key,
     normal_form,
-    poly_to_scalar_row,
-    span_contains,
     vector_to_row,
 )
 from liftfields.poly import (
@@ -59,7 +57,7 @@ def dense_kernel_fields(model, target_vars) -> list[tuple[Polynomial, ...]]:
     the model's rank is its domain dimension minus their number)."""
     p = len(target_vars)
     if model.target_dim:
-        rows = [[col[r] for col in model.columns] for r in range(model.target_dim)]
+        rows = [[col.get(r, 0) for col in model.columns] for r in range(model.target_dim)]
         vecs = kernel_basis(rows, model.domain_dim)
     else:
         vecs = [
@@ -108,7 +106,7 @@ def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]
             for g in gens:
                 for d in range(max(cover - g.low_degree(), 0)):
                     for m in monomials_of_degree(nv, d):
-                        span.add(poly_to_scalar_row(g.mul_monomial(m).truncate(cover), order))
+                        span.add(vector_to_row([g.mul_monomial(m).truncate(cover)], 1, order))
         else:
             basis = [
                 Polynomial(nv, {monos[c]: Fraction(v) for c, v in row.items()})
@@ -117,7 +115,7 @@ def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]
             for g in gens:
                 for b in basis:
                     if b.low_degree() + g.low_degree() < cover:
-                        span.add(poly_to_scalar_row((g * b).truncate(cover), order))
+                        span.add(vector_to_row([(g * b).truncate(cover)], 1, order))
         spans.append(span)
     return spans
 
@@ -150,7 +148,7 @@ def greedy_nakayama_minimize(fields, rank: int, cert_order: int) -> list[tuple]:
             span = polynomial_module_jet_span(others, rank, rank, cert_order)
             for row in basis_rows(positive):
                 span.add(dict(row))
-            if span_contains(span, kept[idx], rank, cert_order):
+            if span.contains(vector_to_row(kept[idx], rank, cert_order)):
                 kept.pop(idx)
                 changed = True
                 break

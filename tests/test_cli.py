@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import liftfields
-from liftfields import cli, ksmaps, modules
+from liftfields import catalog, cli, ksmaps, modules
 from liftfields.germs import ConsistencyError
 from liftfields.report import AnalysisReport, load_schema, validate_report
 from liftfields.schema import ReportSchemaError
@@ -394,6 +394,25 @@ def test_exit_hypothesis_obstruction_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("exponent", [20, 1200])
+def test_exit_hypothesis_nonzero_division_normal_form(tmp_path, capsys, exponent):
+    # X^e pulls back to y^(2e) over the cusp: division leaves a nonzero
+    # normal form, but the obstruction has degree 2e + 1, far above the
+    # certificate order; X^1200 is pulled back without a degree-deep recursion
+    path = tmp_path / "cusp.germ"
+    path.write_text("germ cusp { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
+                    f" fields reference {{ (X^{exponent}, 0); }} }}")
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "hypothesis violated: branch 'a': lift equation inconsistent: nonzero division"
+        " normal form, obstruction degree at least 12\n"
+    )
+    if exponent == 20:  # the jets reach it at a higher order: 12 was a lower bound
+        code, _, err = run(["check", str(path), "--cert-order", "48"], capsys)
+        assert code == 1 and err.endswith("inconsistent at jet order 42\n")
+
+
 def _surplus_key(monkeypatch):
     to_json = AnalysisReport.to_json
     monkeypatch.setattr(AnalysisReport, "to_json", lambda self: dict(to_json(self), surplus=1))
@@ -437,3 +456,45 @@ def test_exit_inconsistent_bad_syzygy(capsys, monkeypatch):
     code, _, err = run(["unfold", "fold-line"], capsys)
     assert code == 4
     assert "syzygy combination" in err
+
+
+def test_no_jet_object_is_built_twice_in_one_command(capsys, monkeypatch):
+    # analyze, kernel --level 2, construct and unfold on the catalog, in
+    # process: within one command each class map is built once per span,
+    # each ideal-power tower once per (generators, order) and each level
+    # model once per (germ, level)
+    spans, towers, models, building = [], [], [], []
+    cmap_init = modules.ScalarClassMap.__init__
+    tower_init = modules.IdealPowerTower.__init__
+    model_init = ksmaps.KSMapModel.__init__
+    ks_matrix = ksmaps.ks_matrix
+
+    def ks_matrix_of(f, i):
+        building.append(f)
+        try:
+            return ks_matrix(f, i)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(modules.ScalarClassMap, "__init__", lambda self, span, *a:
+                        spans.append(span) or cmap_init(self, span, *a))
+    monkeypatch.setattr(modules.IdealPowerTower, "__init__", lambda self, gens, order, **k:
+                        towers.append((tuple(gens), order)) or tower_init(self, gens, order, **k))
+    monkeypatch.setattr(ksmaps.KSMapModel, "__init__", lambda self, i, *a:
+                        models.append((building[-1], i)) or model_init(self, i, *a))
+    monkeypatch.setattr(ksmaps, "ks_matrix", ks_matrix_of)
+    names = catalog.names()
+    argvs = [[cmd, name] for cmd in ("analyze", "construct") for name in names]
+    argvs += [["kernel", name, "--level", "2"] for name in names]
+    argvs += [["unfold", name] for name in names if catalog.load(name).unfolding is not None]
+    seen = 0
+    for argv in argvs:
+        if argv == ["construct", "rieger-ruas"]:
+            argv = argv + ["--max-degree", "4"]
+        del spans[:], towers[:], models[:]
+        run(argv, capsys)
+        assert len({id(span) for span in spans}) == len(spans), argv
+        assert len(set(towers)) == len(towers), argv
+        assert len({(id(f), i) for f, i in models}) == len(models), argv
+        seen += len(spans) + len(towers) + len(models)
+    assert seen

@@ -358,7 +358,7 @@ def test_restriction_builds_one_module_jet_span(monkeypatch):
         doc.to_unfolding_spec(), lift_F=doc.fields["liftF"].fields, cert_order=CERT
     )
     assert mod.count == 4
-    assert len(built) == 1
+    assert len([args for args in built if args[1] > 1]) == 1  # rank 1: ideal spans
 
 
 def test_generator_count_certified():

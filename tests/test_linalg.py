@@ -192,11 +192,13 @@ def test_quotient_model_matches_dense_rank(base, extras, probe, a):
     outside = matrix_rank(base + extras + [probe]) > rank_all
     assert (qm.coords(_to_rows([probe])[0]) is None) == outside
     for v in b_rows:
-        assert qm.coords(v) == [0] * qm.dim
+        assert qm.coords(v) == {}
     pairs = list(zip(a, b_rows + e_rows))
     parts = [qm.coords(v) for _, v in pairs]
-    assert qm.coords(_lin(pairs)) == [sum(c * x[i] for (c, _), x in zip(pairs, parts))
-                                      for i in range(qm.dim)]
+    assert all(0 not in x.values() for x in parts)  # sparse: no zero is stored
+    combined = [sum(c * x.get(i, 0) for (c, _), x in zip(pairs, parts)) for i in range(qm.dim)]
+    assert qm.coords(_lin(pairs)) == {i: v for i, v in enumerate(combined) if v}
     assert len(kept) == qm.dim
     if kept:
-        assert matrix_rank([qm.coords(v) for v in kept]) == qm.dim
+        assert matrix_rank([[qm.coords(v).get(i, 0) for i in range(qm.dim)]
+                            for v in kept]) == qm.dim

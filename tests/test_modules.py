@@ -15,10 +15,8 @@ from liftfields.modules import (
     jet_span,
     module_jet_span,
     normal_form,
-    poly_to_scalar_row,
-    scalar_multiples_span,
-    span_contains,
     syzygy_basis,
+    vector_to_row,
 )
 from liftfields import reduce_to_core, truncation_order
 from liftfields.poly import Polynomial, count_monomials_below, monomials_below
@@ -84,8 +82,8 @@ def test_jet_span_dimension():
     vecs = [(_p("x"), _p("0")), (_p("0"), _p("x"))]
     span = jet_span(vecs, 2, order)
     assert span.dim == 2
-    assert span_contains(span, (_p("2*x"), _p("-3*x")), 2, order)
-    assert not span_contains(span, (_p("y"), _p("0")), 2, order)
+    assert span.contains(vector_to_row((_p("2*x"), _p("-3*x")), 2, order))
+    assert not span.contains(vector_to_row((_p("y"), _p("0")), 2, order))
 
 
 def test_module_jet_span_counts_multiples():
@@ -113,12 +111,14 @@ def test_module_jet_span_matches_polynomial_multiples(catalog_docs, order):
     assert blocks == 21
 
 
-def test_scalar_multiples_span():
+def test_ideal_jet_span_is_a_rank_one_module_span():
+    # the ideal (x^2) below order 4: the multiples x^2 * x^a, deg a < 2
     order = 4
-    span = scalar_multiples_span([_p("x^2")], order)
+    span = module_jet_span([(_p("x^2"),)], 1, 2, order)
     assert span.contains({})
-    row_dim = span.dim
-    assert row_dim == count_monomials_below(2, order - 2)
+    assert span.dim == count_monomials_below(2, order - 2)
+    assert span.contains(vector_to_row([_p("x^3 - 2*x^2*y")], 1, order))
+    assert not span.contains(vector_to_row([_p("x*y")], 1, order))
 
 
 def test_ideal_power_tower_fold():
@@ -144,8 +144,8 @@ def test_scalar_class_map_reduce_linear():
     order = 6
     tower = IdealPowerTower([_p("x"), _p("y")], order)
     cmap = ScalarClassMap(tower.span(2), 2, order)
-    a = cmap.reduce(poly_to_scalar_row(_p("1 + x + x^2"), order))
-    b = cmap.reduce(poly_to_scalar_row(_p("1 + x"), order))
+    a = cmap.reduce(vector_to_row([_p("1 + x + x^2")], 1, order))
+    b = cmap.reduce(vector_to_row([_p("1 + x")], 1, order))
     # x^2 lies in the span, so both reduce to the same class
     assert a == b
 

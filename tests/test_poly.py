@@ -57,6 +57,15 @@ def test_substitute_truncates():
     assert f.substitute([poly("x + y", XY), Polynomial.zero(2)], 3).is_zero()
 
 
+def test_substitute_high_powers_do_not_recurse():
+    # each pullback is one product with the one of degree one lower, walked
+    # without a recursion per degree
+    f = Polynomial(2, {(1200, 1100): 3, (3, 0): 1})
+    vals = [poly("x*y", XY), poly("y^2", XY)]
+    assert f.substitute(vals) == Polynomial(2, {(1200, 3400): 3, (3, 3): 1})
+    assert f.substitute(vals, 10) == Polynomial(2, {(3, 3): 1})
+
+
 def test_truncate():
     f = poly("1 + x + x^2*y + y^4", XY)
     assert f.truncate(3).render(XY) == "x + 1"
