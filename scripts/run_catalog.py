@@ -42,7 +42,7 @@ def main():
         rep = locate_i1_i2(f, cap=args.max_i)
         verdict = classify_stable(f)
         try:
-            gens = str(min_generators(f, mode="both", report=rep).count)
+            gens = str(min_generators(f, mode="both", cap=args.max_i).count)
         except HypothesisError:
             gens = "-"
         dt = time.perf_counter() - t0

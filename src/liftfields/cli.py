@@ -36,15 +36,8 @@ import sys
 import time
 
 from . import catalog, ksmaps, lift
-from .germs import (
-    ConsistencyError,
-    HypothesisError,
-    InputError,
-    NotFiniteMultiplicityError,
-    NotLiftableError,
-    invariants,
-    reduce_to_core,
-)
+from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
+                    NotLiftableError, invariants, reduce_to_core)
 from .parser import ParseError, PowerTooLargeError, parse
 from .report import AnalysisReport, ReportConfig, render_field, validate_report
 
@@ -74,10 +67,15 @@ def solve_lift(*args, **kwargs):
     return lift.solve_lift(*args, **kwargs)
 
 
+def _resolve(ref: str) -> str:
+    """A relative file path, resolved against ``LIFTFIELDS_WORKDIR`` if set."""
+    workdir = os.environ.get("LIFTFIELDS_WORKDIR", "")
+    return ref if os.path.isabs(ref) or not workdir else os.path.join(workdir, ref)
+
+
 def _load_document(ref: str):
     """Resolve a document reference: file path first, then catalog name."""
-    workdir = os.environ.get("LIFTFIELDS_WORKDIR", "")
-    path = ref if os.path.isabs(ref) or not workdir else os.path.join(workdir, ref)
+    path = _resolve(ref)
     if os.path.isfile(path):
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
@@ -117,13 +115,12 @@ def _cmd_analyze(doc, cfg: ReportConfig) -> AnalysisReport:
     rep.invariants = invariants(f, max_i=3, mode=cfg.mode)
     rep.timings["invariants"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
-    rep.ks = ks
+    rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
     rep.stability = ksmaps.classify_stable(f)
     rep.timings["level_scan"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     try:
-        rep.min_generators = ksmaps.min_generators(f, mode=cfg.mode, cap=cfg.max_i, report=ks)
+        rep.min_generators = ksmaps.min_generators(f, mode=cfg.mode, cap=cfg.max_i)
     except HypothesisError as exc:
         rep.warnings.append(f"minimal generator count unavailable: {exc}")
     rep.timings["min_generators"] = time.perf_counter() - t0
@@ -148,15 +145,10 @@ def _cmd_construct(doc, cfg: ReportConfig) -> AnalysisReport:
     if reduced:
         rep.extra["reduced_to_core"] = True
     t0 = time.perf_counter()
-    ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
-    rep.ks = ks
-    if ks.i1 == "infinity up to cap":
-        raise ResourceCapError(
-            f"no surjective level found up to the cap {cfg.max_i}"
-        )
-    rep.lift = complete_generators(
-        f, cap=cfg.max_i, max_extra_degree=cfg.max_degree, report=ks
-    )
+    rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
+    if rep.ks.i1 == "infinity up to cap":
+        raise ResourceCapError(f"no surjective level found up to the cap {cfg.max_i}")
+    rep.lift = complete_generators(f, cap=cfg.max_i, max_extra_degree=cfg.max_degree)
     rep.lift_target_vars = f.target_vars
     rep.timings["construct"] = time.perf_counter() - t0
     return rep
@@ -182,10 +174,11 @@ def _cmd_unfold(doc, cfg: ReportConfig) -> AnalysisReport:
 
 def _cmd_check(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
     rep = AnalysisReport("check", doc.name, cfg)
+    path = _resolve(block_name)
     if block_name in doc.fields:
         blocks = [doc.fields[block_name]]
-    elif os.path.isfile(block_name):
-        with open(block_name, encoding="utf-8") as fh:
+    elif os.path.isfile(path):
+        with open(path, encoding="utf-8") as fh:
             blocks = list(parse(fh.read()).fields.values())
     else:
         raise ParseError(
@@ -316,20 +309,23 @@ def _cmd_catalog(cfg: ReportConfig, run_all: bool, as_json: bool) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-# subcommand -> (help, its one option beyond the shared ones)
+# subcommand -> (help, handler, its one option beyond the shared ones as
+# (flag, dest, argparse keywords)); the handler takes the document (but
+# catalog), the ReportConfig and the option's value
 _COMMANDS = {
-    "analyze": ("invariants and level scan", None),
-    "kernel": ("kernel basis at one level", ("--level", {"type": int, "required": True})),
-    "construct": ("generators by kernel completion", None),
-    "unfold": ("generators by unfolding restriction", None),
-    "check": ("re-verify claimed liftable fields", ("--fields", {
+    "analyze": ("invariants and level scan", _cmd_analyze, None),
+    "kernel": ("kernel basis at one level", _cmd_kernel,
+               ("--level", "level", {"type": int, "required": True})),
+    "construct": ("generators by kernel completion", _cmd_construct, None),
+    "unfold": ("generators by unfolding restriction", _cmd_unfold, None),
+    "check": ("re-verify claimed liftable fields", _cmd_check, ("--fields", "fields", {
         "default": "reference",
         "help": "fields block name or document file (default: reference)"})),
-    "transport": ("push fields through the diffeo block", ("--fields", {
+    "transport": ("push fields through the diffeo block", _cmd_transport, ("--fields", "fields", {
         "default": "reference", "help": "fields block to transport (default: reference)"})),
-    "reduce": ("strip quadratic suspension variables", None),
-    "catalog": ("list or run built-in entries",
-                ("--run-all", {"action": "store_true", "dest": "run_all"})),
+    "reduce": ("strip quadratic suspension variables", _cmd_reduce, None),
+    "catalog": ("list or run built-in entries", _cmd_catalog,
+                ("--run-all", "run_all", {"action": "store_true"})),
 }
 
 
@@ -338,7 +334,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
     only ``command`` gets its arguments, since a run parses no other."""
     top = argparse.ArgumentParser(prog="liftfields", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, own) in _COMMANDS.items():
+    for name, (help_text, _, own) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name != command:
             continue
@@ -354,7 +350,8 @@ def _build_parser(command) -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["formula", "bruteforce", "both"],
                         default="both", help="numeric computation mode")
         if own is not None:
-            sp.add_argument(own[0], **own[1])
+            flag, dest, kwargs = own
+            sp.add_argument(flag, dest=dest, **kwargs)
     return top
 
 
@@ -365,27 +362,12 @@ def main(argv=None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     args = _build_parser(command).parse_args(argv)
     cfg = ReportConfig(args.max_i, args.max_degree, args.cert_order, args.mode)
+    _, handler, own = _COMMANDS[args.command]
+    values = () if own is None else (getattr(args, own[1]),)
     try:
         if args.command == "catalog":
-            return _cmd_catalog(cfg, args.run_all, args.json)
-        doc = _load_document(args.document)
-        if args.command == "analyze":
-            rep = _cmd_analyze(doc, cfg)
-        elif args.command == "kernel":
-            rep = _cmd_kernel(doc, cfg, args.level)
-        elif args.command == "construct":
-            rep = _cmd_construct(doc, cfg)
-        elif args.command == "unfold":
-            rep = _cmd_unfold(doc, cfg)
-        elif args.command == "check":
-            rep = _cmd_check(doc, cfg, args.fields)
-        elif args.command == "transport":
-            rep = _cmd_transport(doc, cfg, args.fields)
-        elif args.command == "reduce":
-            rep = _cmd_reduce(doc, cfg)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
-        _emit(rep, args.json)
+            return handler(cfg, *values, args.json)
+        _emit(handler(_load_document(args.document), cfg, *values), args.json)
         return EXIT_OK
     except (ResourceCapError, PowerTooLargeError) as exc:
         sys.stderr.write(f"cap reached: {exc}\n")

@@ -69,14 +69,13 @@ class PrenormalForm:
         return nf, tuple(xi), scale
 
 
-def prenormal_form(b) -> Optional[PrenormalForm]:
-    """Branch b's prenormal form, or None."""
+def prenormal_form(b, slots: dict[int, int]) -> Optional[PrenormalForm]:
+    """Branch b's prenormal form, or None; slots maps each target slot whose
+    component is a source variable x_i to i, in slot order."""
     n = b.n
     first: dict[int, int] = {}
-    for q, comp in enumerate(b.components):
-        for m, c in comp.terms.items():
-            if len(comp.terms) == 1 and c == 1 and sum(m) == 1:
-                first.setdefault(m.index(1), q)
+    for q, i in slots.items():
+        first.setdefault(i, q)
     missing = [i for i in range(n) if i not in first] or [n - 1]
     if len(missing) > 1:
         return None

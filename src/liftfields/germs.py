@@ -6,9 +6,13 @@ gamma, the higher-order versions of both (by closed formula and by direct
 jet elimination), the quadratic-suspension reduction for n > p, and
 one-parameter stable unfoldings.
 
-Each jet object derived from a germ (ideal spans, delta, ell, towers, class
-maps, prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models)
-has one builder under ``cached(kind)``, so it is built once per germ and arguments.
+Each jet object derived from a germ (ideal spans, ell, towers, class maps,
+prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models) has
+one builder under ``cached(kind)``, so it is built once per germ and arguments.
+Each fact is derived once: delta is read at jet order ell+1, where ell's scan
+ends; both derivations of a level take their jet order from
+``ksmaps.truncation_order``, sharing its class maps; and ``MultiGerm.pullbacks``
+alone says which target slots are source coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .poly import (
     monomials_of_degree,
 )
 
-ORDER_CAP = 24  # the largest jet order delta and ell are searched to
+ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
 
 
 def cached(kind: str):
@@ -47,7 +51,7 @@ def cached(kind: str):
 
 
 class NotFiniteMultiplicityError(ValueError):
-    """Raised when jet elimination fails to stabilize below the order cap."""
+    """Raised when no Nakayama exponent is found below the order cap."""
 
 
 class ConsistencyError(RuntimeError):
@@ -155,42 +159,30 @@ class MultiGerm:
         b = self.branches[j]
         return modules.module_jet_span([(c,) for c in b.components], 1, b.n, order)
 
-    @cached("bdelta")
-    def branch_delta(self, j: int) -> tuple[int, int]:
-        """(delta(f_j), stabilized jet order).  Stabilization requires the
-        quotient dimension to repeat for two consecutive truncation orders."""
-        b = self.branches[j]
-        prev = None
-        for order in range(2, ORDER_CAP + 1):
-            codim = count_monomials_below(b.n, order) - self._ideal_span(j, order).dim
-            if prev is not None and codim == prev:
-                return codim, order
-            prev = codim
-        raise NotFiniteMultiplicityError(
-            f"branch {b.label!r}: multiplicity not finite up to jet order {ORDER_CAP}"
-        )
-
-    def delta(self) -> int:
-        return sum(self.branch_delta(j)[0] for j in range(self.num_branches))
-
     @cached("ell")
     def branch_ell(self, j: int) -> int:
-        """Least ell with m^ell contained in (pullback ideal) + m^(ell+1)."""
+        """Least ell with m^ell contained in (pullback ideal) + m^(ell+1),
+        searched at jet orders ell+1 <= ORDER_CAP."""
         b = self.branches[j]
-        for ell in range(1, ORDER_CAP + 1):
+        for ell in range(1, ORDER_CAP):
             span, idx = self._ideal_span(j, ell + 1), mono_index_map(b.n, ell + 1)
             if all(span.contains({idx[m]: 1}) for m in monomials_of_degree(b.n, ell)):
                 return ell
         raise NotFiniteMultiplicityError(
-            f"branch {b.label!r}: no Nakayama exponent up to {ORDER_CAP}"
+            f"branch {b.label!r}: multiplicity not finite up to jet order {ORDER_CAP}"
         )
+
+    def branch_delta(self, j: int) -> int:
+        """delta(f_j) = dim R/I, read below jet order ell+1: m^ell is in I,
+        so R/I = R/(I + m^(ell+1))."""
+        order = self.branch_ell(j) + 1
+        return count_monomials_below(self.n, order) - self._ideal_span(j, order).dim
+
+    def delta(self) -> int:
+        return sum(self.branch_delta(j) for j in range(self.num_branches))
 
     def ell(self) -> int:
         return max(self.branch_ell(j) for j in range(self.num_branches))
-
-    def gamma(self) -> int:
-        """dim ker(induced map on local algebras); computed directly."""
-        return self.higher_invariants(0, mode="bruteforce")[1]
 
     # -- derived jet objects, each built once (see ``cached``) -----------
     @cached("tower")
@@ -207,13 +199,13 @@ class MultiGerm:
     @cached("prenormal")
     def prenormal(self, j: int):
         """Branch j's division.PrenormalForm, or None."""
-        return division.prenormal_form(self.branches[j])
+        return division.prenormal_form(self.branches[j], self.pullbacks(j)[0])
 
     @cached("pullback")
     def pullbacks(self, j: int):
         """(coords, pulled) of branch j: coords maps each target slot whose
-        component is a source variable x_i to i, and pulled(beta) is
-        X^beta∘f_j, untruncated and memoized."""
+        component is a source variable x_i to i (read nowhere else), and
+        pulled(beta) is X^beta∘f_j, untruncated and memoized."""
         comps = self.branches[j].components
         xs = [Polynomial.variable(self.n, i) for i in range(self.n)]
         return ({q: xs.index(c) for q, c in enumerate(comps) if c in xs},
@@ -280,7 +272,7 @@ class MultiGerm:
     @cached("bhigher")
     def _branch_higher_bruteforce(self, j: int, i: int) -> tuple[int, int]:
         b = self.branches[j]
-        order = self.branch_ell(j) * (i + 2) + 1
+        order = ksmaps.truncation_order(self, i)  # the level model's, sharing its class maps
         cmap = self.class_map(j, order, i + 1)
         # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
         reps: list[dict] = []
@@ -314,19 +306,17 @@ class GermInvariants:
     """Summary of the contact-class invariants of a multigerm."""
 
     def __init__(self, n: int, p: int, corank: int, delta: int, delta_per_branch: tuple[int, ...],
-                 gamma: int, num_branches: int, stabilized_order: int, ell: int,
-                 mode: str = "formula"):
+                 gamma: int, num_branches: int, ell: int, mode: str = "formula"):
         self.n, self.p, self.corank = n, p, corank
         self.delta, self.delta_per_branch, self.gamma = delta, delta_per_branch, gamma
-        self.num_branches, self.stabilized_order, self.ell = num_branches, stabilized_order, ell
+        self.num_branches, self.ell = num_branches, ell
         self.i_delta: dict[int, int] = {}  # level -> higher delta, filled by invariants()
         self.i_gamma: dict[int, int] = {}
         self.mode = mode
 
 
 def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula") -> GermInvariants:
-    per_branch = tuple(f.branch_delta(j)[0] for j in range(f.num_branches))
-    stab = max(f.branch_delta(j)[1] for j in range(f.num_branches))
+    per_branch = tuple(f.branch_delta(j) for j in range(f.num_branches))
     inv = GermInvariants(
         n=f.n,
         p=f.p,
@@ -335,7 +325,6 @@ def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula") -> GermInvar
         delta_per_branch=per_branch,
         gamma=f.higher_invariants(0, mode=mode)[1],
         num_branches=f.num_branches,
-        stabilized_order=stab,
         ell=f.ell(),
         mode=mode,
     )
@@ -400,8 +389,7 @@ class UnfoldingSpec:
     """A one-parameter unfolding F(x, t) = (f_t(x), t) of a base germ;
     param_target_index is the parameter's position among F's target vars."""
 
-    def __init__(self, F: MultiGerm, base: MultiGerm, param_source_name: str,
-                 param_target_index: int):
+    def __init__(self, F: MultiGerm, base: MultiGerm, param_target_index: int):
         if F.n != base.n + 1 or F.p != base.p + 1:
             raise InputError("unfolding must add exactly one source and one target dimension")
         k = param_target_index
@@ -420,7 +408,6 @@ class UnfoldingSpec:
                         f"branch {bF.label!r}: setting the parameter to zero does not recover the base germ"
                     )
         self.F, self.base = F, base
-        self.param_source_name = param_source_name
         self.param_target_index = param_target_index
 
 
@@ -451,7 +438,7 @@ def build_unfolding(f: MultiGerm) -> UnfoldingSpec:
                 branches.append(Branch(b.label, b.source_vars + ("t",), tuple(comps)))
             F = MultiGerm(branches, ("T",) + tuple(f.target_vars))
             if ksmaps.classify_stable(F).stable:
-                return UnfoldingSpec(F, f, "t", 0)
+                return UnfoldingSpec(F, f, 0)
     raise HypothesisError(
         f"no one-parameter stable unfolding found up to degree {UNFOLDING_DEGREE_CAP}"
     )

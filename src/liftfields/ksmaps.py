@@ -279,9 +279,7 @@ class MinGeneratorCount:
         self.mode = mode
 
 
-def min_generators(
-    f: MultiGerm, mode: str = "both", cap: int = 6, report: KSReport | None = None
-) -> MinGeneratorCount:
+def min_generators(f: MultiGerm, mode: str = "both", cap: int = 6) -> MinGeneratorCount:
     """Minimal number of generators of the liftable-field module, valid when
     the first surjective and last injective level coincide at some i; the
     count is dim ker of the level-(i+1) map.
@@ -290,8 +288,7 @@ def min_generators(
     d, g the higher delta/gamma invariants is cross-checked against the
     explicit matrix kernel unless a single mode is requested.
     """
-    if report is None:
-        report = locate_i1_i2(f, cap)
+    report = locate_i1_i2(f, cap)  # a repeat scan reads the cached models and ranks
     if not report.theorem_applicable:
         raise HypothesisError(
             f"count formula needs matching levels; found i1={report.i1}, i2={report.i2}"

@@ -82,19 +82,26 @@ class LiftModule:
         return [c.eta for c in self.generators]
 
 
+def _split(f: MultiGerm, j: int, beta: tuple) -> tuple[list, tuple]:
+    """(a, b) with X^beta = X'^a*Y^b on branch j, X' the slots whose
+    component is a source variable x_i (MultiGerm.pullbacks): a is the
+    source exponent X'^a pulls back to, and b is beta with those slots 0."""
+    shift, rest = [0] * f.n, list(beta)
+    for q, i in f.pullbacks(j)[0].items():
+        shift[i], rest[q] = shift[i] + beta[q], 0
+    return shift, tuple(rest)
+
+
 def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: Optional[int]) -> list[Polynomial]:
-    """eta∘f_j componentwise, truncated at ``order`` (None: not at all).  A
-    slot X'_s whose component is a variable x_i pulls back to it, so a term
-    X'^a*Y^b is the x^a-shift of Y^b∘f_j (MultiGerm.pullbacks)."""
-    coords, pulled = f.pullbacks(j)
+    """eta∘f_j componentwise, truncated at ``order`` (None: not at all): a
+    term X'^a*Y^b (``_split``) is the x^a-shift of the memoized Y^b∘f_j."""
+    pulled = f.pullbacks(j)[1]
     out = []
     for comp in eta:
         terms: dict = {}
         for beta, v in comp.terms.items():
-            shift, rest = [0] * f.n, list(beta)
-            for q, i in coords.items():
-                shift[i], rest[q] = shift[i] + beta[q], 0
-            for m, w in pulled(tuple(rest)).terms.items():
+            shift, rest = _split(f, j, beta)
+            for m, w in pulled(rest).terms.items():
                 m = mono_mul(m, shift)
                 if order is None or sum(m) < order:
                     terms[m] = terms.get(m, 0) + v * w
@@ -187,8 +194,10 @@ def _residual_columns(f: MultiGerm, order: int):
     """column(terms) -> (s * residual column of sum(c * X^beta e_q) over terms
     (q, beta, c), s), s an integer: division normal forms, or jet remainders
     on branches that are not prenormal.  On a prenormal branch the column of
-    X'^a*Y^b e_q (X' the coordinate slots) is the x^a-shift of Y^b e_q's."""
-    n, p, nb = f.n, f.p, f.num_branches
+    X'^a*Y^b e_q (``_split``) is the x^a-shift of Y^b e_q's: the normal form
+    is K[x']-linear, and K[y]-linear too when a slot's component is y, since
+    then W is a constant."""
+    p, nb = f.p, f.num_branches
     forms = [f.prenormal(j) for j in range(nb)]
     # the lift condition decouples: one column block per branch, interleaved
     # so that columns still ascend with the monomial degree
@@ -204,10 +213,8 @@ def _residual_columns(f: MultiGerm, order: int):
                 r = modules.vector_to_row(_pullback(f, j, v, order), p, order)
                 blocks.append((1, c, {k * nb + j: a for k, a in tspans[j].reduce_full(r).items()}))
                 continue
-            shift, rest = [0] * n, list(beta)
-            for s, x in form.coords:
-                shift[x], rest[s] = beta[s], 0
-            key = (j, tuple(rest), q)
+            shift, rest = _split(f, j, beta)
+            key = (j, rest, q)
             if key not in normal_forms:
                 v[q] = Polynomial.monomial(p, rest)
                 normal_forms[key] = form.normal_form(_pullback(f, j, v, None))[::2]
@@ -223,12 +230,8 @@ def _residual_columns(f: MultiGerm, order: int):
     return column
 
 
-def complete_generators(
-    f: MultiGerm,
-    cap: int = 6,
-    max_extra_degree: Optional[int] = None,
-    report: Optional[ksmaps.KSReport] = None,
-) -> LiftModule:
+def complete_generators(f: MultiGerm, cap: int = 6,
+                        max_extra_degree: Optional[int] = None) -> LiftModule:
     """Build a minimal generating set by completing each kernel vector of
     the level-(i+1) matrix model with higher-order terms.
 
@@ -238,8 +241,7 @@ def complete_generators(
     degree, until it holds -residual(eta0); the completion is then the
     combination of the kept candidates, the others at 0.
     """
-    if report is None:
-        report = ksmaps.locate_i1_i2(f, cap)
+    report = ksmaps.locate_i1_i2(f, cap)
     if not report.theorem_applicable:
         raise HypothesisError(
             f"kernel completion needs matching levels; found i1={report.i1}, i2={report.i2}"
@@ -251,7 +253,7 @@ def complete_generators(
     order = ksmaps.truncation_order(f, i) + d_max
 
     kernel = ksmaps.ks_matrix(f, i + 1).kernel_fields(f.target_vars)
-    expected = ksmaps.min_generators(f, mode="bruteforce", report=report).count
+    expected = ksmaps.min_generators(f, mode="bruteforce", cap=cap).count
     for key in [key for key in f._cache if key[0] in ("tower", "cmap", "ks")]:
         del f._cache[key]  # the level work is done: free its towers, class maps and models
 

@@ -2,7 +2,8 @@
 
 A document describes one multigerm, optionally together with a one-parameter
 unfolding, a target diffeomorphism pair, named lists of vector fields, and
-option overrides::
+integer options.  Options override no setting: only the ``expect_*`` keys are
+read, as the values recorded for a catalog entry (see ``liftfields.catalog``)::
 
     germ cusp {
       n = 1; p = 2;
@@ -15,7 +16,7 @@ option overrides::
         (2*X, 3*Y);
         (9*Y, -2*X^2);
       }
-      options { max_i = 6; }
+      options { expect_delta = 2; }
     }
 
 Polynomials use ``+ - *`` and ``^`` for powers; rational literals are written
@@ -171,8 +172,7 @@ class GermDocument:
             [Branch(b.label, b.source_vars, b.components) for b in u.branches],
             u.target_vars,
         )
-        param = u.branches[0].source_vars[-1]
-        return UnfoldingSpec(F, self.to_multigerm(), param, u.param_target_index)
+        return UnfoldingSpec(F, self.to_multigerm(), u.param_target_index)
 
     def diffeo_pair(self) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
         if self.diffeo is None:

@@ -2,8 +2,9 @@
 
 These are the dense and polynomial constructions the library used before
 it moved to sparse column-space code, the greedy Nakayama loop and the
-Buchberger loop that recomputes leading terms, and the jsonschema package's
-report validation; they stay here as oracles only.
+Buchberger loop that recomputes leading terms, the delta stabilisation loop
+and the brute-force higher invariants at a jet order of one's choice, and the
+jsonschema package's report validation; they stay here as oracles only.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from jsonschema.validators import validator_for
 from liftfields.linalg import SparseSpan, dense_rref
 from liftfields.modules import (
     ModElement,
+    ScalarClassMap,
     _term_key,
+    jet_times,
     normal_form,
     vector_to_row,
 )
 from liftfields.poly import (
     Polynomial,
+    count_monomials_below,
     mono_degree,
     mono_div,
     mono_divides,
@@ -133,6 +137,47 @@ def polynomial_module_jet_span(gens, rank: int, nvars: int, order: int, min_mult
                 mult = [c.mul_monomial(m).truncate(order) for c in g]
                 span.add(vector_to_row(mult, rank, order))
     return span
+
+
+def stabilised_delta(f, j: int, cap: int = 24) -> tuple[int, int]:
+    """(delta(f_j), stabilised jet order) by the loop the library used before
+    it read delta at jet order ell+1: the codimension of branch j's pullback
+    ideal below orders 2, 3, ..., until two consecutive orders agree; the
+    ideal spans are formed from Polynomial multiples."""
+    b = f.branches[j]
+    prev = None
+    for order in range(2, cap + 1):
+        span = polynomial_module_jet_span([(c,) for c in b.components], 1, b.n, order)
+        codim = count_monomials_below(b.n, order) - span.dim
+        if codim == prev:
+            return codim, order
+        prev = codim
+    raise ValueError(f"branch {b.label!r}: no stable quotient dimension up to order {cap}")
+
+
+def branch_higher_at(f, j: int, i: int, order: int) -> tuple[int, int]:
+    """(i-delta, i-gamma) of branch j by jet elimination below ``order``: the
+    classes of a basis of F_i in F_i/F_(i+1) (F_k the k-th ideal power, from
+    polynomial_tower_spans), and the kernel of the induced differential on
+    (F_i/F_(i+1))^n -> (R/F_(i+1))^p."""
+    b = f.branches[j]
+    spans = polynomial_tower_spans(list(b.components), order, f.branch_ell(j), i + 1)
+    cmap = ScalarClassMap(spans[i + 1], b.n, order)
+    reps, seen = [], SparseSpan()
+    for _, row in sorted(spans[i].rows.items()):
+        coords = cmap.reduce(row)
+        if coords and seen.add(coords) is not None:
+            reps.append(row)
+    jac = b.jacobian()
+    image = SparseSpan()
+    for row in reps:
+        for m in range(b.n):
+            col = {}
+            for q in range(b.p):
+                prod = jet_times(row, jac[q][m].terms.items(), b.n, order)
+                col.update({q * cmap.dim + k: v for k, v in cmap.reduce(prod).items()})
+            image.add(col)
+    return len(reps), len(reps) * b.n - image.dim
 
 
 def greedy_nakayama_minimize(fields, rank: int, cert_order: int) -> list[tuple]:

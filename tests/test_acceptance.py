@@ -249,7 +249,7 @@ def test_criterion_8_every_generator_reverifies():
         # pipeline outputs
         rep = locate_i1_i2(f)
         if rep.theorem_applicable:
-            mod = complete_generators(f, report=rep)
+            mod = complete_generators(f)
             for cert in mod.generators:
                 if not verify_certificate(f, cert):
                     failures.append((name, "kernel-completion"))

@@ -252,9 +252,32 @@ def test_workdir_override(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_workdir_override_resolves_fields_file(tmp_path, capsys, monkeypatch):
+    # check DOC --fields FILE resolves FILE against the work directory, as DOC
+    cusp = "germ g { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
+    (tmp_path / "doc.germ").write_text(cusp + " }")
+    (tmp_path / "flds.germ").write_text(cusp + " fields r { (2*X, 3*Y); } }")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    monkeypatch.setenv("LIFTFIELDS_WORKDIR", str(tmp_path))
+    code, out, err = run(["check", "doc.germ", "--fields", "flds.germ"], capsys)
+    assert (code, err) == (0, "")
+    assert "r: " in out
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [["analyze"], ["kernel", "--level", "1"]])
+def test_exit_hypothesis_infinite_multiplicity(tmp_path, capsys, argv):
+    path = tmp_path / "line.germ"
+    path.write_text("germ g { n = 2; p = 2; target (X, Y); branch a(x, y) = (x, x^2); }")
+    code, out, err = run([argv[0], str(path), *argv[1:]], capsys)
+    assert (code, out) == (1, "")
+    assert err == "hypothesis violated: branch 'a': multiplicity not finite up to jet order 24\n"
+
 
 def test_exit_parse_error_bad_syntax(tmp_path, capsys):
     path = tmp_path / "bad.germ"

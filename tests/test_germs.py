@@ -10,11 +10,14 @@ from liftfields import (
     invariants,
     reduce_to_core,
 )
+from liftfields import catalog
 from liftfields.germs import GermInvariants, UnfoldingSpec, build_unfolding
+from liftfields.ksmaps import truncation_order
 from liftfields.parser import GermDocument
 from liftfields.report import AnalysisReport, ReportConfig
 
 from conftest import germ, monogerm, poly
+from oracles import branch_higher_at, stabilised_delta
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +36,13 @@ def test_unfolding_spec_rejects_non_parameter_component():
     base = monogerm(["y^2", "y^3"], ("y",), ("X", "Y"))
     names = ("y", "t")
     F = monogerm(["y^2", "y^3 + t*y", "t"], names, ("X", "Y", "T"))
-    assert UnfoldingSpec(F, base, "t", 2).param_target_index == 2
+    assert UnfoldingSpec(F, base, 2).param_target_index == 2
     with pytest.raises(ValueError, match="target component 1 must be the parameter"):
-        UnfoldingSpec(F, base, "t", 0)
+        UnfoldingSpec(F, base, 0)
     # the slice t = 0 must give back the base germ
     G = monogerm(["y^2 + y^4", "y^3 + t*y", "t"], names, ("X", "Y", "T"))
     with pytest.raises(ValueError, match="does not recover the base germ"):
-        UnfoldingSpec(G, base, "t", 2)
+        UnfoldingSpec(G, base, 2)
 
 
 def test_default_built_records_share_no_containers():
@@ -49,7 +52,7 @@ def test_default_built_records_share_no_containers():
     pairs = [
         (GermDocument("g", 1, 2, ("X", "Y"), []) for _ in range(2)),
         (AnalysisReport("analyze", "g", ReportConfig()) for _ in range(2)),
-        (GermInvariants(1, 2, 1, 2, (2,), 1, 1, 3, 2) for _ in range(2)),
+        (GermInvariants(1, 2, 1, 2, (2,), 1, 1, 2) for _ in range(2)),
     ]
     for a, b in pairs:
         assert containers(a) and len(containers(a)) == len(containers(b))
@@ -130,6 +133,31 @@ def test_frozen_catalog_deltas(catalog_docs):
         if f.n > f.p:
             f = reduce_to_core(f)
         assert invariants(f).delta == want, name
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_delta_at_ell_matches_stabilised_loop(name):
+    # delta read at jet order ell+1 is the stabilised quotient dimension,
+    # and the loop stabilises one order after max(ell, 2)
+    f = germ(name)
+    if f.n > f.p:
+        f = reduce_to_core(f)
+    for j in range(f.num_branches):
+        assert stabilised_delta(f, j) == (f.branch_delta(j), max(f.branch_ell(j), 2) + 1)
+
+
+@pytest.mark.parametrize("name", ["bigerm-69", "suspended-69", "trigerm"])
+def test_bruteforce_levels_match_at_per_branch_order(name):
+    # the brute-force higher invariants read at the level models' jet order
+    # agree with those at each branch's own order ell_j*(i+2)+1
+    f = germ(name)
+    if f.n > f.p:
+        f = reduce_to_core(f)
+    for i in range(4):
+        orders = [f.branch_ell(j) * (i + 2) + 1 for j in range(f.num_branches)]
+        assert max(orders) == truncation_order(f, i) > min(orders)  # the orders differ
+        per_branch = [branch_higher_at(f, j, i, order) for j, order in enumerate(orders)]
+        assert f.higher_invariants(i, "bruteforce") == tuple(map(sum, zip(*per_branch)))
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_completion_count_without_reference(name):
 def test_completion_lowest_degrees_span_kernel():
     f = germ("cusp-pair")
     rep = locate_i1_i2(f)
-    mod = complete_generators(f, report=rep)
+    mod = complete_generators(f)
     assert mod.count == ks_matrix(f, rep.i1 + 1).kernel_dim
 
 
@@ -722,7 +722,7 @@ def _level_layer(f):
     models = [ks_matrix(f, i) for i in range(top + 1)]
     inv = invariants(f, max_i=3, mode="both")
     try:
-        mod = complete_generators(f, report=rep)
+        mod = complete_generators(f)
         gens = [(c.eta, c.lifts, c.exact) for c in mod.generators]
     except HypothesisError as exc:
         gens = str(exc)

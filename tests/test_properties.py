@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from liftfields import Branch, MultiGerm, invariants, locate_i1_i2
 from liftfields.poly import Polynomial
 
+from oracles import stabilised_delta
+
 
 def _curve_component(power, tail):
     """y^power plus strictly higher-order tail terms, as a 1-variable poly."""
@@ -71,3 +73,12 @@ def test_gamma_is_delta_minus_branch_count(f):
     inv = invariants(f)
     assert inv.gamma == inv.delta - inv.num_branches
     assert inv.delta >= 1
+
+
+@given(plane_curve_germs(), plane_curve_germs())
+@settings(max_examples=20, deadline=None)
+def test_delta_at_ell_matches_stabilised_loop(f, g):
+    big = MultiGerm([f.branches[0], Branch("b", ("y",), g.branches[0].components)], ("X", "Y"))
+    for j in range(big.num_branches):
+        want = (big.branch_delta(j), max(big.branch_ell(j), 2) + 1)
+        assert stabilised_delta(big, j) == want
