@@ -41,10 +41,10 @@ _LAYER_OF = {name: layer for layer, names in (
                "build_unfolding", "invariants", "reduce_to_core")),
     ("ksmaps", ("KSReport", "MinGeneratorCount", "StabilityVerdict", "classify_stable",
                 "ks_matrix", "locate_i1_i2", "min_generators", "truncation_order")),
-    ("lift", ("LiftCertificate", "LiftModule", "compare_modules",
-              "complete_generators", "generator_count_certified", "lift_of_squaring_map",
-              "nakayama_minimize", "restrict_from_unfolding", "solve_lift", "transport",
-              "verify_certificate")),
+    ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
+    ("lift", ("LiftModule", "compare_modules", "complete_generators",
+              "generator_count_certified", "lift_of_squaring_map", "nakayama_minimize",
+              "restrict_from_unfolding", "transport")),
     ("parser", ("GermDocument", "ParseError", "parse")),
 ) for name in names}
 

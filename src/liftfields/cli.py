@@ -15,12 +15,14 @@ Subcommands operate on a germ document, given either as a path to a
 - ``catalog``    list built-in entries, or run them all with ``--run-all``
 
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
-mismatch, unstable unfolding); 2 resource cap reached before a decision, or
-an input too large to finish (a power past the parser's bound);
-3 parse or semantic error in the input (no valid germ, unfolding or diffeo
-pair, or a diffeo block whose maps are not inverse); 4 internal consistency
-failure (formula and brute-force computations disagree, a ``--json`` report
-breaks the shipped schema, or any other ``ValueError`` escapes a layer).
+mismatch, unstable unfolding); 2 resource cap reached before a decision, an
+input too large to finish (a power past the parser's bound), or arguments
+the parser refuses (among them a ``--level`` or ``--max-i`` that is not a
+non-negative integer); 3 parse or semantic error in the input (no valid
+germ, unfolding or diffeo pair, or a diffeo block whose maps are not
+inverse); 4 internal consistency failure (formula and brute-force
+computations disagree, a ``--json`` report breaks the shipped schema, or any
+other ``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read
@@ -35,7 +37,7 @@ import os
 import sys
 import time
 
-from . import catalog, ksmaps, lift
+from . import catalog, division, ksmaps, lift
 from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
                     NotLiftableError, invariants, reduce_to_core)
 from .parser import ParseError, PowerTooLargeError, parse
@@ -54,7 +56,8 @@ class ResourceCapError(RuntimeError):
 
 # perfbench/child.py wraps these three cli attributes to capture the
 # certificates a command produced; they go once it hooks the lift layer
-# itself (ROADMAP item 1).
+# itself (ROADMAP item 1).  solve_lift forwards to division, so check and
+# reduce do not compile lift.
 def complete_generators(*args, **kwargs):
     return lift.complete_generators(*args, **kwargs)
 
@@ -64,7 +67,7 @@ def restrict_from_unfolding(*args, **kwargs):
 
 
 def solve_lift(*args, **kwargs):
-    return lift.solve_lift(*args, **kwargs)
+    return division.solve_lift(*args, **kwargs)
 
 
 def _resolve(ref: str) -> str:
@@ -309,13 +312,24 @@ def _cmd_catalog(cfg: ReportConfig, run_all: bool, as_json: bool) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _natural(text: str) -> int:
+    """argparse type of a level or level cap: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 # subcommand -> (help, handler, its one option beyond the shared ones as
 # (flag, dest, argparse keywords)); the handler takes the document (but
 # catalog), the ReportConfig and the option's value
 _COMMANDS = {
     "analyze": ("invariants and level scan", _cmd_analyze, None),
     "kernel": ("kernel basis at one level", _cmd_kernel,
-               ("--level", "level", {"type": int, "required": True})),
+               ("--level", "level", {"type": _natural, "required": True})),
     "construct": ("generators by kernel completion", _cmd_construct, None),
     "unfold": ("generators by unfolding restriction", _cmd_unfold, None),
     "check": ("re-verify claimed liftable fields", _cmd_check, ("--fields", "fields", {
@@ -340,7 +354,7 @@ def _build_parser(command) -> argparse.ArgumentParser:
             continue
         if name != "catalog":
             sp.add_argument("document", help="path to a .germ file or catalog name")
-        sp.add_argument("--max-i", type=int, default=6, dest="max_i",
+        sp.add_argument("--max-i", type=_natural, default=6, dest="max_i",
                         help="level scan cap (default 6)")
         sp.add_argument("--max-degree", type=int, default=12, dest="max_degree",
                         help="completion degree bound (default 12)")

@@ -1,16 +1,24 @@
-"""Lifts by Weierstrass division on branches in prenormal form.
+"""Lifts: solving and certifying the lift equation, by Weierstrass division
+on branches in prenormal form.
 
 On a branch (x_1..x_{n-1}, g(x, y)) where one component's y-derivative is a
 Weierstrass polynomial in y, df(xi) = eta∘f is decided by division in
-K[x][y], exactly and with no jet order.  Like every layer, this module is
-compiled on first use, so a command that lifts nothing does not compile it.
+K[x][y], exactly and with no jet order; any other branch is solved modulo
+its tangent jet span (MultiGerm.tangent_span).  This is the read path of
+the lift layer (solve_lift, verify_certificate, LiftCertificate): ``lift``
+imports it by name and adds the generator pipelines, so ``check`` and
+``reduce`` compile only this module.  Like every layer, it is compiled on
+first use, so a command that lifts nothing does not compile it.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
-from .poly import Polynomial, exact_div, mono_mul
+from . import modules
+from .germs import MultiGerm, NotLiftableError
+from .poly import Polynomial, exact_div, mono_degree, mono_mul, monomials_below
 
 
 class PrenormalForm:
@@ -91,3 +99,125 @@ def prenormal_form(b, slots: dict[int, int]) -> Optional[PrenormalForm]:
                 and (best is None or k < best[1])):
             best = (q, k, w[pure[0]])
     return None if best is None else PrenormalForm(coords, y, *best, b.jacobian())
+
+
+# ---------------------------------------------------------------------------
+# the lift equation
+# ---------------------------------------------------------------------------
+
+FieldVector = tuple  # tuple of Polynomials in the target variables
+
+
+class LiftCertificate:
+    """A solved lift equation: eta∘f_j = df_j(xi_j) per branch, exactly or
+    modulo the jet order.  lifts holds, per branch, the n source polynomials
+    of xi_j; residual_low_degree is None when exact."""
+
+    def __init__(self, eta: FieldVector, lifts: tuple, order: int, exact: bool,
+                 residual_low_degree: Optional[int]):
+        self.eta, self.lifts, self.order = eta, lifts, order
+        self.exact, self.residual_low_degree = exact, residual_low_degree
+
+
+def _split(f: MultiGerm, j: int, beta: tuple) -> tuple[list, tuple]:
+    """(a, b) with X^beta = X'^a*Y^b on branch j, X' the slots whose
+    component is a source variable x_i (MultiGerm.pullbacks): a is the
+    source exponent X'^a pulls back to, and b is beta with those slots 0."""
+    shift, rest = [0] * f.n, list(beta)
+    for q, i in f.pullbacks(j)[0].items():
+        shift[i], rest[q] = shift[i] + beta[q], 0
+    return shift, tuple(rest)
+
+
+def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: Optional[int]) -> list[Polynomial]:
+    """eta∘f_j componentwise, truncated at ``order`` (None: not at all): a
+    term X'^a*Y^b (``_split``) is the x^a-shift of the memoized Y^b∘f_j."""
+    pulled = f.pullbacks(j)[1]
+    out = []
+    for comp in eta:
+        terms: dict = {}
+        for beta, v in comp.terms.items():
+            shift, rest = _split(f, j, beta)
+            for m, w in pulled(rest).terms.items():
+                m = mono_mul(m, shift)
+                if order is None or sum(m) < order:
+                    terms[m] = terms.get(m, 0) + v * w
+        out.append(Polynomial(f.n, terms))
+    return out
+
+
+def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
+    """df_j(xi_j): the Jacobian applied to a source field."""
+    jac = branch.jacobian()
+    n, p = branch.n, branch.p
+    return [
+        sum((jac[q][m] * xi[m] for m in range(n)), Polynomial.zero(n))
+        for q in range(p)
+    ]
+
+
+def _residual_low(branch, full: Sequence[Polynomial], xi) -> Optional[int]:
+    """Lowest degree of the residual eta∘f_j - df_j(xi_j); None if it is 0."""
+    lows = [(u - v).low_degree() for u, v in zip(full, _tangent_image(branch, xi)) if u != v]
+    return min(lows, default=None)
+
+
+def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
+    """Solve the lift equation for eta over every branch of f; raises
+    NotLiftableError with the first obstructed branch and degree.
+
+    A prenormal branch is solved exactly by division.  Any other branch, or
+    one whose normal form does not vanish, is reduced modulo its tangent jet
+    span: a nonzero remainder is the obstruction (its lowest column gives
+    the degree), and otherwise xi is read off by back substitution.  A
+    nonzero normal form with no obstruction below ``order`` is still one:
+    the error then carries ``order`` as a lower bound on its degree.
+    """
+    n, p = f.n, f.p
+    monos = monomials_below(n, order)
+    lifts = []
+    residual_low = None
+    den = lcm(*(c.denominator for comp in eta for c in comp.terms.values()))
+    integral = [comp.scale(den) for comp in eta]  # divided back once per lift coefficient
+    for j, b in enumerate(f.branches):
+        form = f.prenormal(j)
+        if form is not None:
+            nf, xi, s = form.normal_form(_pullback(f, j, integral, None))
+            if not any(nf):  # xi / (s * den) lifts eta
+                lifts.append(tuple(Polynomial(n, {m: exact_div(c, s * den)
+                                                  for m, c in x.terms.items()}) for x in xi))
+                continue
+        full = _pullback(f, j, eta, None)
+        span = f.tangent_span(j, order)
+        hits: dict = {}
+        left = span.reduce_full(modules.vector_to_row(full, p, order), hits)
+        if left:
+            deg = mono_degree(monos[min(left) // p]) + 1
+            raise NotLiftableError(
+                f"branch {b.label!r}: lift equation inconsistent at jet order {deg}",
+                b.label,
+                deg - 1,
+            )
+        if form is not None:  # division decides; the jets only miss the degree
+            raise NotLiftableError(f"branch {b.label!r}: lift equation inconsistent: nonzero"
+                                   f" division normal form, obstruction degree at least {order}",
+                                   b.label, order)
+        terms: list[dict] = [{} for _ in range(n)]
+        for u, c in span.combination(hits).items():
+            terms[u % n][monos[u // n]] = c
+        xi = tuple(Polynomial(n, t) for t in terms)
+        low = _residual_low(b, full, xi)
+        if low is not None:
+            residual_low = low if residual_low is None else min(residual_low, low)
+        lifts.append(xi)
+    return LiftCertificate(tuple(eta), tuple(lifts), order, residual_low is None, residual_low)
+
+
+def verify_certificate(f: MultiGerm, cert: LiftCertificate) -> bool:
+    """Recheck a certificate from scratch: the residual of each branch must
+    vanish (exact) or start at or above the certified jet order."""
+    for j, (b, xi) in enumerate(zip(f.branches, cert.lifts)):
+        low = _residual_low(b, _pullback(f, j, cert.eta, None), xi)
+        if low is not None and low < cert.order:
+            return False
+    return True

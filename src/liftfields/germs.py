@@ -277,9 +277,11 @@ class MultiGerm:
         # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
         reps: list[dict] = []
         seen = linalg.SparseSpan()
-        for c, row in sorted(self.branch_tower(j, order).span(i).rows.items()):
-            if len(row) == 1 and not cmap.classes[c]:
-                continue  # a monomial of F_{i+1}: its class is zero
+        for c, row in self.branch_tower(j, order).span(i).pivot_rows():
+            if row is None:  # a pure pivot: a row is built only if its class is not zero
+                if not cmap.classes[c]:
+                    continue  # a monomial of F_{i+1}
+                row = {c: 1}
             coords = cmap.reduce(row)
             if coords and seen.add(coords) is not None:
                 reps.append(row)

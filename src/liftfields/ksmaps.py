@@ -19,16 +19,20 @@ All jets are taken at order M = ell*(i+2)+1 where ell is the Nakayama
 exponent (m^ell ⊆ I), which resolves the quotient exactly.
 
 The model never leaves integer column space: the ideal-power spans are
-pure monomial pivots read off the exponents on coordinate branches and
-products of integer basis rows with the generators elsewhere, every
-column's quotient class is computed once (ScalarClassMap.classes), and a
+pure monomial pivots read off the exponents on coordinate branches (one
+level per column, kept once per tower, with no row or dict entry per
+pivot) and products of integer basis rows with the generators elsewhere,
+every column's quotient class is computed once (ScalarClassMap.classes, a
+list by column in which every pure pivot shares one zero class), and a
 tangent row is the sum of the classes of its Jacobian terms (multipliers
-whose class is zero give none).  Candidate and pullback rows are reduced
-to their branch's quotient coordinates once, then placed in every target
-direction.  All of these rows are integer.  The generators of A_i that
-enlarge the tangent span are added to it as the quotient basis, and a
-column's quotient coordinates are the factors of those rows in its full
-reduction over that span, one exact division per entry.  The columns are
+whose class is zero give none).  The candidates from F(i) take a pure
+pivot's class as it stands and reduce only the rows with more than their
+pivot; candidate and pullback rows are reduced to their branch's quotient
+coordinates once, then placed in every target direction.  All of these
+rows are integer.  The generators of A_i that enlarge the tangent span
+are added to it as the quotient basis, and a column's quotient
+coordinates are the factors of those rows in its full reduction over that
+span, one exact division per entry.  The columns are
 factored once, left to right, with a fraction-free FactoredSpan: the rank
 is the factor's dimension, and each dependent column c gives the kernel
 vector e_c minus its combination of the independent columns before it
@@ -174,11 +178,15 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     qm = QuotientModel(tangent)
     cut = count_monomials_below(n, (i + 1) * ell)  # columns of degree < (i+1)*ell
     for j in range(f.num_branches):
-        # F(i)'s basis rows by pivot (lowest column) below cut; F(i+1)'s monomials are 0
-        rows, classes = f.branch_tower(j, order).span(i).rows, cmaps[j].classes
-        cands = [cmaps[j].reduce(rows[c]) for c in range(cut)
-                 if c in rows and (len(rows[c]) > 1 or classes[c])]
-        cands = [coords for coords in cands if coords]
+        # classes of F(i)'s basis rows by pivot (lowest column) below cut: a
+        # pure pivot's class is read, not reduced (F(i+1)'s monomials are 0)
+        classes, cands = cmaps[j].classes, []
+        for c, row in f.branch_tower(j, order).span(i).pivot_rows():
+            if c >= cut:
+                break
+            coords = classes[c] if row is None else cmaps[j].reduce(row)
+            if coords:
+                cands.append(coords)
         for q in range(p):
             for coords in cands:
                 qm.extend(place(j, q, coords))

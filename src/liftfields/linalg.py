@@ -123,6 +123,12 @@ class SparseSpan:
         if col not in self.rows:
             self.rows[col] = {col: 1}
 
+    def pivot_rows(self):
+        """(pivot, row) in ascending pivot order, with row None for a pure
+        pivot (a row that is its pivot entry alone), so a reader can skip
+        it without reading a row."""
+        return ((c, None if len(row) == 1 else row) for c, row in sorted(self.rows.items()))
+
 
 class FactoredSpan(SparseSpan):
     """Echelon span of tagged vectors that keeps a sparse triangular factor.

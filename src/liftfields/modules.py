@@ -15,10 +15,13 @@ symbolic layer drives the unfolding-intersection pipeline.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count, repeat
 from math import lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .linalg import SparseSpan
@@ -269,6 +272,44 @@ def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None
     return {k: v for k, v in out.items() if v}
 
 
+class PurePivots(Mapping):
+    """The rows of a span whose pivots are all pure, read off a level list:
+    column c is a pivot exactly when ``levels[c] >= k``, and its row {c: 1}
+    is built only when it is read.  Read-only; nothing is held per column."""
+
+    __slots__ = ("levels", "k")
+
+    def __init__(self, levels: list, k: int):
+        self.levels, self.k = levels, k
+
+    def __contains__(self, c) -> bool:
+        return 0 <= c < len(self.levels) and self.levels[c] >= self.k
+
+    def __getitem__(self, c) -> dict:
+        if c not in self:
+            raise KeyError(c)
+        return {c: 1}
+
+    def __iter__(self):
+        return compress(count(), map(self.k.__le__, self.levels))
+
+    def __len__(self) -> int:
+        return sum(map(self.k.__le__, self.levels))
+
+
+class LevelSpan(SparseSpan):
+    """F(k) of a coordinate tower: the pure pivots of level >= k, whose rows
+    are a PurePivots view of the tower's level list."""
+
+    __slots__ = ()
+
+    def __init__(self, levels: list, k: int):
+        self.rows = PurePivots(levels, k)
+
+    def pivot_rows(self):
+        return zip(self.rows, repeat(None))
+
+
 class IdealPowerTower:
     """Jet spans of the powers I^k of a finitely generated ideal.
 
@@ -279,7 +320,9 @@ class IdealPowerTower:
     and the m-primary I^k + m^order has the same jets there: F(k) is the
     pure pivots x'^a*y^b with |a| + b//m >= k, the very rows of the
     products below, where the longer generators' products vanish or pass
-    k*ell.  Each column's level |a| + b//m is computed once per tower.
+    k*ell.  Each column's level |a| + b//m is computed once per tower, and
+    F(k) is a LevelSpan over that list: "is column c a pivot of F(k)?" is
+    ``levels[c] >= k``, with no row or dict entry per column.
 
     Otherwise F(k) is spanned by the generators times a basis of F(k-1)
     (for k = 1, every monomial), formed on column indices from content-free
@@ -304,7 +347,6 @@ class IdealPowerTower:
         if self.power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
             y, m = self.power
             self._levels = [sum(t) - t[y] + t[y] // m for t in monomials_below(self.nvars, order)]
-            self._units = [{c: 1} for c in range(len(self._levels))]  # rows shared by the spans
 
     def _coordinate_power(self) -> tuple[int, int] | None:
         """(y, m) when the generators are in coordinate form, else None."""
@@ -332,13 +374,14 @@ class IdealPowerTower:
         if k in self._spans:
             return self._spans[k]
         n, order = self.nvars, self.order
-        span = SparseSpan()
         if self.power is not None:
-            span.rows = {c: self._units[c] for c, level in enumerate(self._levels) if level >= k}
+            span = LevelSpan(self._levels, k)
         elif k == 0:
+            span = SparseSpan()
             for c in range(count_monomials_below(n, order)):
                 span.add_pure_pivot(c)
         else:
+            span = SparseSpan()
             degs = _column_degrees(n, order)
             cover = self._cover(k)
             for c, d in enumerate(degs):
@@ -357,38 +400,50 @@ class IdealPowerTower:
         return span
 
 
+_ZERO = MappingProxyType({})  # the class of every pure pivot: one object, never written
+
+
 class ScalarClassMap:
     """Coordinates on the quotient R/(span) of the truncated polynomial ring.
 
     The quotient basis is the set of non-pivot monomials (ascending degree).
-    Every column's class is computed once, so reduce() maps a scalar jet
-    row to its exact coordinate vector by summing column classes.
+    ``classes`` is a list indexed by column: a non-pivot column's class is
+    {its quotient basis index: 1}, every pure pivot (a monomial of the span)
+    shares the one read-only zero class with no row read for it, and only
+    the rows with more than their pivot are reduced.  Every class is
+    computed once, so reduce() maps a scalar jet row to its exact
+    coordinate vector by summing column classes.
     """
 
     def __init__(self, span: SparseSpan, nvars: int, order: int):
-        ncols = count_monomials_below(nvars, order)
-        quotient = [c for c in range(ncols) if c not in span.rows]
+        classes: list = [None] * count_monomials_below(nvars, order)
+        mixed = []
+        for pivot, row in span.pivot_rows():
+            classes[pivot] = _ZERO
+            if row is not None:
+                mixed.append((pivot, row))
+        quotient = [c for c, cls in enumerate(classes) if cls is None]
+        for q, c in enumerate(quotient):
+            classes[c] = {q: 1}
         self.dim = len(quotient)
-        # column -> its class {quotient basis index: coefficient}
-        self.classes: dict[int, dict] = {c: {q: 1} for q, c in enumerate(quotient)}
-        self._build_classes(span)
+        self.classes = classes
+        self._build_classes(mixed)
 
-    def _build_classes(self, span: SparseSpan) -> None:
-        """Fully reduce each pivot row so it expresses its pivot monomial in
-        quotient coordinates; back-substitution in descending pivot order,
-        in integers with one exact division by the pivot entry."""
+    def _build_classes(self, mixed: list) -> None:
+        """Fully reduce each row of ``mixed`` (pivot, row), ascending, so it
+        expresses its pivot monomial in quotient coordinates; back-substitution
+        in descending pivot order, in integers with one exact division by the
+        pivot entry."""
         classes = self.classes
-        for pivot in sorted(span.rows, reverse=True):
-            row = span.rows[pivot]
-            if len(row) == 1:
-                classes[pivot] = {}
-                continue
+        for pivot, row in reversed(mixed):
             acc: dict = {}
             for col, v in row.items():
                 if col != pivot:
                     for q, w in classes[col].items():
                         acc[q] = acc.get(q, 0) - v * w
-            classes[pivot] = {q: exact_div(w, row[pivot]) for q, w in acc.items() if w}
+            cls = {q: exact_div(w, row[pivot]) for q, w in acc.items() if w}
+            if cls:
+                classes[pivot] = cls
 
     def reduce(self, row: dict) -> dict:
         """Quotient coordinates {basis index: coefficient} of a jet row."""

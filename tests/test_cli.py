@@ -124,7 +124,7 @@ def test_public_names_resolve_to_their_layers():
         "print(len(names), __version__, solve_lift.__module__, Polynomial.__module__)\n"
     )
     assert out.split() == [str(len(liftfields.__all__) - 1), liftfields.__version__,
-                           "liftfields.lift", "liftfields.poly"]
+                           "liftfields.division", "liftfields.poly"]
 
 
 UNSTABLE_UNFOLDING = """germ unstable {
@@ -150,6 +150,20 @@ def test_hypothesis_exit_does_not_compile_lift(tmp_path):
         " is liftfields.lift.NotLiftableError)\n"
     )
     assert out.split() == ["1", "False", "True"]
+
+
+def test_check_and_reduce_do_not_compile_lift():
+    # the lift equation is solved in division, so commands that only
+    # certify fields compile none of the generator pipelines
+    out = _fresh_interpreter(
+        "import sys, types\n"
+        "from liftfields import cli\n"
+        "codes = [cli.main(argv + ['--json']) for argv in\n"
+        "         (['check', 'sfold-1-plus', '--fields', 'liftF'], ['reduce', 'suspended-69'])]\n"
+        "print('\\n', *codes, *(type(sys.modules['liftfields.' + layer]) is types.ModuleType\n"
+        "                       for layer in ('division', 'lift')))\n"
+    )
+    assert out.splitlines()[-1].split() == ["0", "0", "True", "False"]
 
 
 def test_json_report_is_built_once(capsys, monkeypatch):
@@ -360,6 +374,21 @@ def test_exit_resource_cap(capsys):
     code, _, err = run(["construct", "sfold-1-plus"], capsys)
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["kernel", "rieger-ruas", "--level", "-2"], "--level: must be a non-negative integer, got -2"),
+    (["kernel", "e0", "--level", "-1"], "--level: must be a non-negative integer, got -1"),
+    (["analyze", "e0", "--max-i", "-1"], "--max-i: must be a non-negative integer, got -1"),
+    (["kernel", "e0", "--level", "abc"], "--level: invalid int value: 'abc'"),
+], ids=["kernel-rieger-ruas", "kernel-e0", "analyze-max-i", "not-an-int"])
+def test_exit_negative_level_refused_by_the_parser(argv, refusal, capsys):
+    # refused like any malformed argument, before a document is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.endswith(f"liftfields {argv[0]}: error: argument {refusal}\n")
 
 
 def test_exit_resource_oversized_power(tmp_path, capsys):

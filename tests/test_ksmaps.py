@@ -267,6 +267,38 @@ def test_coordinate_towers_build_no_products_and_skip_zero_multipliers(monkeypat
     assert products
 
 
+def test_level_models_read_no_pure_pivot_row(monkeypatch):
+    # on coordinate towers the class maps, the F(i) candidates and the
+    # brute-force higher invariants skip pure pivots: no row is built for one
+    reads = []
+    getitem = modules.PurePivots.__getitem__
+    monkeypatch.setattr(modules.PurePivots, "__getitem__",
+                        lambda self, c: reads.append(c) or getitem(self, c))
+    f = germ("rieger-ruas")
+    for i in range(4):
+        ks_matrix(f, i)
+        assert f.higher_invariants(i, "both")
+    assert all(f.branch_tower(j, truncation_order(f, 3)).power for j in range(f.num_branches))
+    assert reads == []
+
+
+def test_level_model_memory_holds_nothing_per_column():
+    # with the monomial tables built, the level-4 rieger-ruas model (20,475
+    # columns per branch) peaks at about 1 MB under tracemalloc; a row and a
+    # class object per column took about 10 MB
+    import tracemalloc
+
+    ks_matrix(germ("rieger-ruas"), 4)  # builds the monomial tables
+    f = germ("rieger-ruas")
+    tracemalloc.start()
+    try:
+        ks_matrix(f, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000, peak
+
+
 # catalog entries with 2 <= n <= p whose product towers stay cheap
 _SHEARED = ["morin-2", "morin-3", "multistable", "phi-63", "rieger-36", "sfold-1-plus",
             "whitney-psi2", "whitney-psi3"]

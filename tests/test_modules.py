@@ -9,7 +9,9 @@ from hypothesis import given, settings
 
 from liftfields.modules import (
     IdealPowerTower,
+    LevelSpan,
     ModElement,
+    PurePivots,
     ScalarClassMap,
     groebner_basis,
     jet_span,
@@ -153,7 +155,8 @@ def test_scalar_class_map_reduce_linear():
 def test_tower_spans_match_polynomial_products(catalog_docs):
     # column-space products give the echelon rows of the Polynomial
     # construction, with the Nakayama cut at the level-model orders of
-    # levels 0..2 and without it
+    # levels 0..2 and without it (a coordinate tower's rows are a view,
+    # materialized for the comparison)
     for name, doc in catalog_docs.items():
         f = doc.to_multigerm()
         f = reduce_to_core(f) if f.n > f.p else f
@@ -166,11 +169,11 @@ def test_tower_spans_match_polynomial_products(catalog_docs):
                 tower = f.branch_tower(j, order)
                 assert tower.power is not None, (name, j)  # every branch is coordinate
                 for k, span in enumerate(want):
-                    assert tower.span(k).rows == span.rows, (name, j, order, k)
+                    assert dict(tower.span(k).rows) == span.rows, (name, j, order, k)
             want = polynomial_tower_spans(gens, ell + 2, None, 2)
             tower = IdealPowerTower(gens, ell + 2)
             for k, span in enumerate(want):
-                assert tower.span(k).rows == span.rows, (name, j, k)
+                assert dict(tower.span(k).rows) == span.rows, (name, j, k)
 
 
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
@@ -216,7 +219,7 @@ def test_closed_form_tower_matches_polynomial_products(case, order, perm):
         if closed is not None:
             assert (tower.power is not None) == closed
         for k, span in enumerate(polynomial_tower_spans(gens, order, ell, 3)):
-            assert tower.span(k).rows == span.rows, (k, ell)
+            assert dict(tower.span(k).rows) == span.rows, (k, ell)
 
 
 def test_coordinate_form_detection():
@@ -242,4 +245,53 @@ def test_coordinate_tower_reads_powers_off_the_exponents():
     tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], 8, 3)
     for k in range(4):
         want = {c for c, (a, b) in enumerate(monomials_below(2, 8)) if a + b // 3 >= k}
-        assert tower.span(k).rows == {c: {c: 1} for c in want}
+        assert dict(tower.span(k).rows) == {c: {c: 1} for c in want}
+
+
+def test_coordinate_span_holds_no_row_per_column():
+    # F(k) answers pivot questions from the tower's level list, builds a row
+    # only when one is read, and its class map gives every pure pivot the
+    # one shared zero class
+    order, k = 8, 2
+    tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], order, 3)
+    span = tower.span(k)
+    assert isinstance(span, LevelSpan) and isinstance(span.rows, PurePivots)
+    assert tower.span(k) is span and span.rows.levels is tower.span(k + 1).rows.levels
+    monos = monomials_below(2, order)
+    want = [c for c, (a, b) in enumerate(monos) if a + b // 3 >= k]
+    assert list(span.rows) == want and span.dim == len(span.rows) == len(want)
+    assert list(span.pivot_rows()) == [(c, None) for c in want]
+    for c in (-1, 0, want[0] - 1, len(monos)):
+        assert c not in span.rows
+        with pytest.raises(KeyError):
+            span.rows[c]
+    assert all(span.rows[c] == {c: 1} for c in want)
+    assert span.contains({want[0]: 3, want[-1]: -1}) and not span.contains({0: 1})
+    cmap = ScalarClassMap(span, 2, order)
+    zero = cmap.classes[want[0]]
+    assert not zero and all(cmap.classes[c] is zero for c in want)
+    quotient = [c for c in range(len(monos)) if c not in span.rows]
+    assert cmap.dim == len(quotient) == comb(k + 1, 2) * 3
+    assert [cmap.classes[c] for c in quotient] == [{q: 1} for q in range(cmap.dim)]
+    with pytest.raises(TypeError):
+        zero[0] = 1
+
+
+def test_class_map_reduces_only_rows_beyond_their_pivot():
+    # a product span's pure pivots get the shared zero class too, and its
+    # other rows the classes of the reference back-substitution
+    order = 6
+    tower = IdealPowerTower([_p("x + y^2"), _p("y^3")], order)
+    span = tower.span(2)
+    assert tower.power is None and not isinstance(span, LevelSpan)
+    cmap = ScalarClassMap(span, 2, order)
+    pure = [c for c, row in span.rows.items() if len(row) == 1]
+    assert pure and all(cmap.classes[c] is cmap.classes[pure[0]] for c in pure)
+    assert [c for c, row in span.pivot_rows() if row is None] == sorted(pure)
+    for pivot, row in span.rows.items():  # a pivot's class is its row's own
+        want: dict = {}
+        for col, v in row.items():
+            if col != pivot:
+                for q, w in cmap.classes[col].items():
+                    want[q] = want.get(q, 0) - Fraction(v * w, row[pivot])
+        assert cmap.classes[pivot] == {q: w for q, w in want.items() if w}, pivot
