@@ -29,18 +29,19 @@ def _lazy(name: str) -> None:
     globals()[name] = module
 
 
-for _layer in ("poly", "linalg", "modules", "germs", "ksmaps", "lift", "division", "parser",
-               "report", "schema"):
+for _layer in ("poly", "linalg", "modules", "germs", "ksmaps", "unfoldings", "lift", "division",
+               "parser", "report", "plaintext", "schema"):
     _lazy(_layer)
 del _layer
 
 _LAYER_OF = {name: layer for layer, names in (
     ("poly", ("Polynomial", "monomials_below", "monomials_of_degree")),
-    ("germs", ("Branch", "ConsistencyError", "GermInvariants", "HypothesisError", "InputError",
-               "MultiGerm", "NotFiniteMultiplicityError", "NotLiftableError", "UnfoldingSpec",
-               "build_unfolding", "invariants", "reduce_to_core")),
-    ("ksmaps", ("KSReport", "MinGeneratorCount", "StabilityVerdict", "classify_stable",
-                "ks_matrix", "locate_i1_i2", "min_generators", "truncation_order")),
+    ("germs", ("Branch", "ConsistencyError", "HypothesisError", "InputError", "MultiGerm",
+               "NotFiniteMultiplicityError", "NotLiftableError")),
+    ("ksmaps", ("GermInvariants", "KSReport", "MinGeneratorCount", "StabilityVerdict",
+                "classify_stable", "higher_invariants", "invariants", "ks_matrix", "locate_i1_i2",
+                "min_generators", "truncation_order")),
+    ("unfoldings", ("UnfoldingSpec", "build_unfolding", "reduce_to_core")),
     ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
     ("lift", ("LiftModule", "compare_modules", "complete_generators",
               "generator_count_certified", "lift_of_squaring_map", "nakayama_minimize",

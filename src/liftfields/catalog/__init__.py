@@ -19,28 +19,26 @@ unfolding's module must be supplied or checked).
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from ..parser import GermDocument, parse
 
-_PACKAGE = "liftfields.catalog"
+_HERE = os.path.dirname(__file__)  # the entries are read by path, beside this module
 
 
 def names() -> list[str]:
     """Sorted names of all built-in catalog entries."""
-    out = []
-    for entry in resources.files(_PACKAGE).iterdir():
-        if entry.name.endswith(".germ"):
-            out.append(entry.name[: -len(".germ")])
-    return sorted(out)
+    return sorted(entry[: -len(".germ")] for entry in os.listdir(_HERE)
+                  if entry.endswith(".germ"))
 
 
 def source(name: str) -> str:
     """Raw document text of a catalog entry."""
-    path = resources.files(_PACKAGE).joinpath(f"{name}.germ")
-    if not path.is_file():
+    path = os.path.join(_HERE, f"{name}.germ")
+    if not os.path.isfile(path):
         raise KeyError(f"no catalog entry named {name!r} (have: {', '.join(names())})")
-    return path.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load(name: str) -> GermDocument:

@@ -17,12 +17,13 @@ Subcommands operate on a germ document, given either as a path to a
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
 mismatch, unstable unfolding); 2 resource cap reached before a decision, an
 input too large to finish (a power past the parser's bound), or arguments
-the parser refuses (among them a ``--level`` or ``--max-i`` that is not a
-non-negative integer); 3 parse or semantic error in the input (no valid
-germ, unfolding or diffeo pair, or a diffeo block whose maps are not
-inverse); 4 internal consistency failure (formula and brute-force
-computations disagree, a ``--json`` report breaks the shipped schema, or any
-other ``ValueError`` escapes a layer).
+the parser refuses (among them a ``--level``, ``--max-i`` or ``--max-degree``
+that is not a non-negative integer, or a ``--cert-order`` below 1); 3 parse
+or semantic error in the input (no valid germ, unfolding or diffeo pair, a
+diffeo block whose maps are not inverse, or no such document or block); 4
+internal consistency failure (formula and brute-force computations
+disagree, a ``--json`` report breaks the shipped schema, or any other
+``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read
@@ -32,16 +33,15 @@ from the environment.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
+from importlib import import_module
 
-from . import catalog, division, ksmaps, lift
+from . import catalog, division, lift, unfoldings
 from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
-                    NotLiftableError, invariants, reduce_to_core)
+                    NotLiftableError)
 from .parser import ParseError, PowerTooLargeError, parse
-from .report import AnalysisReport, ReportConfig, render_field, validate_report
+from .report import AnalysisReport, ReportConfig, validate_report
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -84,7 +84,7 @@ def _load_document(ref: str):
             return parse(fh.read())
     if ref in catalog.names():
         return catalog.load(ref)
-    raise ParseError(f"no such document file or catalog entry: {ref!r}", 0, 0)
+    raise InputError(f"no such document file or catalog entry: {ref!r}")
 
 
 def _core_germ(doc):
@@ -92,7 +92,7 @@ def _core_germ(doc):
     the target dimension (the liftable module is unchanged by reduction)."""
     f = doc.to_multigerm()
     if f.n > f.p:
-        return reduce_to_core(f), True
+        return unfoldings.reduce_to_core(f), True
     return f, False
 
 
@@ -105,250 +105,53 @@ def _emit(report: AnalysisReport, as_json: bool) -> None:
         sys.stdout.write(report.to_text())
 
 
-# ---------------------------------------------------------------------------
-# subcommand implementations (each returns an AnalysisReport)
-# ---------------------------------------------------------------------------
-
-def _cmd_analyze(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("analyze", doc.name, cfg)
-    f, reduced = _core_germ(doc)
-    if reduced:
-        rep.extra["reduced_to_core"] = True
-    t0 = time.perf_counter()
-    rep.invariants = invariants(f, max_i=3, mode=cfg.mode)
-    rep.timings["invariants"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
-    rep.stability = ksmaps.classify_stable(f)
-    rep.timings["level_scan"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    try:
-        rep.min_generators = ksmaps.min_generators(f, mode=cfg.mode, cap=cfg.max_i)
-    except HypothesisError as exc:
-        rep.warnings.append(f"minimal generator count unavailable: {exc}")
-    rep.timings["min_generators"] = time.perf_counter() - t0
-    return rep
-
-
-def _cmd_kernel(doc, cfg: ReportConfig, level: int) -> AnalysisReport:
-    rep = AnalysisReport("kernel", doc.name, cfg)
-    f, _ = _core_germ(doc)
-    t0 = time.perf_counter()
-    model = ksmaps.ks_matrix(f, level)
-    rep.kernel_level = level
-    rep.kernel_fields = model.kernel_fields(f.target_vars)
-    rep.lift_target_vars = f.target_vars
-    rep.timings["kernel"] = time.perf_counter() - t0
-    return rep
-
-
-def _cmd_construct(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("construct", doc.name, cfg)
-    f, reduced = _core_germ(doc)
-    if reduced:
-        rep.extra["reduced_to_core"] = True
-    t0 = time.perf_counter()
-    rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
-    if rep.ks.i1 == "infinity up to cap":
-        raise ResourceCapError(f"no surjective level found up to the cap {cfg.max_i}")
-    rep.lift = complete_generators(f, cap=cfg.max_i, max_extra_degree=cfg.max_degree)
-    rep.lift_target_vars = f.target_vars
-    rep.timings["construct"] = time.perf_counter() - t0
-    return rep
-
-
-def _cmd_unfold(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("unfold", doc.name, cfg)
-    if doc.unfolding is None:
-        raise ParseError(f"document {doc.name!r} has no unfolding block", 0, 0)
-    spec = doc.to_unfolding_spec()
-    if not ksmaps.classify_stable(spec.F).stable:
-        raise HypothesisError("unfolding not stable")
-    lift_F = None
-    block = doc.fields.get("liftF")
-    if block is not None and block.over_unfolding:
-        lift_F = block.fields
-    t0 = time.perf_counter()
-    rep.lift = restrict_from_unfolding(spec, lift_F=lift_F, cert_order=cfg.cert_order)
-    rep.lift_target_vars = doc.target_vars
-    rep.timings["unfold"] = time.perf_counter() - t0
-    return rep
-
-
-def _cmd_check(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
-    rep = AnalysisReport("check", doc.name, cfg)
-    path = _resolve(block_name)
-    if block_name in doc.fields:
-        blocks = [doc.fields[block_name]]
-    elif os.path.isfile(path):
-        with open(path, encoding="utf-8") as fh:
-            blocks = list(parse(fh.read()).fields.values())
-    else:
-        raise ParseError(
-            f"no fields block or file named {block_name!r}", 0, 0
-        )
-    f, _ = _core_germ(doc)
-    F = doc.to_unfolding_spec().F if doc.unfolding is not None else None
-    for block in blocks:  # a block read from a file may be over another target
-        want = f.p + block.over_unfolding
-        lengths = {len(vf) for vf in block.fields} - {want}
-        if lengths:
-            where = "unfolding's" if block.over_unfolding else "germ's"
-            raise ParseError(
-                f"fields block {block.name!r} in {block_name!r} has fields of length"
-                f" {min(lengths)}, but the {where} target has {want} coordinates", 0, 0
-            )
-    checked = []
-    t0 = time.perf_counter()
-    for block in blocks:
-        if block.over_unfolding:
-            if F is None:
-                raise ParseError(
-                    f"fields block {block.name!r} is over an unfolding but the"
-                    " document has none", 0, 0
-                )
-            target, names = F, F.target_vars
-        else:
-            target, names = f, f.target_vars
-        for vf in block.fields:
-            cert = solve_lift(target, vf, cfg.cert_order)
-            checked.append(
-                f"{block.name}: {render_field(vf, names)} "
-                + ("[exact]" if cert.exact else f"[order {cert.order}]")
-            )
-    rep.timings["check"] = time.perf_counter() - t0
-    rep.extra["checked"] = checked
-    return rep
-
-
-def _cmd_transport(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
-    rep = AnalysisReport("transport", doc.name, cfg)
-    H, H_inv = doc.diffeo_pair()
-    if block_name not in doc.fields:
-        raise ParseError(f"no fields block named {block_name!r}", 0, 0)
-    t0 = time.perf_counter()
-    pushed = lift.transport(doc.fields[block_name].fields, H, H_inv, cfg.cert_order)
-    rep.timings["transport"] = time.perf_counter() - t0
-    rep.extra["transported"] = [render_field(vf, doc.target_vars) for vf in pushed]
-    return rep
-
-
-def _cmd_reduce(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("reduce", doc.name, cfg)
-    f = doc.to_multigerm()
-    core = reduce_to_core(f)
-    rep.extra["core"] = [
-        f"{b.label}({', '.join(b.source_vars)}) = ("
-        + ", ".join(c.render(b.source_vars) for c in b.components)
-        + ")"
-        for b in core.branches
-    ]
-    block = doc.fields.get("reference")
-    if block is not None:
-        t0 = time.perf_counter()
-        verified = []
-        for vf in block.fields:
-            cert = solve_lift(core, vf, cfg.cert_order)
-            verified.append(
-                render_field(vf, core.target_vars)
-                + ("  [exact]" if cert.exact else f"  [order {cert.order}]")
-            )
-        rep.extra["lift_generators_over_core"] = verified
-        rep.timings["reduce"] = time.perf_counter() - t0
-    return rep
-
-
-def _run_entry(name: str, cfg: ReportConfig) -> AnalysisReport:
-    """analyze pipeline plus a check against the entry's recorded values."""
-    doc = catalog.load(name)
-    rep = _cmd_analyze(doc, cfg)
-    opts = doc.options
-    got_i1, got_i2 = rep.ks.i1, rep.ks.i2
-    want_i1, want_i2 = catalog.expected_i1(doc), catalog.expected_i2(doc)
-    if want_i1 is not None and got_i1 != want_i1:
-        raise ConsistencyError(f"{name}: i1={got_i1}, recorded {want_i1}")
-    if want_i2 is not None and got_i2 != want_i2:
-        raise ConsistencyError(f"{name}: i2={got_i2}, recorded {want_i2}")
-    want_count = opts.get("expect_count")
-    if want_count is not None:
-        if rep.min_generators is None or rep.min_generators.count != want_count:
-            got = rep.min_generators.count if rep.min_generators else None
-            raise ConsistencyError(
-                f"{name}: minimal generators {got}, recorded {want_count}"
-            )
-    want_delta = opts.get("expect_delta")
-    if want_delta is not None and rep.invariants.delta != want_delta:
-        raise ConsistencyError(
-            f"{name}: delta={rep.invariants.delta}, recorded {want_delta}"
-        )
-    return rep
-
-
-def _cmd_catalog(cfg: ReportConfig, run_all: bool, as_json: bool) -> int:
-    names = catalog.names()
-    if not run_all:
-        for name in names:
-            sys.stdout.write(name + "\n")
-        return EXIT_OK
-    reports = []
-    for name in names:
-        rep = _run_entry(name, cfg)
-        reports.append(rep)
-        if not as_json:
-            mg = rep.min_generators.count if rep.min_generators else "-"
-            sys.stdout.write(
-                f"{name:16s} i1={rep.ks.i1} i2={rep.ks.i2}"
-                f" delta={rep.invariants.delta} min_gens={mg}  ok\n"
-            )
-    if as_json:
-        docs = [r.to_json() for r in reports]
-        for d in docs:
-            validate_report(d)
-        sys.stdout.write(json.dumps(docs, indent=2) + "\n")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# argument parsing and dispatch
-# ---------------------------------------------------------------------------
-
-def _natural(text: str) -> int:
-    """argparse type of a level or level cap: an integer >= 0."""
+def _natural(text: str, least: int = 0) -> int:
+    """argparse type of a level, level cap or degree bound: an integer >= least."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    if value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
     return value
 
 
-# subcommand -> (help, handler, its one option beyond the shared ones as
-# (flag, dest, argparse keywords)); the handler takes the document (but
-# catalog), the ReportConfig and the option's value
+def _positive(text: str) -> int:
+    """argparse type of a jet order: an integer >= 1."""
+    return _natural(text, 1)
+
+
+# subcommand -> (help, its one option beyond the shared ones as (flag, dest,
+# argparse keywords)); its handler, ``commands.<subcommand>.run``, is imported
+# when it runs and takes the document (but catalog), config and option value
 _COMMANDS = {
-    "analyze": ("invariants and level scan", _cmd_analyze, None),
-    "kernel": ("kernel basis at one level", _cmd_kernel,
+    "analyze": ("invariants and level scan", None),
+    "kernel": ("kernel basis at one level",
                ("--level", "level", {"type": _natural, "required": True})),
-    "construct": ("generators by kernel completion", _cmd_construct, None),
-    "unfold": ("generators by unfolding restriction", _cmd_unfold, None),
-    "check": ("re-verify claimed liftable fields", _cmd_check, ("--fields", "fields", {
+    "construct": ("generators by kernel completion", None),
+    "unfold": ("generators by unfolding restriction", None),
+    "check": ("re-verify claimed liftable fields", ("--fields", "fields", {
         "default": "reference",
         "help": "fields block name or document file (default: reference)"})),
-    "transport": ("push fields through the diffeo block", _cmd_transport, ("--fields", "fields", {
+    "transport": ("push fields through the diffeo block", ("--fields", "fields", {
         "default": "reference", "help": "fields block to transport (default: reference)"})),
-    "reduce": ("strip quadratic suspension variables", _cmd_reduce, None),
-    "catalog": ("list or run built-in entries", _cmd_catalog,
-                ("--run-all", "run_all", {"action": "store_true"})),
+    "reduce": ("strip quadratic suspension variables", None),
+    "catalog": ("list or run built-in entries", ("--run-all", "run_all", {"action": "store_true"})),
 }
 
 
-def _build_parser(command) -> argparse.ArgumentParser:
-    """The parser for one run: every subcommand is listed with its help, but
-    only ``command`` gets its arguments, since a run parses no other."""
+def _build_parser(command, alone: bool) -> argparse.ArgumentParser:
+    """The parser for one run: only ``command`` gets its arguments, since a
+    run parses no other.  If ``alone``, its subparser is the only one added
+    (the usage still names every subcommand); otherwise, as for top-level
+    help, every subcommand is listed with its help."""
     top = argparse.ArgumentParser(prog="liftfields", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, own) in _COMMANDS.items():
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
+    for name, (help_text, own) in _COMMANDS.items():
+        if alone and name != command:
+            continue
         sp = sub.add_parser(name, help=help_text)
         if name != command:
             continue
@@ -356,9 +159,9 @@ def _build_parser(command) -> argparse.ArgumentParser:
             sp.add_argument("document", help="path to a .germ file or catalog name")
         sp.add_argument("--max-i", type=_natural, default=6, dest="max_i",
                         help="level scan cap (default 6)")
-        sp.add_argument("--max-degree", type=int, default=12, dest="max_degree",
+        sp.add_argument("--max-degree", type=_natural, default=12, dest="max_degree",
                         help="completion degree bound (default 12)")
-        sp.add_argument("--cert-order", type=int, default=12, dest="cert_order",
+        sp.add_argument("--cert-order", type=_positive, default=12, dest="cert_order",
                         help="jet order for certificates (default 12)")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument("--mode", choices=["formula", "bruteforce", "both"],
@@ -372,16 +175,19 @@ def _build_parser(command) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser takes no option with a value, so the subcommand
-    # is the first argument that is not an option
+    # is the first argument that is not an option; when it comes first, no
+    # top-level option (such as --help) is given
     command = next((a for a in argv if not a.startswith("-")), None)
-    args = _build_parser(command).parse_args(argv)
+    alone = command in _COMMANDS and argv[0] == command
+    args = _build_parser(command, alone).parse_args(argv)
     cfg = ReportConfig(args.max_i, args.max_degree, args.cert_order, args.mode)
-    _, handler, own = _COMMANDS[args.command]
+    own = _COMMANDS[args.command][1]
     values = () if own is None else (getattr(args, own[1]),)
+    run = import_module(f"{__package__}.commands.{args.command}").run
     try:
         if args.command == "catalog":
-            return handler(cfg, *values, args.json)
-        _emit(handler(_load_document(args.document), cfg, *values), args.json)
+            return run(cfg, *values, args.json)
+        _emit(run(_load_document(args.document), cfg, *values), args.json)
         return EXIT_OK
     except (ResourceCapError, PowerTooLargeError) as exc:
         sys.stderr.write(f"cap reached: {exc}\n")

@@ -1,0 +1,21 @@
+"""``construct``: generating set of the liftable module by kernel completion."""
+
+import time
+
+from .. import cli, ksmaps
+from ..report import AnalysisReport, ReportConfig
+
+
+def run(doc, cfg: ReportConfig) -> AnalysisReport:
+    rep = AnalysisReport("construct", doc.name, cfg)
+    f, reduced = cli._core_germ(doc)
+    if reduced:
+        rep.extra["reduced_to_core"] = True
+    t0 = time.perf_counter()
+    rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
+    if rep.ks.i1 == "infinity up to cap":
+        raise cli.ResourceCapError(f"no surjective level found up to the cap {cfg.max_i}")
+    rep.lift = cli.complete_generators(f, cap=cfg.max_i, max_extra_degree=cfg.max_degree)
+    rep.lift_target_vars = f.target_vars
+    rep.timings["construct"] = time.perf_counter() - t0
+    return rep

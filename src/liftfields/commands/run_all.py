@@ -1,0 +1,40 @@
+"""``catalog --run-all``: analyze every built-in entry and check its recorded values."""
+
+import json
+import sys
+
+from .. import catalog, cli
+from ..germs import ConsistencyError
+from ..report import AnalysisReport, ReportConfig, validate_report
+from . import analyze
+
+
+def _run_entry(name: str, cfg: ReportConfig) -> AnalysisReport:
+    """analyze pipeline plus a check against the entry's recorded values."""
+    doc = catalog.load(name)
+    rep = analyze.run(doc, cfg)
+    mg = rep.min_generators.count if rep.min_generators else None
+    for what, got, want in (("i1=", rep.ks.i1, catalog.expected_i1(doc)),
+                            ("i2=", rep.ks.i2, catalog.expected_i2(doc)),
+                            ("minimal generators ", mg, doc.options.get("expect_count")),
+                            ("delta=", rep.invariants.delta, doc.options.get("expect_delta"))):
+        if want is not None and got != want:
+            raise ConsistencyError(f"{name}: {what}{got}, recorded {want}")
+    return rep
+
+
+def run(cfg: ReportConfig, as_json: bool) -> int:
+    reports = []
+    for name in catalog.names():
+        rep = _run_entry(name, cfg)
+        reports.append(rep)
+        if not as_json:
+            mg = rep.min_generators.count if rep.min_generators else "-"
+            sys.stdout.write(f"{name:16s} i1={rep.ks.i1} i2={rep.ks.i2}"
+                             f" delta={rep.invariants.delta} min_gens={mg}  ok\n")
+    if as_json:
+        docs = [r.to_json() for r in reports]
+        for d in docs:
+            validate_report(d)
+        sys.stdout.write(json.dumps(docs, indent=2) + "\n")
+    return cli.EXIT_OK

@@ -1,0 +1,23 @@
+"""``unfold``: generating set by restriction from the document's stable unfolding."""
+
+import time
+
+from .. import cli, ksmaps
+from ..germs import HypothesisError
+from ..report import AnalysisReport, ReportConfig
+
+
+def run(doc, cfg: ReportConfig) -> AnalysisReport:
+    rep = AnalysisReport("unfold", doc.name, cfg)
+    spec = doc.to_unfolding_spec()  # an InputError if the document has no unfolding block
+    if not ksmaps.classify_stable(spec.F).stable:
+        raise HypothesisError("unfolding not stable")
+    lift_F = None
+    block = doc.fields.get("liftF")
+    if block is not None and block.over_unfolding:
+        lift_F = block.fields
+    t0 = time.perf_counter()
+    rep.lift = cli.restrict_from_unfolding(spec, lift_F=lift_F, cert_order=cfg.cert_order)
+    rep.lift_target_vars = doc.target_vars
+    rep.timings["unfold"] = time.perf_counter() - t0
+    return rep

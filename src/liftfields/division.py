@@ -13,8 +13,8 @@ first use, so a command that lifts nothing does not compile it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import lcm
-from typing import Optional, Sequence
 
 from . import modules
 from .germs import MultiGerm, NotLiftableError
@@ -77,7 +77,7 @@ class PrenormalForm:
         return nf, tuple(xi), scale
 
 
-def prenormal_form(b, slots: dict[int, int]) -> Optional[PrenormalForm]:
+def prenormal_form(b, slots: dict[int, int]) -> PrenormalForm | None:
     """Branch b's prenormal form, or None; slots maps each target slot whose
     component is a source variable x_i to i, in slot order."""
     n = b.n
@@ -114,7 +114,7 @@ class LiftCertificate:
     of xi_j; residual_low_degree is None when exact."""
 
     def __init__(self, eta: FieldVector, lifts: tuple, order: int, exact: bool,
-                 residual_low_degree: Optional[int]):
+                 residual_low_degree: int | None):
         self.eta, self.lifts, self.order = eta, lifts, order
         self.exact, self.residual_low_degree = exact, residual_low_degree
 
@@ -129,7 +129,7 @@ def _split(f: MultiGerm, j: int, beta: tuple) -> tuple[list, tuple]:
     return shift, tuple(rest)
 
 
-def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: Optional[int]) -> list[Polynomial]:
+def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: int | None) -> list[Polynomial]:
     """eta∘f_j componentwise, truncated at ``order`` (None: not at all): a
     term X'^a*Y^b (``_split``) is the x^a-shift of the memoized Y^b∘f_j."""
     pulled = f.pullbacks(j)[1]
@@ -156,7 +156,7 @@ def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
     ]
 
 
-def _residual_low(branch, full: Sequence[Polynomial], xi) -> Optional[int]:
+def _residual_low(branch, full: Sequence[Polynomial], xi) -> int | None:
     """Lowest degree of the residual eta∘f_j - df_j(xi_j); None if it is 0."""
     lows = [(u - v).low_degree() for u, v in zip(full, _tangent_image(branch, xi)) if u != v]
     return min(lows, default=None)

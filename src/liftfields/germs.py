@@ -1,10 +1,11 @@
-"""Multigerm data model and its contact-invariants.
+"""Multigerm data model.
 
 A multigerm is a finite family of polynomial map branches (K^n, s_j) ->
-(K^p, 0).  This module computes corank, the local algebra dimension delta,
-gamma, the higher-order versions of both (by closed formula and by direct
-jet elimination), the quadratic-suspension reduction for n > p, and
-one-parameter stable unfoldings.
+(K^p, 0).  This module holds the branches and the germ, with its corank,
+the local algebra dimension delta and the Nakayama exponent ell, and the
+jet objects derived from it.  The contact invariants built on them live
+beside the level models in ``ksmaps``; the quadratic-suspension reduction
+and one-parameter unfoldings in ``unfoldings``.
 
 Each jet object derived from a germ (ideal spans, ell, towers, class maps,
 prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models) has
@@ -17,12 +18,11 @@ alone says which target slots are source coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import wraps
-from math import comb
-from typing import Sequence
 
-from . import division, ksmaps, linalg, modules
+from . import division, ksmaps, linalg, modules, unfoldings
 from .poly import (
     Polynomial,
     count_monomials_below,
@@ -32,6 +32,17 @@ from .poly import (
     monomials_below,
     monomials_of_degree,
 )
+
+# the invariants and unfoldings, importable from here as from their own layers (PEP 562)
+_MOVED = {"GermInvariants": ksmaps, "invariants": ksmaps, "UnfoldingSpec": unfoldings,
+          "build_unfolding": unfoldings, "reduce_to_core": unfoldings}
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_MOVED[name], name)
+
 
 ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
 
@@ -235,226 +246,11 @@ class MultiGerm:
                 span.add(row, a_rank * n + src)
         return span
 
-    # -- higher delta / gamma -------------------------------------------
-    def higher_invariants(self, i: int, mode: str = "formula") -> tuple[int, int]:
-        """(i-delta, i-gamma).
-
-        Formula mode evaluates the binomial identities
-        i-delta = C(n+i-1, i) * delta, i-gamma = C(n+i-1, i) * gamma
-        (gamma itself = delta - |S| in corank <= 1).  Brute-force mode
-        eliminates jets of the pullback ideal powers directly.
-        """
-        if mode == "formula":
-            if self.corank() > 1:
-                raise HypothesisError("formula mode requires corank <= 1")
-            delta = self.delta()
-            gamma = delta - self.num_branches
-            c = comb(self.n + i - 1, i)
-            return c * delta, c * gamma
-        if mode == "both":
-            by_formula = self.higher_invariants(i, "formula")
-            by_force = self.higher_invariants(i, "bruteforce")
-            if by_formula != by_force:
-                raise ConsistencyError(
-                    f"level-{i} invariants disagree: formula {by_formula},"
-                    f" bruteforce {by_force}"
-                )
-            return by_formula
-        if mode != "bruteforce":
-            raise ValueError(f"unknown mode {mode!r}")
-        idelta = igamma = 0
-        for j in range(self.num_branches):
-            d, g = self._branch_higher_bruteforce(j, i)
-            idelta += d
-            igamma += g
-        return idelta, igamma
-
     @cached("bhigher")
     def _branch_higher_bruteforce(self, j: int, i: int) -> tuple[int, int]:
-        b = self.branches[j]
-        order = ksmaps.truncation_order(self, i)  # the level model's, sharing its class maps
-        cmap = self.class_map(j, order, i + 1)
-        # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
-        reps: list[dict] = []
-        seen = linalg.SparseSpan()
-        for c, row in self.branch_tower(j, order).span(i).pivot_rows():
-            if row is None:  # a pure pivot: a row is built only if its class is not zero
-                if not cmap.classes[c]:
-                    continue  # a monomial of F_{i+1}
-                row = {c: 1}
-            coords = cmap.reduce(row)
-            if coords and seen.add(coords) is not None:
-                reps.append(row)
-        idelta = len(reps)
-        # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p
-        jac = b.jacobian()
-        rank_span = linalg.SparseSpan()
-        for row in reps:
-            for m in range(b.n):
-                col: dict[int, Fraction] = {}
-                for q in range(b.p):
-                    prod = modules.jet_times(row, jac[q][m].terms.items(), b.n, order)
-                    for idx, v in cmap.reduce(prod).items():
-                        col[q * cmap.dim + idx] = v
-                rank_span.add(col)
-        return idelta, idelta * b.n - rank_span.dim
+        """Branch j's (i-delta, i-gamma) by jet elimination (``ksmaps.branch_higher``)."""
+        return ksmaps.branch_higher(self, j, i)
 
     def __repr__(self):
         names = ", ".join(b.label for b in self.branches)
         return f"MultiGerm(n={self.n}, p={self.p}, branches=[{names}])"
-
-
-class GermInvariants:
-    """Summary of the contact-class invariants of a multigerm."""
-
-    def __init__(self, n: int, p: int, corank: int, delta: int, delta_per_branch: tuple[int, ...],
-                 gamma: int, num_branches: int, ell: int, mode: str = "formula"):
-        self.n, self.p, self.corank = n, p, corank
-        self.delta, self.delta_per_branch, self.gamma = delta, delta_per_branch, gamma
-        self.num_branches, self.ell = num_branches, ell
-        self.i_delta: dict[int, int] = {}  # level -> higher delta, filled by invariants()
-        self.i_gamma: dict[int, int] = {}
-        self.mode = mode
-
-
-def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula") -> GermInvariants:
-    per_branch = tuple(f.branch_delta(j) for j in range(f.num_branches))
-    inv = GermInvariants(
-        n=f.n,
-        p=f.p,
-        corank=f.corank(),
-        delta=sum(per_branch),
-        delta_per_branch=per_branch,
-        gamma=f.higher_invariants(0, mode=mode)[1],
-        num_branches=f.num_branches,
-        ell=f.ell(),
-        mode=mode,
-    )
-    for i in range(max_i + 1):
-        d, g = f.higher_invariants(i, mode=mode)
-        inv.i_delta[i] = d
-        inv.i_gamma[i] = g
-    return inv
-
-
-# ---------------------------------------------------------------------------
-# quadratic-suspension reduction (source dimension > target dimension)
-# ---------------------------------------------------------------------------
-
-def reduce_to_core(f: MultiGerm) -> MultiGerm:
-    """Strip quadratic suspension variables from a germ in the normal form
-    (x_1, .., x_{p-1}, g(x_1..x_p) + sum a_j x_j^2), a_j = +-1.
-
-    The module of liftable fields of the result equals that of the input, so
-    analyses can be run on the core germ.  Raises if any branch is not
-    literally in this shape (no normalization is attempted).
-    """
-    n, p = f.n, f.p
-    if n == p:
-        return f
-    if n < p:
-        raise HypothesisError("reduction applies only when source dim exceeds target dim")
-    new_branches = []
-    for b in f.branches:
-        for q in range(p - 1):
-            if b.components[q] != Polynomial.variable(n, q):
-                raise HypothesisError(
-                    f"branch {b.label!r}: component {q + 1} is not the coordinate x{q + 1}"
-                )
-        core_terms = {}
-        for m, c in b.components[p - 1].terms.items():
-            extra = m[p:]
-            if any(extra):
-                square = [k for k, e in enumerate(extra) if e]
-                if sum(extra) != 2 or len(square) != 1 or any(m[:p]) or c not in (1, -1):
-                    raise HypothesisError(
-                        f"branch {b.label!r}: term outside quadratic-suspension form"
-                    )
-            else:
-                core_terms[m[:p]] = c
-        new_branches.append(
-            Branch(
-                b.label,
-                b.source_vars[:p],
-                tuple(Polynomial.variable(p, q) for q in range(p - 1))
-                + (Polynomial(p, core_terms),),
-            )
-        )
-    return MultiGerm(new_branches, f.target_vars)
-
-
-# ---------------------------------------------------------------------------
-# one-parameter stable unfoldings
-# ---------------------------------------------------------------------------
-
-class UnfoldingSpec:
-    """A one-parameter unfolding F(x, t) = (f_t(x), t) of a base germ;
-    param_target_index is the parameter's position among F's target vars."""
-
-    def __init__(self, F: MultiGerm, base: MultiGerm, param_target_index: int):
-        if F.n != base.n + 1 or F.p != base.p + 1:
-            raise InputError("unfolding must add exactly one source and one target dimension")
-        k = param_target_index
-        param_src = base.n  # parameter is the last source variable of F
-        for bF, bf in zip(F.branches, base.branches):
-            if bF.components[k] != Polynomial.variable(F.n, param_src):
-                raise InputError(
-                    f"branch {bF.label!r}: target component {k + 1} must be the parameter"
-                )
-            zero = [Polynomial.variable(base.n, m) for m in range(base.n)]
-            zero.append(Polynomial.zero(base.n))
-            rest = [c for q, c in enumerate(bF.components) if q != k]
-            for q, c in enumerate(rest):
-                if c.substitute(zero) != bf.components[q]:
-                    raise InputError(
-                        f"branch {bF.label!r}: setting the parameter to zero does not recover the base germ"
-                    )
-        self.F, self.base = F, base
-        self.param_target_index = param_target_index
-
-
-UNFOLDING_DEGREE_CAP = 6  # the largest power y^a build_unfolding tries
-
-
-def build_unfolding(f: MultiGerm) -> UnfoldingSpec:
-    """Search for a one-parameter stable unfolding F(x,t) = (t, f(x) + t*y^a e_q),
-    the parameter T first among F's target variables.
-
-    The deformation monomial is a power of the distinguished (non-immersive)
-    source variable of each branch; candidates are scanned in ascending
-    (degree, component) order and the first stable one is returned.  Raises
-    if no candidate up to the degree cap is stable.
-    """
-    n, p = f.n, f.p
-    ydirs = [_kernel_direction(b) for b in f.branches]
-    for a in range(1, UNFOLDING_DEGREE_CAP + 1):
-        for q in range(p):
-            branches = []
-            for b, y in zip(f.branches, ydirs):
-                comps = [_suspend(c, n) for c in b.components]
-                mono = [0] * (n + 1)
-                mono[y] = a
-                mono[n] = 1
-                comps[q] = comps[q] + Polynomial.monomial(n + 1, tuple(mono))
-                comps.insert(0, Polynomial.variable(n + 1, n))
-                branches.append(Branch(b.label, b.source_vars + ("t",), tuple(comps)))
-            F = MultiGerm(branches, ("T",) + tuple(f.target_vars))
-            if ksmaps.classify_stable(F).stable:
-                return UnfoldingSpec(F, f, 0)
-    raise HypothesisError(
-        f"no one-parameter stable unfolding found up to degree {UNFOLDING_DEGREE_CAP}"
-    )
-
-
-def _suspend(c: Polynomial, n: int) -> Polynomial:
-    return Polynomial(n + 1, {m + (0,): v for m, v in c.terms.items()})
-
-
-def _kernel_direction(b: Branch) -> int:
-    """Index of a source variable whose Jacobian column vanishes at 0; the
-    last variable when the branch is an immersion."""
-    lin = b.linear_part()
-    for m in range(b.n - 1, -1, -1):
-        if all(not row[m] for row in lin):
-            return m
-    return b.n - 1

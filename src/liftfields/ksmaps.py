@@ -39,17 +39,20 @@ vector e_c minus its combination of the independent columns before it
 (read off the relation found when c was added), which is the
 reduced-echelon kernel basis.  Models are kept in the germ's cache, so
 each level is built once.
+
+The contact invariants (delta, gamma and their higher-order versions) live
+here too: their brute-force derivation reads the level model's class maps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import comb
 from operator import add
-from typing import Optional, Sequence
 
 from .germs import ConsistencyError, HypothesisError, MultiGerm, cached
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
-from .modules import ScalarClassMap, vector_to_row
+from .modules import ScalarClassMap, jet_times, vector_to_row
 from .poly import (Monomial, Polynomial, count_monomials_below, mono_index_map,
                    monomial_pullbacks, monomials_of_degree)
 
@@ -67,7 +70,7 @@ class KSMapModel:
                  target_dim: int, columns: list[dict]):
         self.i, self.truncation_order, self.domain_basis = i, truncation_order, domain_basis
         self.target_dim, self.columns = target_dim, columns
-        self._factor: Optional[tuple] = None
+        self._factor: tuple | None = None
 
     @property
     def domain_dim(self) -> int:
@@ -280,8 +283,8 @@ def classify_stable(f: MultiGerm) -> StabilityVerdict:
 
 
 class MinGeneratorCount:
-    def __init__(self, count: int, i: int, formula_count: Optional[int] = None,
-                 bruteforce_count: Optional[int] = None, mode: str = "both"):
+    def __init__(self, count: int, i: int, formula_count: int | None = None,
+                 bruteforce_count: int | None = None, mode: str = "both"):
         self.count, self.i = count, i
         self.formula_count, self.bruteforce_count = formula_count, bruteforce_count
         self.mode = mode
@@ -304,8 +307,8 @@ def min_generators(f: MultiGerm, mode: str = "both", cap: int = 6) -> MinGenerat
     i = report.i1
     formula = bruteforce = None
     if mode in ("formula", "both"):
-        d_next, g_next = f.higher_invariants(i + 1, mode="formula")
-        _, g_cur = f.higher_invariants(i, mode="formula")
+        d_next, g_next = higher_invariants(f, i + 1, mode="formula")
+        _, g_cur = higher_invariants(f, i, mode="formula")
         formula = f.p * comb(f.p + i, i + 1) - ((f.p - f.n) * d_next + g_next - g_cur)
     if mode in ("bruteforce", "both"):
         model = ks_matrix(f, i + 1)
@@ -320,3 +323,96 @@ def min_generators(f: MultiGerm, mode: str = "both", cap: int = 6) -> MinGenerat
         )
     count = formula if formula is not None else bruteforce
     return MinGeneratorCount(count, i, formula, bruteforce, mode)
+
+
+# ---------------------------------------------------------------------------
+# contact invariants: delta, gamma and their higher-order versions
+# ---------------------------------------------------------------------------
+
+class GermInvariants:
+    """Summary of the contact-class invariants of a multigerm."""
+
+    def __init__(self, n: int, p: int, corank: int, delta: int, delta_per_branch: tuple[int, ...],
+                 gamma: int, num_branches: int, ell: int, mode: str = "formula"):
+        self.n, self.p, self.corank = n, p, corank
+        self.delta, self.delta_per_branch, self.gamma = delta, delta_per_branch, gamma
+        self.num_branches, self.ell = num_branches, ell
+        self.i_delta: dict[int, int] = {}  # level -> higher delta, filled by invariants()
+        self.i_gamma: dict[int, int] = {}
+        self.mode = mode
+
+
+def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula") -> GermInvariants:
+    per_branch = tuple(f.branch_delta(j) for j in range(f.num_branches))
+    inv = GermInvariants(n=f.n, p=f.p, corank=f.corank(), delta=sum(per_branch),
+                         delta_per_branch=per_branch, gamma=higher_invariants(f, 0, mode)[1],
+                         num_branches=f.num_branches, ell=f.ell(), mode=mode)
+    for i in range(max_i + 1):
+        inv.i_delta[i], inv.i_gamma[i] = higher_invariants(f, i, mode)
+    return inv
+
+
+def higher_invariants(f: MultiGerm, i: int, mode: str = "formula") -> tuple[int, int]:
+    """(i-delta, i-gamma).
+
+    Formula mode evaluates the binomial identities
+    i-delta = C(n+i-1, i) * delta, i-gamma = C(n+i-1, i) * gamma
+    (gamma itself = delta - |S| in corank <= 1).  Brute-force mode
+    eliminates jets of the pullback ideal powers directly, branch by branch
+    (``MultiGerm._branch_higher_bruteforce``, cached on the germ).
+    """
+    if mode == "formula":
+        if f.corank() > 1:
+            raise HypothesisError("formula mode requires corank <= 1")
+        delta = f.delta()
+        gamma = delta - f.num_branches
+        c = comb(f.n + i - 1, i)
+        return c * delta, c * gamma
+    if mode == "both":
+        by_formula = higher_invariants(f, i, "formula")
+        by_force = higher_invariants(f, i, "bruteforce")
+        if by_formula != by_force:
+            raise ConsistencyError(f"level-{i} invariants disagree: formula {by_formula},"
+                                   f" bruteforce {by_force}")
+        return by_formula
+    if mode != "bruteforce":
+        raise ValueError(f"unknown mode {mode!r}")
+    idelta = igamma = 0
+    for j in range(f.num_branches):
+        d, g = f._branch_higher_bruteforce(j, i)
+        idelta += d
+        igamma += g
+    return idelta, igamma
+
+
+def branch_higher(f: MultiGerm, j: int, i: int) -> tuple[int, int]:
+    """Branch j's (i-delta, i-gamma): the dimension of F_i / F_(i+1) and of
+    the kernel of the differential induced on it, at the level model's jet
+    order and with its class maps."""
+    b = f.branches[j]
+    order = truncation_order(f, i)
+    cmap = f.class_map(j, order, i + 1)
+    # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
+    reps: list[dict] = []
+    seen = SparseSpan()
+    for c, row in f.branch_tower(j, order).span(i).pivot_rows():
+        if row is None:  # a pure pivot: a row is built only if its class is not zero
+            if not cmap.classes[c]:
+                continue  # a monomial of F_{i+1}
+            row = {c: 1}
+        coords = cmap.reduce(row)
+        if coords and seen.add(coords) is not None:
+            reps.append(row)
+    idelta = len(reps)
+    # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p
+    jac = b.jacobian()
+    rank_span = SparseSpan()
+    for row in reps:
+        for m in range(b.n):
+            col: dict = {}
+            for q in range(b.p):
+                prod = jet_times(row, jac[q][m].terms.items(), b.n, order)
+                for idx, v in cmap.reduce(prod).items():
+                    col[q * cmap.dim + idx] = v
+            rank_span.add(col)
+    return idelta, idelta * b.n - rank_span.dim

@@ -23,17 +23,16 @@ each field whose jet row enlarges it: one module jet span per restriction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm
-from typing import Optional, Sequence
 
-from . import ksmaps, linalg, modules
+from . import ksmaps, linalg, modules, unfoldings
 # the read path, defined in division and importable from here as before
 from .division import (FieldVector, LiftCertificate, _pullback, _residual_low, _split,
                        _tangent_image, solve_lift, verify_certificate)
-from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm,
-                    NotLiftableError, UnfoldingSpec)
+from .germs import ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError
 from .poly import Polynomial, count_monomials_below, mono_degree, mono_mul, monomials_of_degree
 
 
@@ -53,7 +52,7 @@ class LiftModule:
     """A generating set of the module of liftable fields, with certificates."""
 
     def __init__(self, generators: list[LiftCertificate], cert_order: int,
-                 expected_count: Optional[int], provenance: str):
+                 expected_count: int | None, provenance: str):
         self.generators, self.cert_order = generators, cert_order
         self.expected_count, self.provenance = expected_count, provenance
 
@@ -110,7 +109,7 @@ def _residual_columns(f: MultiGerm, order: int):
 
 
 def complete_generators(f: MultiGerm, cap: int = 6,
-                        max_extra_degree: Optional[int] = None) -> LiftModule:
+                        max_extra_degree: int | None = None) -> LiftModule:
     """Build a minimal generating set by completing each kernel vector of
     the level-(i+1) matrix model with higher-order terms.
 
@@ -188,8 +187,8 @@ def lift_of_squaring_map(p_total: int, squared_index: int) -> list[FieldVector]:
 
 
 def restrict_from_unfolding(
-    spec: UnfoldingSpec,
-    lift_F: Optional[Sequence[FieldVector]] = None,
+    spec: unfoldings.UnfoldingSpec,
+    lift_F: Sequence[FieldVector] | None = None,
     cert_order: int = 12,
     check_expected: bool = True,
 ) -> LiftModule:

@@ -15,14 +15,13 @@ symbolic layer drives the unfolding-intersection pipeline.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count, repeat
 from math import lcm
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from .linalg import SparseSpan
 from .poly import (

@@ -36,11 +36,12 @@ which the CLI maps to exit 2) before any expansion.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
 
-from .germs import Branch, InputError, MultiGerm, UnfoldingSpec
+from . import plaintext, unfoldings
+from .germs import Branch, InputError, MultiGerm
 from .poly import Polynomial
 
 
@@ -147,8 +148,8 @@ class FieldsDecl:
 
 class GermDocument:
     def __init__(self, name: str, n: int, p: int, target_vars: tuple[str, ...],
-                 branches: list[BranchDecl], unfolding: Optional[UnfoldingDecl] = None,
-                 diffeo: Optional[tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]] = None,
+                 branches: list[BranchDecl], unfolding: UnfoldingDecl | None = None,
+                 diffeo: tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]] | None = None,
                  fields: dict[str, FieldsDecl] | None = None,
                  options: dict[str, int] | None = None):
         self.name, self.n, self.p = name, n, p
@@ -164,7 +165,7 @@ class GermDocument:
             self.target_vars,
         )
 
-    def to_unfolding_spec(self) -> UnfoldingSpec:
+    def to_unfolding_spec(self) -> unfoldings.UnfoldingSpec:
         if self.unfolding is None:
             raise InputError(f"document {self.name!r} has no unfolding block")
         u = self.unfolding
@@ -172,7 +173,7 @@ class GermDocument:
             [Branch(b.label, b.source_vars, b.components) for b in u.branches],
             u.target_vars,
         )
-        return UnfoldingSpec(F, self.to_multigerm(), u.param_target_index)
+        return unfoldings.UnfoldingSpec(F, self.to_multigerm(), u.param_target_index)
 
     def diffeo_pair(self) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
         if self.diffeo is None:
@@ -181,40 +182,7 @@ class GermDocument:
 
     # -- rendering ------------------------------------------------------
     def render(self) -> str:
-        out = [f"germ {self.name} {{"]
-        out.append(f"  n = {self.n}; p = {self.p};")
-        out.append(f"  target ({', '.join(self.target_vars)});")
-        for b in self.branches:
-            comps = ", ".join(c.render(b.source_vars) for c in b.components)
-            out.append(f"  branch {b.label}({', '.join(b.source_vars)}) = ({comps});")
-        if self.unfolding is not None:
-            u = self.unfolding
-            out.append(f"  unfolding at {u.param_target_index + 1} {{")
-            out.append(f"    target ({', '.join(u.target_vars)});")
-            for b in u.branches:
-                comps = ", ".join(c.render(b.source_vars) for c in b.components)
-                out.append(f"    branch {b.label}({', '.join(b.source_vars)}) = ({comps});")
-            out.append("  }")
-        if self.diffeo is not None:
-            H, Hinv = self.diffeo
-            out.append("  diffeo {")
-            out.append(f"    H = ({', '.join(c.render(self.target_vars) for c in H)});")
-            out.append(f"    Hinv = ({', '.join(c.render(self.target_vars) for c in Hinv)});")
-            out.append("  }")
-        for fd in self.fields.values():
-            over = " over unfolding" if fd.over_unfolding else ""
-            out.append(f"  fields {fd.name}{over} {{")
-            names = (
-                self.unfolding.target_vars if fd.over_unfolding else self.target_vars
-            )
-            for vf in fd.fields:
-                out.append(f"    ({', '.join(c.render(names) for c in vf)});")
-            out.append("  }")
-        if self.options:
-            opts = " ".join(f"{k} = {v};" for k, v in sorted(self.options.items()))
-            out.append(f"  options {{ {opts} }}")
-        out.append("}")
-        return "\n".join(out) + "\n"
+        return plaintext.document_text(self)
 
 
 # ---------------------------------------------------------------------------

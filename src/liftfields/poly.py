@@ -9,11 +9,11 @@ is never mutated after construction.  Composition has one engine,
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
-from typing import Mapping, Sequence
 
 Monomial = tuple  # exponent tuple, one entry per variable
 

@@ -1,26 +1,22 @@
-"""Analysis reports: plain-text and schema-validated JSON serialization.
+"""Analysis reports and their schema-validated JSON serialization.
 
 An :class:`AnalysisReport` bundles everything one CLI invocation computed
 about a single germ document — numeric invariants, the level-by-level map
 scan, generator counts, and any constructed module of liftable fields —
 together with timings and the configuration that produced them, so results
-are reproducible from the report alone.
+are reproducible from the report alone.  Its plain-text form is rendered
+by ``plaintext``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from importlib import resources
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from . import __version__, schema
+from . import __version__, ksmaps, lift, plaintext, schema
 from .poly import Polynomial
-
-if TYPE_CHECKING:
-    from .germs import GermInvariants
-    from .ksmaps import KSReport, MinGeneratorCount, StabilityVerdict
-    from .lift import LiftModule
 
 FieldVector = Sequence[Polynomial]
 
@@ -52,21 +48,21 @@ class AnalysisReport:
 
     def __init__(self, command: str, germ_name: str, config: ReportConfig):
         self.command, self.germ_name, self.config = command, germ_name, config
-        self.invariants: Optional[GermInvariants] = None
-        self.ks: Optional[KSReport] = None
-        self.stability: Optional[StabilityVerdict] = None
-        self.min_generators: Optional[MinGeneratorCount] = None
-        self.lift: Optional[LiftModule] = None
-        self.lift_target_vars: Optional[Sequence[str]] = None
-        self.kernel_level: Optional[int] = None
-        self.kernel_fields: Optional[list[FieldVector]] = None
-        self.extra: dict[str, Any] = {}
+        self.invariants: ksmaps.GermInvariants | None = None
+        self.ks: ksmaps.KSReport | None = None
+        self.stability: ksmaps.StabilityVerdict | None = None
+        self.min_generators: ksmaps.MinGeneratorCount | None = None
+        self.lift: lift.LiftModule | None = None
+        self.lift_target_vars: Sequence[str] | None = None
+        self.kernel_level: int | None = None
+        self.kernel_fields: list[FieldVector] | None = None
+        self.extra: dict[str, object] = {}
         self.warnings: list[str] = []
         self.timings: dict[str, float] = {}
 
     # -- serialization --------------------------------------------------
     def to_json(self) -> dict:
-        doc: dict[str, Any] = {
+        doc: dict[str, object] = {
             "tool": "liftfields",
             "version": __version__,
             "command": self.command,
@@ -148,81 +144,22 @@ class AnalysisReport:
             doc["extra"] = self.extra
         return doc
 
-    def to_json_text(self, doc: Optional[dict] = None) -> str:  # doc: to_json(), if at hand
+    def to_json_text(self, doc: dict | None = None) -> str:  # doc: to_json(), if at hand
         return json.dumps(self.to_json() if doc is None else doc, indent=2) + "\n"
 
-    # -- plain-text rendering -------------------------------------------
     def to_text(self) -> str:
-        lines = [f"== {self.command} {self.germ_name} =="]
-        if self.invariants is not None:
-            inv = self.invariants
-            lines.append(
-                f"n={inv.n} p={inv.p} corank={inv.corank} branches={inv.num_branches}"
-            )
-            lines.append(f"delta={inv.delta} (per branch {list(inv.delta_per_branch)})"
-                         f" gamma={inv.gamma} ell={inv.ell} [{inv.mode}]")
-            if inv.i_delta:
-                hi = " ".join(
-                    f"{k}delta={inv.i_delta[k]} {k}gamma={inv.i_gamma[k]}"
-                    for k in sorted(inv.i_delta)
-                )
-                lines.append(f"higher: {hi}")
-        if self.ks is not None:
-            for rec in self.ks.levels:
-                lines.append(
-                    f"level {rec.i}: surjective={rec.surjective}"
-                    f" injective={rec.injective} ker={rec.kernel_dim}"
-                    f" coker={rec.cokernel_dim}"
-                )
-            lines.append(f"i1={self.ks.i1}  i2={self.ks.i2}  (cap {self.ks.cap})")
-        if self.stability is not None:
-            lines.append(
-                f"stable={self.stability.stable} isolated={self.stability.isolated}"
-            )
-        if self.min_generators is not None:
-            mg = self.min_generators
-            detail = ""
-            if mg.formula_count is not None or mg.bruteforce_count is not None:
-                detail = (
-                    f" (formula={mg.formula_count} bruteforce={mg.bruteforce_count})"
-                )
-            lines.append(f"minimal generators: {mg.count} at level {mg.i}"
-                         f" [{mg.mode}]{detail}")
-        if self.kernel_fields is not None:
-            names = list(self.lift_target_vars or [])
-            lines.append(
-                f"kernel at level {self.kernel_level}:"
-                f" dimension {len(self.kernel_fields)}"
-            )
-            for vf in self.kernel_fields:
-                lines.append(f"  {render_field(vf, names)}")
-        if self.lift is not None:
-            names = list(self.lift_target_vars or [])
-            lines.append(
-                f"liftable module [{self.lift.provenance}]:"
-                f" {self.lift.count} generators, certified to order"
-                f" {self.lift.cert_order}"
-            )
-            for cert in self.lift.generators:
-                tag = "exact" if cert.exact else f"order {cert.order}"
-                lines.append(f"  {render_field(cert.eta, names)}  [{tag}]")
-        for key, val in self.extra.items():
-            lines.append(f"{key}: {val}")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
-        return "\n".join(lines) + "\n"
+        return plaintext.report_text(self)
 
 
 def load_schema() -> dict:
     """The shipped JSON schema every serialized report validates against."""
-    text = resources.files("liftfields").joinpath("report_schema.json").read_text(
-        encoding="utf-8"
-    )
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "report_schema.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 @lru_cache(maxsize=None)
-def _checker() -> Callable[[Any], None]:
+def _checker() -> Callable[[object], None]:
     return schema.build_checker(load_schema())
 
 

@@ -10,8 +10,8 @@ shipped schema on the first report it validates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from numbers import Number
-from typing import Any, Callable
 
 from .germs import ConsistencyError
 
@@ -110,7 +110,7 @@ def _first_error(schema: dict, v, defs: dict):
     return None
 
 
-def build_checker(schema: dict) -> Callable[[Any], None]:
+def build_checker(schema: dict) -> Callable[[object], None]:
     """A function raising :class:`ReportSchemaError`, with the JSON-pointer
     path and the reason, on a document ``schema`` rejects.  The keywords of
     ``_KEYWORDS`` have their JSON Schema 2020-12 meaning; any other keyword

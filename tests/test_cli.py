@@ -64,14 +64,14 @@ def test_validate_report_rejects_malformed(capsys):
         validate_report(bad)
 
 
-def _fresh_interpreter(code: str) -> str:
-    """Run code in a new interpreter with this liftfields and perfbench on
-    the path; its stdout."""
+def _fresh_interpreter(code: str, *flags: str) -> str:
+    """Run code in a new interpreter (started with ``flags``) with this
+    liftfields and perfbench on the path; its stdout."""
     src = os.path.dirname(os.path.dirname(liftfields.__file__))
     bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
     path = os.pathsep.join(p for p in (src, bench, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *flags, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -107,6 +107,61 @@ def test_json_report_does_not_import_jsonschema():
     for commands, unused in runs:
         out = _fresh_interpreter(code.format(commands=commands, unused=unused))
         assert out.count('"tool": "liftfields"') == len(commands)
+
+
+# AST nodes of liftfields source a fresh interpreter compiles for one command
+# of each subcommand, with a little room over what it compiles now; a layer
+# counts once it is executed (its module is no longer a lazy stand-in)
+COMPILE_CEILINGS = [
+    (["analyze", "e0"], 20_500),
+    (["kernel", "e0", "--level", "1"], 20_500),
+    (["construct", "e0"], 25_000),
+    (["unfold", "sfold-1-plus"], 26_000),
+    (["check", "e0", "--fields", "reference"], 14_500),
+    (["transport", "phi-63"], 16_800),
+    (["reduce", "suspended-69"], 15_300),
+    (["catalog"], 10_800),
+]
+
+
+@pytest.mark.parametrize("argv,ceiling", COMPILE_CEILINGS, ids=[a[0] for a, _ in COMPILE_CEILINGS])
+def test_each_command_compiles_only_what_it_runs(argv, ceiling):
+    # with no bytecode cache, compiling is most of a command's own time, so
+    # each command compiles its handler and the layers it calls, no more
+    out = _fresh_interpreter(
+        "import ast, sys, types\n"
+        "from liftfields import cli\n"
+        f"code = cli.main({argv + ['--json']!r})\n"
+        "run = sorted(name for name, mod in sys.modules.items()\n"
+        "             if name.split('.')[0] == 'liftfields' and type(mod) is types.ModuleType)\n"
+        "nodes = 0\n"
+        "for name in run:\n"
+        "    with open(sys.modules[name].__file__, encoding='utf-8') as fh:\n"
+        "        nodes += sum(1 for _ in ast.walk(ast.parse(fh.read())))\n"
+        "print('\\n', code, nodes, *run)\n"
+    )
+    code, nodes, *run = out.splitlines()[-1].split()
+    assert code == "0"
+    assert int(nodes) <= ceiling, run
+    assert [name for name in run if name.startswith("liftfields.commands.")] == [
+        f"liftfields.commands.{argv[0]}"]
+    if argv[0] == "check":  # e0 has no unfolding block, and --json renders no text
+        assert "liftfields.unfoldings" not in run and "liftfields.plaintext" not in run
+
+
+def test_start_up_imports_no_resource_or_typing_machinery():
+    # the catalog and the report schema are read by path, and no module
+    # imports typing at run time; -S keeps site's own imports out
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from liftfields import cli\n"
+        "codes = [cli.main(argv + ['--json']) for argv in\n"
+        "         (['analyze', 'e0'], ['check', 'e0'], ['unfold', 'fold-line'])]\n"
+        "mods = ('importlib.resources', 'pathlib', 'zipfile', 'tempfile', 'typing')\n"
+        "print('\\n', *codes, *(mod for mod in mods if mod in sys.modules))\n",
+        "-S",
+    )
+    assert out.splitlines()[-1].split() == ["0", "0", "0"]
 
 
 def test_public_names_resolve_to_their_layers():
@@ -342,14 +397,15 @@ def test_exit_parse_error_fields_file_of_other_target(tmp_path, capsys):
     code, out, err = run(["check", "e0", "--fields", str(path)], capsys)
     assert (code, out) == (3, "")
     assert err == (
-        f"error: line 0, column 0: fields block 'reference' in {str(path)!r} has fields"
+        f"error: fields block 'reference' in {str(path)!r} has fields"
         " of length 3, but the germ's target has 2 coordinates\n"
     )
 
 
 def test_exit_parse_error_missing_document(capsys):
-    code, _, _ = run(["analyze", "no-such-entry"], capsys)
+    code, _, err = run(["analyze", "no-such-entry"], capsys)
     assert code == 3
+    assert err == "error: no such document file or catalog entry: 'no-such-entry'\n"
 
 
 def test_exit_parse_error_missing_block(capsys):
@@ -381,7 +437,14 @@ def test_exit_resource_cap(capsys):
     (["kernel", "e0", "--level", "-1"], "--level: must be a non-negative integer, got -1"),
     (["analyze", "e0", "--max-i", "-1"], "--max-i: must be a non-negative integer, got -1"),
     (["kernel", "e0", "--level", "abc"], "--level: invalid int value: 'abc'"),
-], ids=["kernel-rieger-ruas", "kernel-e0", "analyze-max-i", "not-an-int"])
+    (["unfold", "sfold-1-plus", "--cert-order", "0"], "--cert-order: must be a positive integer,"
+     " got 0"),
+    (["unfold", "sfold-1-plus", "--cert-order", "-1"], "--cert-order: must be a positive integer,"
+     " got -1"),
+    (["construct", "e0", "--max-degree", "-1"], "--max-degree: must be a non-negative integer,"
+     " got -1"),
+], ids=["kernel-rieger-ruas", "kernel-e0", "analyze-max-i", "not-an-int", "cert-order-0",
+        "cert-order-negative", "max-degree-negative"])
 def test_exit_negative_level_refused_by_the_parser(argv, refusal, capsys):
     # refused like any malformed argument, before a document is read
     with pytest.raises(SystemExit) as exc:
