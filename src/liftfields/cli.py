@@ -39,7 +39,7 @@ from importlib import import_module
 
 from . import catalog, division, lift, unfoldings
 from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
-                    NotLiftableError)
+                    NotLiftableError, ResourceCapError)
 from .parser import ParseError, PowerTooLargeError, parse
 from .report import AnalysisReport, ReportConfig, validate_report
 
@@ -48,10 +48,6 @@ EXIT_HYPOTHESIS = 1
 EXIT_RESOURCE = 2
 EXIT_PARSE = 3
 EXIT_INCONSISTENT = 4
-
-
-class ResourceCapError(RuntimeError):
-    """The scan cap was reached before the question could be decided."""
 
 
 # perfbench/child.py wraps these three cli attributes to capture the

@@ -3,6 +3,7 @@
 import time
 
 from .. import cli, ksmaps
+from ..germs import ResourceCapError
 from ..report import AnalysisReport, ReportConfig
 
 
@@ -14,7 +15,7 @@ def run(doc, cfg: ReportConfig) -> AnalysisReport:
     t0 = time.perf_counter()
     rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
     if rep.ks.i1 == "infinity up to cap":
-        raise cli.ResourceCapError(f"no surjective level found up to the cap {cfg.max_i}")
+        raise ResourceCapError(f"no surjective level found up to the cap {cfg.max_i}")
     rep.lift = cli.complete_generators(f, cap=cfg.max_i, max_extra_degree=cfg.max_degree)
     rep.lift_target_vars = f.target_vars
     rep.timings["construct"] = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import wraps
 
-from . import division, ksmaps, linalg, modules, unfoldings
+from . import division, ksmaps, linalg, modules
 from .poly import (
     Polynomial,
     count_monomials_below,
@@ -33,15 +33,11 @@ from .poly import (
     monomials_of_degree,
 )
 
-# the invariants and unfoldings, importable from here as from their own layers (PEP 562)
-_MOVED = {"GermInvariants": ksmaps, "invariants": ksmaps, "UnfoldingSpec": unfoldings,
-          "build_unfolding": unfoldings, "reduce_to_core": unfoldings}
-
-
 def __getattr__(name: str):
-    if name not in _MOVED:
+    """ksmaps.invariants, importable from here as from its own layer (PEP 562)."""
+    if name != "invariants":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_MOVED[name], name)
+    return ksmaps.invariants
 
 
 ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
@@ -75,6 +71,10 @@ class HypothesisError(ValueError):
 
 class InputError(ValueError):
     """The input is not a valid germ, unfolding or diffeomorphism pair."""
+
+
+class ResourceCapError(RuntimeError):
+    """The scan cap was reached before the question could be decided."""
 
 
 class NotLiftableError(ValueError):

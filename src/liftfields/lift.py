@@ -9,8 +9,8 @@ a syzygy computation (restrict_from_unfolding) — and certifies results by
 re-solving, jet-level module equality, and a Nakayama generator count.
 
 The lift equation itself is solved in ``division`` (solve_lift,
-verify_certificate, LiftCertificate and their helpers, imported here by
-name), so a command that only checks fields never compiles this module.
+verify_certificate, LiftCertificate and their helpers), so a command that
+only checks fields never compiles this module.
 Lifts are decided branch by branch: by division in K[x][y] on branches in
 prenormal form (MultiGerm.prenormal), exactly; otherwise, or to report an
 obstruction degree, modulo the tangent jet span, factored once per jet
@@ -29,9 +29,7 @@ from itertools import product
 from math import comb, lcm
 
 from . import ksmaps, linalg, modules, unfoldings
-# the read path, defined in division and importable from here as before
-from .division import (FieldVector, LiftCertificate, _pullback, _residual_low, _split,
-                       _tangent_image, solve_lift, verify_certificate)
+from .division import FieldVector, LiftCertificate, _pullback, _split, solve_lift
 from .germs import ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError
 from .poly import Polynomial, count_monomials_below, mono_degree, mono_mul, monomials_of_degree
 

@@ -3,7 +3,9 @@
 Two layers live here:
 
 * symbolic: Groebner bases of submodules of R^r (position-over-term order),
-  normal forms, and syzygy computation via the augmented-module trick;
+  normal forms, and syzygy computation via the augmented-module trick.  An
+  element of R^r is a sparse term row: a dict {(position, monomial): exact
+  rational coefficient} with no zero entry, {} for zero;
 * jet-level: exact linear algebra on truncated module elements (spans of
   monomial multiples, quotient class maps, ideal-power filtrations).  An
   ideal's jet span is its rank-1 module's, ``module_jet_span([(g,) ...], 1,
@@ -18,9 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import combinations, compress, count, repeat
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .linalg import SparseSpan
@@ -35,63 +37,15 @@ from .poly import (
     mono_divides,
     mono_index_map,
     mono_lcm,
+    mono_mul,
     monomials_below,
     monomials_of_degree,
 )
 
 
 # ---------------------------------------------------------------------------
-# symbolic layer: module elements, Groebner bases, syzygies
+# symbolic layer: Groebner bases and syzygies on sparse term rows
 # ---------------------------------------------------------------------------
-
-class ModElement:
-    """An element of the free module R^rank over the polynomial ring."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps: Sequence[Polynomial]):
-        self.comps = tuple(comps)
-        if not self.comps:
-            raise ValueError("module element needs at least one component")
-        nv = self.comps[0].nvars
-        for c in self.comps:
-            if c.nvars != nv:
-                raise ValueError("components disagree on variable count")
-
-    @property
-    def rank(self) -> int:
-        return len(self.comps)
-
-    @property
-    def nvars(self) -> int:
-        return self.comps[0].nvars
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def __eq__(self, other):
-        return isinstance(other, ModElement) and self.comps == other.comps
-
-    def __add__(self, other: "ModElement") -> "ModElement":
-        return ModElement([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other: "ModElement") -> "ModElement":
-        return ModElement([a - b for a, b in zip(self.comps, other.comps)])
-
-    def scale(self, c) -> "ModElement":
-        return ModElement([a.scale(c) for a in self.comps])
-
-    def mul_monomial(self, m: Monomial, c=1) -> "ModElement":
-        return ModElement([a.mul_monomial(m, c) for a in self.comps])
-
-    def terms(self):
-        for pos, comp in enumerate(self.comps):
-            for m, c in comp.terms.items():
-                yield (pos, m), c
-
-    def __repr__(self):
-        return f"ModElement({list(self.comps)!r})"
-
 
 def _term_key(term):
     """Position-over-term order: lower positions dominate, grevlex inside."""
@@ -99,33 +53,38 @@ def _term_key(term):
     return (-pos,) + grevlex_key(m)
 
 
-def _lead(v: ModElement):
-    """(term, coefficient) of the leading term, or None for zero."""
-    return max(v.terms(), key=lambda t: _term_key(t[0]), default=None)
+def _lead(v: dict):
+    """(term, coefficient) of the leading term of a nonzero element."""
+    term = max(v, key=_term_key)
+    return term, v[term]
 
 
-def normal_form(v: ModElement, basis: Sequence[ModElement], leads=None) -> ModElement:
-    """Full reduction of v modulo the basis (every term reduced); ``leads``
-    are the basis elements' leading terms when the caller has them."""
-    if leads is None:
-        leads = [_lead(b) for b in basis]
-    remainder = ModElement([Polynomial.zero(v.nvars)] * v.rank)
-    while not v.is_zero():
+def _add_multiple(v: dict, b: dict, m: Monomial, c) -> None:
+    """v += c * x^m * b, in place."""
+    for (pos, t), w in b.items():
+        key = (pos, mono_mul(t, m))
+        v[key] = v.get(key, 0) + c * w
+        if not v[key]:
+            del v[key]
+
+
+def normal_form(v: dict, basis: Sequence[dict], leads: Sequence) -> dict:
+    """Full reduction of v modulo the basis, whose leading terms are
+    ``leads``: each leading term of v is cancelled by the first basis
+    element whose lead divides it, or else moved to the remainder."""
+    v, remainder = dict(v), {}
+    while v:
         (pos, m), c = _lead(v)
         for b, ((bpos, bm), bc) in zip(basis, leads):
             if bpos == pos and mono_divides(bm, m):  # top reduction
-                v = v - b.mul_monomial(mono_div(m, bm), Fraction(c, bc))
+                _add_multiple(v, b, mono_div(m, bm), -Fraction(c, bc))
                 break
         else:
-            lead_piece = [Polynomial.zero(v.nvars)] * v.rank
-            lead_piece[pos] = Polynomial.monomial(v.nvars, m, c)
-            lead_piece = ModElement(lead_piece)
-            remainder = remainder + lead_piece
-            v = v - lead_piece
+            remainder[pos, m] = v.pop((pos, m))
     return remainder
 
 
-def groebner_basis(gens: Sequence[ModElement]) -> list[ModElement]:
+def groebner_basis(gens: Sequence[dict]) -> list[dict]:
     """Buchberger's algorithm with the position-over-term order.
 
     S-pairs are formed only between elements whose leading terms share a
@@ -133,30 +92,28 @@ def groebner_basis(gens: Sequence[ModElement]) -> list[ModElement]:
     pairs were formed.  Each element's leading term is computed once, when
     it joins the basis.  Termination is guaranteed by Dickson's lemma.
     """
-    basis = [g for g in gens if not g.is_zero()]
+    basis = [g for g in gens if g]
     leads = [_lead(g) for g in basis]
     pairs = []  # (lcm degree, i, j), in the order the pairs were formed
 
     def form(i: int, j: int) -> None:
-        (pi, mi), _ = leads[i]
-        (pj, mj), _ = leads[j]
+        (pi, mi), (pj, mj) = leads[i][0], leads[j][0]
         if pi == pj:
             pairs.append((mono_degree(mono_lcm(mi, mj)), i, j))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            form(i, j)
+    for i, j in combinations(range(len(basis)), 2):
+        form(i, j)
     while pairs:
-        pairs.sort(key=lambda pair: pair[0])  # stable: ties stay in formation order
+        pairs.sort(key=itemgetter(0))  # stable: ties stay in formation order
         _, i, j = pairs.pop(0)
         (_, mi), ci = leads[i]
         (_, mj), cj = leads[j]
-        lcm = mono_lcm(mi, mj)
-        s = basis[i].mul_monomial(mono_div(lcm, mi), Fraction(1, 1) / ci) - basis[
-            j
-        ].mul_monomial(mono_div(lcm, mj), Fraction(1, 1) / cj)
+        top = mono_lcm(mi, mj)
+        s: dict = {}  # the S-polynomial x^(top/mi) g_i/c_i - x^(top/mj) g_j/c_j
+        _add_multiple(s, basis[i], mono_div(top, mi), Fraction(1, ci))
+        _add_multiple(s, basis[j], mono_div(top, mj), -Fraction(1, cj))
         r = normal_form(s, basis, leads)
-        if not r.is_zero():
+        if r:
             basis.append(r)
             leads.append(_lead(r))
             for k in range(len(basis) - 1):
@@ -171,21 +128,14 @@ def syzygy_basis(gens: Sequence[Polynomial]) -> list[tuple[Polynomial, ...]]:
     (g_i, e_i) in R^{1+m} under an order where position 0 dominates; basis
     elements with zero first component are exactly the syzygies.
     """
-    m = len(gens)
-    if m == 0:
+    if not gens:
         return []
     nv = gens[0].nvars
-    aug = []
-    for i, g in enumerate(gens):
-        comps = [g] + [Polynomial.zero(nv)] * m
-        comps[1 + i] = Polynomial.constant(nv, 1)
-        aug.append(ModElement(comps))
-    gb = groebner_basis(aug)
-    out = []
-    for v in gb:
-        if v.comps[0].is_zero():
-            out.append(v.comps[1:])
-    return out
+    aug = [{(0, t): c for t, c in g.terms.items()} | {(1 + i, (0,) * nv): 1}
+           for i, g in enumerate(gens)]
+    syz = [v for v in groebner_basis(aug) if all(pos for pos, _ in v)]
+    return [tuple(Polynomial(nv, {t: c for (pos, t), c in v.items() if pos == q})
+                  for q in range(1, len(gens) + 1)) for v in syz]
 
 
 # ---------------------------------------------------------------------------

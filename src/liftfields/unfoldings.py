@@ -51,6 +51,9 @@ class UnfoldingSpec:
     def __init__(self, F: MultiGerm, base: MultiGerm, param_target_index: int):
         if F.n != base.n + 1 or F.p != base.p + 1:
             raise InputError("unfolding must add exactly one source and one target dimension")
+        if len(F.branches) != len(base.branches):
+            raise InputError(f"the unfolding has {len(F.branches)} branch(es), the germ"
+                             f" {len(base.branches)}")
         k = param_target_index
         param_src = base.n  # parameter is the last source variable of F
         for bF, bf in zip(F.branches, base.branches):

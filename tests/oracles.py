@@ -1,10 +1,12 @@
 """Independent reference computations the fast paths are checked against.
 
 These are the dense and polynomial constructions the library used before
-it moved to sparse column-space code, the greedy Nakayama loop and the
-Buchberger loop that recomputes leading terms, the delta stabilisation loop
-and the brute-force higher invariants at a jet order of one's choice, and the
-jsonschema package's report validation; they stay here as oracles only.
+it moved to sparse column-space code, the greedy Nakayama loop, the
+Buchberger loop and syzygies on module elements held as tuples of
+Polynomials (``ModElement``, before elements became sparse term rows), the
+delta stabilisation loop and the brute-force higher invariants at a jet order
+of one's choice, and the jsonschema package's report validation; they stay
+here as oracles only.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from jsonschema.validators import validator_for
 
 from liftfields.linalg import SparseSpan, dense_rref
 from liftfields.modules import (
-    ModElement,
     ScalarClassMap,
-    _term_key,
+    _lead,
     jet_times,
     normal_form,
     vector_to_row,
@@ -25,6 +26,7 @@ from liftfields.modules import (
 from liftfields.poly import (
     Polynomial,
     count_monomials_below,
+    grevlex_key,
     mono_degree,
     mono_div,
     mono_divides,
@@ -83,9 +85,9 @@ def basis_rows(span: SparseSpan) -> list[dict]:
     return [span.rows[p] for p in sorted(span.rows)]
 
 
-def module_membership(v: ModElement, basis) -> bool:
+def module_membership(v: dict, basis: list[dict]) -> bool:
     """Exact membership in the submodule generated by a Groebner basis."""
-    return normal_form(v, basis).is_zero()
+    return not normal_form(v, basis, [_lead(b) for b in basis])
 
 
 def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]:
@@ -200,60 +202,110 @@ def greedy_nakayama_minimize(fields, rank: int, cert_order: int) -> list[tuple]:
     return kept
 
 
-def _scan_lead(v: ModElement):
-    best = None
-    for term, c in v.terms():
-        if best is None or _term_key(term) > _term_key(best[0]):
-            best = (term, c)
-    return best
+class ModElement:
+    """An element of the free module R^rank as a tuple of Polynomials, the
+    representation the reference Buchberger loop below works on."""
+
+    __slots__ = ("comps",)
+
+    def __init__(self, comps):
+        self.comps = tuple(comps)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.comps)
+
+    def __add__(self, other: "ModElement") -> "ModElement":
+        return ModElement([a + b for a, b in zip(self.comps, other.comps)])
+
+    def __sub__(self, other: "ModElement") -> "ModElement":
+        return ModElement([a - b for a, b in zip(self.comps, other.comps)])
+
+    def mul_monomial(self, m, c=1) -> "ModElement":
+        return ModElement([a.mul_monomial(m, c) for a in self.comps])
+
+    def terms(self):
+        for pos, comp in enumerate(self.comps):
+            for m, c in comp.terms.items():
+                yield (pos, m), c
 
 
-def _scan_normal_form(v: ModElement, basis) -> ModElement:
-    remainder = ModElement([Polynomial.zero(v.nvars)] * v.rank)
+def _reference_lead(v: ModElement):
+    """((position, monomial), coefficient) of v's largest term: lower
+    positions dominate, grevlex inside."""
+    return max(v.terms(), key=lambda t: (-t[0][0],) + grevlex_key(t[0][1]))
+
+
+def _reference_normal_form(v: ModElement, basis, leads) -> ModElement:
+    remainder = ModElement([Polynomial.zero(v.comps[0].nvars)] * len(v.comps))
     while not v.is_zero():
-        (pos, m), c = _scan_lead(v)
-        for b in basis:
-            (bpos, bm), bc = _scan_lead(b)
+        (pos, m), c = _reference_lead(v)
+        for b, ((bpos, bm), bc) in zip(basis, leads):
             if bpos == pos and mono_divides(bm, m):
                 v = v - b.mul_monomial(mono_div(m, bm), Fraction(c, bc))
                 break
         else:
-            piece = [Polynomial.zero(v.nvars)] * v.rank
-            piece[pos] = Polynomial.monomial(v.nvars, m, c)
+            piece = [Polynomial.zero(v.comps[0].nvars)] * len(v.comps)
+            piece[pos] = Polynomial.monomial(v.comps[0].nvars, m, c)
             piece = ModElement(piece)
             remainder = remainder + piece
             v = v - piece
     return remainder
 
 
-def uncached_groebner_basis(gens) -> list[ModElement]:
-    """Buchberger with the position-over-term order, re-sorting every pair
-    (smallest lcm degree first, stable) and recomputing leading terms each
-    time they are needed."""
+def reference_groebner_basis(gens, max_size=None) -> list[ModElement] | None:
+    """Buchberger with the position-over-term order on tuples of
+    Polynomials: S-pairs of elements whose leads share a position, smallest
+    lcm degree first (ties in formation order), each S-polynomial reduced by
+    the first basis element whose lead divides each leading term.  None once
+    the basis grows past ``max_size`` elements."""
     basis = [g for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    leads = [_reference_lead(g) for g in basis]
+    pairs = []
+
+    def form(i: int, j: int) -> None:
+        (pi, mi), _ = leads[i]
+        (pj, mj), _ = leads[j]
+        if pi == pj:
+            pairs.append((mono_degree(mono_lcm(mi, mj)), i, j))
+
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            form(i, j)
     while pairs:
-        pairs.sort(
-            key=lambda ij: mono_degree(
-                mono_lcm(_scan_lead(basis[ij[0]])[0][1], _scan_lead(basis[ij[1]])[0][1])
-            )
-            if _scan_lead(basis[ij[0]])[0][0] == _scan_lead(basis[ij[1]])[0][0]
-            else -1
-        )
-        i, j = pairs.pop(0)
-        (pi, mi), ci = _scan_lead(basis[i])
-        (pj, mj), cj = _scan_lead(basis[j])
-        if pi != pj:
-            continue
+        pairs.sort(key=lambda pair: pair[0])
+        _, i, j = pairs.pop(0)
+        (_, mi), ci = leads[i]
+        (_, mj), cj = leads[j]
         top = mono_lcm(mi, mj)
         s = basis[i].mul_monomial(mono_div(top, mi), Fraction(1) / ci) - basis[
             j
         ].mul_monomial(mono_div(top, mj), Fraction(1) / cj)
-        r = _scan_normal_form(s, basis)
+        r = _reference_normal_form(s, basis, leads)
         if not r.is_zero():
+            if max_size is not None and len(basis) == max_size:
+                return None
             basis.append(r)
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            leads.append(_reference_lead(r))
+            for k in range(len(basis) - 1):
+                form(k, len(basis) - 1)
     return basis
+
+
+def reference_syzygy_basis(gens, max_size=None) -> list[tuple[Polynomial, ...]] | None:
+    """Syzygies of the polynomials ``gens``: the elements with zero first
+    component of the reference Groebner basis of the (g_i, e_i); None once
+    that basis grows past ``max_size`` elements."""
+    nv, m = gens[0].nvars, len(gens)
+    aug = [ModElement([g] + [Polynomial.constant(nv, int(k == i)) for k in range(m)])
+           for i, g in enumerate(gens)]
+    gb = reference_groebner_basis(aug, max_size)
+    return None if gb is None else [v.comps[1:] for v in gb if v.comps[0].is_zero()]
+
+
+def module_element(comps) -> dict:
+    """The sparse term row {(position, monomial): coefficient} of a vector
+    of polynomials."""
+    return {(pos, m): c for pos, comp in enumerate(comps) for m, c in comp.terms.items()}
 
 
 def rational_normal_form(form, v) -> list[Polynomial]:

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import liftfields
-from liftfields import catalog, cli, ksmaps, modules
+from liftfields import catalog, cli, germs, ksmaps, modules
 from liftfields.germs import ConsistencyError
 from liftfields.report import AnalysisReport, load_schema, validate_report
 from liftfields.schema import ReportSchemaError
@@ -113,10 +113,10 @@ def test_json_report_does_not_import_jsonschema():
 # of each subcommand, with a little room over what it compiles now; a layer
 # counts once it is executed (its module is no longer a lazy stand-in)
 COMPILE_CEILINGS = [
-    (["analyze", "e0"], 20_500),
-    (["kernel", "e0", "--level", "1"], 20_500),
-    (["construct", "e0"], 25_000),
-    (["unfold", "sfold-1-plus"], 26_000),
+    (["analyze", "e0"], 20_150),
+    (["kernel", "e0", "--level", "1"], 20_150),
+    (["construct", "e0"], 24_650),
+    (["unfold", "sfold-1-plus"], 25_690),
     (["check", "e0", "--fields", "reference"], 14_500),
     (["transport", "phi-63"], 16_800),
     (["reduce", "suspended-69"], 15_300),
@@ -414,6 +414,19 @@ def test_exit_parse_error_missing_block(capsys):
     assert "unfolding" in err
 
 
+def test_exit_parse_error_unfolding_branch_count(tmp_path, capsys):
+    # a two-branch germ whose unfolding block unfolds only its first branch
+    path = tmp_path / "onebranch.germ"
+    path.write_text(
+        "germ onebranch { n = 2; p = 2; target (X, Y);"
+        " branch a(x, y) = (x, y^3 + x*y); branch b(x, y) = (x, y^2);"
+        " unfolding at 3 { target (X, Y, Z); branch a(x, y, t) = (x, y^3 + x*y, t); } }"
+    )
+    code, out, err = run(["unfold", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: the unfolding has 1 branch(es), the germ 2\n"
+
+
 def test_exit_parse_error_diffeo_not_inverse(tmp_path, capsys):
     path = tmp_path / "skew.germ"
     path.write_text(
@@ -430,6 +443,21 @@ def test_exit_resource_cap(capsys):
     code, _, err = run(["construct", "sfold-1-plus"], capsys)
     assert code == 2
     assert "cap" in err
+
+
+def test_exit_resource_cap_as_a_main_module():
+    # run as ``python -m liftfields.cli``, cli is loaded a second time as
+    # __main__; the handler's cap error is germs' one class, so __main__
+    # catches it too
+    src = os.path.dirname(os.path.dirname(liftfields.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftfields.cli", "construct", "sfold-1-plus", "--json"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "cap reached: no surjective level found up to the cap 6\n"
+    assert cli.ResourceCapError is germs.ResourceCapError
 
 
 @pytest.mark.parametrize("argv,refusal", [

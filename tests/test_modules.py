@@ -5,14 +5,14 @@ from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 from liftfields.modules import (
     IdealPowerTower,
     LevelSpan,
-    ModElement,
     PurePivots,
     ScalarClassMap,
+    _lead,
     groebner_basis,
     jet_span,
     module_jet_span,
@@ -24,7 +24,8 @@ from liftfields import reduce_to_core, truncation_order
 from liftfields.poly import Polynomial, count_monomials_below, monomials_below
 
 from conftest import poly
-from oracles import module_membership, polynomial_module_jet_span, polynomial_tower_spans
+from oracles import (ModElement, module_element, module_membership, polynomial_module_jet_span,
+                     polynomial_tower_spans, reference_groebner_basis, reference_syzygy_basis)
 
 XY = ("x", "y")
 
@@ -33,26 +34,31 @@ def _p(t):
     return poly(t, XY)
 
 
+def _e(*texts) -> dict:
+    return module_element([_p(t) for t in texts])
+
+
 def test_membership_ideal():
-    basis = groebner_basis([ModElement([_p("x^2")]), ModElement([_p("y^3")])])
-    assert module_membership(ModElement([_p("x^2*y + y^4")]), basis)
-    assert not module_membership(ModElement([_p("x*y")]), basis)
+    basis = groebner_basis([_e("x^2"), _e("y^3")])
+    assert module_membership(_e("x^2*y + y^4"), basis)
+    assert not module_membership(_e("x*y"), basis)
 
 
 def test_membership_module_rank2():
-    g1 = ModElement([_p("x"), _p("y")])
-    g2 = ModElement([_p("0"), _p("x - y")])
+    g1 = _e("x", "y")
+    g2 = _e("0", "x - y")
     basis = groebner_basis([g1, g2])
-    assert module_membership(ModElement([_p("x^2"), _p("x*y")]), basis)
-    assert module_membership(g1 + g2.scale(3), basis)
-    assert not module_membership(ModElement([_p("y"), _p("0")]), basis)
+    assert module_membership(_e("x^2", "x*y"), basis)
+    assert module_membership(_e("x", "3*x - 2*y"), basis)  # g1 + 3*g2
+    assert not module_membership(_e("y", "0"), basis)
 
 
 def test_normal_form_is_canonical():
-    basis = groebner_basis([ModElement([_p("x^2 - y")])])
-    a = normal_form(ModElement([_p("x^4")]), basis)
-    b = normal_form(ModElement([_p("y^2")]), basis)
-    assert a == b
+    basis = groebner_basis([_e("x^2 - y")])
+    leads = [_lead(b) for b in basis]
+    a = normal_form(_e("x^4"), basis, leads)
+    b = normal_form(_e("y^2"), basis, leads)
+    assert a == b == _e("y^2")
 
 
 def test_syzygies_are_exact():
@@ -68,8 +74,8 @@ def test_syzygy_koszul_generated():
     # the Koszul relation y*(x) - x*(y) = 0 must lie in the syzygy module
     gens = [_p("x"), _p("y")]
     syz = syzygy_basis(gens)
-    basis = groebner_basis([ModElement(s) for s in syz])
-    assert module_membership(ModElement([_p("y"), _p("-x")]), basis)
+    basis = groebner_basis([module_element(s) for s in syz])
+    assert module_membership(_e("y", "-x"), basis)
 
 
 def test_syzygy_of_coprime_pair():
@@ -77,6 +83,37 @@ def test_syzygy_of_coprime_pair():
     gens = [_p("x + y"), _p("y")]
     for s in syzygy_basis(gens):
         assert (s[0] * gens[0] + s[1] * gens[1]).is_zero()
+
+
+_BUCHBERGER_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), -3])
+_REFERENCE_SIZE = 16  # larger reference bases are skipped: a few take seconds
+
+
+@st.composite
+def _generator_lists(draw):
+    """1-3 polynomials of degree <= 2 in 1-3 variables (zero allowed)."""
+    n = draw(st.integers(1, 3))
+    term = st.tuples(st.sampled_from(monomials_below(n, 3)), _BUCHBERGER_COEFFS)
+    return [Polynomial(n, dict(draw(st.lists(term, max_size=4))))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_lists())
+@example([_p("1/2*x*y + 2*x + 1/2*y"), _p("1/2*x^2 + 1/2*x")])  # tie order decides
+def test_groebner_and_syzygies_match_the_reference(gens):
+    # term rows give the reference's Groebner bases, element by element and
+    # in order, of the ideal and of the augmented module (g_i, e_i), and so
+    # its syzygies
+    nv, m = gens[0].nvars, len(gens)
+    aug = [[g] + [Polynomial.constant(nv, int(k == i)) for k in range(m)]
+           for i, g in enumerate(gens)]
+    for vectors in ([[g] for g in gens], aug):
+        want = reference_groebner_basis([ModElement(v) for v in vectors], _REFERENCE_SIZE)
+        assume(want is not None)
+        got = groebner_basis([module_element(v) for v in vectors])
+        assert got == [module_element(v.comps) for v in want]
+    assert syzygy_basis(gens) == reference_syzygy_basis(gens)
 
 
 def test_jet_span_dimension():
