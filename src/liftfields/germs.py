@@ -11,9 +11,11 @@ Each jet object derived from a germ (ideal spans, ell, towers, class maps,
 prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models) has
 one builder under ``cached(kind)``, so it is built once per germ and arguments.
 Each fact is derived once: delta is read at jet order ell+1, where ell's scan
-ends; both derivations of a level take their jet order from
-``ksmaps.truncation_order``, sharing its class maps; and ``MultiGerm.pullbacks``
-alone says which target slots are source coordinates.
+ends; both derivations of a level i take their jet order (i+1)*ell from
+``ksmaps.truncation_order``, sharing its class maps (exact: m^ell ⊆ I gives
+m^((i+1)*ell) ⊆ I^(i+1), so no jet of higher degree survives in R/I^(i+1));
+and ``MultiGerm.pullbacks`` alone says which target slots are source
+coordinates.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ def __getattr__(name: str):
 
 
 ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
+# The most monomial columns, C(n + (i+1)*ell - 1, n), per branch a level-i
+# model or brute-force invariant is built on.  `kernel rieger-ruas --level i`
+# (n = ell = 4, one branch, 2-core Xeon) took 6.5 s and 123 MB peak RSS at
+# level 12 (341,055 columns), 7.8 s and 178 MB at 13 (455,126), 12.5 s and
+# 242 MB at 14 (595,665) and 32 s and 477 MB at 16 (971,635): so levels up
+# to 13 run and levels from 14 on exit 2 (level 40 would need 31.3 million).
+MODEL_COLUMN_CAP = 500_000
 
 
 def cached(kind: str):

@@ -15,8 +15,13 @@ the branch.  So we first collapse each branch component to coordinates on
 R/I^(i+1) (a small space), reduce the tangent-space rows there, and read the
 quotient off a single echelon extension — no subspace intersections needed.
 
-All jets are taken at order M = ell*(i+2)+1 where ell is the Nakayama
-exponent (m^ell ⊆ I), which resolves the quotient exactly.
+All jets are taken at order N = (i+1)*ell, where ell is the Nakayama
+exponent (m^ell ⊆ I on every branch), and this is exact: m^ell ⊆ I gives
+m^((i+1)*ell) ⊆ I^(i+1), so every jet of degree >= N lies in A_(i+1) and is
+zero in the target, and R/I^(i+1) = R/(I^(i+1) + m^N) is read off the jets
+below N.  So every monomial column of the model has degree < N: the
+tangent multipliers, the F(i) candidates and the pullbacks need no cut of
+their own.
 
 The model never leaves integer column space: the ideal-power spans are
 pure monomial pivots read off the exponents on coordinate branches (one
@@ -50,16 +55,29 @@ from collections.abc import Sequence
 from math import comb
 from operator import add
 
-from .germs import ConsistencyError, HypothesisError, MultiGerm, cached
+from .germs import (MODEL_COLUMN_CAP, ConsistencyError, HypothesisError, MultiGerm,
+                    ResourceCapError, cached)
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
 from .modules import ScalarClassMap, jet_times, vector_to_row
 from .poly import (Monomial, Polynomial, count_monomials_below, mono_index_map,
-                   monomial_pullbacks, monomials_of_degree)
+                   monomial_pullbacks, monomials_below, monomials_of_degree)
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
-    """Jet order at which the level-i and level-(i+1) quotients are exact."""
-    return f.ell() * (i + 2) + 1
+    """Jet order (i+1)*ell of the level-i model: exact, since m^ell ⊆ I
+    gives m^((i+1)*ell) ⊆ I^(i+1), so a jet of degree >= (i+1)*ell is zero
+    in R/I^(i+1) and in the target (TR_e(f) + A_i)/(TR_e(f) + A_(i+1)).
+
+    Raises ResourceCapError, before anything is built, when a branch would
+    have more than MODEL_COLUMN_CAP monomial columns at that order."""
+    order = (i + 1) * f.ell()
+    columns = count_monomials_below(f.n, order)
+    if columns > MODEL_COLUMN_CAP:
+        raise ResourceCapError(
+            f"the level-{i} model needs {columns} monomial columns per branch at jet"
+            f" order {order}, above the cap {MODEL_COLUMN_CAP}"
+        )
+    return order
 
 
 class KSMapModel:
@@ -133,7 +151,6 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
         raise HypothesisError("Kodaira-Spencer-Mather models require corank <= 1")
     n, p = f.n, f.p
     order = truncation_order(f, i)
-    ell = f.ell()
 
     # per-branch collapse of theta_S(f) modulo A_(i+1) = (I^(i+1))^p
     cmaps: list[ScalarClassMap] = []
@@ -151,9 +168,8 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
         return {base + k: v for k, v in coords.items()}
 
     # image of TR_e(f): rows tf(x^a e_m) summed from the column classes;
-    # a multiplier x^a whose class is zero (every one of degree >=
-    # (i+1)*ell among them) lies in A_(i+1) with all its multiples, so its
-    # rows are zero and skipped
+    # a multiplier x^a whose class is zero lies in A_(i+1) with all its
+    # multiples, so its rows are zero and skipped
     idx = mono_index_map(n, order)
     tangent = SparseSpan()
     for j, b in enumerate(f.branches):
@@ -164,29 +180,25 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
              for q in range(p) for t, c in jac[q][src].terms.items()]
             for src in range(n)
         ]
-        for d in range((i + 1) * ell):
-            for m in monomials_of_degree(n, d):
-                if not classes[idx[m]]:
-                    continue
-                for src in range(n):
-                    row: dict = {}
-                    for base, t, c in terms[src]:
-                        col = idx.get(tuple(map(add, m, t)))
-                        if col is not None:
-                            for k, w in classes[col].items():
-                                row[base + k] = row.get(base + k, 0) + c * w
-                    tangent.add(row)
+        for m, cls in zip(monomials_below(n, order), classes):
+            if not cls:
+                continue
+            for src in range(n):
+                row: dict = {}
+                for base, t, c in terms[src]:
+                    col = idx.get(tuple(map(add, m, t)))
+                    if col is not None:
+                        for k, w in classes[col].items():
+                            row[base + k] = row.get(base + k, 0) + c * w
+                tangent.add(row)
 
     # extend by generators of A_i to cut out the target quotient
     qm = QuotientModel(tangent)
-    cut = count_monomials_below(n, (i + 1) * ell)  # columns of degree < (i+1)*ell
     for j in range(f.num_branches):
-        # classes of F(i)'s basis rows by pivot (lowest column) below cut: a
-        # pure pivot's class is read, not reduced (F(i+1)'s monomials are 0)
+        # classes of F(i)'s basis rows: a pure pivot's class is read, not
+        # reduced (F(i+1)'s monomials are 0)
         classes, cands = cmaps[j].classes, []
         for c, row in f.branch_tower(j, order).span(i).pivot_rows():
-            if c >= cut:
-                break
             coords = classes[c] if row is None else cmaps[j].reduce(row)
             if coords:
                 cands.append(coords)

@@ -126,7 +126,11 @@ def complete_generators(f: MultiGerm, cap: int = 6,
     ell = f.ell()
     d_max = max_extra_degree if max_extra_degree is not None else 2 * (i + 2) * ell
     d_max = max(d_max, i + 1)
-    order = ksmaps.truncation_order(f, i) + d_max
+    # not the level models' exact (i+1)*ell: completion keeps the order
+    # ell*(i+2)+1 those models had before, plus d_max, because its residual
+    # columns, certificates and [order N] markers are read at it, and a
+    # smaller order would change what it emits until lift verdicts are exact
+    order = ell * (i + 2) + 1 + d_max
 
     kernel = ksmaps.ks_matrix(f, i + 1).kernel_fields(f.target_vars)
     expected = ksmaps.min_generators(f, mode="bruteforce", cap=cap).count

@@ -5,8 +5,8 @@ it moved to sparse column-space code, the greedy Nakayama loop, the
 Buchberger loop and syzygies on module elements held as tuples of
 Polynomials (``ModElement``, before elements became sparse term rows), the
 delta stabilisation loop and the brute-force higher invariants at a jet order
-of one's choice, and the jsonschema package's report validation; they stay
-here as oracles only.
+of one's choice, the level models' former jet order ell*(i+2)+1, and the
+jsonschema package's report validation; they stay here as oracles only.
 """
 
 from __future__ import annotations
@@ -180,6 +180,13 @@ def branch_higher_at(f, j: int, i: int, order: int) -> tuple[int, int]:
                 col.update({q * cmap.dim + k: v for k, v in cmap.reduce(prod).items()})
             image.add(col)
     return len(reps), len(reps) * b.n - image.dim
+
+
+def reference_truncation_order(f, i: int) -> int:
+    """ell*(i+2)+1, the jet order the level models were built at before it
+    was cut to the exact (i+1)*ell: larger at every level, so every level
+    fact read at it must be the one read at the exact order."""
+    return f.ell() * (i + 2) + 1
 
 
 def greedy_nakayama_minimize(fields, rank: int, cert_order: int) -> list[tuple]:

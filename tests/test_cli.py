@@ -445,6 +445,32 @@ def test_exit_resource_cap(capsys):
     assert "cap" in err
 
 
+def test_exit_resource_level_model_too_large(capsys, monkeypatch):
+    # level 40 of rieger-ruas needs C(167, 4) columns at jet order 41*ell:
+    # refused before a tower, class map or model is built
+    built = []
+    monkeypatch.setattr(modules, "IdealPowerTower", lambda *args, **kw: built.append(args))
+    code, out, err = run(["kernel", "rieger-ruas", "--level", "40"], capsys)
+    assert (code, out, built) == (2, "", [])
+    assert err == ("cap reached: the level-40 model needs 31256555 monomial columns per"
+                   " branch at jet order 164, above the cap 500000\n")
+
+
+def test_exit_resource_level_scan_reaches_the_cap(capsys, monkeypatch):
+    # the level scan stops at the first level past the cap, before building
+    # it (formula mode: the scan is what builds models); on rieger-ruas level
+    # 0 has 35 columns and level 1 has 330
+    monkeypatch.setattr(ksmaps, "MODEL_COLUMN_CAP", 100)
+    built = []
+    tower = modules.IdealPowerTower
+    monkeypatch.setattr(modules, "IdealPowerTower",
+                        lambda gens, order, ell: built.append(order) or tower(gens, order, ell))
+    code, out, err = run(["analyze", "rieger-ruas", "--mode", "formula"], capsys)
+    assert (code, out, built) == (2, "", [4])
+    assert err == ("cap reached: the level-1 model needs 330 monomial columns per branch"
+                   " at jet order 8, above the cap 100\n")
+
+
 def test_exit_resource_cap_as_a_main_module():
     # run as ``python -m liftfields.cli``, cli is loaded a second time as
     # __main__; the handler's cap error is germs' one class, so __main__

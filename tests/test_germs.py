@@ -150,12 +150,12 @@ def test_delta_at_ell_matches_stabilised_loop(name):
 @pytest.mark.parametrize("name", ["bigerm-69", "suspended-69", "trigerm"])
 def test_bruteforce_levels_match_at_per_branch_order(name):
     # the brute-force higher invariants read at the level models' jet order
-    # agree with those at each branch's own order ell_j*(i+2)+1
+    # agree with those at each branch's own exact order ell_j*(i+1)
     f = germ(name)
     if f.n > f.p:
         f = reduce_to_core(f)
     for i in range(4):
-        orders = [f.branch_ell(j) * (i + 2) + 1 for j in range(f.num_branches)]
+        orders = [f.branch_ell(j) * (i + 1) for j in range(f.num_branches)]
         assert max(orders) == truncation_order(f, i) > min(orders)  # the orders differ
         per_branch = [branch_higher_at(f, j, i, order) for j, order in enumerate(orders)]
         assert higher_invariants(f, i, "bruteforce") == tuple(map(sum, zip(*per_branch)))

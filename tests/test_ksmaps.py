@@ -23,10 +23,10 @@ from liftfields.germs import Branch, MultiGerm
 from liftfields.ksmaps import KSMapModel, truncation_order
 from liftfields.linalg import SparseSpan
 from liftfields.modules import IdealPowerTower
-from liftfields.poly import Polynomial, mono_index_map, monomials_of_degree
+from liftfields.poly import Polynomial, monomials_of_degree
 
 from conftest import germ
-from oracles import dense_kernel_fields
+from oracles import dense_kernel_fields, reference_truncation_order
 
 
 def _core(doc):
@@ -194,6 +194,91 @@ def test_level_models_built_once():
 
 
 # ---------------------------------------------------------------------------
+# the exact jet order (i+1)*ell against the larger ell*(i+2)+1
+# ---------------------------------------------------------------------------
+
+def _level_facts(f, top):
+    """The level scan's i1 and i2, then per level 0..top the model's jet
+    order, rank, target and kernel dimensions and kernel fields, and each
+    branch's brute-force (i-delta, i-gamma)."""
+    rep = locate_i1_i2(f)
+    facts = [(rep.i1, rep.i2)]
+    for i in range(top + 1):
+        m = ks_matrix(f, i)
+        facts.append((m.truncation_order, m.rank(), m.target_dim, m.kernel_dim,
+                      m.kernel_fields(f.target_vars),
+                      [ksmaps.branch_higher(f, j, i) for j in range(f.num_branches)]))
+    return facts
+
+
+def _assert_order_is_exact(make, monkeypatch):
+    """Levels 0..i1+1 (0..the last scanned level where no level is
+    surjective) of a fresh germ from make() read the same at the exact
+    order as at the reference order, which is larger at every level."""
+    rep = locate_i1_i2(make())
+    top = rep.i1 + 1 if isinstance(rep.i1, int) else rep.levels[-1].i
+    exact = _level_facts(make(), top)
+    with monkeypatch.context() as patch:
+        patch.setattr(ksmaps, "truncation_order", reference_truncation_order)
+        reference = _level_facts(make(), top)
+    assert exact[0] == reference[0]
+    for (order, *facts), (ref_order, *ref_facts) in zip(exact[1:], reference[1:]):
+        assert order < ref_order
+        assert facts == ref_facts
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_exact_order_matches_reference_order_on_catalog(name, monkeypatch):
+    _assert_order_is_exact(lambda: _core(catalog.load(name)), monkeypatch)
+
+
+@st.composite
+def _drawn_germs(draw):
+    """Plane curves (y^a, y^b + c*y^d) alone or as a bigerm, and folds
+    (x, x*y + y^a + c*y^b), sheared or not (a sheared fold's tower takes
+    the product path)."""
+    c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]))
+    if draw(st.booleans()):
+        branches = []
+        for label in "ab"[:draw(st.integers(1, 2))]:
+            a, b = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+            d = max(a, b) + draw(st.integers(1, 2))
+            comps = (Polynomial(1, {(a,): 1}), Polynomial(1, {(b,): 1, (d,): c}))
+            branches.append(Branch(label, ("y",), comps))
+        return MultiGerm(branches, ("X", "Y"))
+    a = draw(st.integers(3, 4))
+    b = draw(st.sampled_from([k for k in range(2, a + 3) if k != a]))
+    fold = MultiGerm([Branch("a", ("x", "y"), (
+        Polynomial(2, {(1, 0): 1}),
+        Polynomial(2, {(1, 1): 1, (0, a): 1, (0, b): c}),
+    ))], ("X", "Y"))
+    return _sheared(fold) if draw(st.booleans()) else fold
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_exact_order_matches_reference_order_on_drawn_germs(data):
+    drawn = data.draw(_drawn_germs())
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_order_is_exact(lambda: MultiGerm(drawn.branches, drawn.target_vars),
+                               monkeypatch)
+
+
+def test_level_model_columns_at_the_exact_order():
+    # level 4 of rieger-ruas (n = 4, ell = 4) is built at jet order 5*ell =
+    # 20 on C(23, 4) = 8,855 monomial columns per branch, where the order
+    # ell*(i+2)+1 = 25 took C(28, 4) = 20,475: a larger order shows here
+    f = germ("rieger-ruas")
+    model = ks_matrix(f, 4)
+    assert (f.ell(), model.truncation_order) == (4, 20)
+    cmaps = [v for k, v in f._cache.items() if k[0] == "cmap"]
+    towers = [v for k, v in f._cache.items() if k[0] == "tower"]
+    assert len(cmaps) == len(towers) == f.num_branches
+    assert [len(c.classes) for c in cmaps] == [8_855] * f.num_branches
+    assert [len(t._levels) for t in towers] == [8_855] * f.num_branches
+
+
+# ---------------------------------------------------------------------------
 # coordinate towers: same models as the product path, less work
 # ---------------------------------------------------------------------------
 
@@ -250,17 +335,14 @@ def test_coordinate_towers_build_no_products_and_skip_zero_multipliers(monkeypat
     products.clear()
     ks_matrix(f, i)
     assert products == []
-    order, ell = truncation_order(f, i), f.ell()
-    idx = mono_index_map(f.n, order)
+    order = truncation_order(f, i)
     live = total = 0
     for j in range(f.num_branches):
         tower = f.branch_tower(j, order)
         assert tower.power is not None
         classes = f.class_map(j, order, i + 1).classes
-        for d in range((i + 1) * ell):
-            for m in monomials_of_degree(f.n, d):
-                total += 1
-                live += bool(classes[idx[m]])
+        total += len(classes)
+        live += sum(map(bool, classes))
     assert 0 < live < total
     assert taken == [f.n * live]
     _force_product_towers(monkeypatch)  # the counter sees the product path
@@ -284,9 +366,9 @@ def test_level_models_read_no_pure_pivot_row(monkeypatch):
 
 
 def test_level_model_memory_holds_nothing_per_column():
-    # with the monomial tables built, the level-4 rieger-ruas model (20,475
-    # columns per branch) peaks at about 1 MB under tracemalloc; a row and a
-    # class object per column took about 10 MB
+    # with the monomial tables built, the level-4 rieger-ruas model (8,855
+    # columns per branch) peaks at about 0.9 MB under tracemalloc; a row and
+    # a class object per column took about 10 MB at 20,475 columns
     import tracemalloc
 
     ks_matrix(germ("rieger-ruas"), 4)  # builds the monomial tables

@@ -119,6 +119,16 @@ def test_completion_count_without_reference(name):
     assert all(c.exact or c.residual_low_degree >= CERT for c in mod.generators)
 
 
+def test_completion_keeps_its_jet_order():
+    # completion reads at ell*(i+2)+1+d_max, not at the level models' exact
+    # (i+1)*ell: rieger-36 (ell = 5, i1 = 1) at the CLI's degree bound 12
+    # certifies both generators at order 28, as the CLI's [order 28] shows
+    f = germ("rieger-36")
+    mod = complete_generators(f, max_extra_degree=12)
+    assert (f.ell(), ks_matrix(f, 2).truncation_order) == (5, 15)
+    assert (mod.cert_order, [c.order for c in mod.generators]) == (28, [28, 28])
+
+
 def test_completion_lowest_degrees_span_kernel():
     f = germ("cusp-pair")
     rep = locate_i1_i2(f)
