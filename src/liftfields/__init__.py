@@ -44,7 +44,7 @@ _LAYER_OF = {name: layer for layer, names in (
     ("unfoldings", ("UnfoldingSpec", "build_unfolding", "reduce_to_core")),
     ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
     ("lift", ("LiftModule", "compare_modules", "complete_generators",
-              "generator_count_certified", "lift_of_squaring_map", "nakayama_minimize",
+              "generator_count_certified", "nakayama_minimize",
               "restrict_from_unfolding", "transport")),
     ("parser", ("GermDocument", "ParseError", "parse")),
 ) for name in names}

@@ -16,14 +16,15 @@ Subcommands operate on a germ document, given either as a path to a
 
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
 mismatch, unstable unfolding); 2 resource cap reached before a decision, an
-input too large to finish (a power past the parser's bound), or arguments
-the parser refuses (among them a ``--level``, ``--max-i`` or ``--max-degree``
-that is not a non-negative integer, or a ``--cert-order`` below 1); 3 parse
-or semantic error in the input (no valid germ, unfolding or diffeo pair, a
-diffeo block whose maps are not inverse, or no such document or block); 4
-internal consistency failure (formula and brute-force computations
-disagree, a ``--json`` report breaks the shipped schema, or any other
-``ValueError`` escapes a layer).
+input too large to finish (a power past the parser's bound, or a level model
+of more than ``germs.MODEL_COLUMN_CAP`` monomial columns per branch), or
+arguments the parser refuses (among them a ``--level``, ``--max-i`` or
+``--max-degree`` that is not a non-negative integer, or a ``--cert-order``
+below 1); 3 parse or semantic error in the input (no valid germ, unfolding
+or diffeo pair, a diffeo block whose maps are not inverse, or no such
+document or block); 4 internal consistency failure (formula and brute-force
+computations disagree, a ``--json`` report breaks the shipped schema, or any
+other ``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read

@@ -95,6 +95,11 @@ class NotLiftableError(ValueError):
         self.branch, self.obstruction_degree = branch, obstruction_degree
 
 
+def default_target_vars(p: int) -> tuple[str, ...]:
+    """The target names X1, .., Xp of a germ or document that declares none."""
+    return tuple(f"X{i+1}" for i in range(p))
+
+
 class Branch:
     """One branch of a multigerm: a polynomial map with f(0) = 0."""
 
@@ -158,9 +163,7 @@ class MultiGerm:
         self.branches = branches
         self.n = n
         self.p = p
-        if target_vars is None:
-            target_vars = tuple(f"X{i+1}" for i in range(p))
-        self.target_vars = tuple(target_vars)
+        self.target_vars = default_target_vars(p) if target_vars is None else tuple(target_vars)
         if len(self.target_vars) != p:
             raise InputError("target variable count must equal p")
         self._cache: dict = {}

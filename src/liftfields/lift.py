@@ -133,7 +133,9 @@ def complete_generators(f: MultiGerm, cap: int = 6,
     order = ell * (i + 2) + 1 + d_max
 
     kernel = ksmaps.ks_matrix(f, i + 1).kernel_fields(f.target_vars)
-    expected = ksmaps.min_generators(f, mode="bruteforce", cap=cap).count
+    # the formula, cross-checked against the kernel's dimension: counting
+    # the kernel alone would check the loop below against itself
+    expected = ksmaps.min_generators(f, mode="both", cap=cap).count
     for key in [key for key in f._cache if key[0] in ("tower", "cmap", "ks")]:
         del f._cache[key]  # the level work is done: free its towers, class maps and models
 
@@ -173,20 +175,6 @@ def complete_generators(f: MultiGerm, cap: int = 6,
 # ---------------------------------------------------------------------------
 # generator construction II: unfolding restriction
 # ---------------------------------------------------------------------------
-
-def lift_of_squaring_map(p_total: int, squared_index: int) -> list[FieldVector]:
-    """Generators of the liftable module of (X_1,..,L^2,..,X_p): every
-    coordinate direction except the squared one, plus L d/dL."""
-    out = []
-    for q in range(p_total):
-        comps = [Polynomial.zero(p_total)] * p_total
-        if q == squared_index:
-            comps[q] = Polynomial.variable(p_total, q)
-        else:
-            comps[q] = Polynomial.constant(p_total, 1)
-        out.append(tuple(comps))
-    return out
-
 
 def restrict_from_unfolding(
     spec: unfoldings.UnfoldingSpec,

@@ -23,9 +23,10 @@ Polynomials use ``+ - *`` and ``^`` for powers; rational literals are written
 ``a/b``.  Comments run from ``#`` to end of line.
 
 Validation: declarations may come in any order, except that ``diffeo`` and
-``fields`` blocks follow the target or unfolding they use; only ``branch`` and
-``fields`` may repeat.  Names are unique within each variable list, among the
-branch labels (of the germ, of the unfolding) and among the fields blocks.
+``fields`` blocks follow the target or unfolding they use.  In the germ, the
+unfolding, the diffeo and the options block a key may come once, except
+``branch`` and ``fields``.  Names are unique within each variable list, among
+the branch labels (of the germ, of the unfolding) and among the fields blocks.
 Once the whole document is read, each branch must have n source variables and
 p components and the target p names (one more each in the unfolding); every
 vector must match its target.  Errors are ParseErrors at the offending token.
@@ -36,12 +37,13 @@ which the CLI maps to exit 2) before any expansion.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import re
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import comb
 
 from . import plaintext, unfoldings
-from .germs import Branch, InputError, MultiGerm
+from .germs import Branch, InputError, MultiGerm, default_target_vars
 from .poly import Polynomial
 
 
@@ -67,7 +69,12 @@ POWER_LIMIT = 50_000
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = "{}()=;,+-*/^"
+# one token of a line after its blanks: an int, a name, a symbol, the end of
+# the line (at the '#' of a comment that ends it) or a bad character.  \d is
+# str.isdecimal, the digits int() reads; \w is str.isalnum or '_', and so also
+# takes numerals such as '²', which may go on a name but not start one
+_TOKEN = re.compile(r"[ \t\r]*(?:(\d+)|(\w+)|([{}()=;,+\-*/^])|((?:#.*)?\Z)|(.))")
+_KINDS = (None, "int", "name", "sym")  # by group number; 4 ends the line, 5 is bad
 
 
 class Token:
@@ -79,47 +86,18 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with "eof" where the last line's
+    tokens end; every character, a tab included, is one column."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdecimal():  # not isdigit: int() refuses digits such as '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYMBOLS:
-            tokens.append(Token("sym", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars):
+            k = m.lastindex
+            word, col = m.group(k), m.start(k) + 1
+            if k == 5 or (k == 2 and not (word[0].isalpha() or word[0] == "_")):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            if k == 4:
+                break
+            tokens.append(Token(_KINDS[k], word, line, col))
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -128,15 +106,9 @@ def tokenize(text: str) -> list[Token]:
 # document model
 # ---------------------------------------------------------------------------
 
-class BranchDecl:
-    def __init__(self, label: str, source_vars: tuple[str, ...],
-                 components: tuple[Polynomial, ...]):
-        self.label, self.source_vars, self.components = label, source_vars, components
-
-
 class UnfoldingDecl:
     def __init__(self, param_target_index: int, target_vars: tuple[str, ...],
-                 branches: list[BranchDecl]):
+                 branches: list[Branch]):
         self.param_target_index = param_target_index  # 0-based position in the target
         self.target_vars, self.branches = target_vars, branches
 
@@ -148,7 +120,7 @@ class FieldsDecl:
 
 class GermDocument:
     def __init__(self, name: str, n: int, p: int, target_vars: tuple[str, ...],
-                 branches: list[BranchDecl], unfolding: UnfoldingDecl | None = None,
+                 branches: list[Branch], unfolding: UnfoldingDecl | None = None,
                  diffeo: tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]] | None = None,
                  fields: dict[str, FieldsDecl] | None = None,
                  options: dict[str, int] | None = None):
@@ -160,19 +132,13 @@ class GermDocument:
 
     # -- conversions ----------------------------------------------------
     def to_multigerm(self) -> MultiGerm:
-        return MultiGerm(
-            [Branch(b.label, b.source_vars, b.components) for b in self.branches],
-            self.target_vars,
-        )
+        return MultiGerm(self.branches, self.target_vars)
 
     def to_unfolding_spec(self) -> unfoldings.UnfoldingSpec:
         if self.unfolding is None:
             raise InputError(f"document {self.name!r} has no unfolding block")
         u = self.unfolding
-        F = MultiGerm(
-            [Branch(b.label, b.source_vars, b.components) for b in u.branches],
-            u.target_vars,
-        )
+        F = MultiGerm(u.branches, u.target_vars)
         return unfoldings.UnfoldingSpec(F, self.to_multigerm(), u.param_target_index)
 
     def diffeo_pair(self) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
@@ -196,100 +162,98 @@ class _Parser:
         # (token, what, count, dim, extra): once the whole document is read,
         # count must equal n or p (as dim names) plus extra
         self.arities: list[tuple[Token, str, int, str, int]] = []
+        self.at_tok: Token | None = None  # the unfolding's parameter position
 
     # -- token helpers --------------------------------------------------
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            got = t.text or "end of input"
-            self.error(f"expected {want!r}, found {got!r}")
-        return self.next()
-
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         t = self.peek()
         if t.kind == kind and (text is None or t.text == text):
-            return self.next()
+            self.pos += 1
+            return t
         return None
+
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        t = self.accept(kind, text)
+        if t is None:
+            want = text if text is not None else kind
+            got = self.peek().text or "end of input"
+            self.error(f"expected {want!r}, found {got!r}")
+        return t
+
+    def block(self, declaration: Callable[[Token], None], repeatable: tuple[str, ...] = (),
+              expected: str | None = None) -> None:
+        """'{' declaration* '}': each declaration starts with a name, read
+        here and passed to ``declaration``, which reads the rest; a name not
+        in ``repeatable`` may come once.  A token that is not a name fails
+        with ``expected`` or, when that is None, as a missing name."""
+        self.expect("sym", "{")
+        seen: set[str] = set()
+        while not self.accept("sym", "}"):
+            if expected is not None and self.peek().kind != "name":
+                self.error(expected)
+            head = self.expect("name")
+            if head.text in seen:
+                self.error(f"{head.text!r} is declared twice", head)
+            if head.text not in repeatable:
+                seen.add(head.text)
+            declaration(head)
 
     # -- grammar --------------------------------------------------------
     def document(self) -> GermDocument:
         self.expect("name", "germ")
         name_tok = self.expect("name")
-        self.expect("sym", "{")
-        n = p = at_tok = None
-        target: tuple[str, ...] | None = None
-        branches: list[BranchDecl] = []
-        unfolding = None
-        diffeo = None
-        fields: dict[str, FieldsDecl] = {}
-        options: dict[str, int] = {}
-        seen: set[str] = set()
-        while not self.accept("sym", "}"):
-            t = self.peek()
-            if t.kind != "name":
-                self.error("expected a declaration")
-            if t.text in seen:
-                self.error(f"{t.text!r} is declared twice")
-            if t.text not in ("branch", "fields"):
-                seen.add(t.text)
-            if t.text == "n" or t.text == "p":
-                self.next()
-                self.expect("sym", "=")
-                val = int(self.expect("int").text)
-                self.expect("sym", ";")
-                if t.text == "n":
-                    n = val
-                else:
-                    p = val
-            elif t.text == "target":
-                target = self.target_decl(0)
-            elif t.text == "branch":
-                branches.append(self.branch_decl(branches))
-            elif t.text == "unfolding":
-                unfolding, at_tok = self.unfolding_block()
-            elif t.text == "diffeo":
-                diffeo = self.diffeo_block(target)
-            elif t.text == "fields":
-                fd = self.fields_block(target, unfolding)
-                if fd.name in fields:
-                    self.error(f"duplicate fields block {fd.name!r}", t)
-                fields[fd.name] = fd
-            elif t.text == "options":
-                options = self.options_block()
-            else:
-                self.error(f"unknown declaration {t.text!r}")
+        doc = GermDocument(name_tok.text, None, None, None, [])
+        self.block(lambda head: self.declaration(doc, head), ("branch", "fields"),
+                   "expected a declaration")
         self.expect("eof")
+        n, p = doc.n, doc.p
         if n is None or p is None:
             self.error(f"germ {name_tok.text!r} must declare n and p", name_tok)
-        if not branches:
+        if not doc.branches:
             self.error(f"germ {name_tok.text!r} has no branches", name_tok)
         for tok, what, got, dim, extra in self.arities:
             want = (n if dim == "n" else p) + extra
             if got != want:
                 self.error(f"{what}, expected {want}", tok)
-        if target is None:
-            target = tuple(f"X{i+1}" for i in range(p))
-        if unfolding is not None:
-            if at_tok is None:
-                unfolding.param_target_index = p  # default: the last target component
-            elif not 0 <= unfolding.param_target_index <= p:
-                self.error(f"parameter position {at_tok.text} out of range", at_tok)
-        return GermDocument(
-            name_tok.text, n, p, target, branches, unfolding, diffeo, fields, options
-        )
+        if doc.target_vars is None:
+            doc.target_vars = default_target_vars(p)
+        if doc.unfolding is not None:
+            if self.at_tok is None:
+                doc.unfolding.param_target_index = p  # default: the last target component
+            elif not 0 <= doc.unfolding.param_target_index <= p:
+                self.error(f"parameter position {self.at_tok.text} out of range", self.at_tok)
+        return doc
+
+    def declaration(self, doc: GermDocument, head: Token) -> None:
+        key = head.text
+        if key == "n" or key == "p":
+            self.expect("sym", "=")
+            setattr(doc, key, int(self.expect("int").text))
+            self.expect("sym", ";")
+        elif key == "target":
+            doc.target_vars = self.target_decl(head, 0)
+        elif key == "branch":
+            doc.branches.append(self.branch_decl(head, doc.branches, 0))
+        elif key == "unfolding":
+            doc.unfolding = self.unfolding_block()
+        elif key == "diffeo":
+            doc.diffeo = self.diffeo_block(head, doc.target_vars)
+        elif key == "fields":
+            fd = self.fields_block(head, doc.target_vars, doc.unfolding)
+            if fd.name in doc.fields:
+                self.error(f"duplicate fields block {fd.name!r}", head)
+            doc.fields[fd.name] = fd
+        elif key == "options":
+            self.block(lambda head: self.option(doc.options, head))
+        else:
+            self.error(f"unknown declaration {key!r}", head)
 
     def name_list(self) -> tuple[str, ...]:
         self.expect("sym", "(")
@@ -302,15 +266,13 @@ class _Parser:
         self.expect("sym", ")")
         return tuple(names)
 
-    def target_decl(self, extra: int) -> tuple[str, ...]:
-        head = self.expect("name", "target")
+    def target_decl(self, head: Token, extra: int) -> tuple[str, ...]:
         names = self.name_list()
         self.expect("sym", ";")
         self.arities.append((head, f"target: {len(names)} variables", len(names), "p", extra))
         return names
 
-    def branch_decl(self, earlier: list[BranchDecl], extra: int = 0) -> BranchDecl:
-        head = self.expect("name", "branch")
+    def branch_decl(self, head: Token, earlier: list[Branch], extra: int) -> Branch:
         tok = self.expect("name")
         label = tok.text
         if any(b.label == label for b in earlier):
@@ -325,39 +287,34 @@ class _Parser:
         what = f"branch {label!r}: "
         self.arities.append((head, what + f"{len(svars)} source variables", len(svars), "n", extra))
         self.arities.append((head, what + f"{len(comps)} components", len(comps), "p", extra))
-        return BranchDecl(label, svars, comps)
+        return Branch(label, svars, comps)
 
-    def unfolding_block(self) -> tuple[UnfoldingDecl, Token | None]:
-        self.expect("name", "unfolding")
-        at_tok = self.expect("int") if self.accept("name", "at") else None
-        self.expect("sym", "{")
-        target: tuple[str, ...] | None = None
-        branches: list[BranchDecl] = []
-        while not self.accept("sym", "}"):
-            t = self.peek()
-            if t.kind == "name" and t.text == "target":
-                if target is not None:
-                    self.error("'target' is declared twice")
-                target = self.target_decl(1)
-            elif t.kind == "name" and t.text == "branch":
-                branches.append(self.branch_decl(branches, extra=1))
+    def unfolding_block(self) -> UnfoldingDecl:
+        self.at_tok = self.expect("int") if self.accept("name", "at") else None
+        index = None if self.at_tok is None else int(self.at_tok.text) - 1
+        u = UnfoldingDecl(index, None, [])
+
+        def declaration(head: Token) -> None:
+            if head.text == "target":
+                u.target_vars = self.target_decl(head, 1)
+            elif head.text == "branch":
+                u.branches.append(self.branch_decl(head, u.branches, 1))
             else:
-                self.error("expected 'target' or 'branch' in unfolding block")
-        if not branches:
-            self.error("unfolding block has no branches")
-        if target is None:
-            target = tuple(f"X{i+1}" for i in range(len(branches[0].components)))
-        index = None if at_tok is None else int(at_tok.text) - 1
-        return UnfoldingDecl(index, target, branches), at_tok
+                self.error("expected 'target' or 'branch' in unfolding block", head)
 
-    def diffeo_block(self, target: tuple[str, ...] | None):
-        head = self.expect("name", "diffeo")
+        self.block(declaration, ("branch",), "expected 'target' or 'branch' in unfolding block")
+        if not u.branches:
+            self.error("unfolding block has no branches")
+        if u.target_vars is None:
+            u.target_vars = default_target_vars(len(u.branches[0].components))
+        return u
+
+    def diffeo_block(self, head: Token, target: tuple[str, ...] | None):
         if target is None:
             self.error("diffeo block must come after the target declaration", head)
-        self.expect("sym", "{")
-        H = Hinv = None
-        while not self.accept("sym", "}"):
-            key = self.expect("name")
+        maps = {}
+
+        def declaration(key: Token) -> None:
             if key.text not in ("H", "Hinv"):
                 self.error("expected 'H' or 'Hinv'", key)
             self.expect("sym", "=")
@@ -365,16 +322,14 @@ class _Parser:
             self.expect("sym", ";")
             if len(comps) != len(target):
                 self.error(f"{key.text} must have {len(target)} components", key)
-            if key.text == "H":
-                H = comps
-            else:
-                Hinv = comps
-        if H is None or Hinv is None:
-            self.error("diffeo block needs both H and Hinv", head)
-        return H, Hinv
+            maps[key.text] = comps
 
-    def fields_block(self, target, unfolding) -> FieldsDecl:
-        head = self.expect("name", "fields")
+        self.block(declaration)
+        if len(maps) < 2:
+            self.error("diffeo block needs both H and Hinv", head)
+        return maps["H"], maps["Hinv"]
+
+    def fields_block(self, head: Token, target, unfolding) -> FieldsDecl:
         name = self.expect("name").text
         over_unfolding = False
         if self.accept("name", "over"):
@@ -399,17 +354,11 @@ class _Parser:
             self.expect("sym", ";")
         return FieldsDecl(name, over_unfolding, fields)
 
-    def options_block(self) -> dict[str, int]:
-        self.expect("name", "options")
-        self.expect("sym", "{")
-        opts: dict[str, int] = {}
-        while not self.accept("sym", "}"):
-            key = self.expect("name").text
-            self.expect("sym", "=")
-            sign = -1 if self.accept("sym", "-") else 1
-            opts[key] = sign * int(self.expect("int").text)
-            self.expect("sym", ";")
-        return opts
+    def option(self, options: dict[str, int], key: Token) -> None:
+        self.expect("sym", "=")
+        sign = -1 if self.accept("sym", "-") else 1
+        options[key.text] = sign * int(self.expect("int").text)
+        self.expect("sym", ";")
 
     # -- polynomial expressions -----------------------------------------
     def poly_tuple(self, names: Sequence[str]) -> tuple[Polynomial, ...]:
@@ -452,24 +401,19 @@ class _Parser:
     def atom(self, names: Sequence[str]) -> Polynomial:
         nvars = len(names)
         t = self.peek()
-        if t.kind == "int":
-            self.next()
-            num = int(t.text)
-            if self.peek().kind == "sym" and self.peek().text == "/":
-                self.next()
+        if self.accept("int"):
+            if self.accept("sym", "/"):
                 den = self.expect("int")
                 if int(den.text) == 0:
                     self.error("zero denominator", den)
-                return Polynomial.constant(nvars, Fraction(num, int(den.text)))
-            return Polynomial.constant(nvars, num)
-        if t.kind == "name":
-            self.next()
+                return Polynomial.constant(nvars, Fraction(int(t.text), int(den.text)))
+            return Polynomial.constant(nvars, int(t.text))
+        if self.accept("name"):
             try:
                 return Polynomial.variable(nvars, list(names).index(t.text))
             except ValueError:
                 self.error(f"unknown variable {t.text!r}", t)
-        if t.kind == "sym" and t.text == "(":
-            self.next()
+        if self.accept("sym", "("):
             value = self.expr(names)
             self.expect("sym", ")")
             return value

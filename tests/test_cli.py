@@ -113,14 +113,14 @@ def test_json_report_does_not_import_jsonschema():
 # of each subcommand, with a little room over what it compiles now; a layer
 # counts once it is executed (its module is no longer a lazy stand-in)
 COMPILE_CEILINGS = [
-    (["analyze", "e0"], 20_150),
-    (["kernel", "e0", "--level", "1"], 20_150),
-    (["construct", "e0"], 24_650),
-    (["unfold", "sfold-1-plus"], 25_690),
-    (["check", "e0", "--fields", "reference"], 14_500),
-    (["transport", "phi-63"], 16_800),
-    (["reduce", "suspended-69"], 15_300),
-    (["catalog"], 10_800),
+    (["analyze", "e0"], 19_700),
+    (["kernel", "e0", "--level", "1"], 19_700),
+    (["construct", "e0"], 24_100),
+    (["unfold", "sfold-1-plus"], 25_140),
+    (["check", "e0", "--fields", "reference"], 14_050),
+    (["transport", "phi-63"], 16_250),
+    (["reduce", "suspended-69"], 14_850),
+    (["catalog"], 10_350),
 ]
 
 
@@ -439,6 +439,19 @@ def test_exit_parse_error_diffeo_not_inverse(tmp_path, capsys):
     assert err == "error: H∘H_inv is not the identity to the certified order\n"
 
 
+def test_exit_parse_error_repeated_diffeo_key(tmp_path, capsys):
+    # the second H, which would make the pair inverse, does not replace the first
+    path = tmp_path / "twice.germ"
+    path.write_text(
+        "germ twice { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);\n"
+        " diffeo { H = (X + Y, Y); H = (X, Y); Hinv = (X, Y); }"
+        " fields reference { (2*X, 3*Y); } }"
+    )
+    code, out, err = run(["transport", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: line 2, column 27: 'H' is declared twice\n"
+
+
 def test_exit_resource_cap(capsys):
     code, _, err = run(["construct", "sfold-1-plus"], capsys)
     assert code == 2
@@ -542,6 +555,21 @@ def test_exit_inconsistent_fault_injected(capsys, monkeypatch):
     code, _, err = run(["analyze", "whitney-psi2", "--mode", "both"], capsys)
     assert code == 4
     assert "inconsistent" in err
+
+
+def test_exit_inconsistent_completion_count_formula(capsys, monkeypatch):
+    # construct's expected count is the formula, checked against the kernel it
+    # completes: a formula off by one is caught, not confirmed by the kernel
+    real = ksmaps.higher_invariants
+
+    def off_by_one(f, i, mode="formula"):
+        d, g = real(f, i, mode)
+        return d, g + i  # g_(i+1) - g_i, and so the formula, moves by one
+
+    monkeypatch.setattr(ksmaps, "higher_invariants", off_by_one)
+    code, out, err = run(["construct", "e0"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("inconsistent: generator count mismatch: formula")
 
 
 def test_exit_inconsistent_value_error_escaping_a_layer(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from liftfields import (
     generator_count_certified,
     invariants,
     ks_matrix,
-    lift_of_squaring_map,
     locate_i1_i2,
     nakayama_minimize,
     reduce_to_core,
@@ -137,19 +136,8 @@ def test_completion_lowest_degrees_span_kernel():
 
 
 # ---------------------------------------------------------------------------
-# squaring maps and unfolding restriction
+# unfolding restriction
 # ---------------------------------------------------------------------------
-
-def test_lift_of_squaring_map():
-    gens = lift_of_squaring_map(3, 0)
-    names = ("X", "Y", "U")
-    rendered = [tuple(c.render(names) for c in g) for g in gens]
-    assert rendered == [
-        ("X", "0", "0"),
-        ("0", "1", "0"),
-        ("0", "0", "1"),
-    ]
-
 
 @pytest.mark.parametrize(
     "name", ["fold-line", "tangent-fold-1", "tangent-fold-2", "bigerm-69"]

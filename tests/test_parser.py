@@ -153,9 +153,23 @@ def test_generated_documents_parse_within_bound(monkeypatch):
 
 
 def test_unicode_digit_rejected():
-    # '²' passes str.isdigit but int() refuses it
+    # '²' passes str.isdigit but int() refuses it; '½' is numeric, not alphabetic
     with pytest.raises(ParseError, match="line 1, column 14: unexpected character"):
         parse("germ g { n = ²; p = 1; }")
+    with pytest.raises(ParseError) as err:
+        parse("germ g { n = ½x; p = 1; }")
+    assert str(err.value) == "line 1, column 14: unexpected character '½'"
+
+
+def test_token_boundaries_and_columns():
+    # a numeral such as '²' may go on a name; digits end before a name; a tab
+    # and a '\r' are one column each; end of input is at a final comment's '#'
+    tokens = [(t.kind, t.text, t.line, t.col) for t in tokenize("x² 2x\n\tb\r c # d")]
+    assert tokens == [("name", "x²", 1, 1), ("int", "2", 1, 4), ("name", "x", 1, 5),
+                      ("name", "b", 2, 2), ("name", "c", 2, 5), ("eof", "", 2, 7)]
+    with pytest.raises(ParseError) as err:
+        parse("germ g { n = 1; # c")
+    assert str(err.value) == "line 1, column 17: expected a declaration"
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +211,11 @@ def test_declarations_in_any_order():
          " n = 1; p = 2; branch a(y) = (y^2, y^3);",
          "1, column 67", "repeated branch label 'a'"),
         ("branch a(y) = (y^2, y^3); p = 2;", "1, column 6", "germ 'g' must declare n and p"),
+        ("n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
+         " diffeo { H = (X, Y); H = (X + Y, Y); Hinv = (X, Y); }",
+         "1, column 86", "'H' is declared twice"),
+        ("n = 1; p = 2; branch a(y) = (y^2, y^3); options { expect_delta = 1; expect_delta = 2; }",
+         "1, column 78", "'expect_delta' is declared twice"),
     ],
 )
 def test_semantic_errors_at_offending_token(body, where, message):
