@@ -18,13 +18,13 @@ Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
 mismatch, unstable unfolding); 2 resource cap reached before a decision, an
 input too large to finish (a power past the parser's bound, or a level model
 of more than ``germs.MODEL_COLUMN_CAP`` monomial columns per branch), or
-arguments the parser refuses (among them a ``--level``, ``--max-i`` or
-``--max-degree`` that is not a non-negative integer, or a ``--cert-order``
-below 1); 3 parse or semantic error in the input (no valid germ, unfolding
-or diffeo pair, a diffeo block whose maps are not inverse, or no such
-document or block); 4 internal consistency failure (formula and brute-force
-computations disagree, a ``--json`` report breaks the shipped schema, or any
-other ``ValueError`` escapes a layer).
+arguments the parser refuses (among them a ``--level`` or ``--max-i`` that
+is not a non-negative integer, a ``--max-degree`` or ``--cert-order`` below
+1, and an option the subcommand does not take); 3 parse or semantic error in
+the input (no valid germ, unfolding or diffeo pair, a diffeo block whose
+maps are not inverse, or no such document or block); 4 internal consistency
+failure (formula and brute-force computations disagree, a ``--json`` report
+breaks the shipped schema, or any other ``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read
@@ -42,7 +42,7 @@ from . import catalog, division, lift, unfoldings
 from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
                     NotLiftableError, ResourceCapError)
 from .parser import ParseError, PowerTooLargeError, parse
-from .report import AnalysisReport, ReportConfig, validate_report
+from .report import AnalysisReport, validate_report
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -103,7 +103,7 @@ def _emit(report: AnalysisReport, as_json: bool) -> None:
 
 
 def _natural(text: str, least: int = 0) -> int:
-    """argparse type of a level, level cap or degree bound: an integer >= least."""
+    """argparse type of a level or level cap: an integer >= least."""
     try:
         value = int(text)
     except ValueError:
@@ -115,26 +115,37 @@ def _natural(text: str, least: int = 0) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type of a jet order: an integer >= 1."""
+    """argparse type of a jet order or degree bound: an integer >= 1."""
     return _natural(text, 1)
 
 
-# subcommand -> (help, its one option beyond the shared ones as (flag, dest,
-# argparse keywords)); its handler, ``commands.<subcommand>.run``, is imported
-# when it runs and takes the document (but catalog), config and option value
+# every option a subcommand can take, as argparse keywords
+_OPTIONS = {
+    "--max-i": {"type": _natural, "default": 6, "help": "level scan cap (default 6)"},
+    "--mode": {"choices": ["formula", "bruteforce", "both"], "default": "both",
+               "help": "numeric computation mode (default both)"},
+    "--level": {"type": _natural, "required": True, "help": "level of the matrix model"},
+    "--max-degree": {"type": _positive,
+                     "help": "completion degree bound (default 2*(i+2)*ell)"},
+    "--cert-order": {"type": _positive, "default": 12,
+                     "help": "jet order for certificates (default 12)"},
+    "--fields": {"default": "reference",
+                 "help": "fields block name, or for check a document file (default reference)"},
+    "--run-all": {"action": "store_true", "help": "analyze every entry against its records"},
+}
+
+# subcommand -> (help, the options its handler reads); the handler,
+# ``commands.<subcommand>.run``, is imported when it runs and takes the
+# document (catalog: as_json) and those options by their argparse names
 _COMMANDS = {
-    "analyze": ("invariants and level scan", None),
-    "kernel": ("kernel basis at one level",
-               ("--level", "level", {"type": _natural, "required": True})),
-    "construct": ("generators by kernel completion", None),
-    "unfold": ("generators by unfolding restriction", None),
-    "check": ("re-verify claimed liftable fields", ("--fields", "fields", {
-        "default": "reference",
-        "help": "fields block name or document file (default: reference)"})),
-    "transport": ("push fields through the diffeo block", ("--fields", "fields", {
-        "default": "reference", "help": "fields block to transport (default: reference)"})),
-    "reduce": ("strip quadratic suspension variables", None),
-    "catalog": ("list or run built-in entries", ("--run-all", "run_all", {"action": "store_true"})),
+    "analyze": ("invariants and level scan", ("--max-i", "--mode")),
+    "kernel": ("kernel basis at one level", ("--level",)),
+    "construct": ("generators by kernel completion", ("--max-i", "--max-degree")),
+    "unfold": ("generators by unfolding restriction", ("--cert-order",)),
+    "check": ("re-verify claimed liftable fields", ("--fields", "--cert-order")),
+    "transport": ("push fields through the diffeo block", ("--fields", "--cert-order")),
+    "reduce": ("strip quadratic suspension variables", ("--cert-order",)),
+    "catalog": ("list or run built-in entries", ("--run-all", "--max-i", "--mode")),
 }
 
 
@@ -146,7 +157,7 @@ def _build_parser(command, alone: bool) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="liftfields", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True,
                              metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
-    for name, (help_text, own) in _COMMANDS.items():
+    for name, (help_text, flags) in _COMMANDS.items():
         if alone and name != command:
             continue
         sp = sub.add_parser(name, help=help_text)
@@ -154,18 +165,9 @@ def _build_parser(command, alone: bool) -> argparse.ArgumentParser:
             continue
         if name != "catalog":
             sp.add_argument("document", help="path to a .germ file or catalog name")
-        sp.add_argument("--max-i", type=_natural, default=6, dest="max_i",
-                        help="level scan cap (default 6)")
-        sp.add_argument("--max-degree", type=_natural, default=12, dest="max_degree",
-                        help="completion degree bound (default 12)")
-        sp.add_argument("--cert-order", type=_positive, default=12, dest="cert_order",
-                        help="jet order for certificates (default 12)")
+        for flag in flags:
+            sp.add_argument(flag, **_OPTIONS[flag])
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--mode", choices=["formula", "bruteforce", "both"],
-                        default="both", help="numeric computation mode")
-        if own is not None:
-            flag, dest, kwargs = own
-            sp.add_argument(flag, dest=dest, **kwargs)
     return top
 
 
@@ -177,14 +179,15 @@ def main(argv=None) -> int:
     command = next((a for a in argv if not a.startswith("-")), None)
     alone = command in _COMMANDS and argv[0] == command
     args = _build_parser(command, alone).parse_args(argv)
-    cfg = ReportConfig(args.max_i, args.max_degree, args.cert_order, args.mode)
-    own = _COMMANDS[args.command][1]
-    values = () if own is None else (getattr(args, own[1]),)
+    dests = [flag[2:].replace("-", "_") for flag in _COMMANDS[args.command][1]]  # --max-i: max_i
+    options = {dest: getattr(args, dest) for dest in dests}
     run = import_module(f"{__package__}.commands.{args.command}").run
     try:
         if args.command == "catalog":
-            return run(cfg, *values, args.json)
-        _emit(run(_load_document(args.document), cfg, *values), args.json)
+            return run(as_json=args.json, **options)
+        report = run(_load_document(args.document), **options)
+        report.config = options
+        _emit(report, args.json)
         return EXIT_OK
     except (ResourceCapError, PowerTooLargeError) as exc:
         sys.stderr.write(f"cap reached: {exc}\n")

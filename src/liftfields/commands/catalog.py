@@ -3,12 +3,12 @@
 import sys
 
 from .. import catalog, cli
-from ..report import ReportConfig
 
 
-def run(cfg: ReportConfig, run_all: bool, as_json: bool) -> int:
+def run(run_all: bool, as_json: bool, **options) -> int:
+    """options: analyze's, which ``run_all`` passes on."""
     if run_all:
         from . import run_all as runner
-        return runner.run(cfg, as_json)
+        return runner.run(options, as_json)
     sys.stdout.write("".join(name + "\n" for name in catalog.names()))
     return cli.EXIT_OK

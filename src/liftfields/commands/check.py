@@ -6,19 +6,19 @@ import time
 from .. import cli
 from ..germs import InputError
 from ..parser import parse
-from ..report import AnalysisReport, ReportConfig, render_field
+from ..report import AnalysisReport, render_field
 
 
-def run(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
-    rep = AnalysisReport("check", doc.name, cfg)
-    path = cli._resolve(block_name)
-    if block_name in doc.fields:
-        blocks = [doc.fields[block_name]]
+def run(doc, fields: str, cert_order: int) -> AnalysisReport:
+    rep = AnalysisReport("check", doc.name)
+    path = cli._resolve(fields)
+    if fields in doc.fields:
+        blocks = [doc.fields[fields]]
     elif os.path.isfile(path):
         with open(path, encoding="utf-8") as fh:
             blocks = list(parse(fh.read()).fields.values())
     else:
-        raise InputError(f"no fields block or file named {block_name!r}")
+        raise InputError(f"no fields block or file named {fields!r}")
     f, _ = cli._core_germ(doc)
     F = doc.to_unfolding_spec().F if doc.unfolding is not None else None
     for block in blocks:  # a block read from a file may be over another target
@@ -26,7 +26,7 @@ def run(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
         lengths = {len(vf) for vf in block.fields} - {want}
         if lengths:
             where = "unfolding's" if block.over_unfolding else "germ's"
-            raise InputError(f"fields block {block.name!r} in {block_name!r} has fields of length"
+            raise InputError(f"fields block {block.name!r} in {fields!r} has fields of length"
                              f" {min(lengths)}, but the {where} target has {want} coordinates")
     checked = []
     t0 = time.perf_counter()
@@ -36,7 +36,7 @@ def run(doc, cfg: ReportConfig, block_name: str) -> AnalysisReport:
                              " document has none")
         target = F if block.over_unfolding else f
         for vf in block.fields:
-            cert = cli.solve_lift(target, vf, cfg.cert_order)
+            cert = cli.solve_lift(target, vf, cert_order)
             checked.append(f"{block.name}: {render_field(vf, target.target_vars)} "
                            + ("[exact]" if cert.exact else f"[order {cert.order}]"))
     rep.timings["check"] = time.perf_counter() - t0

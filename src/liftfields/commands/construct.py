@@ -4,19 +4,19 @@ import time
 
 from .. import cli, ksmaps
 from ..germs import ResourceCapError
-from ..report import AnalysisReport, ReportConfig
+from ..report import AnalysisReport
 
 
-def run(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("construct", doc.name, cfg)
+def run(doc, max_i: int, max_degree: int | None) -> AnalysisReport:
+    rep = AnalysisReport("construct", doc.name)
     f, reduced = cli._core_germ(doc)
     if reduced:
         rep.extra["reduced_to_core"] = True
     t0 = time.perf_counter()
-    rep.ks = ksmaps.locate_i1_i2(f, cap=cfg.max_i)
+    rep.ks = ksmaps.locate_i1_i2(f, cap=max_i)
     if rep.ks.i1 == "infinity up to cap":
-        raise ResourceCapError(f"no surjective level found up to the cap {cfg.max_i}")
-    rep.lift = cli.complete_generators(f, cap=cfg.max_i, max_extra_degree=cfg.max_degree)
+        raise ResourceCapError(f"no surjective level found up to the cap {max_i}")
+    rep.lift = cli.complete_generators(f, cap=max_i, max_extra_degree=max_degree)
     rep.lift_target_vars = f.target_vars
     rep.timings["construct"] = time.perf_counter() - t0
     return rep

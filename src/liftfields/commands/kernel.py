@@ -3,11 +3,11 @@
 import time
 
 from .. import cli, ksmaps
-from ..report import AnalysisReport, ReportConfig
+from ..report import AnalysisReport
 
 
-def run(doc, cfg: ReportConfig, level: int) -> AnalysisReport:
-    rep = AnalysisReport("kernel", doc.name, cfg)
+def run(doc, level: int) -> AnalysisReport:
+    rep = AnalysisReport("kernel", doc.name)
     f, _ = cli._core_germ(doc)
     t0 = time.perf_counter()
     model = ksmaps.ks_matrix(f, level)

@@ -3,11 +3,11 @@
 import time
 
 from .. import cli, unfoldings
-from ..report import AnalysisReport, ReportConfig, render_field
+from ..report import AnalysisReport, render_field
 
 
-def run(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("reduce", doc.name, cfg)
+def run(doc, cert_order: int) -> AnalysisReport:
+    rep = AnalysisReport("reduce", doc.name)
     f = doc.to_multigerm()
     core = unfoldings.reduce_to_core(f)
     rep.extra["core"] = [f"{b.label}({', '.join(b.source_vars)}) = ("
@@ -18,7 +18,7 @@ def run(doc, cfg: ReportConfig) -> AnalysisReport:
         t0 = time.perf_counter()
         verified = []
         for vf in block.fields:
-            cert = cli.solve_lift(core, vf, cfg.cert_order)
+            cert = cli.solve_lift(core, vf, cert_order)
             verified.append(
                 render_field(vf, core.target_vars)
                 + ("  [exact]" if cert.exact else f"  [order {cert.order}]")

@@ -5,14 +5,15 @@ import sys
 
 from .. import catalog, cli
 from ..germs import ConsistencyError
-from ..report import AnalysisReport, ReportConfig, validate_report
+from ..report import AnalysisReport, validate_report
 from . import analyze
 
 
-def _run_entry(name: str, cfg: ReportConfig) -> AnalysisReport:
+def _run_entry(name: str, options: dict) -> AnalysisReport:
     """analyze pipeline plus a check against the entry's recorded values."""
     doc = catalog.load(name)
-    rep = analyze.run(doc, cfg)
+    rep = analyze.run(doc, **options)
+    rep.config = options
     mg = rep.min_generators.count if rep.min_generators else None
     for what, got, want in (("i1=", rep.ks.i1, catalog.expected_i1(doc)),
                             ("i2=", rep.ks.i2, catalog.expected_i2(doc)),
@@ -23,10 +24,10 @@ def _run_entry(name: str, cfg: ReportConfig) -> AnalysisReport:
     return rep
 
 
-def run(cfg: ReportConfig, as_json: bool) -> int:
+def run(options: dict, as_json: bool) -> int:
     reports = []
     for name in catalog.names():
-        rep = _run_entry(name, cfg)
+        rep = _run_entry(name, options)
         reports.append(rep)
         if not as_json:
             mg = rep.min_generators.count if rep.min_generators else "-"

@@ -4,11 +4,11 @@ import time
 
 from .. import cli, ksmaps
 from ..germs import HypothesisError
-from ..report import AnalysisReport, ReportConfig
+from ..report import AnalysisReport
 
 
-def run(doc, cfg: ReportConfig) -> AnalysisReport:
-    rep = AnalysisReport("unfold", doc.name, cfg)
+def run(doc, cert_order: int) -> AnalysisReport:
+    rep = AnalysisReport("unfold", doc.name)
     spec = doc.to_unfolding_spec()  # an InputError if the document has no unfolding block
     if not ksmaps.classify_stable(spec.F).stable:
         raise HypothesisError("unfolding not stable")
@@ -17,7 +17,7 @@ def run(doc, cfg: ReportConfig) -> AnalysisReport:
     if block is not None and block.over_unfolding:
         lift_F = block.fields
     t0 = time.perf_counter()
-    rep.lift = cli.restrict_from_unfolding(spec, lift_F=lift_F, cert_order=cfg.cert_order)
+    rep.lift = cli.restrict_from_unfolding(spec, lift_F=lift_F, cert_order=cert_order)
     rep.lift_target_vars = doc.target_vars
     rep.timings["unfold"] = time.perf_counter() - t0
     return rep

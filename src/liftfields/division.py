@@ -174,7 +174,6 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
     the error then carries ``order`` as a lower bound on its degree.
     """
     n, p = f.n, f.p
-    monos = monomials_below(n, order)
     lifts = []
     residual_low = None
     den = lcm(*(c.denominator for comp in eta for c in comp.terms.values()))
@@ -188,6 +187,7 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                                                   for m, c in x.terms.items()}) for x in xi))
                 continue
         full = _pullback(f, j, eta, None)
+        monos = monomials_below(n, order)  # cached: built once, and only on the jet path
         span = f.tangent_span(j, order)
         hits: dict = {}
         left = span.reduce_full(modules.vector_to_row(full, p, order), hits)

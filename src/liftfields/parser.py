@@ -242,7 +242,7 @@ class _Parser:
         elif key == "branch":
             doc.branches.append(self.branch_decl(head, doc.branches, 0))
         elif key == "unfolding":
-            doc.unfolding = self.unfolding_block()
+            doc.unfolding = self.unfolding_block(head)
         elif key == "diffeo":
             doc.diffeo = self.diffeo_block(head, doc.target_vars)
         elif key == "fields":
@@ -289,22 +289,22 @@ class _Parser:
         self.arities.append((head, what + f"{len(comps)} components", len(comps), "p", extra))
         return Branch(label, svars, comps)
 
-    def unfolding_block(self) -> UnfoldingDecl:
+    def unfolding_block(self, head: Token) -> UnfoldingDecl:
         self.at_tok = self.expect("int") if self.accept("name", "at") else None
         index = None if self.at_tok is None else int(self.at_tok.text) - 1
         u = UnfoldingDecl(index, None, [])
 
-        def declaration(head: Token) -> None:
-            if head.text == "target":
-                u.target_vars = self.target_decl(head, 1)
-            elif head.text == "branch":
-                u.branches.append(self.branch_decl(head, u.branches, 1))
+        def declaration(key: Token) -> None:
+            if key.text == "target":
+                u.target_vars = self.target_decl(key, 1)
+            elif key.text == "branch":
+                u.branches.append(self.branch_decl(key, u.branches, 1))
             else:
-                self.error("expected 'target' or 'branch' in unfolding block", head)
+                self.error("expected 'target' or 'branch' in unfolding block", key)
 
         self.block(declaration, ("branch",), "expected 'target' or 'branch' in unfolding block")
         if not u.branches:
-            self.error("unfolding block has no branches")
+            self.error("unfolding block has no branches", head)
         if u.target_vars is None:
             u.target_vars = default_target_vars(len(u.branches[0].components))
         return u

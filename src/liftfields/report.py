@@ -21,23 +21,6 @@ from .poly import Polynomial
 FieldVector = Sequence[Polynomial]
 
 
-class ReportConfig:
-    """Echo of the knobs an invocation ran with."""
-
-    def __init__(self, max_i: int = 6, max_degree: int = 12, cert_order: int = 12,
-                 mode: str = "both"):
-        self.max_i, self.max_degree = max_i, max_degree
-        self.cert_order, self.mode = cert_order, mode
-
-    def to_json(self) -> dict:
-        return {
-            "max_i": self.max_i,
-            "max_degree": self.max_degree,
-            "cert_order": self.cert_order,
-            "mode": self.mode,
-        }
-
-
 def render_field(vf: FieldVector, names: Sequence[str]) -> str:
     return "(" + ", ".join(c.render(names) for c in vf) + ")"
 
@@ -46,8 +29,9 @@ class AnalysisReport:
     """What one CLI invocation computed about one germ document; the
     subcommand fills in the parts it computes."""
 
-    def __init__(self, command: str, germ_name: str, config: ReportConfig):
-        self.command, self.germ_name, self.config = command, germ_name, config
+    def __init__(self, command: str, germ_name: str):
+        self.command, self.germ_name = command, germ_name
+        self.config: dict[str, object] = {}  # the options the command ran with
         self.invariants: ksmaps.GermInvariants | None = None
         self.ks: ksmaps.KSReport | None = None
         self.stability: ksmaps.StabilityVerdict | None = None
@@ -67,7 +51,7 @@ class AnalysisReport:
             "version": __version__,
             "command": self.command,
             "germ": self.germ_name,
-            "config": self.config.to_json(),
+            "config": dict(self.config),
             "warnings": list(self.warnings),
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }

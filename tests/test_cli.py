@@ -11,6 +11,7 @@ import pytest
 import liftfields
 from liftfields import catalog, cli, germs, ksmaps, modules
 from liftfields.germs import ConsistencyError
+from liftfields.parser import parse_polynomial
 from liftfields.report import AnalysisReport, load_schema, validate_report
 from liftfields.schema import ReportSchemaError
 
@@ -232,13 +233,21 @@ def test_json_report_is_built_once(capsys, monkeypatch):
     assert out == built[0].to_json_text() == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-SHARED_OPTIONS = ["-h", "--help", "--max-i", "--max-degree", "--cert-order", "--json", "--mode"]
-OWN_OPTIONS = {"kernel": ["--level"], "check": ["--fields"], "transport": ["--fields"],
-               "catalog": ["--run-all"]}
+SHARED_OPTIONS = ["-h", "--help", "--json"]
+# each subcommand takes exactly the options its handler reads
+OWN_OPTIONS = {
+    "analyze": ["--max-i", "--mode"],
+    "kernel": ["--level"],
+    "construct": ["--max-i", "--max-degree"],
+    "unfold": ["--cert-order"],
+    "check": ["--fields", "--cert-order"],
+    "transport": ["--fields", "--cert-order"],
+    "reduce": ["--cert-order"],
+    "catalog": ["--run-all", "--max-i", "--mode"],
+}
 
 
-@pytest.mark.parametrize("command", ["analyze", "kernel", "construct", "unfold", "check",
-                                     "transport", "reduce", "catalog"])
+@pytest.mark.parametrize("command", list(OWN_OPTIONS))
 def test_subcommand_help_lists_its_options(command, capsys):
     # only the invoked subparser is given its arguments
     with pytest.raises(SystemExit) as exc:
@@ -247,8 +256,41 @@ def test_subcommand_help_lists_its_options(command, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: liftfields {command} ")
     options = {tok.strip(",[]") for tok in out.split() if tok.startswith(("-", "[-"))}
-    assert options == set(SHARED_OPTIONS + OWN_OPTIONS.get(command, []))
+    assert options == set(SHARED_OPTIONS + OWN_OPTIONS[command])
     assert ("positional arguments:\n  document" in out) == (command != "catalog")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "e0", "--level", "1", "--mode", "formula"],
+    ["check", "e0", "--max-i", "3"],
+    ["construct", "e0", "--cert-order", "5"],
+    ["unfold", "fold-line", "--max-i", "2"],
+    ["reduce", "suspended-69", "--max-degree", "7"],
+], ids=lambda argv: argv[0])
+def test_exit_option_the_subcommand_does_not_read(argv, capsys):
+    # an option the handler would ignore is refused, not echoed in the report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--json"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+def test_construct_rieger_36_emits_fields_that_lift(capsys):
+    # at the library's degree bound 2*(i+2)*ell both completions are exact;
+    # at the former CLI bound 12 they held only to order 28 and failed at 48
+    code, out, _ = run(["construct", "rieger-36"], capsys)
+    assert (code, out.count("[exact]"), out.count("[order")) == (0, 2, 0)
+    code, out, _ = run(["construct", "rieger-36", "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {"max_i": 6, "max_degree": None}
+    gens = doc["lift"]["generators"]
+    assert len(gens) == 2 and all(g["exact"] for g in gens)
+    f = catalog.load("rieger-36").to_multigerm()
+    for g in gens:
+        eta = tuple(parse_polynomial(c, f.target_vars) for c in g["field"][1:-1].split(", "))
+        assert cli.solve_lift(f, eta, 48).exact
 
 
 def test_kernel(capsys):
@@ -508,10 +550,12 @@ def test_exit_resource_cap_as_a_main_module():
      " got 0"),
     (["unfold", "sfold-1-plus", "--cert-order", "-1"], "--cert-order: must be a positive integer,"
      " got -1"),
-    (["construct", "e0", "--max-degree", "-1"], "--max-degree: must be a non-negative integer,"
+    (["construct", "e0", "--max-degree", "-1"], "--max-degree: must be a positive integer,"
      " got -1"),
+    (["construct", "e0", "--max-degree", "0", "--json"], "--max-degree: must be a positive"
+     " integer, got 0"),
 ], ids=["kernel-rieger-ruas", "kernel-e0", "analyze-max-i", "not-an-int", "cert-order-0",
-        "cert-order-negative", "max-degree-negative"])
+        "cert-order-negative", "max-degree-negative", "max-degree-0"])
 def test_exit_negative_level_refused_by_the_parser(argv, refusal, capsys):
     # refused like any malformed argument, before a document is read
     with pytest.raises(SystemExit) as exc:

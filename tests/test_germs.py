@@ -14,7 +14,7 @@ from liftfields import (
 from liftfields import catalog
 from liftfields.ksmaps import GermInvariants, truncation_order
 from liftfields.parser import GermDocument
-from liftfields.report import AnalysisReport, ReportConfig
+from liftfields.report import AnalysisReport
 from liftfields.unfoldings import UnfoldingSpec, build_unfolding
 
 from conftest import germ, monogerm, poly
@@ -52,7 +52,7 @@ def test_default_built_records_share_no_containers():
 
     pairs = [
         (GermDocument("g", 1, 2, ("X", "Y"), []) for _ in range(2)),
-        (AnalysisReport("analyze", "g", ReportConfig()) for _ in range(2)),
+        (AnalysisReport("analyze", "g") for _ in range(2)),
         (GermInvariants(1, 2, 1, 2, (2,), 1, 1, 2) for _ in range(2)),
     ]
     for a, b in pairs:

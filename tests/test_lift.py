@@ -120,12 +120,22 @@ def test_completion_count_without_reference(name):
 
 def test_completion_keeps_its_jet_order():
     # completion reads at ell*(i+2)+1+d_max, not at the level models' exact
-    # (i+1)*ell: rieger-36 (ell = 5, i1 = 1) at the CLI's degree bound 12
-    # certifies both generators at order 28, as the CLI's [order 28] shows
+    # (i+1)*ell: rieger-36 (ell = 5, i1 = 1) at degree bound 12 certifies
+    # both generators at order 28
     f = germ("rieger-36")
     mod = complete_generators(f, max_extra_degree=12)
     assert (f.ell(), ks_matrix(f, 2).truncation_order) == (5, 15)
     assert (mod.cert_order, [c.order for c in mod.generators]) == (28, [28, 28])
+
+
+@pytest.mark.parametrize("a,b", [(3, 4), (3, 5), (5, 6), (5, 7)])
+def test_completion_is_exact_on_family_a(a, b):
+    # (x, x*y + y^a + c*y^b), the matched family of the benchmark's seeded
+    # germs: at the default degree bound every completion lifts exactly
+    for c in ("1", "-2", "5/3", "-7/2"):
+        f = monogerm(["x", f"x*y + y^{a} + {c}*y^{b}"], ("x", "y"), ("X", "Y"))
+        mod = complete_generators(f)
+        assert mod.count and all(g.exact for g in mod.generators), (a, b, c)
 
 
 def test_completion_lowest_degrees_span_kernel():
@@ -483,13 +493,17 @@ def test_monomial_rank_matches_enumeration():
 
 
 def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
-    built, solved = [], []
+    # nor the monomial table the jet path reads its lifts with: at the
+    # default degree bound rieger-ruas lifts at jet order 37, C(40, 4) monomials
+    built, solved, tables = [], [], []
     monkeypatch.setattr(germs.MultiGerm, "tangent_span", lambda *a: built.append(a))
     monkeypatch.setattr(linalg, "solve_sparse", lambda *a: solved.append(a))
+    monkeypatch.setattr(division, "monomials_below", lambda *a: tables.append(a))
     assert not hasattr(lift, "solve_sparse")
     for argv in (
         ["construct", "phi-3"],
         ["construct", "cusp-pair"],
+        ["construct", "rieger-ruas"],
         ["check", "bigerm-69"],
         ["check", "sfold-1-plus", "--fields", "liftF"],
         ["unfold", "bigerm-69"],
@@ -497,7 +511,7 @@ def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert built == [] and solved == []
+    assert built == [] and solved == [] and tables == []
 
 
 def test_division_verdicts_match_jets(catalog_docs):

@@ -210,6 +210,9 @@ def test_declarations_in_any_order():
         ("unfolding { branch a(y, t) = (y^2, y^3 + t*y, t); branch a(y, t) = (y, t, t); }"
          " n = 1; p = 2; branch a(y) = (y^2, y^3);",
          "1, column 67", "repeated branch label 'a'"),
+        # at the block's head, not at the token after its '}'
+        ("n = 1; p = 2; branch a(y) = (y^2, y^3); unfolding { }\n\n  options { }",
+         "1, column 50", "unfolding block has no branches"),
         ("branch a(y) = (y^2, y^3); p = 2;", "1, column 6", "germ 'g' must declare n and p"),
         ("n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
          " diffeo { H = (X, Y); H = (X + Y, Y); Hinv = (X, Y); }",

@@ -92,6 +92,33 @@ def test_real_reports_are_accepted(reports, oracle):
         validate_report(doc)
 
 
+# The options each subcommand reads, at the values COMMANDS gives them; the
+# catalog run's reports are analyze's.
+CONFIGS = {
+    "analyze": {"max_i": 6, "mode": "both"},
+    "kernel": {"level": 2},
+    "construct": {"max_i": 6, "max_degree": None},
+    "unfold": {"cert_order": 12},
+    "check": {"fields": "reference", "cert_order": 12},
+    "transport": {"fields": "pre", "cert_order": 12},
+    "reduce": {"cert_order": 12},
+}
+
+
+def test_config_holds_exactly_the_options_read(reports):
+    assert {d["command"] for d in reports} == set(CONFIGS)
+    for doc in reports:
+        assert doc["config"] == CONFIGS[doc["command"]], doc["command"]
+    for argv, config in [
+        (["analyze", "e0", "--max-i", "2", "--mode", "formula"], {"max_i": 2, "mode": "formula"}),
+        (["construct", "e0", "--max-degree", "5", "--max-i", "3"], {"max_i": 3, "max_degree": 5}),
+    ]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([*argv, "--json"]) == 0
+        assert json.loads(out.getvalue())["config"] == config
+
+
 def test_targeted_mutations_agree_with_oracle(reports, oracle):
     verdicts = []
     for doc in reports[: len(COMMANDS) - 1] + reports[-1:]:
