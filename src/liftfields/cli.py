@@ -131,7 +131,8 @@ _OPTIONS = {
                      "help": "jet order for certificates (default 12)"},
     "--fields": {"default": "reference",
                  "help": "fields block name, or for check a document file (default reference)"},
-    "--run-all": {"action": "store_true", "help": "analyze every entry against its records"},
+    "--run-all": {"action": "store_true", "default": False,
+                  "help": "analyze every entry against its records"},
 }
 
 # subcommand -> (help, the options its handler reads); the handler,
@@ -149,11 +150,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command, alone: bool) -> argparse.ArgumentParser:
-    """The parser for one run: only ``command`` gets its arguments, since a
-    run parses no other.  If ``alone``, its subparser is the only one added
-    (the usage still names every subcommand); otherwise, as for top-level
-    help, every subcommand is listed with its help."""
+def _build_parser(command, alone: bool) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser for one run and its subparsers by name: only ``command``
+    gets its arguments, since a run parses no other, and an option left
+    out is not set (``main`` fills in its default).  If ``alone``, its
+    subparser is the only one added (the usage still names every
+    subcommand); otherwise, as for top-level help, every subcommand is
+    listed with its help."""
     top = argparse.ArgumentParser(prog="liftfields", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True,
                              metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
@@ -166,9 +169,9 @@ def _build_parser(command, alone: bool) -> argparse.ArgumentParser:
         if name != "catalog":
             sp.add_argument("document", help="path to a .germ file or catalog name")
         for flag in flags:
-            sp.add_argument(flag, **_OPTIONS[flag])
+            sp.add_argument(flag, **{**_OPTIONS[flag], "default": argparse.SUPPRESS})
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-    return top
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
@@ -178,9 +181,18 @@ def main(argv=None) -> int:
     # top-level option (such as --help) is given
     command = next((a for a in argv if not a.startswith("-")), None)
     alone = command in _COMMANDS and argv[0] == command
-    args = _build_parser(command, alone).parse_args(argv)
-    dests = [flag[2:].replace("-", "_") for flag in _COMMANDS[args.command][1]]  # --max-i: max_i
-    options = {dest: getattr(args, dest) for dest in dests}
+    top, subparsers = _build_parser(command, alone)
+    args, extra = top.parse_known_args(argv)
+    sp = subparsers[args.command]
+    if extra:  # after the subcommand, its own usage names the options it takes
+        (sp if alone else top).error(f"unrecognized arguments: {' '.join(extra)}")
+    given = vars(args)  # command, json and the options given (none has a default)
+    if args.command == "catalog" and "run_all" not in given and len(given) > 2:
+        sp.error("--max-i and --mode are read only with --run-all")
+    options = {}
+    for flag in _COMMANDS[args.command][1]:
+        dest = flag[2:].replace("-", "_")  # --max-i: max_i
+        options[dest] = given.get(dest, _OPTIONS[flag].get("default"))
     run = import_module(f"{__package__}.commands.{args.command}").run
     try:
         if args.command == "catalog":

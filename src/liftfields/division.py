@@ -5,10 +5,8 @@ On a branch (x_1..x_{n-1}, g(x, y)) where one component's y-derivative is a
 Weierstrass polynomial in y, df(xi) = eta∘f is decided by division in
 K[x][y], exactly and with no jet order; any other branch is solved modulo
 its tangent jet span (MultiGerm.tangent_span).  This is the read path of
-the lift layer (solve_lift, verify_certificate, LiftCertificate): ``lift``
-imports it by name and adds the generator pipelines, so ``check`` and
-``reduce`` compile only this module.  Like every layer, it is compiled on
-first use, so a command that lifts nothing does not compile it.
+the lift layer (solve_lift, verify_certificate, LiftCertificate), so
+``check`` and ``reduce`` compile only this module, not ``lift``.
 """
 
 from __future__ import annotations
@@ -77,18 +75,15 @@ class PrenormalForm:
         return nf, tuple(xi), scale
 
 
-def prenormal_form(b, slots: dict[int, int]) -> PrenormalForm | None:
-    """Branch b's prenormal form, or None; slots maps each target slot whose
-    component is a source variable x_i to i, in slot order."""
-    n = b.n
+def prenormal_form(b, slots: dict[int, int], y: int | None) -> PrenormalForm | None:
+    """Branch b's prenormal form, or None, from its coordinate reading
+    (slots, y) (MultiGerm.slots)."""
+    if y is None:
+        return None
     first: dict[int, int] = {}
     for q, i in slots.items():
         first.setdefault(i, q)
-    missing = [i for i in range(n) if i not in first] or [n - 1]
-    if len(missing) > 1:
-        return None
-    y = missing[0]
-    coords = tuple((first[i], i) for i in range(n) if i != y)
+    coords = tuple((first[i], i) for i in range(b.n) if i != y)
     taken, best = {s for s, _ in coords}, None
     for q, comp in enumerate(b.components):
         w = comp.diff(y).terms
@@ -117,33 +112,6 @@ class LiftCertificate:
                  residual_low_degree: int | None):
         self.eta, self.lifts, self.order = eta, lifts, order
         self.exact, self.residual_low_degree = exact, residual_low_degree
-
-
-def _split(f: MultiGerm, j: int, beta: tuple) -> tuple[list, tuple]:
-    """(a, b) with X^beta = X'^a*Y^b on branch j, X' the slots whose
-    component is a source variable x_i (MultiGerm.pullbacks): a is the
-    source exponent X'^a pulls back to, and b is beta with those slots 0."""
-    shift, rest = [0] * f.n, list(beta)
-    for q, i in f.pullbacks(j)[0].items():
-        shift[i], rest[q] = shift[i] + beta[q], 0
-    return shift, tuple(rest)
-
-
-def _pullback(f: MultiGerm, j: int, eta: FieldVector, order: int | None) -> list[Polynomial]:
-    """eta∘f_j componentwise, truncated at ``order`` (None: not at all): a
-    term X'^a*Y^b (``_split``) is the x^a-shift of the memoized Y^b∘f_j."""
-    pulled = f.pullbacks(j)[1]
-    out = []
-    for comp in eta:
-        terms: dict = {}
-        for beta, v in comp.terms.items():
-            shift, rest = _split(f, j, beta)
-            for m, w in pulled(rest).terms.items():
-                m = mono_mul(m, shift)
-                if order is None or sum(m) < order:
-                    terms[m] = terms.get(m, 0) + v * w
-        out.append(Polynomial(f.n, terms))
-    return out
 
 
 def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
@@ -181,12 +149,12 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
     for j, b in enumerate(f.branches):
         form = f.prenormal(j)
         if form is not None:
-            nf, xi, s = form.normal_form(_pullback(f, j, integral, None))
+            nf, xi, s = form.normal_form(f.pullback(j, integral, None))
             if not any(nf):  # xi / (s * den) lifts eta
                 lifts.append(tuple(Polynomial(n, {m: exact_div(c, s * den)
                                                   for m, c in x.terms.items()}) for x in xi))
                 continue
-        full = _pullback(f, j, eta, None)
+        full = f.pullback(j, eta, None)
         monos = monomials_below(n, order)  # cached: built once, and only on the jet path
         span = f.tangent_span(j, order)
         hits: dict = {}
@@ -217,7 +185,7 @@ def verify_certificate(f: MultiGerm, cert: LiftCertificate) -> bool:
     """Recheck a certificate from scratch: the residual of each branch must
     vanish (exact) or start at or above the certified jet order."""
     for j, (b, xi) in enumerate(zip(f.branches, cert.lifts)):
-        low = _residual_low(b, _pullback(f, j, cert.eta, None), xi)
+        low = _residual_low(b, f.pullback(j, cert.eta, None), xi)
         if low is not None and low < cert.order:
             return False
     return True

@@ -10,18 +10,20 @@ and one-parameter unfoldings in ``unfoldings``.
 Each jet object derived from a germ (ideal spans, ell, towers, class maps,
 prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models) has
 one builder under ``cached(kind)``, so it is built once per germ and arguments.
-Each fact is derived once: delta is read at jet order ell+1, where ell's scan
+Each fact is derived once: the corank from one echelon span of each
+branch's linear part; delta is read at jet order ell+1, where ell's scan
 ends; both derivations of a level i take their jet order (i+1)*ell from
 ``ksmaps.truncation_order``, sharing its class maps (exact: m^ell ⊆ I gives
-m^((i+1)*ell) ⊆ I^(i+1), so no jet of higher degree survives in R/I^(i+1));
-and ``MultiGerm.pullbacks`` alone says which target slots are source
-coordinates.
+m^((i+1)*ell) ⊆ I^(i+1), so no jet of higher degree survives in R/I^(i+1)).
+``MultiGerm.slots`` alone says which target slots are source coordinates:
+it feeds the prenormal forms, the closed-form ideal-power towers and the
+pullback helpers ``MultiGerm.split`` and ``MultiGerm.pullback``, which
+read every X^beta∘f_j off the branch's one memo, ``MultiGerm.pullbacks``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import wraps
 
 from . import division, ksmaps, linalg, modules
@@ -129,20 +131,13 @@ class Branch:
         """d(components)/d(source vars), a p x n matrix of polynomials."""
         return [[c.diff(m) for m in range(self.n)] for c in self.components]
 
-    def linear_part(self) -> list[list[Fraction]]:
-        """The Jacobian at the source point (p x n rational matrix)."""
-        rows = []
-        for c in self.components:
-            row = []
-            for m in range(self.n):
-                e = [0] * self.n
-                e[m] = 1
-                row.append(c.coeff(tuple(e)))
-            rows.append(row)
-        return rows
-
     def corank(self) -> int:
-        return self.n - linalg.matrix_rank(self.linear_part())
+        """n minus the rank of df(0), read off an echelon span of its rows:
+        row q holds component q's linear terms, by source variable."""
+        span = linalg.SparseSpan()
+        for c in self.components:
+            span.add({t.index(1): v for t, v in c.terms.items() if sum(t) == 1})
+        return self.n - span.dim
 
 
 class MultiGerm:
@@ -172,6 +167,7 @@ class MultiGerm:
     def num_branches(self) -> int:
         return len(self.branches)
 
+    @cached("corank")
     def corank(self) -> int:
         return max(b.corank() for b in self.branches)
 
@@ -210,9 +206,13 @@ class MultiGerm:
     # -- derived jet objects, each built once (see ``cached``) -----------
     @cached("tower")
     def branch_tower(self, j: int, order: int) -> modules.IdealPowerTower:
-        return modules.IdealPowerTower(
-            list(self.branches[j].components), order, ell=self.branch_ell(j)
-        )
+        """Branch j's ideal-power tower, in closed form (y, ell) when every
+        source variable but y has a slot (``slots``): then I = (x', y^m) in
+        the local ring, m the least pure power of y in a component, and
+        m = ell, since y^e is in I + m^(e+1) exactly when e >= m."""
+        y, ell = self.slots(j)[1], self.branch_ell(j)
+        return modules.IdealPowerTower(list(self.branches[j].components), order, ell=ell,
+                                       power=None if y is None else (y, ell))
 
     @cached("cmap")
     def class_map(self, j: int, order: int, k: int) -> modules.ScalarClassMap:
@@ -222,17 +222,48 @@ class MultiGerm:
     @cached("prenormal")
     def prenormal(self, j: int):
         """Branch j's division.PrenormalForm, or None."""
-        return division.prenormal_form(self.branches[j], self.pullbacks(j)[0])
+        return division.prenormal_form(self.branches[j], *self.slots(j))
+
+    @cached("slots")
+    def slots(self, j: int) -> tuple[dict[int, int], int | None]:
+        """(coords, y) of branch j, the one reading of its coordinate slots:
+        coords maps each target slot whose component is a source variable
+        x_i, with coefficient 1, to i, and y is the one variable with no
+        slot (the last if all have one), None if two or more have none."""
+        xs = [Polynomial.variable(self.n, i) for i in range(self.n)]
+        coords = {q: xs.index(c) for q, c in enumerate(self.branches[j].components) if c in xs}
+        free = [i for i in range(self.n) if i not in coords.values()] or [self.n - 1]
+        return coords, (free[0] if len(free) == 1 else None)
 
     @cached("pullback")
     def pullbacks(self, j: int):
-        """(coords, pulled) of branch j: coords maps each target slot whose
-        component is a source variable x_i to i (read nowhere else), and
-        pulled(beta) is X^beta∘f_j, untruncated and memoized."""
-        comps = self.branches[j].components
-        xs = [Polynomial.variable(self.n, i) for i in range(self.n)]
-        return ({q: xs.index(c) for q, c in enumerate(comps) if c in xs},
-                monomial_pullbacks(comps, None))
+        """beta -> X^beta∘f_j, untruncated and memoized: branch j's one memo."""
+        return monomial_pullbacks(self.branches[j].components, None)
+
+    def split(self, j: int, beta: tuple) -> tuple[list, tuple]:
+        """(a, b) with X^beta = X'^a*Y^b on branch j, X' the coordinate
+        slots (``slots``): a is the source exponent X'^a pulls back to, and
+        b is beta with those slots 0."""
+        shift, rest = [0] * self.n, list(beta)
+        for q, i in self.slots(j)[0].items():
+            shift[i], rest[q] = shift[i] + beta[q], 0
+        return shift, tuple(rest)
+
+    def pullback(self, j: int, eta: Sequence[Polynomial], order: int | None) -> list[Polynomial]:
+        """eta∘f_j componentwise, truncated at ``order`` (None: not at all): a
+        term X'^a*Y^b (``split``) is the x^a-shift of the memoized Y^b∘f_j."""
+        pulled = self.pullbacks(j)
+        out = []
+        for comp in eta:
+            terms: dict = {}
+            for beta, v in comp.terms.items():
+                shift, rest = self.split(j, beta)
+                for m, w in pulled(rest).terms.items():
+                    m = mono_mul(m, shift)
+                    if order is None or sum(m) < order:
+                        terms[m] = terms.get(m, 0) + v * w
+            out.append(Polynomial(self.n, terms))
+        return out
 
     @cached("tangent")
     def tangent_span(self, j: int, order: int) -> linalg.FactoredSpan:

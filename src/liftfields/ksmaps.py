@@ -60,7 +60,7 @@ from .germs import (MODEL_COLUMN_CAP, ConsistencyError, HypothesisError, MultiGe
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
 from .modules import ScalarClassMap, jet_times, vector_to_row
 from .poly import (Monomial, Polynomial, count_monomials_below, mono_index_map,
-                   monomial_pullbacks, monomials_below, monomials_of_degree)
+                   monomials_below, monomials_of_degree)
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
@@ -143,6 +143,18 @@ class KSMapModel:
         return out
 
 
+def filtration_classes(f: MultiGerm, j: int, order: int, i: int):
+    """(row, class) for each basis row of F(i) on branch j whose class in
+    R/I^(i+1) (the level-i class map) is not zero: a pure pivot's class is
+    read, not reduced (F(i+1)'s monomials are 0), and its row {c: 1} is
+    built only then."""
+    cmap = f.class_map(j, order, i + 1)
+    for c, row in f.branch_tower(j, order).span(i).pivot_rows():
+        coords = cmap.classes[c] if row is None else cmap.reduce(row)
+        if coords:
+            yield ({c: 1} if row is None else row), coords
+
+
 @cached("ks")
 def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     """Build the level-i matrix model at its exact truncation order (once
@@ -195,28 +207,20 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     # extend by generators of A_i to cut out the target quotient
     qm = QuotientModel(tangent)
     for j in range(f.num_branches):
-        # classes of F(i)'s basis rows: a pure pivot's class is read, not
-        # reduced (F(i+1)'s monomials are 0)
-        classes, cands = cmaps[j].classes, []
-        for c, row in f.branch_tower(j, order).span(i).pivot_rows():
-            coords = classes[c] if row is None else cmaps[j].reduce(row)
-            if coords:
-                cands.append(coords)
+        cands = [coords for _, coords in filtration_classes(f, j, order, i)]
         for q in range(p):
             for coords in cands:
                 qm.extend(place(j, q, coords))
 
-    # columns: classes of eta∘f for monomial fields eta = X^beta e_q
-    domain: list[tuple[int, Monomial]] = [
-        (q, m) for m in monomials_of_degree(p, i) for q in range(p)
-    ]
+    # columns: classes of eta∘f for monomial fields eta = X^beta e_q, read
+    # through the branch's one pullback memo
+    monos = monomials_of_degree(p, i)
+    domain: list[tuple[int, Monomial]] = [(q, m) for m in monos for q in range(p)]
     pullbacks: list[dict] = []
-    for j, b in enumerate(f.branches):
-        pulled = monomial_pullbacks(b.components, order)
-        pullbacks.append({
-            m: cmaps[j].reduce(vector_to_row([pulled(m)], 1, order))
-            for m in monomials_of_degree(p, i)
-        })
+    for j in range(f.num_branches):
+        pulled = f.pullback(j, [Polynomial.monomial(p, m) for m in monos], order)
+        pullbacks.append({m: cmaps[j].reduce(vector_to_row([g], 1, order))
+                          for m, g in zip(monos, pulled)})
     columns = []
     for q, m in domain:
         row = {}
@@ -407,13 +411,8 @@ def branch_higher(f: MultiGerm, j: int, i: int) -> tuple[int, int]:
     # quotient basis of F_i / F_{i+1}: classes of a basis of F_i
     reps: list[dict] = []
     seen = SparseSpan()
-    for c, row in f.branch_tower(j, order).span(i).pivot_rows():
-        if row is None:  # a pure pivot: a row is built only if its class is not zero
-            if not cmap.classes[c]:
-                continue  # a monomial of F_{i+1}
-            row = {c: 1}
-        coords = cmap.reduce(row)
-        if coords and seen.add(coords) is not None:
+    for row, coords in filtration_classes(f, j, order, i):
+        if seen.add(coords) is not None:
             reps.append(row)
     idelta = len(reps)
     # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p

@@ -29,7 +29,7 @@ from itertools import product
 from math import comb, lcm
 
 from . import ksmaps, linalg, modules, unfoldings
-from .division import FieldVector, LiftCertificate, _pullback, _split, solve_lift
+from .division import FieldVector, LiftCertificate, solve_lift
 from .germs import ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError
 from .poly import Polynomial, count_monomials_below, mono_degree, mono_mul, monomials_of_degree
 
@@ -69,10 +69,10 @@ class LiftModule:
 def _residual_columns(f: MultiGerm, order: int):
     """column(terms) -> (s * residual column of sum(c * X^beta e_q) over terms
     (q, beta, c), s), s an integer: division normal forms, or jet remainders
-    on branches that are not prenormal.  On a prenormal branch the column of
-    X'^a*Y^b e_q (``_split``) is the x^a-shift of Y^b e_q's: the normal form
-    is K[x']-linear, and K[y]-linear too when a slot's component is y, since
-    then W is a constant."""
+    on branches that are not prenormal.  On a prenormal branch the column
+    of X'^a*Y^b e_q (``MultiGerm.split``) is the x^a-shift of Y^b e_q's: the
+    normal form is K[x']-linear, and K[y]-linear too when a slot's
+    component is y, since then W is a constant."""
     p, nb = f.p, f.num_branches
     forms = [f.prenormal(j) for j in range(nb)]
     # the lift condition decouples: one column block per branch, interleaved
@@ -86,14 +86,14 @@ def _residual_columns(f: MultiGerm, order: int):
             v = [Polynomial.zero(p)] * p
             if form is None:
                 v[q] = Polynomial.monomial(p, beta)
-                r = modules.vector_to_row(_pullback(f, j, v, order), p, order)
+                r = modules.vector_to_row(f.pullback(j, v, order), p, order)
                 blocks.append((1, c, {k * nb + j: a for k, a in tspans[j].reduce_full(r).items()}))
                 continue
-            shift, rest = _split(f, j, beta)
+            shift, rest = f.split(j, beta)
             key = (j, rest, q)
             if key not in normal_forms:
                 v[q] = Polynomial.monomial(p, rest)
-                normal_forms[key] = form.normal_form(_pullback(f, j, v, None))[::2]
+                normal_forms[key] = form.normal_form(f.pullback(j, v, None))[::2]
             nf, s = normal_forms[key]
             blocks.append((s, c, {(_mono_rank(mono_mul(m, shift)) * p + k) * nb + j: a
                                   for k, comp in enumerate(nf) for m, a in comp.terms.items()}))

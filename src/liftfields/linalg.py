@@ -292,8 +292,3 @@ def dense_rref(matrix: list[list[Fraction]]) -> tuple[list[list[Fraction]], list
         if r == len(rows):
             break
     return rows[:r], pivots
-
-
-def matrix_rank(matrix: list[list[Fraction]]) -> int:
-    return len(dense_rref(matrix)[1])
-

@@ -262,16 +262,15 @@ class LevelSpan(SparseSpan):
 class IdealPowerTower:
     """Jet spans of the powers I^k of a finitely generated ideal.
 
-    F(0) is the span of all monomials (the whole ring).  In coordinate form
-    (the single-term generators before any longer one are positive and
-    include c*x_i for every variable but at most one, y, and ell is the
-    least power m of y in a generator) I = (x', y^m) in the local ring,
-    and the m-primary I^k + m^order has the same jets there: F(k) is the
-    pure pivots x'^a*y^b with |a| + b//m >= k, the very rows of the
-    products below, where the longer generators' products vanish or pass
-    k*ell.  Each column's level |a| + b//m is computed once per tower, and
-    F(k) is a LevelSpan over that list: "is column c a pivot of F(k)?" is
-    ``levels[c] >= k``, with no row or dict entry per column.
+    F(0) is the span of all monomials (the whole ring).  The caller says
+    whether the tower is in closed form: ``power = (y, m)`` when it knows
+    that I = (x', y^m) in the local ring, x' the variables other than y
+    (``MultiGerm.branch_tower`` reads this off the branch's coordinate
+    slots).  Then the m-primary I^k + m^order has the same jets: F(k) is
+    the pure pivots x'^a*y^b with |a| + b//m >= k.  Each column's level
+    |a| + b//m is computed once per tower, and F(k) is a LevelSpan over
+    that list: "is column c a pivot of F(k)?" is ``levels[c] >= k``, with
+    no row or dict entry per column.
 
     Otherwise F(k) is spanned by the generators times a basis of F(k-1)
     (for k = 1, every monomial), formed on column indices from content-free
@@ -280,39 +279,22 @@ class IdealPowerTower:
     pivots and products are truncated there.
     """
 
-    def __init__(self, gens: Sequence[Polynomial], order: int, ell: int | None = None):
+    def __init__(self, gens: Sequence[Polynomial], order: int, ell: int | None = None,
+                 power: tuple[int, int] | None = None):
         self.gens = [g for g in gens if not g.is_zero()]
         self.order = order
         self.ell = ell
         self.nvars = gens[0].nvars
+        self.power = power
         self._spans: dict[int, SparseSpan] = {}
-        # a positive scale per generator, so content-free products are the
-        # same rows as the rational ones
-        self._terms = []
-        for g in self.gens:
-            den = lcm(*(c.denominator for c in g.terms.values()))
-            self._terms.append([(m, int(c * den)) for m, c in g.terms.items()])
-        self.power = self._coordinate_power()
-        if self.power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
-            y, m = self.power
+        if power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
+            y, m = power
             self._levels = [sum(t) - t[y] + t[y] // m for t in monomials_below(self.nvars, order)]
-
-    def _coordinate_power(self) -> tuple[int, int] | None:
-        """(y, m) when the generators are in coordinate form, else None."""
-        free = set(range(self.nvars))
-        for terms in self._terms:
-            if len(terms) > 1:
-                break
-            (t, c), = terms
-            if c < 0:  # its products would be rows -x^a, not pure pivots
-                return None
-            if sum(t) == 1:
-                free.discard(t.index(1))
-        if len(free) > 1:
-            return None
-        y = free.pop() if free else self.nvars - 1
-        m = min((t[y] for terms in self._terms for t, _ in terms if sum(t) == t[y]), default=0)
-        return (y, m) if m == self.ell and m >= 1 else None
+        else:  # a positive scale per generator: content-free products are the rational rows
+            self._terms = []
+            for g in self.gens:
+                den = lcm(*(c.denominator for c in g.terms.values()))
+                self._terms.append([(m, int(c * den)) for m, c in g.terms.items()])
 
     def _cover(self, k: int) -> int:
         if self.ell is None:

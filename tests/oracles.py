@@ -1,7 +1,8 @@
 """Independent reference computations the fast paths are checked against.
 
 These are the dense and polynomial constructions the library used before
-it moved to sparse column-space code, the greedy Nakayama loop, the
+it moved to sparse column-space code (among them the dense rank the
+corank was read off), the greedy Nakayama loop, the
 Buchberger loop and syzygies on module elements held as tuples of
 Polynomials (``ModElement``, before elements became sparse term rows), the
 delta stabilisation loop and the brute-force higher invariants at a jet order
@@ -40,6 +41,11 @@ def jsonschema_validator(schema: dict):
     """The jsonschema package's validator for ``schema``'s draft: the
     reference the in-package report checker must agree with."""
     return validator_for(schema)(schema)
+
+
+def matrix_rank(matrix: list[list[Fraction]]) -> int:
+    """Rank of a dense rational matrix, read off its reduced row echelon form."""
+    return len(dense_rref(matrix)[1])
 
 
 def kernel_basis(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -103,7 +103,7 @@ def test_json_report_does_not_import_jsonschema():
         ([["analyze", "e0"], ["construct", "e0"], ["check", "e0"], ["unfold", "fold-line"]], []),
         ([["check", "e0"], ["check", "bigerm-69"], ["transport", "phi-63"],
           ["reduce", "suspended-69"]], ["ksmaps", "linalg", "modules"]),
-        ([["analyze", "e0"], ["kernel", "curve-457", "--level", "2"]], ["lift"]),
+        ([["analyze", "e0"], ["kernel", "curve-457", "--level", "2"]], ["lift", "division"]),
     ]
     for commands, unused in runs:
         out = _fresh_interpreter(code.format(commands=commands, unused=unused))
@@ -268,12 +268,40 @@ def test_subcommand_help_lists_its_options(command, capsys):
     ["reduce", "suspended-69", "--max-degree", "7"],
 ], ids=lambda argv: argv[0])
 def test_exit_option_the_subcommand_does_not_read(argv, capsys):
-    # an option the handler would ignore is refused, not echoed in the report
+    # an option the handler would ignore is refused, not echoed in the
+    # report, under the usage of the subcommand, which names what it takes
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--json"])
     out = capsys.readouterr()
     assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith(f"usage: liftfields {argv[0]} ")
     assert out.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--max-i", "2"],
+    ["catalog", "--mode", "formula"],
+    ["catalog", "--json", "--mode", "both", "--max-i", "6"],
+])
+def test_exit_catalog_option_without_run_all(argv, capsys):
+    # --max-i and --mode are analyze's, read only with --run-all: without
+    # it they are refused, even at their defaults, not ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("usage: liftfields catalog ")
+    assert out.err.endswith("error: --max-i and --mode are read only with --run-all\n")
+
+
+def test_catalog_run_all_passes_its_options_on(capsys, monkeypatch):
+    monkeypatch.setattr(catalog, "names", lambda: ["e0", "cusp-pair"])
+    for options, config in (([], {"max_i": 6, "mode": "both"}),
+                            (["--max-i", "2"], {"max_i": 2, "mode": "both"}),
+                            (["--mode", "formula"], {"max_i": 6, "mode": "formula"})):
+        code, out, _ = run(["catalog", "--run-all", *options, "--json"], capsys)
+        assert code == 0
+        assert [doc["config"] for doc in json.loads(out)] == [config] * 2
 
 
 def test_construct_rieger_36_emits_fields_that_lift(capsys):
@@ -519,7 +547,7 @@ def test_exit_resource_level_scan_reaches_the_cap(capsys, monkeypatch):
     built = []
     tower = modules.IdealPowerTower
     monkeypatch.setattr(modules, "IdealPowerTower",
-                        lambda gens, order, ell: built.append(order) or tower(gens, order, ell))
+                        lambda gens, order, **kw: built.append(order) or tower(gens, order, **kw))
     code, out, err = run(["analyze", "rieger-ruas", "--mode", "formula"], capsys)
     assert (code, out, built) == (2, "", [4])
     assert err == ("cap reached: the level-1 model needs 330 monomial columns per branch"
@@ -697,6 +725,22 @@ def test_exit_inconsistent_bad_syzygy(capsys, monkeypatch):
     code, _, err = run(["unfold", "fold-line"], capsys)
     assert code == 4
     assert "syzygy combination" in err
+
+
+def test_analyze_reads_each_branch_once(capsys, monkeypatch):
+    # one analyze derives each branch's corank once, and builds one pullback
+    # memo per branch, read by every level model
+    coranks, memos = [], []
+    corank, memo = germs.Branch.corank, germs.monomial_pullbacks
+    monkeypatch.setattr(germs.Branch, "corank",
+                        lambda self: coranks.append(self.label) or corank(self))
+    monkeypatch.setattr(germs, "monomial_pullbacks",
+                        lambda comps, order: memos.append(order) or memo(comps, order))
+    for name in catalog.names():
+        labels = [b.label for b in cli._core_germ(catalog.load(name))[0].branches]
+        del coranks[:], memos[:]
+        code, _, _ = run(["analyze", name], capsys)
+        assert (code, coranks, memos) == (0, labels, [None] * len(labels)), name
 
 
 def test_no_jet_object_is_built_twice_in_one_command(capsys, monkeypatch):

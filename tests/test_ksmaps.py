@@ -283,7 +283,8 @@ def test_level_model_columns_at_the_exact_order():
 # ---------------------------------------------------------------------------
 
 def _force_product_towers(monkeypatch):
-    monkeypatch.setattr(IdealPowerTower, "_coordinate_power", lambda self: None)
+    monkeypatch.setattr(modules, "IdealPowerTower",
+                        lambda gens, order, ell, power: IdealPowerTower(gens, order, ell))
 
 
 def _models(f, levels):
@@ -307,6 +308,30 @@ def test_coordinate_towers_give_the_product_models(catalog_docs, monkeypatch):
     _force_product_towers(monkeypatch)
     for name, doc in catalog_docs.items():
         assert _models(_core(doc), levels[name]) == want[name], name
+
+
+def test_recorded_unfoldings_take_closed_form_towers(catalog_docs, monkeypatch):
+    # a coordinate listed after a longer component (t in bigerm-69's
+    # (x, y^3 + x*y, t), u in the sfold unfoldings) still has its slot: every
+    # recorded unfolding's towers are closed-form, and its levels 0..2 are
+    # the models on product towers, up to the quotient basis (the two paths
+    # give R/I^(i+1) different bases, so the columns are not compared)
+    def models(F):
+        return [(m.target_dim, m.rank(), m.kernel_fields(F.target_vars))
+                for m in (ks_matrix(F, i) for i in range(3))]
+
+    unfoldings = {name: doc.to_unfolding_spec().F for name, doc in catalog_docs.items()
+                  if doc.unfolding is not None}
+    assert len(unfoldings) == 8
+    want = {}
+    for name, F in unfoldings.items():
+        want[name] = models(F)
+        order = truncation_order(F, 2)
+        assert all(F.branch_tower(j, order).power for j in range(F.num_branches)), name
+    _force_product_towers(monkeypatch)
+    for name, doc in catalog_docs.items():
+        if name in unfoldings:
+            assert models(doc.to_unfolding_spec().F) == want[name], name
 
 
 def test_coordinate_towers_build_no_products_and_skip_zero_multipliers(monkeypatch):
@@ -388,12 +413,14 @@ _SHEARED = ["morin-2", "morin-3", "multistable", "phi-63", "rieger-36", "sfold-1
 
 
 def _sheared(f):
-    """f after the source change x_i -> x_i + y^2 (y the last variable) in
-    every component, which leaves no single-term coordinate."""
+    """f after the source change x_i -> x_i + y^2 (y the last variable) and
+    y -> y + x_1^2 in every component, which leaves no component equal to a
+    source variable, so no coordinate slot."""
     n = f.n
     shear = [Polynomial.variable(n, v) for v in range(n)]
     y2 = Polynomial.variable(n, n - 1) ** 2
     shear[:-1] = [x + y2 for x in shear[:-1]]
+    shear[-1] = shear[-1] + Polynomial.variable(n, 0) ** 2
     return MultiGerm(
         [Branch(b.label, b.source_vars, tuple(c.substitute(shear) for c in b.components))
          for b in f.branches],

@@ -529,7 +529,7 @@ def test_division_verdicts_match_jets(catalog_docs):
             forms = [target.prenormal(j) for j in range(target.num_branches)]
             assert None not in forms, name
             for vf in block.fields:
-                normal = [form.normal_form(lift._pullback(target, j, vf, None))
+                normal = [form.normal_form(target.pullback(j, vf, None))
                           for j, form in enumerate(forms)]
                 divides = not any(any(nf) for nf, _, _ in normal)
                 with _jet_only():
@@ -678,7 +678,7 @@ def test_pullback_memo_matches_substitute(catalog_docs):
             for vf in block.fields if block else monomials:
                 for j, b in enumerate(target.branches):
                     for order in (None, 5):
-                        assert lift._pullback(target, j, vf, order) == [
+                        assert target.pullback(j, vf, order) == [
                             c.substitute(list(b.components), order) for c in vf]
                 checked += 1
     assert checked > 400

@@ -11,11 +11,10 @@ from liftfields.linalg import (
     QuotientModel,
     SparseSpan,
     dense_rref,
-    matrix_rank,
     solve_sparse,
 )
 
-from oracles import kernel_basis
+from oracles import kernel_basis, matrix_rank
 
 
 def _to_rows(matrix):

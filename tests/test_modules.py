@@ -20,7 +20,7 @@ from liftfields.modules import (
     syzygy_basis,
     vector_to_row,
 )
-from liftfields import reduce_to_core, truncation_order
+from liftfields import Branch, MultiGerm, reduce_to_core, truncation_order
 from liftfields.poly import Polynomial, count_monomials_below, monomials_below
 
 from conftest import poly
@@ -243,43 +243,46 @@ def _coordinate_gens(draw):
 @settings(max_examples=40, deadline=None)
 @given(_coordinate_gens(), st.integers(1, 8), st.permutations(range(5)))
 def test_closed_form_tower_matches_polynomial_products(case, order, perm):
-    # with the Nakayama cut ell = m the tower is read off the exponents;
-    # without it, or with a coordinate listed after a generator of more
-    # than one term, it takes the product path: the rows are the
-    # Polynomial construction's on every path
+    # given (y, m) and the Nakayama cut ell = m the tower is read off the
+    # exponents; without them, or with the generators shuffled or negated,
+    # it takes the product path: the rows are the Polynomial construction's
+    # on every path
     gens, m = case
+    closed = (gens[0].nvars - 1, m)
     shuffled = [gens[k] for k in perm if k < len(gens)]
     negated = [-g for g in shuffled]
-    for gens, ell, closed in ((gens, m, True), (gens, None, False), (shuffled, m, None),
-                              (negated, m, None)):
-        tower = IdealPowerTower(gens, order, ell)
-        if closed is not None:
-            assert (tower.power is not None) == closed
+    for gens, ell, power in ((gens, m, closed), (gens, None, None), (shuffled, m, None),
+                             (negated, m, None)):
+        tower = IdealPowerTower(gens, order, ell, power)
+        assert tower.power == power
         for k, span in enumerate(polynomial_tower_spans(gens, order, ell, 3)):
             assert dict(tower.span(k).rows) == span.rows, (k, ell)
 
 
 def test_coordinate_form_detection():
-    def power(texts, ell, names=XY):
-        return IdealPowerTower([poly(t, names) for t in texts], 5, ell).power
+    # the germ's one slot reading (coords, y) decides the tower's form: a
+    # slot is a component equal to a source variable, in any position, and
+    # the tower is closed-form (y, m) when every variable but y has one
+    def reading(texts, names=XY):
+        f = MultiGerm([Branch("a", names, tuple(poly(t, names) for t in texts))])
+        return f.slots(0), f.branch_tower(0, 5).power
 
-    assert power(["2*x", "x*y + y^3 - 1/2*y^4"], 3) == (1, 3)
-    assert power(["x", "y"], 1) == (1, 1)
-    assert power(["y", "3*x"], 1) == (1, 1)
-    assert power(["y^2 + y^5"], 2, ("y",)) == (0, 2)
-    assert power(["x", "y^3", "x*y + y^2"], 2) == (1, 2)
-    assert power(["x", "x*y + y^3"], 2) is None  # ell is not the power of y
-    assert power(["x*y + y^3", "x"], 3) is None  # coordinate after a longer generator
-    assert power(["-x", "x*y + y^3"], 3) is None  # negative coordinate
-    assert power(["x + y^2", "y^3"], 3) is None  # no single-term coordinate
-    assert power(["x", "x*y"], 1) is None  # no pure power of y
-    assert power(["x", "1 + y"], 1) is None  # a unit generator
+    assert reading(["x", "x*y + y^3 - 1/2*y^4"]) == (({0: 0}, 1), (1, 3))
+    assert reading(["x*y + y^3", "x"]) == (({1: 0}, 1), (1, 3))  # coordinate after a longer one
+    assert reading(["x", "y"]) == (({0: 0, 1: 1}, 1), (1, 1))  # every variable has a slot
+    assert reading(["y", "3*x"]) == (({0: 1}, 0), (0, 1))
+    assert reading(["y^2 + y^5"], ("y",)) == (({}, 0), (0, 2))
+    assert reading(["x", "y^3", "x*y + y^2"]) == (({0: 0}, 1), (1, 2))
+    assert reading(["x", "x", "y^2"]) == (({0: 0, 1: 0}, 1), (1, 2))  # two slots on x
+    assert reading(["2*x", "x*y + y^3"]) == (({}, None), None)  # a scaled coordinate is no slot
+    assert reading(["-x", "x*y + y^3"]) == (({}, None), None)  # nor is a negated one
+    assert reading(["x + y^2", "y^3"]) == (({}, None), None)  # no single-variable component
 
 
 def test_coordinate_tower_reads_powers_off_the_exponents():
     # columns 1, y, x, y^2, x*y, x^2, y^3, x*y^2, ...: x^a*y^b is in I^k
     # for I = (x, y^3) exactly when a + b//3 >= k
-    tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], 8, 3)
+    tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], 8, 3, (1, 3))
     for k in range(4):
         want = {c for c, (a, b) in enumerate(monomials_below(2, 8)) if a + b // 3 >= k}
         assert dict(tower.span(k).rows) == {c: {c: 1} for c in want}
@@ -290,7 +293,7 @@ def test_coordinate_span_holds_no_row_per_column():
     # only when one is read, and its class map gives every pure pivot the
     # one shared zero class
     order, k = 8, 2
-    tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], order, 3)
+    tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], order, 3, (1, 3))
     span = tower.span(k)
     assert isinstance(span, LevelSpan) and isinstance(span.rows, PurePivots)
     assert tower.span(k) is span and span.rows.levels is tower.span(k + 1).rows.levels

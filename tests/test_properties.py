@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from liftfields import Branch, MultiGerm, higher_invariants, invariants, locate_i1_i2
+from liftfields.ksmaps import truncation_order
 from liftfields.poly import Polynomial
 
 from oracles import stabilised_delta
@@ -82,3 +83,40 @@ def test_delta_at_ell_matches_stabilised_loop(f, g):
     for j in range(big.num_branches):
         want = (big.branch_delta(j), max(big.branch_ell(j), 2) + 1)
         assert stabilised_delta(big, j) == want
+
+
+_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-7, 3)])
+
+
+@st.composite
+def generated_family_germs(draw):
+    """Small members of the benchmark's seeded families, with delta in
+    closed form: A (x, x*y + y^a + c*y^b), b > a, has delta a; B
+    (x^a, x^b + c*x^d), a < b < d, has delta a; BB, two B curves with the
+    same a < b and the second one's target swapped, has delta 2a."""
+    family = draw(st.sampled_from(["A", "B", "BB"]))
+    a = draw(st.integers(2, 4))
+    b = a + draw(st.integers(1, 2))
+    if family == "A":
+        comps = (Polynomial(2, {(1, 0): 1}),
+                 Polynomial(2, {(1, 1): 1, (0, a): 1, (0, b): draw(_COEFFS)}))
+        return MultiGerm([Branch("a", ("x", "y"), comps)], ("X", "Y")), a
+    branches = []
+    for label in ("a", "b") if family == "BB" else ("a",):
+        d = b + draw(st.integers(1, 2))
+        comps = (Polynomial(1, {(a,): 1}), Polynomial(1, {(b,): 1, (d,): draw(_COEFFS)}))
+        branches.append(Branch(label, ("x",), comps[::-1] if label == "b" else comps))
+    return MultiGerm(branches, ("X", "Y")), a * len(branches)
+
+
+@given(generated_family_germs())
+@settings(max_examples=15, deadline=None)
+def test_generated_families_match_their_closed_forms(case):
+    # corank one, so gamma = delta - branches; formula and brute force
+    # agree up to level 2; every branch has a coordinate slot reading, so
+    # its towers are closed-form
+    f, delta = case
+    inv = invariants(f, max_i=2, mode="both")
+    assert (inv.delta, inv.gamma, f.corank()) == (delta, delta - f.num_branches, 1)
+    order = truncation_order(f, 2)
+    assert all(f.branch_tower(j, order).power for j in range(f.num_branches))
