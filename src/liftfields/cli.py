@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     if extra:  # after the subcommand, its own usage names the options it takes
         (sp if alone else top).error(f"unrecognized arguments: {' '.join(extra)}")
     given = vars(args)  # command, json and the options given (none has a default)
-    if args.command == "catalog" and "run_all" not in given and len(given) > 2:
+    if args.command == "catalog" and "run_all" not in given and given.keys() & {"max_i", "mode"}:
         sp.error("--max-i and --mode are read only with --run-all")
     options = {}
     for flag in _COMMANDS[args.command][1]:

@@ -131,12 +131,17 @@ class Branch:
         """d(components)/d(source vars), a p x n matrix of polynomials."""
         return [[c.diff(m) for m in range(self.n)] for c in self.components]
 
+    def linear_rows(self) -> list[dict]:
+        """df(0) by rows: row q maps each source variable i to the
+        coefficient of x_i in component q, zeros left out."""
+        return [{t.index(1): v for t, v in c.terms.items() if sum(t) == 1}
+                for c in self.components]
+
     def corank(self) -> int:
-        """n minus the rank of df(0), read off an echelon span of its rows:
-        row q holds component q's linear terms, by source variable."""
+        """n minus the rank of df(0), read off an echelon span of its rows."""
         span = linalg.SparseSpan()
-        for c in self.components:
-            span.add({t.index(1): v for t, v in c.terms.items() if sum(t) == 1})
+        for row in self.linear_rows():
+            span.add(row)
         return self.n - span.dim
 
 

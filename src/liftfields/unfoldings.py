@@ -110,5 +110,5 @@ def _suspend(c: Polynomial, n: int) -> Polynomial:
 def _kernel_direction(b: Branch) -> int:
     """Index of a source variable whose Jacobian column vanishes at 0; the
     last variable when the branch is an immersion."""
-    linear = {t.index(1) for c in b.components for t in c.terms if sum(t) == 1}
+    linear = {i for row in b.linear_rows() for i in row}
     return max((m for m in range(b.n) if m not in linear), default=b.n - 1)
