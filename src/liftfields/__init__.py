@@ -43,8 +43,7 @@ _LAYER_OF = {name: layer for layer, names in (
                 "min_generators", "truncation_order")),
     ("unfoldings", ("UnfoldingSpec", "build_unfolding", "reduce_to_core")),
     ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
-    ("lift", ("LiftModule", "compare_modules", "complete_generators",
-              "generator_count_certified", "nakayama_minimize",
+    ("lift", ("LiftModule", "compare_modules", "complete_generators", "nakayama_minimize",
               "restrict_from_unfolding", "transport")),
     ("parser", ("GermDocument", "ParseError", "parse")),
 ) for name in names}

@@ -1,8 +1,8 @@
 """Built-in catalog of germ documents.
 
-Entries are data files (``catalog/*.germ``) shared by the test suite, the
-CLI, and the experiment scripts.  Recorded expectations live in each entry's
-``options`` block:
+Entries are data files (``catalog/*.germ``) shared by the test suite and the
+CLI, whose ``catalog --run-all`` checks every entry.  Recorded expectations
+live in each entry's ``options`` block:
 
 - ``expect_i1`` / ``expect_i2``: first surjective / last injective level
 - ``expect_i1_infinite = 1``: no surjective level up to the scan cap

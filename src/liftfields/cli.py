@@ -38,11 +38,10 @@ import os
 import sys
 from importlib import import_module
 
-from . import catalog, division, lift, unfoldings
+from . import catalog, division, lift, report, unfoldings
 from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
                     NotLiftableError, ResourceCapError)
 from .parser import ParseError, PowerTooLargeError, parse
-from .report import AnalysisReport, validate_report
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -93,13 +92,13 @@ def _core_germ(doc):
     return f, False
 
 
-def _emit(report: AnalysisReport, as_json: bool) -> None:
+def _emit(rep: report.AnalysisReport, as_json: bool) -> None:
     if as_json:
-        doc = report.to_json()
-        validate_report(doc)
-        sys.stdout.write(report.to_json_text(doc))
+        doc = rep.to_json()
+        report.validate_report(doc)
+        sys.stdout.write(rep.to_json_text(doc))
     else:
-        sys.stdout.write(report.to_text())
+        sys.stdout.write(rep.to_text())
 
 
 def _natural(text: str, least: int = 0) -> int:
@@ -197,9 +196,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "catalog":
             return run(as_json=args.json, **options)
-        report = run(_load_document(args.document), **options)
-        report.config = options
-        _emit(report, args.json)
+        rep = run(_load_document(args.document), **options)
+        rep.config = options
+        _emit(rep, args.json)
         return EXIT_OK
     except (ResourceCapError, PowerTooLargeError) as exc:
         sys.stderr.write(f"cap reached: {exc}\n")

@@ -6,7 +6,7 @@ import time
 from .. import cli
 from ..germs import InputError
 from ..parser import parse
-from ..report import AnalysisReport, render_field
+from ..report import AnalysisReport, cert_tag, render_field
 
 
 def run(doc, fields: str, cert_order: int) -> AnalysisReport:
@@ -37,8 +37,7 @@ def run(doc, fields: str, cert_order: int) -> AnalysisReport:
         target = F if block.over_unfolding else f
         for vf in block.fields:
             cert = cli.solve_lift(target, vf, cert_order)
-            checked.append(f"{block.name}: {render_field(vf, target.target_vars)} "
-                           + ("[exact]" if cert.exact else f"[order {cert.order}]"))
+            checked.append(f"{block.name}: {render_field(vf, target.target_vars)} {cert_tag(cert)}")
     rep.timings["check"] = time.perf_counter() - t0
     rep.extra["checked"] = checked
     return rep

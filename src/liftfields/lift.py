@@ -30,7 +30,8 @@ from math import comb, lcm
 
 from . import ksmaps, linalg, modules, unfoldings
 from .division import FieldVector, LiftCertificate, solve_lift
-from .germs import ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError
+from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError,
+                    ResourceCapError)
 from .poly import Polynomial, count_monomials_below, mono_degree, mono_mul, monomials_of_degree
 
 
@@ -180,7 +181,6 @@ def restrict_from_unfolding(
     spec: unfoldings.UnfoldingSpec,
     lift_F: Sequence[FieldVector] | None = None,
     cert_order: int = 12,
-    check_expected: bool = True,
 ) -> LiftModule:
     """Generators of Lift(base) from generators of Lift(F), F a one-parameter
     stable unfolding with parameter coordinate L at spec.param_target_index.
@@ -189,6 +189,9 @@ def restrict_from_unfolding(
     the L=0 restriction of a field liftable over both F and the map squaring
     L; the latter are the combinations sum a_i eta_i whose L-component is
     divisible by L, read off from the syzygies of (eta_1^L,..,eta_m^L, L).
+    A restricted field with no term below cert_order, which the jet-level
+    Nakayama scan would drop unread, raises ResourceCapError; the count is
+    checked against the brute-force count whenever that one is decided.
     """
     F, base = spec.F, spec.base
     k = spec.param_target_index
@@ -199,14 +202,8 @@ def restrict_from_unfolding(
     syz = modules.syzygy_basis([eta[k] for eta in lift_F] + [lam])
 
     # restriction substitution: drop the parameter coordinate, set L = 0
-    values = []
-    new_pos = 0
-    for r in range(P_):
-        if r == k:
-            values.append(Polynomial.zero(base.p))
-        else:
-            values.append(Polynomial.variable(base.p, new_pos))
-            new_pos += 1
+    values = [Polynomial.zero(base.p) if r == k else Polynomial.variable(base.p, r - (r > k))
+              for r in range(P_)]
 
     raw: list[FieldVector] = []
     for s in syz:
@@ -216,24 +213,23 @@ def restrict_from_unfolding(
                 combo[q] = combo[q] + a * eta[q]
         if combo[k] != (-s[-1]) * lam:
             raise ConsistencyError("syzygy combination has wrong parameter component")
-        restricted = tuple(
-            combo[r].substitute(values) for r in range(P_) if r != k
-        )
-        if any(not c.is_zero() for c in restricted):
+        restricted = tuple(combo[r].substitute(values) for r in range(P_) if r != k)
+        lows = [c.low_degree() for c in restricted if not c.is_zero()]
+        if lows and min(lows) >= cert_order:
+            raise ResourceCapError(f"a restricted field has lowest degree {min(lows)}, not below"
+                                   f" the certified order {cert_order}")
+        if lows:
             raw.append(restricted)
 
     fields = nakayama_minimize(raw, base.p, cert_order)
     generators = [solve_lift(base, eta, cert_order) for eta in fields]
-    expected = None
-    if check_expected:
-        try:
-            expected = ksmaps.min_generators(base, mode="bruteforce").count
-        except HypothesisError:
-            expected = None
-        if expected is not None and len(generators) != expected:
-            raise HypothesisError(
-                f"restriction produced {len(generators)} generators, expected {expected}"
-            )
+    try:
+        expected = ksmaps.min_generators(base, mode="bruteforce").count
+    except HypothesisError:
+        expected = None
+    if expected is not None and len(generators) != expected:
+        raise HypothesisError(f"restriction produced {len(generators)} generators,"
+                              f" expected {expected}")
     return LiftModule(generators, cert_order, expected, "unfolding-restriction")
 
 
@@ -297,13 +293,6 @@ def nakayama_minimize(
         if span.add(modules.vector_to_row(g, rank, cert_order)) is not None
     ]
     return kept[::-1]
-
-
-def generator_count_certified(
-    fields: Sequence[FieldVector], rank: int, cert_order: int
-) -> int:
-    """dim (M / m*M) at the jet level: the Nakayama generator count."""
-    return len(nakayama_minimize(fields, rank, cert_order))
 
 
 class ModuleComparison:

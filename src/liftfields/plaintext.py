@@ -43,8 +43,7 @@ def report_text(rep: report.AnalysisReport) -> str:
         lines.append(f"liftable module [{rep.lift.provenance}]: {rep.lift.count} generators,"
                      f" certified to order {rep.lift.cert_order}")
         for cert in rep.lift.generators:
-            tag = "exact" if cert.exact else f"order {cert.order}"
-            lines.append(f"  {report.render_field(cert.eta, names)}  [{tag}]")
+            lines.append(f"  {report.render_field(cert.eta, names)}  {report.cert_tag(cert)}")
     for key, val in rep.extra.items():
         lines.append(f"{key}: {val}")
     for w in rep.warnings:
@@ -59,15 +58,13 @@ def document_text(doc: parser.GermDocument) -> str:
     out.append(f"  n = {doc.n}; p = {doc.p};")
     out.append(f"  target ({', '.join(doc.target_vars)});")
     for b in doc.branches:
-        comps = ", ".join(c.render(b.source_vars) for c in b.components)
-        out.append(f"  branch {b.label}({', '.join(b.source_vars)}) = ({comps});")
+        out.append(f"  branch {report.render_branch(b)};")
     if doc.unfolding is not None:
         u = doc.unfolding
         out.append(f"  unfolding at {u.param_target_index + 1} {{")
         out.append(f"    target ({', '.join(u.target_vars)});")
         for b in u.branches:
-            comps = ", ".join(c.render(b.source_vars) for c in b.components)
-            out.append(f"    branch {b.label}({', '.join(b.source_vars)}) = ({comps});")
+            out.append(f"    branch {report.render_branch(b)};")
         out.append("  }")
     if doc.diffeo is not None:
         H, Hinv = doc.diffeo

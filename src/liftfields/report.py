@@ -15,7 +15,7 @@ import os
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from . import __version__, ksmaps, lift, plaintext, schema
+from . import __version__, division, germs, ksmaps, lift, plaintext, schema
 from .poly import Polynomial
 
 FieldVector = Sequence[Polynomial]
@@ -23,6 +23,16 @@ FieldVector = Sequence[Polynomial]
 
 def render_field(vf: FieldVector, names: Sequence[str]) -> str:
     return "(" + ", ".join(c.render(names) for c in vf) + ")"
+
+
+def render_branch(b: germs.Branch) -> str:
+    """A branch as the input language writes it: label(vars) = (comps)."""
+    return f"{b.label}({', '.join(b.source_vars)}) = {render_field(b.components, b.source_vars)}"
+
+
+def cert_tag(cert: division.LiftCertificate) -> str:
+    """[exact], or [order N] for a lift certified to jet order N only."""
+    return "[exact]" if cert.exact else f"[order {cert.order}]"
 
 
 class AnalysisReport:

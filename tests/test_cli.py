@@ -121,7 +121,7 @@ COMPILE_CEILINGS = [
     (["check", "e0", "--fields", "reference"], 14_050),
     (["transport", "phi-63"], 16_250),
     (["reduce", "suspended-69"], 14_850),
-    (["catalog"], 10_350),
+    (["catalog"], 9_450),
 ]
 
 
@@ -526,6 +526,36 @@ def test_exit_resource_cap(capsys):
     code, _, err = run(["construct", "sfold-1-plus"], capsys)
     assert code == 2
     assert "cap" in err
+
+
+def test_exit_resource_unfold_below_the_restricted_fields(capsys):
+    # every restricted field vanishes at 0: at order 1 the jet scan would read
+    # only zero rows and report an empty module; at order 2 it would drop the
+    # fields of lowest degree 2 unread
+    names = [name for name in catalog.names() if catalog.load(name).unfolding is not None]
+    assert len(names) == 8
+    for name in names:
+        code, out, err = run(["unfold", name, "--cert-order", "1"], capsys)
+        assert (code, out) == (2, ""), name
+        assert err == ("cap reached: a restricted field has lowest degree 1, not below"
+                       " the certified order 1\n"), name
+    code, out, err = run(["unfold", "sfold-1-plus", "--cert-order", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("cap reached: a restricted field has lowest degree 2, not below"
+                   " the certified order 2\n")
+    code, out, _ = run(["unfold", "fold-line", "--cert-order", "2"], capsys)
+    assert code == 0 and "3 generators, certified to order 2" in out
+
+
+def test_exit_resource_catalog_run_all_below_a_recorded_level(capsys):
+    # at cap 0 the scan of curve-457 stops before its recorded i1 = 1: the
+    # cap is reached, the entry is not inconsistent
+    code, out, err = run(["catalog", "--run-all", "--max-i", "0"], capsys)
+    assert code == 2
+    assert err == "cap reached: curve-457: recorded i1=1 is above the cap 0\n"
+    assert all(line.endswith("  ok") for line in out.splitlines())
+    code, out, _ = run(["catalog", "--run-all", "--max-i", "1"], capsys)
+    assert code == 0 and len(out.splitlines()) == len(catalog.names())
 
 
 def test_exit_resource_level_model_too_large(capsys, monkeypatch):

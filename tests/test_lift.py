@@ -12,7 +12,6 @@ from liftfields import (
     NotLiftableError,
     compare_modules,
     complete_generators,
-    generator_count_certified,
     invariants,
     ks_matrix,
     locate_i1_i2,
@@ -23,7 +22,7 @@ from liftfields import (
     transport,
     verify_certificate,
 )
-from liftfields import catalog, cli, division, germs, lift, linalg, modules
+from liftfields import catalog, cli, division, germs, ksmaps, lift, linalg, modules
 from liftfields import poly as poly_module
 from liftfields.germs import Branch, HypothesisError, MultiGerm
 from liftfields.linalg import solve_sparse
@@ -157,8 +156,7 @@ def test_restriction_matches_reference(name):
     spec = doc.to_unfolding_spec()
     block = doc.fields.get("liftF")
     lift_F = block.fields if block else None
-    mod = restrict_from_unfolding(spec, lift_F=lift_F, cert_order=CERT,
-                                  check_expected=False)
+    mod = restrict_from_unfolding(spec, lift_F=lift_F, cert_order=CERT)
     assert mod.count == doc.options["expect_lift_count"]
     ref = doc.fields["reference"].fields
     assert compare_modules(mod.fields(), ref, doc.p, CERT).equal
@@ -168,22 +166,37 @@ def test_restriction_with_computed_unfolding_module():
     # same pipeline, but with the unfolding's module computed rather than given
     doc = catalog.load("bigerm-69")
     spec = doc.to_unfolding_spec()
-    mod = restrict_from_unfolding(spec, cert_order=CERT, check_expected=False)
+    mod = restrict_from_unfolding(spec, cert_order=CERT)
     ref = doc.fields["reference"].fields
     assert compare_modules(mod.fields(), ref, doc.p, CERT).equal
 
 
 def test_restriction_sfold():
+    # the restriction of the recorded liftF set is the recorded five-field
+    # set, with one field redundant, on every member of the family
+    for name in ["sfold-1-plus", "sfold-1-minus", "sfold-2-plus", "sfold-2-minus"]:
+        doc = catalog.load(name)
+        mod = restrict_from_unfolding(
+            doc.to_unfolding_spec(), lift_F=doc.fields["liftF"].fields, cert_order=CERT
+        )
+        assert mod.count == 4, name
+        assert compare_modules(mod.fields(), doc.fields["vees"].fields, doc.p, CERT).equal, name
+
+
+def test_restriction_count_cross_check(capsys, monkeypatch):
+    # the restricted count is checked against the brute-force count whenever
+    # that one is decided, as it is not on any catalog unfolding
+    monkeypatch.setattr(ksmaps, "min_generators",
+                        lambda f, mode, cap=6: ksmaps.MinGeneratorCount(5, 0, mode=mode))
     doc = catalog.load("sfold-1-plus")
-    spec = doc.to_unfolding_spec()
-    mod = restrict_from_unfolding(
-        spec, lift_F=doc.fields["liftF"].fields, cert_order=CERT,
-        check_expected=False,
-    )
-    assert mod.count == 4
-    assert compare_modules(
-        mod.fields(), doc.fields["vees"].fields, doc.p, CERT
-    ).equal
+    with pytest.raises(HypothesisError, match="restriction produced 4 generators, expected 5"):
+        restrict_from_unfolding(
+            doc.to_unfolding_spec(), lift_F=doc.fields["liftF"].fields, cert_order=CERT
+        )
+    assert cli.main(["unfold", "sfold-1-plus"]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", "hypothesis violated: restriction produced 4 generators, expected 5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +274,7 @@ def raw_restrictions(catalog_docs):
 
         lift.nakayama_minimize = recording
         try:
-            restrict_from_unfolding(spec, lift_F=lift_F, cert_order=CERT, check_expected=False)
+            restrict_from_unfolding(spec, lift_F=lift_F, cert_order=CERT)
         finally:
             lift.nakayama_minimize = minimize
         (out[name],) = seen
@@ -331,12 +344,11 @@ def test_nakayama_scan_matches_greedy_on_drawn_lists(drawn):
     # the count is dim(all multiples) - dim(positive-degree multiples)
     full = polynomial_module_jet_span(fields, rank, rank, _HCERT)
     positive = polynomial_module_jet_span(fields, rank, rank, _HCERT, min_mult_degree=1)
-    assert generator_count_certified(fields, rank, _HCERT) == full.dim - positive.dim
+    assert len(kept) == full.dim - positive.dim
 
 
 def test_nakayama_of_nothing_is_nothing():
     assert nakayama_minimize([], 3, CERT) == []
-    assert generator_count_certified([], 3, CERT) == 0
 
 
 def test_syzygies_of_unfoldings_match_reference_buchberger(catalog_docs):
@@ -370,9 +382,9 @@ def test_restriction_builds_one_module_jet_span(monkeypatch):
     assert len([args for args in built if args[1] > 1]) == 1  # rank 1: ideal spans
 
 
-def test_generator_count_certified():
+def test_nakayama_keeps_a_minimal_reference_set():
     doc = catalog.load("whitney-psi2")
-    assert generator_count_certified(doc.fields["reference"].fields, 3, CERT) == 4
+    assert len(nakayama_minimize(doc.fields["reference"].fields, 3, CERT)) == 4
 
 
 def test_compare_modules_reports_witness():
