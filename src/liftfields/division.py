@@ -16,7 +16,7 @@ from math import lcm
 
 from . import modules
 from .germs import MultiGerm, NotLiftableError
-from .poly import Polynomial, exact_div, mono_degree, mono_mul, monomials_below
+from .poly import Polynomial, exact_div, mono_mul
 
 
 class PrenormalForm:
@@ -155,12 +155,11 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                                                   for m, c in x.terms.items()}) for x in xi))
                 continue
         full = f.pullback(j, eta, None)
-        monos = monomials_below(n, order)  # cached: built once, and only on the jet path
         span = f.tangent_span(j, order)
         hits: dict = {}
         left = span.reduce_full(modules.vector_to_row(full, p, order), hits)
         if left:
-            deg = mono_degree(monos[min(left) // p]) + 1
+            deg = sum(modules.monomial(n, min(left) // p)) + 1
             raise NotLiftableError(
                 f"branch {b.label!r}: lift equation inconsistent at jet order {deg}",
                 b.label,
@@ -172,7 +171,7 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                                    b.label, order)
         terms: list[dict] = [{} for _ in range(n)]
         for u, c in span.combination(hits).items():
-            terms[u % n][monos[u // n]] = c
+            terms[u % n][modules.monomial(n, u // n)] = c
         xi = tuple(Polynomial(n, t) for t in terms)
         low = _residual_low(b, full, xi)
         if low is not None:

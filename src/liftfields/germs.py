@@ -27,15 +27,7 @@ from collections.abc import Sequence
 from functools import wraps
 
 from . import division, ksmaps, linalg, modules
-from .poly import (
-    Polynomial,
-    count_monomials_below,
-    mono_index_map,
-    mono_mul,
-    monomial_pullbacks,
-    monomials_below,
-    monomials_of_degree,
-)
+from .poly import Polynomial, count_monomials_below, mono_mul, monomial_pullbacks, monomials_below
 
 def __getattr__(name: str):
     """ksmaps.invariants, importable from here as from its own layer (PEP 562)."""
@@ -46,11 +38,12 @@ def __getattr__(name: str):
 
 ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
 # The most monomial columns, C(n + (i+1)*ell - 1, n), per branch a level-i
-# model or brute-force invariant is built on.  `kernel rieger-ruas --level i`
-# (n = ell = 4, one branch, 2-core Xeon) took 6.5 s and 123 MB peak RSS at
-# level 12 (341,055 columns), 7.8 s and 178 MB at 13 (455,126), 12.5 s and
-# 242 MB at 14 (595,665) and 32 s and 477 MB at 16 (971,635): so levels up
-# to 13 run and levels from 14 on exit 2 (level 40 would need 31.3 million).
+# model or brute-force invariant is built on.  Single runs of `kernel
+# rieger-ruas --level i` (n = ell = 4, one branch, 2-core Xeon, Python 3.11,
+# the cap lifted for 14 and 16) took 2.5 s and 53 MB peak RSS at level 12
+# (341,055 columns), 3.5 s and 69 MB at 13 (455,126), 5.2 s and 93 MB at 14
+# (595,665) and 11.0 s and 168 MB at 16 (971,635).  The cap keeps levels up
+# to 13 and refuses 14 on (exit 2); level 40 would need 31.3 million.
 MODEL_COLUMN_CAP = 500_000
 
 
@@ -189,8 +182,10 @@ class MultiGerm:
         searched at jet orders ell+1 <= ORDER_CAP."""
         b = self.branches[j]
         for ell in range(1, ORDER_CAP):
-            span, idx = self._ideal_span(j, ell + 1), mono_index_map(b.n, ell + 1)
-            if all(span.contains({idx[m]: 1}) for m in monomials_of_degree(b.n, ell)):
+            span = self._ideal_span(j, ell + 1)
+            # the degree-ell monomials are the columns from C(n+ell-1, n) on
+            first, end = count_monomials_below(b.n, ell), count_monomials_below(b.n, ell + 1)
+            if all(span.contains({c: 1}) for c in range(first, end)):
                 return ell
         raise NotFiniteMultiplicityError(
             f"branch {b.label!r}: multiplicity not finite up to jet order {ORDER_CAP}"
@@ -280,15 +275,16 @@ class MultiGerm:
         """
         jac = self.branches[j].jacobian()
         n, p = self.n, self.p
-        idx = mono_index_map(n, order)
+        monos = monomials_below(n, order)
+        cols = {m: c for c, m in enumerate(monos)}  # this call's columns, walked once
         span = linalg.FactoredSpan()
-        for a_rank, alpha in enumerate(monomials_below(n, order)):
+        for a_rank, alpha in enumerate(monos):
             for src in range(n):
                 # columns of x^alpha * d(component q)/d(x_src), truncated
                 row = {}
                 for q in range(p):
                     for m, c in jac[q][src].terms.items():
-                        col = idx.get(mono_mul(m, alpha))
+                        col = cols.get(mono_mul(m, alpha))
                         if col is not None:
                             row[col * p + q] = c
                 span.add(row, a_rank * n + src)

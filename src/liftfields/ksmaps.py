@@ -58,9 +58,8 @@ from operator import add
 from .germs import (MODEL_COLUMN_CAP, ConsistencyError, HypothesisError, MultiGerm,
                     ResourceCapError, cached)
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
-from .modules import ScalarClassMap, jet_times, vector_to_row
-from .poly import (Monomial, Polynomial, count_monomials_below, mono_index_map,
-                   monomials_below, monomials_of_degree)
+from .modules import ScalarClassMap, column, jet_times, monomial, vector_to_row
+from .poly import Monomial, Polynomial, count_monomials_below, mono_degree, monomials_of_degree
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
@@ -182,25 +181,25 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
     # image of TR_e(f): rows tf(x^a e_m) summed from the column classes;
     # a multiplier x^a whose class is zero lies in A_(i+1) with all its
     # multiples, so its rows are zero and skipped
-    idx = mono_index_map(n, order)
     tangent = SparseSpan()
     for j, b in enumerate(f.branches):
         jac = b.jacobian()
         classes = cmaps[j].classes
         terms = [
-            [(offsets[j] + q * cmaps[j].dim, t, c)
+            [(offsets[j] + q * cmaps[j].dim, t, mono_degree(t), c)
              for q in range(p) for t, c in jac[q][src].terms.items()]
             for src in range(n)
         ]
-        for m, cls in zip(monomials_below(n, order), classes):
+        for col, cls in enumerate(classes):
             if not cls:
                 continue
+            m = monomial(n, col)
+            room = order - sum(m)
             for src in range(n):
                 row: dict = {}
-                for base, t, c in terms[src]:
-                    col = idx.get(tuple(map(add, m, t)))
-                    if col is not None:
-                        for k, w in classes[col].items():
+                for base, t, dt, c in terms[src]:
+                    if dt < room:
+                        for k, w in classes[column(tuple(map(add, m, t)))].items():
                             row[base + k] = row.get(base + k, 0) + c * w
                 tangent.add(row)
 

@@ -24,27 +24,14 @@ each field whose jet row enlarges it: one module jet span per restriction.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import product
-from math import comb, lcm
+from math import lcm
 
 from . import ksmaps, linalg, modules, unfoldings
 from .division import FieldVector, LiftCertificate, solve_lift
 from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError,
                     ResourceCapError)
-from .poly import Polynomial, count_monomials_below, mono_degree, mono_mul, monomials_of_degree
-
-
-@lru_cache(maxsize=None)
-def _mono_rank(m: tuple) -> int:
-    """Rank of m in monomials_below(len(m), order), for any order > deg m:
-    lower degrees, then same-degree monomials first in grevlex order."""
-    left = mono_degree(m)
-    rank = count_monomials_below(len(m), left)
-    for i in range(len(m) - 1, 0, -1):
-        rank += comb(i + left - m[i] - 1, i)
-        left -= m[i]
-    return rank
+from .poly import Polynomial, mono_mul, monomials_of_degree
 
 
 class LiftModule:
@@ -96,7 +83,7 @@ def _residual_columns(f: MultiGerm, order: int):
                 v[q] = Polynomial.monomial(p, rest)
                 normal_forms[key] = form.normal_form(f.pullback(j, v, None))[::2]
             nf, s = normal_forms[key]
-            blocks.append((s, c, {(_mono_rank(mono_mul(m, shift)) * p + k) * nb + j: a
+            blocks.append((s, c, {(modules.column(mono_mul(m, shift)) * p + k) * nb + j: a
                                   for k, comp in enumerate(nf) for m, a in comp.terms.items()}))
         scale, out = lcm(*(s for s, _, _ in blocks)), {}
         for s, c, block in blocks:

@@ -9,7 +9,8 @@ Two layers live here:
 * jet-level: exact linear algebra on truncated module elements (spans of
   monomial multiples, quotient class maps, ideal-power filtrations).  An
   ideal's jet span is its rank-1 module's, ``module_jet_span([(g,) ...], 1,
-  n, order)``; a scalar jet row is ``vector_to_row([g], 1, order)``.
+  n, order)``; a scalar jet row is ``vector_to_row([g], 1, order)``, its
+  columns monomials ranked in closed form (``column``, ``monomial``).
 
 The jet layer is where almost all invariants are actually computed; the
 symbolic layer drives the unfolding-intersection pipeline.
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, compress, count, repeat
-from math import lcm
+from math import comb, lcm
 from operator import add, itemgetter
 from types import MappingProxyType
 
@@ -35,11 +35,9 @@ from .poly import (
     mono_degree,
     mono_div,
     mono_divides,
-    mono_index_map,
     mono_lcm,
     mono_mul,
     monomials_below,
-    monomials_of_degree,
 )
 
 
@@ -142,13 +140,42 @@ def syzygy_basis(gens: Sequence[Polynomial]) -> list[tuple[Polynomial, ...]]:
 # jet layer: truncated spans of vectors of polynomials
 # ---------------------------------------------------------------------------
 
+def column(m: Monomial) -> int:
+    """The column of monomial m in every jet row: its rank in ascending
+    graded grevlex order, sum of C(S_i + i - 1, i) over i = 1..n with S_i
+    the sum of m's first i exponents (the combinatorial number system;
+    Knuth, TAOCP 4A, 7.2.1.3).  Graded grevlex is nested, so monomials of
+    degree < d take columns 0..C(n+d-1, n)-1 whatever the order."""
+    c = s = 0
+    for i, e in enumerate(m, 1):
+        s += e
+        c += comb(s + i - 1, i)
+    return c
+
+
+def monomial(nvars: int, c: int) -> Monomial:
+    """The monomial in column c, the inverse of ``column``: the greedy
+    digits c_n > ... > c_1 of c in the combinatorial number system are
+    S_i + i - 1, read from the top."""
+    k = nvars - 1
+    while comb(k + 1, nvars) <= c:
+        k += 1
+    sums = [0] * nvars
+    for i in range(nvars, 0, -1):
+        while comb(k, i) > c:
+            k -= 1
+        c -= comb(k, i)
+        sums[i - 1] = k - i + 1
+        k -= 1
+    return tuple(b - a for a, b in zip([0, *sums], sums))
+
+
 def vector_to_row(comps: Sequence[Polynomial], rank: int, order: int) -> dict:
     """Sparse coefficient row of a truncated vector of polynomials; column
-    idx[m] * rank + pos, monomial-major, so the smallest columns carry the
-    lowest jet degrees."""
-    idx = mono_index_map(comps[0].nvars, order)
-    return {idx[m] * rank + pos: v
-            for pos, c in enumerate(comps) for m, v in c.terms.items() if mono_degree(m) < order}
+    column(m) * rank + pos, monomial-major, so the smallest columns carry
+    the lowest jet degrees."""
+    return {column(m) * rank + pos: v
+            for pos, c in enumerate(comps) for m, v in c.terms.items() if sum(m) < order}
 
 
 def jet_span(vectors: Iterable[Sequence[Polynomial]], rank: int, order: int) -> SparseSpan:
@@ -164,10 +191,11 @@ def module_jet_span(
 ) -> SparseSpan:
     """Jet span of all monomial multiples x^a * g (deg a >= min_mult_degree)
     of the generators, truncated at the given order.  Rows are built on
-    column indices (x^a * x^t e_pos goes to ``idx[a*t] * rank + pos``) from
+    column indices (x^a * x^t e_pos goes to ``column(a*t) * rank + pos``) from
     each generator scaled to integer coefficients by a positive denominator,
     so the echelon rows are those of the rational multiples."""
-    idx = mono_index_map(nvars, order)
+    monos = monomials_below(nvars, order)
+    cols = {m: c for c, m in enumerate(monos)}  # this call's columns, walked once
     span = SparseSpan()
     for g in gens:
         terms = [
@@ -181,9 +209,9 @@ def module_jet_span(
         den = lcm(*(c.denominator for *_, c in terms))
         terms = [(pos, t, dt, int(c * den)) for pos, t, dt, c in terms]
         for d in range(min_mult_degree, order - min(dt for _, _, dt, _ in terms)):
-            for a in monomials_of_degree(nvars, d):
+            for a in monos[count_monomials_below(nvars, d):count_monomials_below(nvars, d + 1)]:
                 span.add({
-                    idx[tuple(map(add, a, t))] * rank + pos: c
+                    cols[tuple(map(add, a, t))] * rank + pos: c
                     for pos, t, dt, c in terms
                     if dt + d < order
                 })
@@ -195,28 +223,21 @@ def module_jet_span(
 # ---------------------------------------------------------------------------
 #
 # A scalar jet row is a dict {column: coefficient} over the monomials of
-# degree < order in ascending grevlex order (mono_index_map), so columns are
-# graded: every monomial of degree < d precedes every one of degree d.
-
-@lru_cache(maxsize=None)
-def _column_degrees(nvars: int, order: int) -> tuple:
-    return tuple(mono_degree(m) for m in monomials_below(nvars, order))
-
+# degree < order in ascending grevlex order (``column``), so columns are
+# graded: the monomials of degree < d are columns 0..C(n+d-1, n)-1.
 
 def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None) -> dict:
     """Product of a scalar jet row with the polynomial whose (monomial,
     coefficient) pairs are ``terms``, computed on column indices and
     truncated below degree ``cover`` (default ``order``)."""
     cover = order if cover is None else cover
-    monos = monomials_below(nvars, order)
-    degs = _column_degrees(nvars, order)
-    idx = mono_index_map(nvars, order)
+    monos = [(m, sum(m), v) for col, v in row.items() for m in (monomial(nvars, col),)]
     out: dict = {}
     for t, c in terms:
         dt = mono_degree(t)
-        for col, v in row.items():
-            if degs[col] + dt < cover:
-                key = idx[tuple(map(add, monos[col], t))]
+        for m, dm, v in monos:
+            if dm + dt < cover:
+                key = column(tuple(map(add, m, t)))
                 out[key] = out.get(key, 0) + c * v
     return {k: v for k, v in out.items() if v}
 
@@ -289,7 +310,14 @@ class IdealPowerTower:
         self._spans: dict[int, SparseSpan] = {}
         if power is not None:  # x'^a*y^b is in I^k when |a| + b//m >= k
             y, m = power
-            self._levels = [sum(t) - t[y] + t[y] // m for t in monomials_below(self.nvars, order)]
+            # ys[d]: y's exponent b in each degree-d monomial of the variables
+            # so far, in column order, one variable (exponent e) added at a time
+            ys = [[d if y == 0 else 0] for d in range(order)]
+            for k in range(1, self.nvars):
+                ys = [[b for e in range(d, -1, -1)
+                       for b in ([e] * len(ys[d - e]) if k == y else ys[d - e])]
+                      for d in range(order)]
+            self._levels = [d - b + b // m for d in range(order) for b in ys[d]]
         else:  # a positive scale per generator: content-free products are the rational rows
             self._terms = []
             for g in self.gens:
@@ -313,19 +341,18 @@ class IdealPowerTower:
                 span.add_pure_pivot(c)
         else:
             span = SparseSpan()
-            degs = _column_degrees(n, order)
             cover = self._cover(k)
-            for c, d in enumerate(degs):
-                if d >= cover:
-                    span.add_pure_pivot(c)
+            for c in range(count_monomials_below(n, cover), count_monomials_below(n, order)):
+                span.add_pure_pivot(c)
             if k == 1:
-                prev = [(c, {c: 1}) for c in range(len(degs))]
+                prev = [(c, {c: 1}) for c in range(count_monomials_below(n, order))]
             else:
                 prev = sorted(self.span(k - 1).rows.items())
             for terms in self._terms:
                 glow = min(mono_degree(t) for t, _ in terms)
+                below = count_monomials_below(n, max(cover - glow, 0))  # degree < cover - glow
                 for pivot, row in prev:  # a row's pivot has its lowest degree
-                    if degs[pivot] + glow < cover:
+                    if pivot < below:
                         span.add(jet_times(row, terms, n, order, cover))
         self._spans[k] = span
         return span

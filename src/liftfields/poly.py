@@ -5,13 +5,15 @@ every integral value and a ``fractions.Fraction`` only when a denominator is
 present; a ``float`` is refused.  All operations are pure; a ``Polynomial``
 is never mutated after construction.  Composition has one engine,
 ``monomial_pullbacks``, which ``Polynomial.substitute`` sums over the terms.
+The grevlex monomial lists are built afresh by each call and no table is
+kept: a monomial's jet column is computed in closed form (``modules.column``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain
 from math import comb
 from operator import add
 
@@ -73,36 +75,23 @@ def grevlex_key(m: Monomial):
     return (mono_degree(m), tuple(-e for e in reversed(m)))
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(nvars: int, d: int) -> tuple:
     """All monomials in ``nvars`` variables of total degree exactly ``d``,
     in ascending grevlex order.  Length is C(nvars+d-1, d)."""
+    return monomials_below(nvars, d + 1)[count_monomials_below(nvars, max(d, 0)):]
+
+
+def monomials_below(nvars: int, order: int) -> tuple:
+    """All monomials of total degree < order, ascending grevlex: by degree,
+    and within a degree the last exponent descending, then the rest in
+    grevlex order.  Length is C(nvars+order-1, nvars)."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    if d < 0:
-        return ()
-    if nvars == 1:
-        return ((d,),)
-    # grevlex: the last exponent descending, then the rest in grevlex order
-    return tuple(
-        rest + (e,) for e in range(d, -1, -1) for rest in monomials_of_degree(nvars - 1, d - e)
-    )
-
-
-@lru_cache(maxsize=None)
-def monomials_below(nvars: int, order: int) -> tuple:
-    """All monomials of total degree < order, ascending grevlex.
-    Length is C(nvars+order-1, nvars)."""
-    out = []
-    for d in range(order):
-        out.extend(monomials_of_degree(nvars, d))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def mono_index_map(nvars: int, order: int) -> dict:
-    """Monomial -> rank within monomials_below(nvars, order)."""
-    return {m: i for i, m in enumerate(monomials_below(nvars, order))}
+    by_degree = [((d,),) for d in range(order)]
+    for _ in range(nvars - 1):  # one variable more, as the new last one
+        by_degree = [tuple(rest + (e,) for e in range(d, -1, -1) for rest in by_degree[d - e])
+                     for d in range(order)]
+    return tuple(chain.from_iterable(by_degree))
 
 
 def count_monomials_below(nvars: int, order: int) -> int:

@@ -6,13 +6,15 @@ corank was read off), the greedy Nakayama loop, the
 Buchberger loop and syzygies on module elements held as tuples of
 Polynomials (``ModElement``, before elements became sparse term rows), the
 delta stabilisation loop and the brute-force higher invariants at a jet order
-of one's choice, the level models' former jet order ell*(i+2)+1, and the
+of one's choice, the level models' former jet order ell*(i+2)+1, the
+brute-force monomial enumeration that jet columns are numbered by, and the
 jsonschema package's report validation; they stay here as oracles only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from jsonschema.validators import validator_for
 
@@ -35,6 +37,14 @@ from liftfields.poly import (
     monomials_below,
     monomials_of_degree,
 )
+
+
+def grevlex_enumeration(nvars: int, order: int) -> list[tuple]:
+    """Every monomial in ``nvars`` variables of degree < order, by brute
+    force: all exponent tuples below ``order``, kept by degree and sorted by
+    grevlex_key.  A monomial's jet column is its index here."""
+    return sorted((m for m in product(range(order), repeat=nvars) if sum(m) < order),
+                  key=grevlex_key)
 
 
 def jsonschema_validator(schema: dict):

@@ -183,6 +183,25 @@ def test_public_names_resolve_to_their_layers():
                            "liftfields.division", "liftfields.poly"]
 
 
+def test_level_model_leaves_no_monomial_table():
+    # jet columns are ranked in closed form, so nothing a level model builds
+    # in poly outlives the germ: no monomial list or index is kept per order
+    out = _fresh_interpreter(
+        "import gc, tracemalloc\n"
+        "from liftfields import catalog, ksmaps\n"
+        "doc = catalog.load('rieger-ruas')\n"
+        "tracemalloc.start()\n"
+        "f = doc.to_multigerm()\n"
+        "ksmaps.ks_matrix(f, 6)\n"
+        "del f\n"
+        "gc.collect()\n"
+        "snap = tracemalloc.take_snapshot()\n"
+        "live = snap.filter_traces([tracemalloc.Filter(True, '*/liftfields/poly.py')])\n"
+        "print(sum(s.size for s in live.statistics('filename')))\n"
+    )
+    assert int(out) < 100_000
+
+
 UNSTABLE_UNFOLDING = """germ unstable {
   n = 1; p = 2; target (Y, U);
   branch a(y) = (y^2, 0);

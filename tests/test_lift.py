@@ -26,12 +26,7 @@ from liftfields import catalog, cli, division, germs, ksmaps, lift, linalg, modu
 from liftfields import poly as poly_module
 from liftfields.germs import Branch, HypothesisError, MultiGerm
 from liftfields.linalg import solve_sparse
-from liftfields.poly import (
-    Polynomial,
-    mono_index_map,
-    monomials_below,
-    monomials_of_degree,
-)
+from liftfields.poly import Polynomial, monomials_below, monomials_of_degree
 
 from conftest import germ, monogerm, poly, vec_add, vec_scale, vfield
 from oracles import (greedy_nakayama_minimize, polynomial_module_jet_span, reference_syzygy_basis,
@@ -406,7 +401,7 @@ def _raw_lift(branch, eta, order):
     n, p = branch.n, branch.p
     jac = branch.jacobian()
     monos = monomials_below(n, order)
-    idx = mono_index_map(n, order)
+    idx = {m: r for r, m in enumerate(monos)}
     equations = [dict() for _ in range(p * len(monos))]
     for src in range(n):
         for a_rank, alpha in enumerate(monos):
@@ -498,19 +493,14 @@ def _jet_only():
     return mock.patch.object(germs.MultiGerm, "prenormal", lambda self, j: None)
 
 
-def test_monomial_rank_matches_enumeration():
-    for n in range(1, 5):
-        for rank, m in enumerate(monomials_below(n, 8)):
-            assert lift._mono_rank(m) == rank
-
-
 def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
-    # nor the monomial table the jet path reads its lifts with: at the
-    # default degree bound rieger-ruas lifts at jet order 37, C(40, 4) monomials
-    built, solved, tables = [], [], []
+    # nor read a jet column (a row, or a column's monomial) in the division
+    # layer: at the default degree bound rieger-ruas would lift at jet order
+    # 37, C(40, 4) monomials
+    built, solved = [], []
     monkeypatch.setattr(germs.MultiGerm, "tangent_span", lambda *a: built.append(a))
     monkeypatch.setattr(linalg, "solve_sparse", lambda *a: solved.append(a))
-    monkeypatch.setattr(division, "monomials_below", lambda *a: tables.append(a))
+    monkeypatch.setattr(division, "modules", mock.Mock())
     assert not hasattr(lift, "solve_sparse")
     for argv in (
         ["construct", "phi-3"],
@@ -523,7 +513,7 @@ def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert built == [] and solved == [] and tables == []
+    assert built == [] and solved == [] and division.modules.mock_calls == []
 
 
 def test_division_verdicts_match_jets(catalog_docs):
@@ -658,7 +648,7 @@ def test_shifted_columns_match_full_normal_forms(f, data):
         for beta in monomials_of_degree(f.p, d):
             for q in range(f.p):
                 col, s = column([(q, beta, 1)])
-                want[q, beta] = residual_column(f, q, beta, lift._mono_rank)
+                want[q, beta] = residual_column(f, q, beta, modules.column)
                 assert type(s) is int and {type(c) for c in col.values()} <= {int}
                 assert col == {k: s * c for k, c in want[q, beta].items()}, (q, beta)
     terms = data.draw(st.lists(st.tuples(st.sampled_from(sorted(want)),

@@ -13,19 +13,22 @@ from liftfields.modules import (
     PurePivots,
     ScalarClassMap,
     _lead,
+    column,
     groebner_basis,
     jet_span,
     module_jet_span,
+    monomial,
     normal_form,
     syzygy_basis,
     vector_to_row,
 )
 from liftfields import Branch, MultiGerm, reduce_to_core, truncation_order
-from liftfields.poly import Polynomial, count_monomials_below, monomials_below
+from liftfields.poly import Polynomial, count_monomials_below, grevlex_key, monomials_below
 
 from conftest import poly
-from oracles import (ModElement, module_element, module_membership, polynomial_module_jet_span,
-                     polynomial_tower_spans, reference_groebner_basis, reference_syzygy_basis)
+from oracles import (ModElement, grevlex_enumeration, module_element, module_membership,
+                     polynomial_module_jet_span, polynomial_tower_spans, reference_groebner_basis,
+                     reference_syzygy_basis)
 
 XY = ("x", "y")
 
@@ -114,6 +117,38 @@ def test_groebner_and_syzygies_match_the_reference(gens):
         got = groebner_basis([module_element(v) for v in vectors])
         assert got == [module_element(v.comps) for v in want]
     assert syzygy_basis(gens) == reference_syzygy_basis(gens)
+
+
+def test_monomial_rank_matches_enumeration():
+    """column and monomial against the brute-force grevlex enumeration: the
+    library's own walk (monomials_below) and the rank pair agree with it."""
+    for n in range(1, 6):
+        for order in range(13):
+            monos = grevlex_enumeration(n, order)
+            assert list(monomials_below(n, order)) == monos
+            assert [column(m) for m in monos] == list(range(len(monos)))
+            assert [monomial(n, c) for c in range(len(monos))] == monos
+
+
+@st.composite
+def _monomials(draw, n: int):
+    """A monomial in n variables of degree <= 60: n-1 cut points in 0..d."""
+    d = draw(st.integers(0, 60))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_monomials(n), _monomials(n))))
+def test_monomial_rank_round_trips_and_is_order_free(pair):
+    """Up to degree 60 in up to 6 variables: monomial undoes column, and
+    columns ascend with grevlex_key, whatever the jet order (the prefix
+    property the rank relies on)."""
+    a, b = pair
+    assert monomial(len(a), column(a)) == a
+    assert (column(a) < column(b)) == (grevlex_key(a) < grevlex_key(b))
+    n, d = len(a), sum(a)
+    assert count_monomials_below(n, d) <= column(a) < count_monomials_below(n, d + 1)
 
 
 def test_jet_span_dimension():
