@@ -16,8 +16,9 @@ Subcommands operate on a germ document, given either as a path to a
 
 Exit codes: 0 success; 1 hypothesis violation (non-liftable field, level
 mismatch, unstable unfolding); 2 resource cap reached before a decision, an
-input too large to finish (a power past the parser's bound, or a level model
-of more than ``germs.MODEL_COLUMN_CAP`` monomial columns per branch), or
+input too large to finish (a power past the parser's bound, a level model
+of more than ``germs.MODEL_COLUMN_CAP`` monomial columns per branch, or a
+tangent or Nakayama jet span of more columns than that), or
 arguments the parser refuses (among them a ``--level`` or ``--max-i`` that
 is not a non-negative integer, a ``--max-degree`` or ``--cert-order`` below
 1, and an option the subcommand does not take); 3 parse or semantic error in

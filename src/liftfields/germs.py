@@ -43,7 +43,9 @@ ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
 # the cap lifted for 14 and 16) took 2.5 s and 53 MB peak RSS at level 12
 # (341,055 columns), 3.5 s and 69 MB at 13 (455,126), 5.2 s and 93 MB at 14
 # (595,665) and 11.0 s and 168 MB at 16 (971,635).  The cap keeps levels up
-# to 13 and refuses 14 on (exit 2); level 40 would need 31.3 million.
+# to 13 and refuses 14 on (exit 2); level 40 would need 31.3 million.  The
+# same cap bounds the columns, rank * C(n + order - 1, n), of the tangent and
+# Nakayama spans whose order comes from an option (division.check_jet_span).
 MODEL_COLUMN_CAP = 500_000
 
 
@@ -273,8 +275,9 @@ class MultiGerm:
         u = rank(alpha)*n + src (tagged u), so the lift equation
         df_j(xi) = rhs is solved by reducing rhs and back-substituting.
         """
-        jac = self.branches[j].jacobian()
         n, p = self.n, self.p
+        division.check_jet_span("a branch's tangent span", n, order, p)
+        jac = self.branches[j].jacobian()
         monos = monomials_below(n, order)
         cols = {m: c for c, m in enumerate(monos)}  # this call's columns, walked once
         span = linalg.FactoredSpan()

@@ -250,18 +250,14 @@ class KSReport:
         self.i2 = i2  # int, "-infinity", or "infinity up to cap"
         self.cap = cap
 
-    @property
-    def theorem_applicable(self) -> bool:
-        return isinstance(self.i1, int) and self.i1 == self.i2
 
-
-def locate_i1_i2(f: MultiGerm, cap: int = 6, full_scan: bool = False) -> KSReport:
+def locate_i1_i2(f: MultiGerm, cap: int = 6) -> KSReport:
     """Scan levels 0..cap for the first surjective and last injective level.
 
     A bijective level pins both at once (surjectivity is monotone upward,
     injectivity downward, and the first surjective level is never below the
     last injective one for finitely determined corank-<=1 multigerms), so
-    the default mode stops there; full_scan records every level.
+    the scan stops there, or at the first level past i1 that is not injective.
     """
     levels: list[LevelRecord] = []
     i1: int | str = "infinity up to cap"
@@ -276,14 +272,31 @@ def locate_i1_i2(f: MultiGerm, cap: int = 6, full_scan: bool = False) -> KSRepor
             i1 = i
         if rec.injective:
             i2 = i
-        if not full_scan:
-            if rec.surjective and rec.injective:
-                break
-            if isinstance(i1, int) and not rec.injective:
-                break  # injectivity is monotone downward; i2 is settled
+        if rec.surjective and rec.injective:
+            break
+        if isinstance(i1, int) and not rec.injective:
+            break  # injectivity is monotone downward; i2 is settled
     if not isinstance(i1, int) and levels and levels[-1].injective:
         i2 = "infinity up to cap"
     return KSReport(levels, i1, i2, cap)
+
+
+def matched_level(f: MultiGerm, cap: int, need: str) -> int:
+    """The level i1 = i2 where the level maps meet, the first bijective one in
+    0..cap.  Injectivity is monotone downward, so the walk raises HypothesisError
+    at the first level that is not injective, or at the cap when every level is
+    injective and none surjective; ``need`` names what needs the level."""
+    for i in range(cap + 1):
+        model = ks_matrix(f, i)
+        if not model.injective:
+            i2 = i - 1 if i else "-infinity"
+            found = (f"i1={i}, i2={i2}" if model.surjective
+                     else f"i2={i2}, and level {i} is neither injective nor surjective")
+            raise HypothesisError(f"{need} needs matching levels; found {found}")
+        if model.surjective:
+            return i
+    raise HypothesisError(f"{need} needs matching levels; found i1=infinity up to cap,"
+                          " i2=infinity up to cap")
 
 
 class StabilityVerdict:
@@ -314,12 +327,7 @@ def min_generators(f: MultiGerm, mode: str = "both", cap: int = 6) -> MinGenerat
     d, g the higher delta/gamma invariants is cross-checked against the
     explicit matrix kernel unless a single mode is requested.
     """
-    report = locate_i1_i2(f, cap)  # a repeat scan reads the cached models and ranks
-    if not report.theorem_applicable:
-        raise HypothesisError(
-            f"count formula needs matching levels; found i1={report.i1}, i2={report.i2}"
-        )
-    i = report.i1
+    i = matched_level(f, cap, "count formula")  # a repeat walk reads the cached models
     formula = bruteforce = None
     if mode in ("formula", "both"):
         d_next, g_next = higher_invariants(f, i + 1, mode="formula")

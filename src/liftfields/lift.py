@@ -28,7 +28,7 @@ from itertools import product
 from math import lcm
 
 from . import ksmaps, linalg, modules, unfoldings
-from .division import FieldVector, LiftCertificate, solve_lift
+from .division import FieldVector, LiftCertificate, check_jet_span, solve_lift
 from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError,
                     ResourceCapError)
 from .poly import Polynomial, mono_mul, monomials_of_degree
@@ -105,12 +105,7 @@ def complete_generators(f: MultiGerm, cap: int = 6,
     degree, until it holds -residual(eta0); the completion is then the
     combination of the kept candidates, the others at 0.
     """
-    report = ksmaps.locate_i1_i2(f, cap)
-    if not report.theorem_applicable:
-        raise HypothesisError(
-            f"kernel completion needs matching levels; found i1={report.i1}, i2={report.i2}"
-        )
-    i, p = report.i1, f.p
+    i, p = ksmaps.matched_level(f, cap, "kernel completion"), f.p
     ell = f.ell()
     d_max = max_extra_degree if max_extra_degree is not None else 2 * (i + 2) * ell
     d_max = max(d_max, i + 1)
@@ -178,7 +173,9 @@ def restrict_from_unfolding(
     divisible by L, read off from the syzygies of (eta_1^L,..,eta_m^L, L).
     A restricted field with no term below cert_order, which the jet-level
     Nakayama scan would drop unread, raises ResourceCapError; the count is
-    checked against the brute-force count whenever that one is decided.
+    checked against the brute-force count where the base's levels meet
+    (``ksmaps.matched_level``), a walk that stops at the first level that
+    rules the meeting out.
     """
     F, base = spec.F, spec.base
     k = spec.param_target_index
@@ -273,6 +270,7 @@ def nakayama_minimize(
     fields after it, so every greedy drop is also a scan drop, and the loop
     ends at the basis the scan picks from the top index down.
     """
+    check_jet_span("the Nakayama span", rank, cert_order, rank)
     span = modules.module_jet_span(fields, rank, rank, cert_order, min_mult_degree=1)
     kept = [
         tuple(g)

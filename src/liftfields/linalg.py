@@ -15,6 +15,7 @@ rational result is divided by the scale once per output entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .poly import exact_div
@@ -141,11 +142,12 @@ class FactoredSpan(SparseSpan):
     :meth:`combination` gives the solution whose free unknowns are 0.
     """
 
-    __slots__ = ("factor",)
+    __slots__ = ("factor", "position")
 
     def __init__(self):
         super().__init__()
         self.factor: list[tuple] = []  # (pivot, tag, m, c, {pivot_j: d_j})
+        self.position: dict[int, int] = {}  # pivot -> its entry's index in factor
 
     def add(self, row: dict, tag, dependent: list | None = None) -> int | None:
         """Insert the vector ``row`` under ``tag``; returns the new pivot
@@ -160,6 +162,7 @@ class FactoredSpan(SparseSpan):
                 dependent.append((tag, d, scale * den))
             return None
         lead, g = self._store(r)
+        self.position[lead] = len(self.factor)
         self.factor.append((lead, tag, g, scale * den, d))
         return lead
 
@@ -167,15 +170,20 @@ class FactoredSpan(SparseSpan):
         """Back substitution through the factor: given pivot -> factor with
         ``sum(factor * rows[pivot]) / den`` (from :meth:`reduce_full`, or a
         dependent vector's relation), return tag -> coefficient of the same
-        vector over the kept input vectors.  The coefficients are carried as
-        integers over one growing scale (each written with the scale at
-        that time) and divided once at the end."""
+        vector over the kept input vectors.  Only the entries the relation
+        reaches are read, latest first (a max-heap of factor positions: an
+        entry's row was reduced against earlier rows only).  The coefficients
+        are carried as integers over one growing scale (each written with the
+        scale at that time) and divided once at the end."""
         lcd = lcm(*(h.denominator for h in hits.values()))
         scale, sign = abs(den) * lcd, (1 if den > 0 else -1)
         pending = {j: (sign * h.numerator * (lcd // h.denominator), scale) for j, h in hits.items()}
+        heap = [-self.position[j] for j in pending]
+        heapify(heap)
         out = {}
-        for lead, tag, m, c, d in reversed(self.factor):
-            num, at = pending.pop(lead, (0, scale))
+        while heap:
+            lead, tag, m, c, d = self.factor[-heappop(heap)]
+            num, at = pending.pop(lead)
             if not num:
                 continue
             num *= scale // at
@@ -186,6 +194,8 @@ class FactoredSpan(SparseSpan):
             scale *= s
             out[tag] = (t * c, scale)
             for j, v in d.items():
+                if j not in pending:
+                    heappush(heap, -self.position[j])
                 num, at = pending.get(j, (0, scale))
                 pending[j] = (num * (scale // at) + t * v, scale)
         return {tag: exact_div(num, at) for tag, (num, at) in out.items()}

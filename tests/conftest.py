@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from liftfields import Branch, MultiGerm, catalog
 from liftfields.parser import parse_polynomial
+
+# the benchmark's seeded germ families (perfbench/germgen.py), for property tests
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import germgen  # noqa: E402
 
 
 def poly(text, names):

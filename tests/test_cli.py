@@ -588,6 +588,33 @@ def test_exit_resource_level_model_too_large(capsys, monkeypatch):
                    " branch at jet order 164, above the cap 500000\n")
 
 
+def test_exit_resource_jet_span_past_the_cap(capsys, monkeypatch):
+    # a tangent or Nakayama span is refused where it is about to be built, on
+    # its columns, rank * C(n + order - 1, n); at the default bounds
+    # construct rieger-36 needs 2 * C(47, 2) = 2,162 and unfold sfold-1-plus
+    # 3 * C(14, 3) = 1,092
+    monkeypatch.setattr(germs, "MODEL_COLUMN_CAP", 1000)
+    code, out, err = run(["construct", "rieger-36"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("cap reached: a branch's tangent span needs 2162 columns at jet order 46,"
+                   " above the cap 1000\n")
+    code, out, err = run(["unfold", "sfold-1-plus"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("cap reached: the Nakayama span needs 1092 columns at jet order 12,"
+                   " above the cap 1000\n")
+    # below the cap both run: 2 * C(29, 2) = 812 and 3 * C(12, 3) = 660
+    assert run(["construct", "rieger-36", "--max-degree", "12"], capsys)[0] == 0
+    assert run(["unfold", "sfold-1-plus", "--cert-order", "10"], capsys)[0] == 0
+
+
+def test_bounds_past_the_cap_decided_by_division(capsys):
+    # the option value is not refused: prenormal e0 builds no jet span
+    code, out, _ = run(["construct", "e0", "--max-degree", "100000"], capsys)
+    assert code == 0 and "2 generators" in out
+    code, out, _ = run(["check", "e0", "--fields", "reference", "--cert-order", "100000"], capsys)
+    assert code == 0 and "[exact]" in out
+
+
 def test_exit_resource_level_scan_reaches_the_cap(capsys, monkeypatch):
     # the level scan stops at the first level past the cap, before building
     # it (formula mode: the scan is what builds models); on rieger-ruas level

@@ -20,12 +20,13 @@ from liftfields import (
 )
 from liftfields import catalog, ksmaps, modules
 from liftfields.germs import Branch, MultiGerm
-from liftfields.ksmaps import KSMapModel, truncation_order
+from liftfields.ksmaps import KSMapModel, matched_level, truncation_order
 from liftfields.linalg import SparseSpan
 from liftfields.modules import IdealPowerTower
+from liftfields.parser import parse
 from liftfields.poly import Polynomial, monomials_of_degree
 
-from conftest import germ
+from conftest import germ, germgen
 from oracles import dense_kernel_fields, reference_truncation_order
 
 
@@ -83,9 +84,10 @@ def test_levels_match_catalog_expectations(catalog_docs):
 
 def test_surjectivity_upward_injectivity_downward(catalog_docs):
     for name, doc in catalog_docs.items():
-        rep = locate_i1_i2(_core(doc), cap=4, full_scan=True)
-        surj = [rec.surjective for rec in rep.levels]
-        inj = [rec.injective for rec in rep.levels]
+        f = _core(doc)
+        models = [ks_matrix(f, i) for i in range(5)]
+        surj = [model.surjective for model in models]
+        inj = [model.injective for model in models]
         for a, b in zip(surj, surj[1:]):
             assert (not a) or b, f"{name}: surjectivity not upward-closed"
         for a, b in zip(inj, inj[1:]):
@@ -101,18 +103,21 @@ def test_last_injective_not_above_first_surjective(catalog_docs):
 
 def test_level_pattern(catalog_docs):
     # injective exactly up to the last injective level; surjective exactly
-    # from the first surjective level on (within the scanned range)
+    # from the first surjective level on: the scan's i1 and i2 hold for
+    # every level 0..4, read one model at a time, also past where it stopped
     for name, doc in catalog_docs.items():
-        rep = locate_i1_i2(_core(doc), cap=4, full_scan=True)
-        for rec in rep.levels:
+        f = _core(doc)
+        rep = locate_i1_i2(f)
+        for i in range(5):
+            model = ks_matrix(f, i)
             if isinstance(rep.i2, int):
-                assert rec.injective == (rec.i <= rep.i2), name
-            elif rep.i2 == "-infinity":
-                assert not rec.injective, name
-            if isinstance(rep.i1, int):
-                assert rec.surjective == (rec.i >= rep.i1), name
+                assert model.injective == (i <= rep.i2), name
             else:
-                assert not rec.surjective, name
+                assert model.injective == (rep.i2 == "infinity up to cap"), name
+            if isinstance(rep.i1, int):
+                assert model.surjective == (i >= rep.i1), name
+            else:
+                assert not model.surjective, name
 
 
 def test_domain_dimension():
@@ -440,7 +445,7 @@ def test_product_towers_invariant_under_source_change(name):
     assert [(r.kernel_dim, r.cokernel_dim) for r in rf.levels] == [
         (r.kernel_dim, r.cokernel_dim) for r in rg.levels
     ]
-    if rf.theorem_applicable:
+    if isinstance(rf.i1, int) and rf.i1 == rf.i2:
         assert min_generators(f).count == min_generators(g).count
     a, b = invariants(f, max_i=3, mode="both"), invariants(g, max_i=3, mode="both")
     assert (a.delta, a.gamma, a.ell, a.i_delta, a.i_gamma) == (
@@ -481,3 +486,69 @@ def test_min_generators_needs_matching_levels():
         min_generators(germ("tangent-fold-1"))
     with pytest.raises(HypothesisError):
         min_generators(_core(catalog.load("sfold-1-plus")))
+
+
+def _rule_agrees_with_the_scan(f, cap):
+    """matched_level returns the scan's i1 where i1 = i2, and refuses
+    otherwise; a refusal at a surjective level names the scan's i1 and i2."""
+    rep = locate_i1_i2(f, cap)
+    try:
+        level = matched_level(f, cap, "count formula")
+    except HypothesisError as exc:
+        assert not (isinstance(rep.i1, int) and rep.i1 == rep.i2)
+        assert str(exc).startswith("count formula needs matching levels; found ")
+        if isinstance(rep.i1, int) or rep.i2 == "infinity up to cap":
+            assert str(exc).endswith(f"found i1={rep.i1}, i2={rep.i2}")
+        else:
+            assert f"found i2={rep.i2}, and level " in str(exc)
+    else:
+        assert level == rep.i1 == rep.i2
+
+
+@pytest.mark.parametrize("cap", [0, 1, 6])
+def test_matched_level_agrees_with_the_scan_on_the_catalog(catalog_docs, cap):
+    for doc in catalog_docs.values():
+        _rule_agrees_with_the_scan(_core(doc), cap)
+        if doc.unfolding is not None:
+            _rule_agrees_with_the_scan(doc.to_unfolding_spec().base, cap)
+
+
+@given(st.integers(1, 200), st.integers(0, 5), st.integers(0, 6))
+@settings(max_examples=15, deadline=None)
+def test_matched_level_agrees_with_the_scan_on_generated_germs(seed, slot, cap):
+    # the benchmark's seeded families: matched, mismatched and no-level slots
+    gen = germgen.generate(seed)[slot]
+    _rule_agrees_with_the_scan(parse(gen.text).to_multigerm(), cap)
+
+
+# the unfolding bases whose levels never meet, by their first level that
+# is not injective
+NON_MEETING_BASES = {"bigerm-69": 1, "fold-line": 1, "tangent-fold-2": 1, "sfold-1-plus": 0,
+                     "sfold-1-minus": 0, "sfold-2-plus": 0, "sfold-2-minus": 0}
+
+
+@pytest.mark.parametrize("name,first", sorted(NON_MEETING_BASES.items()))
+def test_count_stops_at_the_first_level_that_is_not_injective(name, first):
+    # unfold's brute-force cross-check builds no model past that level
+    base = catalog.load(name).to_unfolding_spec().base
+    with pytest.raises(HypothesisError, match="^count formula needs matching levels; found "):
+        min_generators(base, mode="bruteforce")
+    assert sorted(key[1] for key in base._cache if key[0] == "ks") == list(range(first + 1))
+    assert not ks_matrix(base, first).injective
+
+
+def test_matched_level_messages():
+    base = catalog.load("sfold-1-plus").to_unfolding_spec().base
+    with pytest.raises(HypothesisError) as exc:
+        matched_level(base, 6, "kernel completion")
+    assert str(exc.value) == ("kernel completion needs matching levels; found i2=-infinity,"
+                              " and level 0 is neither injective nor surjective")
+    with pytest.raises(HypothesisError) as exc:
+        matched_level(germ("tangent-fold-1"), 6, "count formula")
+    assert str(exc.value) == "count formula needs matching levels; found i1=1, i2=0"
+    fold = catalog.load("fold-line").to_unfolding_spec().base  # level 0 injective only
+    with pytest.raises(HypothesisError) as exc:
+        matched_level(fold, 0, "count formula")
+    assert str(exc.value) == ("count formula needs matching levels; found i1=infinity up to"
+                              " cap, i2=infinity up to cap")
+    assert matched_level(germ("rieger-ruas"), 6, "count formula") == 1

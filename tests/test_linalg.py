@@ -201,3 +201,58 @@ def test_quotient_model_matches_dense_rank(base, extras, probe, a):
     if kept:
         assert matrix_rank([[qm.coords(v).get(i, 0) for i in range(qm.dim)]
                             for v in kept]) == qm.dim
+
+
+class _ReadLog(list):
+    """A factor that records which of its positions are read."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = set()
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return super().__getitem__(k)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+    def __reversed__(self):
+        self.read.update(range(len(self)))
+        return super().__reversed__()
+
+
+nonzero = st.lists(fractions, min_size=5, max_size=5).filter(any)
+
+
+@given(st.lists(nonzero, min_size=1, max_size=6), st.lists(nonzero, min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_combination_reads_only_the_entries_a_relation_reaches(block_a, block_b, rng):
+    """Vectors of two blocks on disjoint columns, added interleaved: the back
+    substitution of a dependent vector reads exactly the factor entries its
+    relation reaches through the entries' own relations, none of the other
+    block, and gives the vector as minus a combination of the kept ones."""
+    inputs = _to_rows(block_a) + [{k + 10: c for k, c in row.items()}
+                                  for row in _to_rows(block_b)]
+    order = list(range(len(inputs)))
+    rng.shuffle(order)
+    span, dependent = FactoredSpan(), []
+    for u in order:
+        span.add(inputs[u], u, dependent)
+    where = {lead: k for k, (lead, *_) in enumerate(span.factor)}
+    span.factor = _ReadLog(span.factor)
+    for tag, d, den in dependent:
+        reached, todo = set(), [where[j] for j in d]
+        while todo:
+            k = todo.pop()
+            if k not in reached:
+                reached.add(k)
+                todo.extend(where[j] for j in span.factor[k][4])
+        span.factor.read.clear()
+        combo = span.combination(d, den)
+        assert span.factor.read <= reached
+        assert inputs[tag] == _lin([(-c, inputs[u]) for u, c in combo.items()])
+        side = tag < len(block_a)
+        assert all((u < len(block_a)) == side for u in combo)

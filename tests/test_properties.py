@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from liftfields import Branch, MultiGerm, higher_invariants, invariants, locate_i1_i2
+from liftfields import Branch, MultiGerm, higher_invariants, invariants, ks_matrix, locate_i1_i2
 from liftfields.ksmaps import truncation_order
 from liftfields.poly import Polynomial
 
@@ -49,11 +49,12 @@ def test_binomial_formula_matches_elimination(f):
 @given(plane_curve_germs())
 @settings(max_examples=15, deadline=None)
 def test_scan_monotonicity(f):
-    rep = locate_i1_i2(f, cap=3, full_scan=True)
-    surj = [rec.surjective for rec in rep.levels]
-    inj = [rec.injective for rec in rep.levels]
+    models = [ks_matrix(f, i) for i in range(4)]
+    surj = [model.surjective for model in models]
+    inj = [model.injective for model in models]
     assert all(b or not a for a, b in zip(surj, surj[1:]))
     assert all(a or not b for a, b in zip(inj, inj[1:]))
+    rep = locate_i1_i2(f, cap=3)
     if isinstance(rep.i1, int) and isinstance(rep.i2, int):
         assert rep.i2 <= rep.i1
 
