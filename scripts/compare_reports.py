@@ -11,11 +11,15 @@ trees, each in a fresh interpreter that calls ``liftfields.cli.main`` with
 the command's arguments and ``--json`` (the tree's ``src`` on the path).  The JSON report (with every
 ``timings`` member dropped), the exit code and stderr must be the same
 byte for byte.  So must the stdout, stderr and exit code of ``--help``, at
-top level and for each subcommand, and of an unknown subcommand.  The
-commands that differ are printed, and the exit code is 1 on any
-difference.  ``--seeds`` takes seed numbers and ranges such as ``1-20``.
-``--workload`` keeps one workload's commands (and drops the help runs);
-``--smoke`` keeps only the benchmark's smoke command of each workload.
+top level and for each subcommand, and of an unknown subcommand.  Every
+germ the workloads generate has a coordinate component on each branch, so
+``analyze``, ``kernel --level 2`` and ``construct`` also run on two fixed
+germs with none (``PRODUCT_TOWER_GERMS``), whose ideal powers are built as
+products.  The commands that differ are printed, and the exit code is 1 on
+any difference.  ``--seeds`` takes seed numbers and ranges such as
+``1-20``.  ``--workload`` keeps one workload's commands (and drops the
+help and fixed-germ runs); ``--smoke`` keeps only the benchmark's smoke
+command of each workload.
 Generated germs go to a temporary directory; nothing under either tree is
 written.
 """
@@ -33,6 +37,14 @@ RUN = "import sys; from liftfields.cli import main; sys.exit(main(sys.argv[1:]))
 SUBCOMMANDS = ("analyze", "kernel", "construct", "unfold", "check", "transport", "reduce",
                "catalog")
 HELP = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), ["no-such-command"]]
+# no component is a bare source variable, so no branch tower is in closed form
+PRODUCT_TOWER_GERMS = {
+    "scaled-coordinate": "germ scaled_coordinate { n = 2; p = 3; target (X, Y, Z);"
+                         " branch a(x, y) = (2*x, y^2, x*y + y^3); }",
+    "no-coordinate": "germ no_coordinate { n = 2; p = 2; target (X, Y);"
+                     " branch a(x, y) = (x + y^2, y^3 + x*y^2); }",
+}
+PRODUCT_TOWER_RUNS = [["analyze"], ["kernel", "--level", "2"], ["construct"]]
 
 
 def _strip_timings(doc):
@@ -66,7 +78,8 @@ def seed_list(text: str) -> list[int]:
 def commands(tree: str, seeds: list[int], smoke: bool, workdir: str, workload=None):
     """(workload, seed, argv) of every command of the workload (all of them
     when None), with ``--json`` appended and germs written under workdir,
-    then, for all workloads, ("help", None, argv) of every help run."""
+    then, for all workloads, ("product-tower", None, argv) of every run on
+    the fixed germs and ("help", None, argv) of every help run."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as wl
 
@@ -80,7 +93,15 @@ def commands(tree: str, seeds: list[int], smoke: bool, workdir: str, workload=No
             for cmd in wl.build(name, seed, sub):
                 if not smoke or wl.SMOKE[name](cmd):
                     out.append((name, seed, [*cmd.argv, "--json"]))
-    return out + ([("help", None, argv) for argv in HELP] if workload is None else [])
+    if workload is not None:
+        return out
+    for name, text in PRODUCT_TOWER_GERMS.items():
+        path = os.path.join(workdir, f"{name}.germ")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out += [("product-tower", None, [cmd, path, *opts, "--json"])
+                for cmd, *opts in PRODUCT_TOWER_RUNS]
+    return out + [("help", None, argv) for argv in HELP]
 
 
 def main(argv=None) -> int:

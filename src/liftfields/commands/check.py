@@ -17,6 +17,8 @@ def run(doc, fields: str, cert_order: int) -> AnalysisReport:
     elif os.path.isfile(path):
         with open(path, encoding="utf-8") as fh:
             blocks = list(parse(fh.read()).fields.values())
+        if not blocks:
+            raise InputError(f"the file {fields!r} has no fields block")
     else:
         raise InputError(f"no fields block or file named {fields!r}")
     f, _ = cli._core_germ(doc)

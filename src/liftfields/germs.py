@@ -219,7 +219,7 @@ class MultiGerm:
     @cached("cmap")
     def class_map(self, j: int, order: int, k: int) -> modules.ScalarClassMap:
         """Coordinates on R/I^k below ``order``, I branch j's pullback ideal."""
-        return modules.ScalarClassMap(self.branch_tower(j, order).span(k), self.n, order)
+        return modules.ScalarClassMap(self.branch_tower(j, order).pivot_rows(k), self.n, order)
 
     @cached("prenormal")
     def prenormal(self, j: int):

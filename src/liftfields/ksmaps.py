@@ -23,9 +23,9 @@ below N.  So every monomial column of the model has degree < N: the
 tangent multipliers, the F(i) candidates and the pullbacks need no cut of
 their own.
 
-The model never leaves integer column space: the ideal-power spans are
-pure monomial pivots read off the exponents on coordinate branches (one
-level per column, kept once per tower, with no row or dict entry per
+The model never leaves integer column space: the ideal powers are read as
+pivot rows, pure monomial pivots off the exponents on coordinate branches
+(one level per column, kept once per tower, so no row is built for a pure
 pivot) and products of integer basis rows with the generators elsewhere,
 every column's quotient class is computed once (ScalarClassMap.classes, a
 list by column in which every pure pivot shares one zero class), and a
@@ -34,16 +34,15 @@ whose class is zero give none).  The candidates from F(i) take a pure
 pivot's class as it stands and reduce only the rows with more than their
 pivot; candidate and pullback rows are reduced to their branch's quotient
 coordinates once, then placed in every target direction.  All of these
-rows are integer.  The generators of A_i that enlarge the tangent span
-are added to it as the quotient basis, and a column's quotient
-coordinates are the factors of those rows in its full reduction over that
-span, one exact division per entry.  The columns are
-factored once, left to right, with a fraction-free FactoredSpan: the rank
-is the factor's dimension, and each dependent column c gives the kernel
-vector e_c minus its combination of the independent columns before it
-(read off the relation found when c was added), which is the
-reduced-echelon kernel basis.  Models are kept in the germ's cache, so
-each level is built once.
+rows are integer.  The generators of A_i that enlarge the tangent span are
+added to it as the quotient basis, and a column's quotient coordinates are
+the factors of those rows in its full reduction over that span, one exact
+division per entry.  The columns are factored once, left to right, with a
+fraction-free FactoredSpan: the rank is the factor's dimension, and each
+dependent column c gives the kernel vector e_c minus its combination of
+the independent columns before it (read off the relation found when c was
+added), which is the reduced-echelon kernel basis.  Models are kept in the
+germ's cache, so each level is built once.
 
 The contact invariants (delta, gamma and their higher-order versions) live
 here too: their brute-force derivation reads the level model's class maps.
@@ -148,7 +147,7 @@ def filtration_classes(f: MultiGerm, j: int, order: int, i: int):
     read, not reduced (F(i+1)'s monomials are 0), and its row {c: 1} is
     built only then."""
     cmap = f.class_map(j, order, i + 1)
-    for c, row in f.branch_tower(j, order).span(i).pivot_rows():
+    for c, row in f.branch_tower(j, order).pivot_rows(i):
         coords = cmap.classes[c] if row is None else cmap.reduce(row)
         if coords:
             yield ({c: 1} if row is None else row), coords

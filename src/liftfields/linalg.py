@@ -124,12 +124,6 @@ class SparseSpan:
         if col not in self.rows:
             self.rows[col] = {col: 1}
 
-    def pivot_rows(self):
-        """(pivot, row) in ascending pivot order, with row None for a pure
-        pivot (a row that is its pivot entry alone), so a reader can skip
-        it without reading a row."""
-        return ((c, None if len(row) == 1 else row) for c, row in sorted(self.rows.items()))
-
 
 class FactoredSpan(SparseSpan):
     """Echelon span of tagged vectors that keeps a sparse triangular factor.
@@ -229,12 +223,10 @@ class QuotientModel:
         """Coordinates {basis index: value} of [row]; None if the vector is not
         in base + <quotient basis>.  They are the factors of the basis rows in
         the full reduction of row (the unique expression over the span's rows)."""
-        r, den = _clear(row)
-        scale, steps = self.span._reduce(r, True, den)
-        if r:
+        hits: dict = {}
+        if self.span.reduce_full(row, hits):
             return None
-        return {self.index[hit]: exact_div(t * (scale // at), scale)
-                for hit, t, at in steps if hit in self.index}
+        return {self.index[hit]: v for hit, v in hits.items() if hit in self.index}
 
 
 def solve_sparse(

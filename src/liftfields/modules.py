@@ -18,7 +18,7 @@ symbolic layer drives the unfolding-intersection pipeline.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations, compress, count, repeat
 from math import comb, lcm
@@ -242,62 +242,24 @@ def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None
     return {k: v for k, v in out.items() if v}
 
 
-class PurePivots(Mapping):
-    """The rows of a span whose pivots are all pure, read off a level list:
-    column c is a pivot exactly when ``levels[c] >= k``, and its row {c: 1}
-    is built only when it is read.  Read-only; nothing is held per column."""
-
-    __slots__ = ("levels", "k")
-
-    def __init__(self, levels: list, k: int):
-        self.levels, self.k = levels, k
-
-    def __contains__(self, c) -> bool:
-        return 0 <= c < len(self.levels) and self.levels[c] >= self.k
-
-    def __getitem__(self, c) -> dict:
-        if c not in self:
-            raise KeyError(c)
-        return {c: 1}
-
-    def __iter__(self):
-        return compress(count(), map(self.k.__le__, self.levels))
-
-    def __len__(self) -> int:
-        return sum(map(self.k.__le__, self.levels))
-
-
-class LevelSpan(SparseSpan):
-    """F(k) of a coordinate tower: the pure pivots of level >= k, whose rows
-    are a PurePivots view of the tower's level list."""
-
-    __slots__ = ()
-
-    def __init__(self, levels: list, k: int):
-        self.rows = PurePivots(levels, k)
-
-    def pivot_rows(self):
-        return zip(self.rows, repeat(None))
-
-
 class IdealPowerTower:
-    """Jet spans of the powers I^k of a finitely generated ideal.
+    """Jet filtrations F(k) = I^k of a finitely generated ideal, read as
+    pivot rows (``pivot_rows``).
 
-    F(0) is the span of all monomials (the whole ring).  The caller says
-    whether the tower is in closed form: ``power = (y, m)`` when it knows
-    that I = (x', y^m) in the local ring, x' the variables other than y
+    F(0) is every monomial (the whole ring).  The caller says whether the
+    tower is in closed form: ``power = (y, m)`` when it knows that
+    I = (x', y^m) in the local ring, x' the variables other than y
     (``MultiGerm.branch_tower`` reads this off the branch's coordinate
     slots).  Then the m-primary I^k + m^order has the same jets: F(k) is
     the pure pivots x'^a*y^b with |a| + b//m >= k.  Each column's level
-    |a| + b//m is computed once per tower, and F(k) is a LevelSpan over
-    that list: "is column c a pivot of F(k)?" is ``levels[c] >= k``, with
-    no row or dict entry per column.
+    |a| + b//m is computed once per tower, so column c is a pivot of F(k)
+    exactly when ``levels[c] >= k``, with no row or dict entry per column.
 
-    Otherwise F(k) is spanned by the generators times a basis of F(k-1)
-    (for k = 1, every monomial), formed on column indices from content-free
-    integer rows and integer-scaled generators.  When ell (m^ell in I) is
-    known, monomials of degree >= k*ell lie in I^k: they are seeded as
-    pivots and products are truncated there.
+    Otherwise F(k), k >= 1, is the span (``span``) of the generators times
+    a basis of F(k-1), formed on column indices from content-free integer
+    rows and integer-scaled generators.  When ell (m^ell in I) is known,
+    monomials of degree >= k*ell lie in I^k: they are seeded as pivots and
+    products are truncated there.
     """
 
     def __init__(self, gens: Sequence[Polynomial], order: int, ell: int | None = None,
@@ -329,31 +291,32 @@ class IdealPowerTower:
             return self.order
         return min(self.order, k * self.ell)
 
+    def pivot_rows(self, k: int):
+        """F(k)'s (pivot, row) pairs in ascending pivot order, with row None
+        for a pure pivot (a row that is its pivot entry alone), so a reader
+        can skip it without reading a row."""
+        if self.power is not None:
+            return zip(compress(count(), map(k.__le__, self._levels)), repeat(None))
+        if k == 0:
+            return zip(range(count_monomials_below(self.nvars, self.order)), repeat(None))
+        return ((c, None if len(row) == 1 else row)
+                for c, row in sorted(self.span(k).rows.items()))
+
     def span(self, k: int) -> SparseSpan:
+        """F(k) of a product tower, k >= 1."""
         if k in self._spans:
             return self._spans[k]
-        n, order = self.nvars, self.order
-        if self.power is not None:
-            span = LevelSpan(self._levels, k)
-        elif k == 0:
-            span = SparseSpan()
-            for c in range(count_monomials_below(n, order)):
-                span.add_pure_pivot(c)
-        else:
-            span = SparseSpan()
-            cover = self._cover(k)
-            for c in range(count_monomials_below(n, cover), count_monomials_below(n, order)):
-                span.add_pure_pivot(c)
-            if k == 1:
-                prev = [(c, {c: 1}) for c in range(count_monomials_below(n, order))]
-            else:
-                prev = sorted(self.span(k - 1).rows.items())
-            for terms in self._terms:
-                glow = min(mono_degree(t) for t, _ in terms)
-                below = count_monomials_below(n, max(cover - glow, 0))  # degree < cover - glow
-                for pivot, row in prev:  # a row's pivot has its lowest degree
-                    if pivot < below:
-                        span.add(jet_times(row, terms, n, order, cover))
+        n, order, cover = self.nvars, self.order, self._cover(k)
+        span = SparseSpan()
+        for c in range(count_monomials_below(n, cover), count_monomials_below(n, order)):
+            span.add_pure_pivot(c)
+        prev = [(c, row or {c: 1}) for c, row in self.pivot_rows(k - 1)]
+        for terms in self._terms:
+            glow = min(mono_degree(t) for t, _ in terms)
+            below = count_monomials_below(n, max(cover - glow, 0))  # degree < cover - glow
+            for pivot, row in prev:  # a row's pivot has its lowest degree
+                if pivot < below:
+                    span.add(jet_times(row, terms, n, order, cover))
         self._spans[k] = span
         return span
 
@@ -362,21 +325,23 @@ _ZERO = MappingProxyType({})  # the class of every pure pivot: one object, never
 
 
 class ScalarClassMap:
-    """Coordinates on the quotient R/(span) of the truncated polynomial ring.
+    """Coordinates on the quotient R/F of the truncated polynomial ring, F
+    given by its (pivot, row or None) pairs in ascending pivot order
+    (``IdealPowerTower.pivot_rows``).
 
     The quotient basis is the set of non-pivot monomials (ascending degree).
     ``classes`` is a list indexed by column: a non-pivot column's class is
-    {its quotient basis index: 1}, every pure pivot (a monomial of the span)
+    {its quotient basis index: 1}, every pure pivot (a monomial of F)
     shares the one read-only zero class with no row read for it, and only
     the rows with more than their pivot are reduced.  Every class is
     computed once, so reduce() maps a scalar jet row to its exact
     coordinate vector by summing column classes.
     """
 
-    def __init__(self, span: SparseSpan, nvars: int, order: int):
+    def __init__(self, pivot_rows: Iterable, nvars: int, order: int):
         classes: list = [None] * count_monomials_below(nvars, order)
         mixed = []
-        for pivot, row in span.pivot_rows():
+        for pivot, row in pivot_rows:
             classes[pivot] = _ZERO
             if row is not None:
                 mixed.append((pivot, row))

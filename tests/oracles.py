@@ -106,6 +106,12 @@ def module_membership(v: dict, basis: list[dict]) -> bool:
     return not normal_form(v, basis, [_lead(b) for b in basis])
 
 
+def pivot_rows(span: SparseSpan) -> list:
+    """The span's (pivot, row) pairs in ascending pivot order, row None for
+    a pure pivot: the form ``IdealPowerTower.pivot_rows`` hands out."""
+    return [(c, None if len(row) == 1 else row) for c, row in sorted(span.rows.items())]
+
+
 def polynomial_tower_spans(gens, order: int, ell, kmax: int) -> list[SparseSpan]:
     """Jet spans F(0..kmax) of the powers of the ideal (gens), built with
     Polynomial products: F(1) from monomial multiples of the generators,
@@ -180,7 +186,7 @@ def branch_higher_at(f, j: int, i: int, order: int) -> tuple[int, int]:
     (F_i/F_(i+1))^n -> (R/F_(i+1))^p."""
     b = f.branches[j]
     spans = polynomial_tower_spans(list(b.components), order, f.branch_ell(j), i + 1)
-    cmap = ScalarClassMap(spans[i + 1], b.n, order)
+    cmap = ScalarClassMap(pivot_rows(spans[i + 1]), b.n, order)
     reps, seen = [], SparseSpan()
     for _, row in sorted(spans[i].rows.items()):
         coords = cmap.reduce(row)

@@ -491,6 +491,20 @@ def test_exit_parse_error_fields_file_of_other_target(tmp_path, capsys):
     )
 
 
+def test_exit_parse_error_fields_file_without_fields(tmp_path, capsys):
+    # a fields file that parses but holds no fields block would check
+    # nothing; an explicitly empty block is still checked, and passes
+    cusp = "germ g { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
+    path = tmp_path / "bare.germ"
+    path.write_text(cusp + " }")
+    code, out, err = run(["check", str(path), "--fields", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: the file {str(path)!r} has no fields block\n"
+    path.write_text(cusp + " fields x { } }")
+    code, out, err = run(["check", str(path), "--fields", str(path)], capsys)
+    assert (code, out, err) == (0, "== check g ==\nchecked: []\n", "")
+
+
 def test_exit_parse_error_missing_document(capsys):
     code, _, err = run(["analyze", "no-such-entry"], capsys)
     assert code == 3
@@ -821,14 +835,23 @@ def test_analyze_reads_each_branch_once(capsys, monkeypatch):
 
 def test_no_jet_object_is_built_twice_in_one_command(capsys, monkeypatch):
     # analyze, kernel --level 2, construct and unfold on the catalog, in
-    # process: within one command each class map is built once per span,
-    # each ideal-power tower once per (generators, order) and each level
-    # model once per (germ, level)
-    spans, towers, models, building = [], [], [], []
+    # process: within one command each class map is built once per (tower,
+    # power), each ideal-power tower once per (generators, order) and each
+    # level model once per (germ, level)
+    powers, towers, models, building = [], [], [], []
     cmap_init = modules.ScalarClassMap.__init__
     tower_init = modules.IdealPowerTower.__init__
+    pivot_rows = modules.IdealPowerTower.pivot_rows
     model_init = ksmaps.KSMapModel.__init__
     ks_matrix = ksmaps.ks_matrix
+
+    class Rows(list):  # F(k)'s pivot rows, known by the (tower, k) they were read from
+        pass
+
+    def pivot_rows_of(tower, k):
+        rows = Rows(pivot_rows(tower, k))
+        rows.read = (tower, k)
+        return rows
 
     def ks_matrix_of(f, i):
         building.append(f)
@@ -837,8 +860,9 @@ def test_no_jet_object_is_built_twice_in_one_command(capsys, monkeypatch):
         finally:
             building.pop()
 
-    monkeypatch.setattr(modules.ScalarClassMap, "__init__", lambda self, span, *a:
-                        spans.append(span) or cmap_init(self, span, *a))
+    monkeypatch.setattr(modules.IdealPowerTower, "pivot_rows", pivot_rows_of)
+    monkeypatch.setattr(modules.ScalarClassMap, "__init__", lambda self, rows, *a:
+                        powers.append(rows.read) or cmap_init(self, rows, *a))
     monkeypatch.setattr(modules.IdealPowerTower, "__init__", lambda self, gens, order, **k:
                         towers.append((tuple(gens), order)) or tower_init(self, gens, order, **k))
     monkeypatch.setattr(ksmaps.KSMapModel, "__init__", lambda self, i, *a:
@@ -852,10 +876,10 @@ def test_no_jet_object_is_built_twice_in_one_command(capsys, monkeypatch):
     for argv in argvs:
         if argv == ["construct", "rieger-ruas"]:
             argv = argv + ["--max-degree", "4"]
-        del spans[:], towers[:], models[:]
+        del powers[:], towers[:], models[:]
         run(argv, capsys)
-        assert len({id(span) for span in spans}) == len(spans), argv
+        assert len({(id(tower), k) for tower, k in powers}) == len(powers), argv
         assert len(set(towers)) == len(towers), argv
         assert len({(id(f), i) for f, i in models}) == len(models), argv
-        seen += len(spans) + len(towers) + len(models)
+        seen += len(powers) + len(towers) + len(models)
     assert seen

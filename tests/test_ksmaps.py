@@ -380,19 +380,23 @@ def test_coordinate_towers_build_no_products_and_skip_zero_multipliers(monkeypat
     assert products
 
 
-def test_level_models_read_no_pure_pivot_row(monkeypatch):
+def test_level_models_build_no_span_on_closed_form_towers(monkeypatch):
     # on coordinate towers the class maps, the F(i) candidates and the
-    # brute-force higher invariants skip pure pivots: no row is built for one
-    reads = []
-    getitem = modules.PurePivots.__getitem__
-    monkeypatch.setattr(modules.PurePivots, "__getitem__",
-                        lambda self, c: reads.append(c) or getitem(self, c))
+    # brute-force higher invariants read F(k) off the level list: no product
+    # span is built for a tower whose power is known
+    spans = []
+    span = IdealPowerTower.span
+    monkeypatch.setattr(IdealPowerTower, "span",
+                        lambda self, k: spans.append((self.power, k)) or span(self, k))
     f = germ("rieger-ruas")
     for i in range(4):
         ks_matrix(f, i)
         assert higher_invariants(f, i, "both")
     assert all(f.branch_tower(j, truncation_order(f, 3)).power for j in range(f.num_branches))
-    assert reads == []
+    assert spans == []
+    _force_product_towers(monkeypatch)  # the spy sees the product path
+    ks_matrix(germ("morin-2"), 1)
+    assert spans and all(power is None for power, _ in spans)
 
 
 def test_level_model_memory_holds_nothing_per_column():

@@ -9,8 +9,6 @@ from hypothesis import assume, example, given, settings
 
 from liftfields.modules import (
     IdealPowerTower,
-    LevelSpan,
-    PurePivots,
     ScalarClassMap,
     _lead,
     column,
@@ -27,8 +25,8 @@ from liftfields.poly import Polynomial, count_monomials_below, grevlex_key, mono
 
 from conftest import poly
 from oracles import (ModElement, grevlex_enumeration, module_element, module_membership,
-                     polynomial_module_jet_span, polynomial_tower_spans, reference_groebner_basis,
-                     reference_syzygy_basis)
+                     pivot_rows, polynomial_module_jet_span, polynomial_tower_spans,
+                     reference_groebner_basis, reference_syzygy_basis)
 
 XY = ("x", "y")
 
@@ -199,9 +197,9 @@ def test_ideal_power_tower_fold():
     # ideal (x, y^2) in two variables: codimension of the k-th power grows
     order = 8
     tower = IdealPowerTower([_p("x"), _p("y^2")], order)
-    cmap0 = ScalarClassMap(tower.span(1), 2, order)
+    cmap0 = ScalarClassMap(tower.pivot_rows(1), 2, order)
     assert cmap0.dim == 2  # classes of 1 and y
-    cmap1 = ScalarClassMap(tower.span(2), 2, order)
+    cmap1 = ScalarClassMap(tower.pivot_rows(2), 2, order)
     assert cmap1.dim == 6  # classes of 1, y, x, x*y, y^2, y^3
 
 
@@ -210,14 +208,14 @@ def test_ideal_power_tower_quotient_dims():
     order = 8
     tower = IdealPowerTower([_p("x"), _p("y")], order)
     for k in range(1, 4):
-        cmap = ScalarClassMap(tower.span(k), 2, order)
+        cmap = ScalarClassMap(tower.pivot_rows(k), 2, order)
         assert cmap.dim == comb(k + 1, 2)
 
 
 def test_scalar_class_map_reduce_linear():
     order = 6
     tower = IdealPowerTower([_p("x"), _p("y")], order)
-    cmap = ScalarClassMap(tower.span(2), 2, order)
+    cmap = ScalarClassMap(tower.pivot_rows(2), 2, order)
     a = cmap.reduce(vector_to_row([_p("1 + x + x^2")], 1, order))
     b = cmap.reduce(vector_to_row([_p("1 + x")], 1, order))
     # x^2 lies in the span, so both reduce to the same class
@@ -225,10 +223,9 @@ def test_scalar_class_map_reduce_linear():
 
 
 def test_tower_spans_match_polynomial_products(catalog_docs):
-    # column-space products give the echelon rows of the Polynomial
-    # construction, with the Nakayama cut at the level-model orders of
-    # levels 0..2 and without it (a coordinate tower's rows are a view,
-    # materialized for the comparison)
+    # a coordinate tower's pivots, all pure, and the column-space products'
+    # rows are the echelon rows of the Polynomial construction, with the
+    # Nakayama cut at the level-model orders of levels 0..2 and without it
     for name, doc in catalog_docs.items():
         f = doc.to_multigerm()
         f = reduce_to_core(f) if f.n > f.p else f
@@ -241,11 +238,13 @@ def test_tower_spans_match_polynomial_products(catalog_docs):
                 tower = f.branch_tower(j, order)
                 assert tower.power is not None, (name, j)  # every branch is coordinate
                 for k, span in enumerate(want):
-                    assert dict(tower.span(k).rows) == span.rows, (name, j, order, k)
+                    got = list(tower.pivot_rows(k))
+                    assert got == pivot_rows(span), (name, j, order, k)
+                    assert all(row is None for _, row in got), (name, j, order, k)
             want = polynomial_tower_spans(gens, ell + 2, None, 2)
             tower = IdealPowerTower(gens, ell + 2)
             for k, span in enumerate(want):
-                assert dict(tower.span(k).rows) == span.rows, (name, j, k)
+                assert list(tower.pivot_rows(k)) == pivot_rows(span), (name, j, k)
 
 
 _COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
@@ -291,7 +290,9 @@ def test_closed_form_tower_matches_polynomial_products(case, order, perm):
         tower = IdealPowerTower(gens, order, ell, power)
         assert tower.power == power
         for k, span in enumerate(polynomial_tower_spans(gens, order, ell, 3)):
-            assert dict(tower.span(k).rows) == span.rows, (k, ell)
+            got = list(tower.pivot_rows(k))
+            assert got == pivot_rows(span), (k, ell)
+            assert power is None or all(row is None for _, row in got), (k, ell)
 
 
 def test_coordinate_form_detection():
@@ -320,32 +321,21 @@ def test_coordinate_tower_reads_powers_off_the_exponents():
     tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], 8, 3, (1, 3))
     for k in range(4):
         want = {c for c, (a, b) in enumerate(monomials_below(2, 8)) if a + b // 3 >= k}
-        assert dict(tower.span(k).rows) == {c: {c: 1} for c in want}
+        assert list(tower.pivot_rows(k)) == [(c, None) for c in sorted(want)]
 
 
 def test_coordinate_span_holds_no_row_per_column():
-    # F(k) answers pivot questions from the tower's level list, builds a row
-    # only when one is read, and its class map gives every pure pivot the
-    # one shared zero class
+    # F(k) is read off the tower's level list with no row per pivot, and its
+    # class map gives every pure pivot the one shared zero class
     order, k = 8, 2
     tower = IdealPowerTower([_p("2*x"), _p("x*y + y^3 - 1/2*y^4")], order, 3, (1, 3))
-    span = tower.span(k)
-    assert isinstance(span, LevelSpan) and isinstance(span.rows, PurePivots)
-    assert tower.span(k) is span and span.rows.levels is tower.span(k + 1).rows.levels
     monos = monomials_below(2, order)
     want = [c for c, (a, b) in enumerate(monos) if a + b // 3 >= k]
-    assert list(span.rows) == want and span.dim == len(span.rows) == len(want)
-    assert list(span.pivot_rows()) == [(c, None) for c in want]
-    for c in (-1, 0, want[0] - 1, len(monos)):
-        assert c not in span.rows
-        with pytest.raises(KeyError):
-            span.rows[c]
-    assert all(span.rows[c] == {c: 1} for c in want)
-    assert span.contains({want[0]: 3, want[-1]: -1}) and not span.contains({0: 1})
-    cmap = ScalarClassMap(span, 2, order)
+    assert list(tower.pivot_rows(k)) == [(c, None) for c in want]
+    cmap = ScalarClassMap(tower.pivot_rows(k), 2, order)
     zero = cmap.classes[want[0]]
     assert not zero and all(cmap.classes[c] is zero for c in want)
-    quotient = [c for c in range(len(monos)) if c not in span.rows]
+    quotient = sorted(set(range(len(monos))) - set(want))
     assert cmap.dim == len(quotient) == comb(k + 1, 2) * 3
     assert [cmap.classes[c] for c in quotient] == [{q: 1} for q in range(cmap.dim)]
     with pytest.raises(TypeError):
@@ -358,11 +348,11 @@ def test_class_map_reduces_only_rows_beyond_their_pivot():
     order = 6
     tower = IdealPowerTower([_p("x + y^2"), _p("y^3")], order)
     span = tower.span(2)
-    assert tower.power is None and not isinstance(span, LevelSpan)
-    cmap = ScalarClassMap(span, 2, order)
+    assert tower.power is None
+    cmap = ScalarClassMap(tower.pivot_rows(2), 2, order)
     pure = [c for c, row in span.rows.items() if len(row) == 1]
     assert pure and all(cmap.classes[c] is cmap.classes[pure[0]] for c in pure)
-    assert [c for c, row in span.pivot_rows() if row is None] == sorted(pure)
+    assert [c for c, row in tower.pivot_rows(2) if row is None] == sorted(pure)
     for pivot, row in span.rows.items():  # a pivot's class is its row's own
         want: dict = {}
         for col, v in row.items():
