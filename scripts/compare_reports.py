@@ -11,7 +11,8 @@ trees, each in a fresh interpreter that calls ``liftfields.cli.main`` with
 the command's arguments and ``--json`` (the tree's ``src`` on the path).  The JSON report (with every
 ``timings`` member dropped), the exit code and stderr must be the same
 byte for byte.  So must the stdout, stderr and exit code of ``--help``, at
-top level and for each subcommand, and of an unknown subcommand.  Every
+top level and for each subcommand, of an unknown subcommand, and of the
+usage errors and argv shapes in ``HELP`` that only argparse reads.  Every
 germ the workloads generate has a coordinate component on each branch, so
 ``analyze``, ``kernel --level 2`` and ``construct`` also run on two fixed
 germs with none (``PRODUCT_TOWER_GERMS``), whose ideal powers are built as
@@ -36,7 +37,13 @@ import tempfile
 RUN = "import sys; from liftfields.cli import main; sys.exit(main(sys.argv[1:]))"
 SUBCOMMANDS = ("analyze", "kernel", "construct", "unfold", "check", "transport", "reduce",
                "catalog")
-HELP = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), ["no-such-command"]]
+# argv that argparse alone parses: help, usage errors (exit 2), and shapes
+# the CLI's table reader leaves to it, such as an abbreviation and --opt=value
+HELP = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), ["no-such-command"],
+        ["kernel", "e0", "--level", "-2"], ["kernel", "e0", "--level", "abc"],
+        ["check", "e0", "--max-i", "3"], ["check", "e0", "--fields", "--json"],
+        ["analyze", "e0", "--mode", "nope"], ["catalog", "--max-i", "2"],
+        ["construct", "e0", "--max-d", "5"], ["analyze", "e0", "--max-i=3"], ["kernel", "e0"]]
 # no component is a bare source variable, so no branch tower is in closed form
 PRODUCT_TOWER_GERMS = {
     "scaled-coordinate": "germ scaled_coordinate { n = 2; p = 3; target (X, Y, Z);"

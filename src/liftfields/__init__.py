@@ -2,10 +2,10 @@
 
 Every layer module is registered here but compiled on first use
 (``importlib.util.LazyLoader``): each CLI command runs in a fresh interpreter
-with no bytecode cache, where compiling is about three quarters of the time
-from a ready interpreter to the loaded document, and no command runs every
-layer.  The public names resolve through their owning layer on first access
-(PEP 562), so importing the package compiles nothing.  A layer refers to
+with no bytecode cache, where compiling is about half the time from a ready
+interpreter to the loaded document, and no command runs every layer.  The
+public names resolve through their owning layer on first access (PEP 562),
+so importing the package compiles nothing.  A layer refers to
 another through the module object (``from . import linalg``, then
 ``linalg.FactoredSpan`` at the call site) when it can run without it.
 

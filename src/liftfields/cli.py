@@ -34,12 +34,11 @@ from the environment.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from importlib import import_module
 
-from . import catalog, division, lift, report, unfoldings
+from . import catalog, division, lift, unfoldings
 from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
                     NotLiftableError, ResourceCapError)
 from .parser import ParseError, PowerTooLargeError, parse
@@ -53,8 +52,8 @@ EXIT_INCONSISTENT = 4
 
 # perfbench/child.py wraps these three cli attributes to capture the
 # certificates a command produced; they go once it hooks the lift layer
-# itself (ROADMAP item 1).  solve_lift forwards to division, so check and
-# reduce do not compile lift.
+# itself (ROADMAP item 3, PR B).  solve_lift forwards to division, so check
+# and reduce do not compile lift.
 def complete_generators(*args, **kwargs):
     return lift.complete_generators(*args, **kwargs)
 
@@ -73,12 +72,21 @@ def _resolve(ref: str) -> str:
     return ref if os.path.isabs(ref) or not workdir else os.path.join(workdir, ref)
 
 
+def _parse_file(path: str, ref: str):
+    """The document in the file at ``path``, which ``ref`` names."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"the file {ref!r} is not UTF-8 text: {exc}") from None
+    return parse(text)
+
+
 def _load_document(ref: str):
     """Resolve a document reference: file path first, then catalog name."""
     path = _resolve(ref)
     if os.path.isfile(path):
-        with open(path, encoding="utf-8") as fh:
-            return parse(fh.read())
+        return _parse_file(path, ref)
     if ref in catalog.names():
         return catalog.load(ref)
     raise InputError(f"no such document file or catalog entry: {ref!r}")
@@ -93,33 +101,26 @@ def _core_germ(doc):
     return f, False
 
 
-def _emit(rep: report.AnalysisReport, as_json: bool) -> None:
-    if as_json:
-        doc = rep.to_json()
-        report.validate_report(doc)
-        sys.stdout.write(rep.to_json_text(doc))
-    else:
-        sys.stdout.write(rep.to_text())
-
-
 def _natural(text: str, least: int = 0) -> int:
-    """argparse type of a level or level cap: an integer >= least."""
+    """Type of a level or level cap: an integer >= least, or a ValueError
+    that says why not."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < least:
         kind = "positive" if least == 1 else "non-negative"
-        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        raise ValueError(f"must be a {kind} integer, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    """argparse type of a jet order or degree bound: an integer >= 1."""
+    """Type of a jet order or degree bound: an integer >= 1."""
     return _natural(text, 1)
 
 
-# every option a subcommand can take, as argparse keywords
+# every option a subcommand can take, as argparse keywords (``usage`` wraps
+# each type for argparse)
 _OPTIONS = {
     "--max-i": {"type": _natural, "default": 6, "help": "level scan cap (default 6)"},
     "--mode": {"choices": ["formula", "bruteforce", "both"], "default": "both",
@@ -150,56 +151,69 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command, alone: bool) -> tuple[argparse.ArgumentParser, dict]:
-    """The parser for one run and its subparsers by name: only ``command``
-    gets its arguments, since a run parses no other, and an option left
-    out is not set (``main`` fills in its default).  If ``alone``, its
-    subparser is the only one added (the usage still names every
-    subcommand); otherwise, as for top-level help, every subcommand is
-    listed with its help."""
-    top = argparse.ArgumentParser(prog="liftfields", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True,
-                             metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
-    for name, (help_text, flags) in _COMMANDS.items():
-        if alone and name != command:
-            continue
-        sp = sub.add_parser(name, help=help_text)
-        if name != command:
-            continue
-        if name != "catalog":
-            sp.add_argument("document", help="path to a .germ file or catalog name")
-        for flag in flags:
-            sp.add_argument(flag, **{**_OPTIONS[flag], "default": argparse.SUPPRESS})
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-    return top, sub.choices
+def _dest(flag: str) -> str:
+    """An option's argparse name: --max-i is max_i."""
+    return flag[2:].replace("-", "_")
+
+
+def _unread_by_catalog(command: str, given: dict) -> bool:
+    """Whether catalog is given --max-i or --mode (its options besides
+    --run-all) without --run-all, the one option that reads them."""
+    return command == "catalog" and "run_all" not in given and bool(given)
+
+
+def _read(argv: list):
+    """(command, document, as_json, the options given by argparse name) of an
+    argv the option table decides alone: the subcommand first, then
+    ``--json``, at most one document and the subcommand's own flags by their
+    full names, each but ``--run-all`` followed by a valid value that does
+    not start with ``-``.  None for any other argv (help, a usage error, an
+    abbreviation, ``--opt=value``, ``--``), which ``usage`` hands to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, args = argv[0], iter(argv[1:])
+    flags = _COMMANDS[command][1]
+    document, as_json, given = None, False, {}
+    for arg in args:
+        if arg == "--json":
+            as_json = True
+        elif arg not in flags:
+            if arg.startswith("-") or document is not None or command == "catalog":
+                return None
+            document = arg
+        elif arg == "--run-all":  # a switch: no value
+            given["run_all"] = True
+        else:
+            spec, text = _OPTIONS[arg], next(args, "-")
+            try:
+                value = spec.get("type", str)(text)
+            except ValueError:  # argparse gives the refusal
+                return None
+            if text.startswith("-") or value not in spec.get("choices", [value]):
+                return None
+            given[_dest(arg)] = value
+    if document is None and command != "catalog" or _unread_by_catalog(command, given) or any(
+            _OPTIONS[flag].get("required") and _dest(flag) not in given for flag in flags):
+        return None
+    return command, document, as_json, given
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value, so the subcommand
-    # is the first argument that is not an option; when it comes first, no
-    # top-level option (such as --help) is given
-    command = next((a for a in argv if not a.startswith("-")), None)
-    alone = command in _COMMANDS and argv[0] == command
-    top, subparsers = _build_parser(command, alone)
-    args, extra = top.parse_known_args(argv)
-    sp = subparsers[args.command]
-    if extra:  # after the subcommand, its own usage names the options it takes
-        (sp if alone else top).error(f"unrecognized arguments: {' '.join(extra)}")
-    given = vars(args)  # command, json and the options given (none has a default)
-    if args.command == "catalog" and "run_all" not in given and given.keys() & {"max_i", "mode"}:
-        sp.error("--max-i and --mode are read only with --run-all")
-    options = {}
-    for flag in _COMMANDS[args.command][1]:
-        dest = flag[2:].replace("-", "_")  # --max-i: max_i
-        options[dest] = given.get(dest, _OPTIONS[flag].get("default"))
-    run = import_module(f"{__package__}.commands.{args.command}").run
+    parsed = _read(argv)
+    if parsed is None:  # help, a usage error, or a shape only argparse reads
+        from .usage import parse
+        parsed = parse(argv)
+    command, document, as_json, given = parsed
+    options = {_dest(flag): given.get(_dest(flag), _OPTIONS[flag].get("default"))
+               for flag in _COMMANDS[command][1]}
+    run = import_module(f"{__package__}.commands.{command}").run
     try:
-        if args.command == "catalog":
-            return run(as_json=args.json, **options)
-        rep = run(_load_document(args.document), **options)
+        if command == "catalog":
+            return run(as_json=as_json, **options)
+        rep = run(_load_document(document), **options)
         rep.config = options
-        _emit(rep, args.json)
+        rep.write(as_json)
         return EXIT_OK
     except (ResourceCapError, PowerTooLargeError) as exc:
         sys.stderr.write(f"cap reached: {exc}\n")

@@ -5,7 +5,6 @@ import time
 
 from .. import cli
 from ..germs import InputError
-from ..parser import parse
 from ..report import AnalysisReport, cert_tag, render_field
 
 
@@ -15,8 +14,7 @@ def run(doc, fields: str, cert_order: int) -> AnalysisReport:
     if fields in doc.fields:
         blocks = [doc.fields[fields]]
     elif os.path.isfile(path):
-        with open(path, encoding="utf-8") as fh:
-            blocks = list(parse(fh.read()).fields.values())
+        blocks = list(cli._parse_file(path, fields).fields.values())
         if not blocks:
             raise InputError(f"the file {fields!r} has no fields block")
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
@@ -143,6 +144,16 @@ class AnalysisReport:
 
     def to_text(self) -> str:
         return plaintext.report_text(self)
+
+    def write(self, as_json: bool) -> None:
+        """Write the report to stdout, as JSON that is checked against the
+        shipped schema first, or as text."""
+        if as_json:
+            doc = self.to_json()
+            validate_report(doc)
+            sys.stdout.write(self.to_json_text(doc))
+        else:
+            sys.stdout.write(self.to_text())
 
 
 def load_schema() -> dict:

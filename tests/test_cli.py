@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 import liftfields
-from liftfields import catalog, cli, germs, ksmaps, modules
+from liftfields import catalog, cli, germs, ksmaps, modules, usage
 from liftfields.germs import ConsistencyError
 from liftfields.parser import parse_polynomial
 from liftfields.report import AnalysisReport, load_schema, validate_report
@@ -151,18 +153,21 @@ def test_each_command_compiles_only_what_it_runs(argv, ceiling):
 
 
 def test_start_up_imports_no_resource_or_typing_machinery():
-    # the catalog and the report schema are read by path, and no module
-    # imports typing at run time; -S keeps site's own imports out
+    # the catalog and the report schema are read by path, no module imports
+    # typing at run time, and an argv the option table reads alone imports
+    # no argparse (nor its gettext and locale); -S keeps site's own imports out
     out = _fresh_interpreter(
         "import sys\n"
         "from liftfields import cli\n"
         "codes = [cli.main(argv + ['--json']) for argv in\n"
-        "         (['analyze', 'e0'], ['check', 'e0'], ['unfold', 'fold-line'])]\n"
-        "mods = ('importlib.resources', 'pathlib', 'zipfile', 'tempfile', 'typing')\n"
+        "         (['analyze', 'e0'], ['check', 'e0'], ['unfold', 'fold-line'], ['catalog'],\n"
+        "          ['kernel', 'e0', '--level', '1'])]\n"
+        "mods = ('importlib.resources', 'pathlib', 'zipfile', 'tempfile', 'typing', 'argparse',\n"
+        "        'gettext', 'locale')\n"
         "print('\\n', *codes, *(mod for mod in mods if mod in sys.modules))\n",
         "-S",
     )
-    assert out.splitlines()[-1].split() == ["0", "0", "0"]
+    assert out.splitlines()[-1].split() == ["0", "0", "0", "0", "0"]
 
 
 def test_public_names_resolve_to_their_layers():
@@ -277,6 +282,59 @@ def test_subcommand_help_lists_its_options(command, capsys):
     options = {tok.strip(",[]") for tok in out.split() if tok.startswith(("-", "[-"))}
     assert options == set(SHARED_OPTIONS + OWN_OPTIONS[command])
     assert ("positional arguments:\n  document" in out) == (command != "catalog")
+
+
+def test_table_reader_reads_plain_argv_and_leaves_the_rest():
+    assert cli._read(["kernel", "--level", "2", "e0", "--json"]) == (
+        "kernel", "e0", True, {"level": 2})
+    assert cli._read(["catalog", "--run-all", "--mode", "formula"]) == (
+        "catalog", None, False, {"run_all": True, "mode": "formula"})
+    assert cli._read(["check", "e0", "--fields", "x y", "--fields", "pre"]) == (
+        "check", "e0", False, {"fields": "pre"})
+    for argv in (["--json", "analyze", "e0"], ["analyze", "e0", "-h"], ["analyze", "e0", "e1"],
+                 ["analyze", "e0", "--max-i=3"], ["construct", "e0", "--max-d", "5"],
+                 ["kernel", "e0"], ["kernel", "e0", "--level", "-2"], ["kernel", "e0", "--level"],
+                 ["analyze", "e0", "--mode", "nope"], ["check", "e0", "--fields", "--json"],
+                 ["check", "e0", "--max-i", "3"], ["catalog", "--max-i", "2"], ["catalog", "e0"],
+                 ["analyze", "--", "e0"], ["analyze", "-"], ["analyze"], []):
+        assert cli._read(argv) is None, argv
+
+
+# argv drawn from every subcommand's flags and values, with help, "--", "-",
+# "=" forms and abbreviations, in pieces of one or two arguments; the
+# subcommand's own flags are drawn more often, with one of the first four
+# values (each taken by some flag), so the table reads many
+ARGV_VALUES = ["1", "3", "both", "x y", "0", "-1", "-2", "abc", "", " 3", "1_0", "formula",
+               "nope", "reference", "e0", "-x y", "--json"]
+ARGV_PIECES = [[arg] for arg in [*cli._COMMANDS, *cli._OPTIONS, "--json", "-h", "--help", "--",
+                                 "-", "--max-i=3", "--mode=formula", "--level=2", "--max-d",
+                                 "--js", "--run", "--lev", "--cert", *ARGV_VALUES]]
+ARGV_PIECES += [[flag, value] for flag in cli._OPTIONS for value in ARGV_VALUES]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    own = [[flag, value] for flag in cli._COMMANDS[command][1] for value in ARGV_VALUES[:4]]
+    plain = st.sampled_from(own + [["--json"], ["--run-all"], ["e0"], ["--mode", "formula"]])
+    other = st.sampled_from(ARGV_PIECES) | st.text(max_size=3).map(lambda arg: [arg])
+    heads = [[command, "e0"]] * 3 + [[command]] * 2 + [[], ["--json", command]]
+    head = draw(st.sampled_from(heads))
+    pieces = draw(st.lists(st.one_of(plain, plain, plain, plain, other), max_size=4))
+    return head + [arg for piece in pieces for arg in piece]
+
+
+@given(argvs())
+@settings(max_examples=1000, deadline=None)
+def test_table_reader_agrees_with_argparse(argv):
+    # whenever the option table reads an argv alone, argparse gives the same
+    # command, document, --json flag and options
+    read = cli._read(argv)
+    if read is not None:
+        try:
+            assert usage.parse(argv) == read
+        except SystemExit as exc:
+            raise AssertionError(f"argparse refuses {argv}: exit {exc.code}") from None
 
 
 @pytest.mark.parametrize("argv", [
@@ -503,6 +561,18 @@ def test_exit_parse_error_fields_file_without_fields(tmp_path, capsys):
     path.write_text(cusp + " fields x { } }")
     code, out, err = run(["check", str(path), "--fields", str(path)], capsys)
     assert (code, out, err) == (0, "== check g ==\nchecked: []\n", "")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{path}"], ["check", "e0", "--fields", "{path}"]],
+                         ids=["document", "fields-file"])
+def test_exit_parse_error_file_not_utf8(tmp_path, capsys, argv):
+    # an undecodable file is an input error that names the file, not a fault
+    path = tmp_path / "latin1.germ"
+    path.write_bytes(b"germ g { n = 1; p = 2; branch a(y) = (y^2, y^3); } # \xff\n")
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"error: the file {str(path)!r} is not UTF-8 text: 'utf-8' codec can't decode"
+                   " byte 0xff in position 53: invalid start byte\n")
 
 
 def test_exit_parse_error_missing_document(capsys):

@@ -10,15 +10,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_compare_reports_tree_against_itself():
     # the benchmark's smoke command of each workload, seed 1, the six runs on
-    # the two fixed product-tower germs, and the ten help and
-    # unknown-subcommand runs, in this tree twice
+    # the two fixed product-tower germs, and the nineteen help,
+    # unknown-subcommand and argparse-only runs, in this tree twice
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "compare_reports.py"), ROOT, ROOT,
          "--seeds", "1", "--smoke"],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "19 commands, 0 differ"
+    assert proc.stdout.splitlines()[-1] == "28 commands, 0 differ"
 
 
 def test_compare_reports_one_workload_over_a_seed_range():
