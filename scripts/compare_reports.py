@@ -8,9 +8,10 @@ Usage, from the repository root::
 
 Every command of ``perfbench/workloads.py`` (taken from TREE_A) runs in both
 trees, each in a fresh interpreter that calls ``liftfields.cli.main`` with
-the command's arguments and ``--json`` (the tree's ``src`` on the path).  The JSON report (with every
-``timings`` member dropped), the exit code and stderr must be the same
-byte for byte.  So must the stdout, stderr and exit code of ``--help``, at
+the command's arguments (the tree's ``src`` on the path), once with
+``--json`` and once without.  The JSON report (with every ``timings``
+member dropped), the text report, the exit code and stderr must be the
+same byte for byte.  So must the stdout, stderr and exit code of ``--help``, at
 top level and for each subcommand, of an unknown subcommand, and of the
 usage errors and argv shapes in ``HELP`` that only argparse reads.  Every
 germ the workloads generate has a coordinate component on each branch, so
@@ -84,9 +85,10 @@ def seed_list(text: str) -> list[int]:
 
 def commands(tree: str, seeds: list[int], smoke: bool, workdir: str, workload=None):
     """(workload, seed, argv) of every command of the workload (all of them
-    when None), with ``--json`` appended and germs written under workdir,
-    then, for all workloads, ("product-tower", None, argv) of every run on
-    the fixed germs and ("help", None, argv) of every help run."""
+    when None), with ``--json`` appended and then as given, and germs
+    written under workdir, then, for all workloads, ("product-tower", None,
+    argv) of every run on the fixed germs, in both forms, and ("help", None,
+    argv) of every help run."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as wl
 
@@ -99,15 +101,15 @@ def commands(tree: str, seeds: list[int], smoke: bool, workdir: str, workload=No
             os.makedirs(sub, exist_ok=True)
             for cmd in wl.build(name, seed, sub):
                 if not smoke or wl.SMOKE[name](cmd):
-                    out.append((name, seed, [*cmd.argv, "--json"]))
+                    out += [(name, seed, [*cmd.argv, "--json"]), (name, seed, cmd.argv)]
     if workload is not None:
         return out
     for name, text in PRODUCT_TOWER_GERMS.items():
         path = os.path.join(workdir, f"{name}.germ")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        out += [("product-tower", None, [cmd, path, *opts, "--json"])
-                for cmd, *opts in PRODUCT_TOWER_RUNS]
+        out += [("product-tower", None, [cmd, path, *opts, *json])
+                for cmd, *opts in PRODUCT_TOWER_RUNS for json in (["--json"], [])]
     return out + [("help", None, argv) for argv in HELP]
 
 

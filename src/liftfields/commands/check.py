@@ -1,7 +1,6 @@
 """``check``: re-verify claimed liftable fields, a named block or a document file."""
 
 import os
-import time
 
 from .. import cli
 from ..germs import InputError
@@ -28,16 +27,15 @@ def run(doc, fields: str, cert_order: int) -> AnalysisReport:
             where = "unfolding's" if block.over_unfolding else "germ's"
             raise InputError(f"fields block {block.name!r} in {fields!r} has fields of length"
                              f" {min(lengths)}, but the {where} target has {want} coordinates")
-    checked = []
-    t0 = time.perf_counter()
-    for block in blocks:
-        if block.over_unfolding and F is None:
-            raise InputError(f"fields block {block.name!r} is over an unfolding but the"
-                             " document has none")
-        target = F if block.over_unfolding else f
-        for vf in block.fields:
-            cert = cli.solve_lift(target, vf, cert_order)
-            checked.append(f"{block.name}: {render_field(vf, target.target_vars)} {cert_tag(cert)}")
-    rep.timings["check"] = time.perf_counter() - t0
-    rep.extra["checked"] = checked
+    checked = rep.extra["checked"] = []
+    with rep.timed("check"):
+        for block in blocks:
+            if block.over_unfolding and F is None:
+                raise InputError(f"fields block {block.name!r} is over an unfolding but the"
+                                 " document has none")
+            target = F if block.over_unfolding else f
+            for vf in block.fields:
+                cert = cli.solve_lift(target, vf, cert_order)
+                checked.append(f"{block.name}: {render_field(vf, target.target_vars)}"
+                               f" {cert_tag(cert.exact, cert.order)}")
     return rep

@@ -1,7 +1,5 @@
 """``construct``: generating set of the liftable module by kernel completion."""
 
-import time
-
 from .. import cli, ksmaps
 from ..germs import ResourceCapError
 from ..report import AnalysisReport
@@ -12,11 +10,10 @@ def run(doc, max_i: int, max_degree: int | None) -> AnalysisReport:
     f, reduced = cli._core_germ(doc)
     if reduced:
         rep.extra["reduced_to_core"] = True
-    t0 = time.perf_counter()
-    rep.ks = ksmaps.locate_i1_i2(f, cap=max_i)
-    if rep.ks.i1 == "infinity up to cap":
-        raise ResourceCapError(f"no surjective level found up to the cap {max_i}")
-    rep.lift = cli.complete_generators(f, cap=max_i, max_extra_degree=max_degree)
+    with rep.timed("construct"):
+        rep.ks = ksmaps.locate_i1_i2(f, cap=max_i)
+        if rep.ks.i1 == "infinity up to cap":
+            raise ResourceCapError(f"no surjective level found up to the cap {max_i}")
+        rep.lift = cli.complete_generators(f, cap=max_i, max_extra_degree=max_degree)
     rep.lift_target_vars = f.target_vars
-    rep.timings["construct"] = time.perf_counter() - t0
     return rep

@@ -1,7 +1,5 @@
 """``transport``: push a fields block through the document's diffeomorphism."""
 
-import time
-
 from .. import lift
 from ..germs import InputError
 from ..report import AnalysisReport, render_field
@@ -12,8 +10,7 @@ def run(doc, fields: str, cert_order: int) -> AnalysisReport:
     H, H_inv = doc.diffeo_pair()
     if fields not in doc.fields:
         raise InputError(f"no fields block named {fields!r}")
-    t0 = time.perf_counter()
-    pushed = lift.transport(doc.fields[fields].fields, H, H_inv, cert_order)
-    rep.timings["transport"] = time.perf_counter() - t0
+    with rep.timed("transport"):
+        pushed = lift.transport(doc.fields[fields].fields, H, H_inv, cert_order)
     rep.extra["transported"] = [render_field(vf, doc.target_vars) for vf in pushed]
     return rep

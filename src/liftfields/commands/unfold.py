@@ -1,7 +1,5 @@
 """``unfold``: generating set by restriction from the document's stable unfolding."""
 
-import time
-
 from .. import cli, ksmaps
 from ..germs import HypothesisError
 from ..report import AnalysisReport
@@ -16,8 +14,7 @@ def run(doc, cert_order: int) -> AnalysisReport:
     block = doc.fields.get("liftF")
     if block is not None and block.over_unfolding:
         lift_F = block.fields
-    t0 = time.perf_counter()
-    rep.lift = cli.restrict_from_unfolding(spec, lift_F=lift_F, cert_order=cert_order)
+    with rep.timed("unfold"):
+        rep.lift = cli.restrict_from_unfolding(spec, lift_F=lift_F, cert_order=cert_order)
     rep.lift_target_vars = doc.target_vars
-    rep.timings["unfold"] = time.perf_counter() - t0
     return rep

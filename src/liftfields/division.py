@@ -14,9 +14,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import lcm
 
-from . import germs, modules
+from . import modules
 from .germs import MultiGerm, NotLiftableError
-from .poly import Polynomial, count_monomials_below, exact_div, mono_mul
+from .poly import Polynomial, exact_div, mono_mul
 
 
 class PrenormalForm:
@@ -112,17 +112,6 @@ class LiftCertificate:
                  residual_low_degree: int | None):
         self.eta, self.lifts, self.order = eta, lifts, order
         self.exact, self.residual_low_degree = exact, residual_low_degree
-
-
-def check_jet_span(what: str, nvars: int, order: int, rank: int) -> None:
-    """Refuse with ResourceCapError, before anything is built, a jet span of
-    rank-``rank`` rows in ``nvars`` variables below ``order`` with more than
-    ``germs.MODEL_COLUMN_CAP`` columns (``what`` names it): the tangent spans
-    and lift's module spans take their order from the command line."""
-    columns = rank * count_monomials_below(nvars, order)
-    if columns > germs.MODEL_COLUMN_CAP:
-        raise germs.ResourceCapError(f"{what} needs {columns} columns at jet order {order},"
-                                     f" above the cap {germs.MODEL_COLUMN_CAP}")
 
 
 def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:

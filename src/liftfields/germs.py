@@ -45,8 +45,20 @@ ORDER_CAP = 24  # the largest jet order the scan for ell (and so delta) reads
 # (595,665) and 11.0 s and 168 MB at 16 (971,635).  The cap keeps levels up
 # to 13 and refuses 14 on (exit 2); level 40 would need 31.3 million.  The
 # same cap bounds the columns, rank * C(n + order - 1, n), of the tangent and
-# Nakayama spans whose order comes from an option (division.check_jet_span).
+# Nakayama spans whose order comes from an option; check_jet_span reads it.
 MODEL_COLUMN_CAP = 500_000
+
+
+def check_jet_span(what: str, nvars: int, order: int, rank: int = 1,
+                   unit: str = "columns") -> None:
+    """Refuse with ResourceCapError, before anything is built, a jet span of
+    rank-``rank`` rows in ``nvars`` variables below ``order`` with more than
+    MODEL_COLUMN_CAP columns (``what`` names the span, ``unit`` its columns):
+    the level models, the tangent spans and lift's module spans."""
+    columns = rank * count_monomials_below(nvars, order)
+    if columns > MODEL_COLUMN_CAP:
+        raise ResourceCapError(f"{what} needs {columns} {unit} at jet order {order},"
+                               f" above the cap {MODEL_COLUMN_CAP}")
 
 
 def cached(kind: str):
@@ -276,7 +288,7 @@ class MultiGerm:
         df_j(xi) = rhs is solved by reducing rhs and back-substituting.
         """
         n, p = self.n, self.p
-        division.check_jet_span("a branch's tangent span", n, order, p)
+        check_jet_span("a branch's tangent span", n, order, p)
         jac = self.branches[j].jacobian()
         monos = monomials_below(n, order)
         cols = {m: c for c, m in enumerate(monos)}  # this call's columns, walked once

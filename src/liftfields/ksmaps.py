@@ -54,11 +54,10 @@ from collections.abc import Sequence
 from math import comb
 from operator import add
 
-from .germs import (MODEL_COLUMN_CAP, ConsistencyError, HypothesisError, MultiGerm,
-                    ResourceCapError, cached)
+from .germs import ConsistencyError, HypothesisError, MultiGerm, cached, check_jet_span
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
 from .modules import ScalarClassMap, column, jet_times, monomial, vector_to_row
-from .poly import Monomial, Polynomial, count_monomials_below, mono_degree, monomials_of_degree
+from .poly import Monomial, Polynomial, mono_degree, monomials_of_degree
 
 
 def truncation_order(f: MultiGerm, i: int) -> int:
@@ -67,14 +66,9 @@ def truncation_order(f: MultiGerm, i: int) -> int:
     in R/I^(i+1) and in the target (TR_e(f) + A_i)/(TR_e(f) + A_(i+1)).
 
     Raises ResourceCapError, before anything is built, when a branch would
-    have more than MODEL_COLUMN_CAP monomial columns at that order."""
+    have more than germs.MODEL_COLUMN_CAP monomial columns at that order."""
     order = (i + 1) * f.ell()
-    columns = count_monomials_below(f.n, order)
-    if columns > MODEL_COLUMN_CAP:
-        raise ResourceCapError(
-            f"the level-{i} model needs {columns} monomial columns per branch at jet"
-            f" order {order}, above the cap {MODEL_COLUMN_CAP}"
-        )
+    check_jet_span(f"the level-{i} model", f.n, order, unit="monomial columns per branch")
     return order
 
 
@@ -234,6 +228,8 @@ def ks_matrix(f: MultiGerm, i: int) -> KSMapModel:
 # ---------------------------------------------------------------------------
 # level location and generator counts
 # ---------------------------------------------------------------------------
+# The records below are written to reports by their own fields, in the order
+# each assigns them (report.AnalysisReport.to_json): that order is the schema's.
 
 class LevelRecord:
     def __init__(self, i: int, surjective: bool, injective: bool, kernel_dim: int,
@@ -244,10 +240,10 @@ class LevelRecord:
 
 class KSReport:
     def __init__(self, levels: list[LevelRecord], i1: int | str, i2: int | str, cap: int):
-        self.levels = levels
+        self.cap = cap
         self.i1 = i1  # int, or "infinity up to cap"
         self.i2 = i2  # int, "-infinity", or "infinity up to cap"
-        self.cap = cap
+        self.levels = levels
 
 
 def locate_i1_i2(f: MultiGerm, cap: int = 6) -> KSReport:
@@ -310,9 +306,9 @@ def classify_stable(f: MultiGerm) -> StabilityVerdict:
 
 
 class MinGeneratorCount:
-    def __init__(self, count: int, i: int, formula_count: int | None = None,
+    def __init__(self, count: int, level: int, formula_count: int | None = None,
                  bruteforce_count: int | None = None, mode: str = "both"):
-        self.count, self.i = count, i
+        self.count, self.level = count, level
         self.formula_count, self.bruteforce_count = formula_count, bruteforce_count
         self.mode = mode
 

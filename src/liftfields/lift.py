@@ -28,9 +28,9 @@ from itertools import product
 from math import lcm
 
 from . import ksmaps, linalg, modules, unfoldings
-from .division import FieldVector, LiftCertificate, check_jet_span, solve_lift
+from .division import FieldVector, LiftCertificate, solve_lift
 from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError,
-                    ResourceCapError)
+                    ResourceCapError, check_jet_span)
 from .poly import Polynomial, mono_mul, monomials_of_degree
 
 

@@ -222,11 +222,15 @@ class QuotientModel:
     def coords(self, row: dict) -> dict | None:
         """Coordinates {basis index: value} of [row]; None if the vector is not
         in base + <quotient basis>.  They are the factors of the basis rows in
-        the full reduction of row (the unique expression over the span's rows)."""
-        hits: dict = {}
-        if self.span.reduce_full(row, hits):
+        the full reduction of row (the unique expression over the span's rows);
+        only those are divided by the scale."""
+        r, den = _clear(row)
+        scale, steps = self.span._reduce(r, True, den)
+        if r:
             return None
-        return {self.index[hit]: v for hit, v in hits.items() if hit in self.index}
+        index = self.index
+        return {index[hit]: exact_div(t * (scale // at), scale)
+                for hit, t, at in steps if hit in index}
 
 
 def solve_sparse(

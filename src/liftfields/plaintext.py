@@ -1,53 +1,56 @@
 """Plain-text rendering of analysis reports and germ documents, the bodies of
 ``AnalysisReport.to_text`` and ``GermDocument.render``: a command that writes
-a ``--json`` report compiles neither."""
+a ``--json`` report compiles neither.  A report's text formats the document
+``AnalysisReport.to_json`` builds, reading the keys the schema checks, so
+its polynomials are the ones the JSON holds."""
 
 from __future__ import annotations
 
 from . import parser, report
 
 
-def report_text(rep: report.AnalysisReport) -> str:
-    """The text form of an analysis report, one fact per line."""
-    lines = [f"== {rep.command} {rep.germ_name} =="]
-    if rep.invariants is not None:
-        inv = rep.invariants
-        lines.append(f"n={inv.n} p={inv.p} corank={inv.corank} branches={inv.num_branches}")
-        lines.append(f"delta={inv.delta} (per branch {list(inv.delta_per_branch)})"
-                     f" gamma={inv.gamma} ell={inv.ell} [{inv.mode}]")
-        if inv.i_delta:
-            hi = " ".join(f"{k}delta={inv.i_delta[k]} {k}gamma={inv.i_gamma[k]}"
-                          for k in sorted(inv.i_delta))
+def report_text(doc: dict) -> str:
+    """The text form of a report document, one fact per line."""
+    lines = [f"== {doc['command']} {doc['germ']} =="]
+    inv = doc.get("invariants")
+    if inv is not None:
+        lines.append(f"n={inv['n']} p={inv['p']} corank={inv['corank']}"
+                     f" branches={inv['num_branches']}")
+        lines.append(f"delta={inv['delta']} (per branch {inv['delta_per_branch']})"
+                     f" gamma={inv['gamma']} ell={inv['ell']} [{inv['mode']}]")
+        if inv["i_delta"]:  # levels in ascending order, as invariants() fills them
+            hi = " ".join(f"{k}delta={d} {k}gamma={inv['i_gamma'][k]}"
+                          for k, d in inv["i_delta"].items())
             lines.append(f"higher: {hi}")
-    if rep.ks is not None:
-        for rec in rep.ks.levels:
-            lines.append(f"level {rec.i}: surjective={rec.surjective} injective={rec.injective}"
-                         f" ker={rec.kernel_dim} coker={rec.cokernel_dim}")
-        lines.append(f"i1={rep.ks.i1}  i2={rep.ks.i2}  (cap {rep.ks.cap})")
-    if rep.stability is not None:
-        lines.append(f"stable={rep.stability.stable} isolated={rep.stability.isolated}")
-    if rep.min_generators is not None:
-        mg = rep.min_generators
+    ks = doc.get("ks")
+    if ks is not None:
+        for rec in ks["levels"]:
+            lines.append(f"level {rec['i']}: surjective={rec['surjective']}"
+                         f" injective={rec['injective']} ker={rec['kernel_dim']}"
+                         f" coker={rec['cokernel_dim']}")
+        lines.append(f"i1={ks['i1']}  i2={ks['i2']}  (cap {ks['cap']})")
+    st = doc.get("stability")
+    if st is not None:
+        lines.append(f"stable={st['stable']} isolated={st['isolated']}")
+    mg = doc.get("min_generators")
+    if mg is not None:
         detail = ""
-        if mg.formula_count is not None or mg.bruteforce_count is not None:
-            detail = f" (formula={mg.formula_count} bruteforce={mg.bruteforce_count})"
-        lines.append(f"minimal generators: {mg.count} at level {mg.i}"
-                     f" [{mg.mode}]{detail}")
-    if rep.kernel_fields is not None:
-        names = list(rep.lift_target_vars or [])
-        lines.append(f"kernel at level {rep.kernel_level}: dimension {len(rep.kernel_fields)}")
-        for vf in rep.kernel_fields:
-            lines.append(f"  {report.render_field(vf, names)}")
-    if rep.lift is not None:
-        names = list(rep.lift_target_vars or [])
-        lines.append(f"liftable module [{rep.lift.provenance}]: {rep.lift.count} generators,"
-                     f" certified to order {rep.lift.cert_order}")
-        for cert in rep.lift.generators:
-            lines.append(f"  {report.render_field(cert.eta, names)}  {report.cert_tag(cert)}")
-    for key, val in rep.extra.items():
-        lines.append(f"{key}: {val}")
-    for w in rep.warnings:
-        lines.append(f"warning: {w}")
+        if mg["formula_count"] is not None or mg["bruteforce_count"] is not None:
+            detail = f" (formula={mg['formula_count']} bruteforce={mg['bruteforce_count']})"
+        lines.append(f"minimal generators: {mg['count']} at level {mg['level']}"
+                     f" [{mg['mode']}]{detail}")
+    ker = doc.get("kernel")
+    if ker is not None:
+        lines.append(f"kernel at level {ker['level']}: dimension {ker['dimension']}")
+        lines.extend(f"  {field}" for field in ker["fields"])
+    mod = doc.get("lift")
+    if mod is not None:
+        lines.append(f"liftable module [{mod['provenance']}]: {mod['count']} generators,"
+                     f" certified to order {mod['cert_order']}")
+        lines.extend(f"  {g['field']}  {report.cert_tag(g['exact'], g['order'])}"
+                     for g in mod["generators"])
+    lines.extend(f"{key}: {val}" for key, val in doc.get("extra", {}).items())
+    lines.extend(f"warning: {w}" for w in doc["warnings"])
     return "\n".join(lines) + "\n"
 
 

@@ -98,6 +98,14 @@ def count_monomials_below(nvars: int, order: int) -> int:
     return comb(nvars + order - 1, nvars)
 
 
+def _unchecked(nvars: int, terms: dict) -> Polynomial:
+    """The polynomial on ``terms`` as given, with no check: the arithmetic's
+    results, whose coefficients are already exact and nonzero."""
+    out = Polynomial.__new__(Polynomial)
+    out.nvars, out.terms = nvars, terms
+    return out
+
+
 class Polynomial:
     """A polynomial over Q in a fixed number of variables.
 
@@ -185,16 +193,10 @@ class Polynomial:
                 terms[m] = s if type(s) is int else coefficient(s)
             else:
                 terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return _unchecked(self.nvars, terms)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _unchecked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -212,10 +214,7 @@ class Polynomial:
                     terms[m] = s if type(s) is int else coefficient(s)
                 else:
                     terms.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        return _unchecked(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -223,19 +222,14 @@ class Polynomial:
         c = coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = _exact({m: c * v for m, v in self.terms.items()})
-        return out
+        return _unchecked(self.nvars, _exact({m: c * v for m, v in self.terms.items()}))
 
     def mul_monomial(self, m: Monomial, c=1) -> "Polynomial":
         c = coefficient(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = _exact({mono_mul(t, m): c * v for t, v in self.terms.items()})
-        return out
+        terms = {mono_mul(t, m): c * v for t, v in self.terms.items()}
+        return _unchecked(self.nvars, _exact(terms))
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -266,10 +260,8 @@ class Polynomial:
         """Drop all terms of total degree >= order.  ``None`` is a no-op."""
         if order is None:
             return self
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {m: c for m, c in self.terms.items() if mono_degree(m) < order}
-        return out
+        return _unchecked(self.nvars,
+                          {m: c for m, c in self.terms.items() if mono_degree(m) < order})
 
     def substitute(self, values: Sequence["Polynomial"], order: int | None = None) -> "Polynomial":
         """Compose: substitute ``values[i]`` for variable i.

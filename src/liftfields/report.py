@@ -4,8 +4,11 @@ An :class:`AnalysisReport` bundles everything one CLI invocation computed
 about a single germ document — numeric invariants, the level-by-level map
 scan, generator counts, and any constructed module of liftable fields —
 together with timings and the configuration that produced them, so results
-are reproducible from the report alone.  Its plain-text form is rendered
-by ``plaintext``.
+are reproducible from the report alone.  Each fact has one name: the
+``ksmaps`` records (invariants, level scan, stability, generator count) are
+written by their own fields in the order they assign them, and the text form
+(``plaintext``) formats the same document ``to_json`` builds.  Handlers time
+their sections with ``with rep.timed(name):``.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
+import time
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from functools import lru_cache
 
-from . import __version__, division, germs, ksmaps, lift, plaintext, schema
+from . import __version__, germs, ksmaps, lift, plaintext, schema
 from .poly import Polynomial
 
 FieldVector = Sequence[Polynomial]
@@ -31,9 +36,19 @@ def render_branch(b: germs.Branch) -> str:
     return f"{b.label}({', '.join(b.source_vars)}) = {render_field(b.components, b.source_vars)}"
 
 
-def cert_tag(cert: division.LiftCertificate) -> str:
+def cert_tag(exact: bool, order: int) -> str:
     """[exact], or [order N] for a lift certified to jet order N only."""
-    return "[exact]" if cert.exact else f"[order {cert.order}]"
+    return "[exact]" if exact else f"[order {order}]"
+
+
+def _data(value):
+    """A record as JSON data: its fields in the order it assigns them, tuples
+    as lists, integer keys as strings, nested records as objects."""
+    if isinstance(value, dict):
+        return {str(k): _data(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_data(v) for v in value]
+    return _data(vars(value)) if hasattr(value, "__dict__") else value
 
 
 class AnalysisReport:
@@ -55,6 +70,13 @@ class AnalysisReport:
         self.warnings: list[str] = []
         self.timings: dict[str, float] = {}
 
+    @contextmanager
+    def timed(self, section: str) -> Iterator[None]:
+        """Time the body of the ``with`` block as ``timings[section]``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[section] = time.perf_counter() - t0
+
     # -- serialization --------------------------------------------------
     def to_json(self) -> dict:
         doc: dict[str, object] = {
@@ -66,51 +88,10 @@ class AnalysisReport:
             "warnings": list(self.warnings),
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
-        if self.invariants is not None:
-            inv = self.invariants
-            doc["invariants"] = {
-                "n": inv.n,
-                "p": inv.p,
-                "corank": inv.corank,
-                "delta": inv.delta,
-                "delta_per_branch": list(inv.delta_per_branch),
-                "gamma": inv.gamma,
-                "num_branches": inv.num_branches,
-                "ell": inv.ell,
-                "i_delta": {str(k): v for k, v in inv.i_delta.items()},
-                "i_gamma": {str(k): v for k, v in inv.i_gamma.items()},
-                "mode": inv.mode,
-            }
-        if self.ks is not None:
-            doc["ks"] = {
-                "cap": self.ks.cap,
-                "i1": self.ks.i1,
-                "i2": self.ks.i2,
-                "levels": [
-                    {
-                        "i": rec.i,
-                        "surjective": rec.surjective,
-                        "injective": rec.injective,
-                        "kernel_dim": rec.kernel_dim,
-                        "cokernel_dim": rec.cokernel_dim,
-                    }
-                    for rec in self.ks.levels
-                ],
-            }
-        if self.stability is not None:
-            doc["stability"] = {
-                "stable": self.stability.stable,
-                "isolated": self.stability.isolated,
-            }
-        if self.min_generators is not None:
-            mg = self.min_generators
-            doc["min_generators"] = {
-                "count": mg.count,
-                "level": mg.i,
-                "formula_count": mg.formula_count,
-                "bruteforce_count": mg.bruteforce_count,
-                "mode": mg.mode,
-            }
+        for key in ("invariants", "ks", "stability", "min_generators"):
+            record = getattr(self, key)
+            if record is not None:
+                doc[key] = _data(record)
         if self.lift is not None:
             names = list(self.lift_target_vars or [])
             doc["lift"] = {
@@ -143,7 +124,7 @@ class AnalysisReport:
         return json.dumps(self.to_json() if doc is None else doc, indent=2) + "\n"
 
     def to_text(self) -> str:
-        return plaintext.report_text(self)
+        return plaintext.report_text(self.to_json())
 
     def write(self, as_json: bool) -> None:
         """Write the report to stdout, as JSON that is checked against the

@@ -116,14 +116,14 @@ def test_json_report_does_not_import_jsonschema():
 # of each subcommand, with a little room over what it compiles now; a layer
 # counts once it is executed (its module is no longer a lazy stand-in)
 COMPILE_CEILINGS = [
-    (["analyze", "e0"], 19_700),
-    (["kernel", "e0", "--level", "1"], 19_700),
-    (["construct", "e0"], 24_100),
-    (["unfold", "sfold-1-plus"], 25_140),
-    (["check", "e0", "--fields", "reference"], 14_050),
-    (["transport", "phi-63"], 16_250),
-    (["reduce", "suspended-69"], 14_850),
-    (["catalog"], 9_450),
+    (["analyze", "e0"], 19_550),
+    (["kernel", "e0", "--level", "1"], 19_579),
+    (["construct", "e0"], 23_918),
+    (["unfold", "sfold-1-plus"], 24_958),
+    (["check", "e0", "--fields", "reference"], 13_864),
+    (["transport", "phi-63"], 16_061),
+    (["reduce", "suspended-69"], 14_664),
+    (["catalog"], 9_448),
 ]
 
 
@@ -482,6 +482,33 @@ def test_workdir_override_resolves_fields_file(tmp_path, capsys, monkeypatch):
     assert "r: " in out
 
 
+def test_workdir_resolves_relative_paths_only(tmp_path, capsys, monkeypatch):
+    # LIFTFIELDS_WORKDIR resolves a relative document path and a relative
+    # check --fields file; an absolute path ignores it, and with it unset
+    # both resolve against the working directory.  The two directories hold
+    # documents of different names with fields blocks of different names.
+    work, here = tmp_path / "work", tmp_path / "here"
+    for where, name in ((work, "w"), (here, "h")):
+        where.mkdir()
+        cusp = f"germ {name} {{ n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);"
+        (where / "doc.germ").write_text(cusp + " }")
+        (where / "flds.germ").write_text(cusp + f" fields {name}f {{ (2*X, 3*Y); }} }}")
+    monkeypatch.chdir(here)
+    monkeypatch.setenv("LIFTFIELDS_WORKDIR", str(work))
+    relative = ["check", "doc.germ", "--fields", "flds.germ"]
+    absolute = ["check", str(here / "doc.germ"), "--fields", str(here / "flds.germ")]
+
+    def checked(argv):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, ""), err
+        return out
+
+    assert checked(relative) == "== check w ==\nchecked: ['wf: (2*X, 3*Y) [exact]']\n"
+    assert checked(absolute) == "== check h ==\nchecked: ['hf: (2*X, 3*Y) [exact]']\n"
+    monkeypatch.delenv("LIFTFIELDS_WORKDIR")
+    assert checked(relative) == "== check h ==\nchecked: ['hf: (2*X, 3*Y) [exact]']\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -703,7 +730,7 @@ def test_exit_resource_level_scan_reaches_the_cap(capsys, monkeypatch):
     # the level scan stops at the first level past the cap, before building
     # it (formula mode: the scan is what builds models); on rieger-ruas level
     # 0 has 35 columns and level 1 has 330
-    monkeypatch.setattr(ksmaps, "MODEL_COLUMN_CAP", 100)
+    monkeypatch.setattr(germs, "MODEL_COLUMN_CAP", 100)
     built = []
     tower = modules.IdealPowerTower
     monkeypatch.setattr(modules, "IdealPowerTower",

@@ -119,6 +119,32 @@ def test_config_holds_exactly_the_options_read(reports):
         assert json.loads(out.getvalue())["config"] == config
 
 
+def test_report_objects_keep_the_schema_key_order(reports):
+    # the ksmaps records are written by their own fields, so the order they
+    # assign them in is the report's key order: every object follows its
+    # schema's properties order.  config is left out: check writes fields
+    # before cert_order.
+    schema = load_schema()
+    seen = set()
+
+    def walk(value, sub, where):
+        if isinstance(value, dict) and "properties" in sub:
+            order = list(sub["properties"])
+            assert list(value) == sorted(value, key=order.index), where
+            seen.add(where)
+            for key, item in value.items():
+                if key != "config":
+                    walk(item, sub["properties"][key], f"{where}/{key}")
+        elif isinstance(value, list) and "items" in sub:
+            for item in value:
+                walk(item, sub["items"], f"{where}/*")
+
+    for doc in reports:
+        walk(doc, schema, "#")
+    assert {"#/invariants", "#/ks", "#/ks/levels/*", "#/stability", "#/min_generators",
+            "#/lift", "#/lift/generators/*", "#/kernel"} <= seen
+
+
 def test_targeted_mutations_agree_with_oracle(reports, oracle):
     verdicts = []
     for doc in reports[: len(COMMANDS) - 1] + reports[-1:]:

@@ -9,27 +9,29 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_compare_reports_tree_against_itself():
-    # the benchmark's smoke command of each workload, seed 1, the six runs on
-    # the two fixed product-tower germs, and the nineteen help,
-    # unknown-subcommand and argparse-only runs, in this tree twice
+    # the benchmark's smoke command of each workload, seed 1, and the three
+    # runs on each of the two fixed product-tower germs, each with and
+    # without --json, and the nineteen help, unknown-subcommand and
+    # argparse-only runs, in this tree twice
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "compare_reports.py"), ROOT, ROOT,
          "--seeds", "1", "--smoke"],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "28 commands, 0 differ"
+    assert proc.stdout.splitlines()[-1] == "37 commands, 0 differ"
 
 
 def test_compare_reports_one_workload_over_a_seed_range():
-    # construct's smoke command for seeds 1 and 2, and no help runs
+    # construct's smoke command for seeds 1 and 2, with and without --json,
+    # and no help runs
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "compare_reports.py"), ROOT, ROOT,
          "--seeds", "1-2", "--workload", "construct", "--smoke"],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "2 commands, 0 differ"
+    assert proc.stdout.splitlines()[-1] == "4 commands, 0 differ"
 
 
 def test_compare_reports_flags_differences(monkeypatch, capsys):
