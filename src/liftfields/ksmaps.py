@@ -56,7 +56,7 @@ from operator import add
 
 from .germs import ConsistencyError, HypothesisError, MultiGerm, cached, check_jet_span
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
-from .modules import ScalarClassMap, column, jet_times, monomial, vector_to_row
+from .modules import ScalarClassMap, column, decode_row, jet_times, monomial, vector_to_row
 from .poly import Monomial, Polynomial, mono_degree, monomials_of_degree
 
 
@@ -420,11 +420,11 @@ def branch_higher(f: MultiGerm, j: int, i: int) -> tuple[int, int]:
     # kernel of the induced differential on (F_i/F_{i+1})^n -> (...)^p
     jac = b.jacobian()
     rank_span = SparseSpan()
-    for row in reps:
+    for decoded in (decode_row(row, b.n) for row in reps):
         for m in range(b.n):
             col: dict = {}
             for q in range(b.p):
-                prod = jet_times(row, jac[q][m].terms.items(), b.n, order)
+                prod = jet_times(decoded, jac[q][m].terms.items(), order)
                 for idx, v in cmap.reduce(prod).items():
                     col[q * cmap.dim + idx] = v
             rank_span.add(col)

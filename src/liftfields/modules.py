@@ -226,16 +226,20 @@ def module_jet_span(
 # degree < order in ascending grevlex order (``column``), so columns are
 # graded: the monomials of degree < d are columns 0..C(n+d-1, n)-1.
 
-def jet_times(row: dict, terms, nvars: int, order: int, cover: int | None = None) -> dict:
-    """Product of a scalar jet row with the polynomial whose (monomial,
-    coefficient) pairs are ``terms``, computed on column indices and
-    truncated below degree ``cover`` (default ``order``)."""
-    cover = order if cover is None else cover
-    monos = [(m, sum(m), v) for col, v in row.items() for m in (monomial(nvars, col),)]
+def decode_row(row: dict, nvars: int) -> list:
+    """(monomial, degree, coefficient) of each entry of a jet row: the form
+    ``jet_times`` reads, so a row multiplied several times is decoded once."""
+    return [(m, sum(m), v) for col, v in row.items() for m in (monomial(nvars, col),)]
+
+
+def jet_times(decoded: list, terms, cover: int) -> dict:
+    """Product of a scalar jet row, decoded by ``decode_row``, with the
+    polynomial whose (monomial, coefficient) pairs are ``terms``, as a jet
+    row truncated below degree ``cover``."""
     out: dict = {}
     for t, c in terms:
         dt = mono_degree(t)
-        for m, dm, v in monos:
+        for m, dm, v in decoded:
             if dm + dt < cover:
                 key = column(tuple(map(add, m, t)))
                 out[key] = out.get(key, 0) + c * v
@@ -310,13 +314,16 @@ class IdealPowerTower:
         span = SparseSpan()
         for c in range(count_monomials_below(n, cover), count_monomials_below(n, order)):
             span.add_pure_pivot(c)
-        prev = [(c, row or {c: 1}) for c, row in self.pivot_rows(k - 1)]
-        for terms in self._terms:
-            glow = min(mono_degree(t) for t, _ in terms)
-            below = count_monomials_below(n, max(cover - glow, 0))  # degree < cover - glow
-            for pivot, row in prev:  # a row's pivot has its lowest degree
+        # generator g multiplies the rows whose pivot has degree < cover - deg(g's
+        # lowest term) (a row's pivot has its lowest degree); each is decoded once
+        belows = [count_monomials_below(n, max(cover - min(mono_degree(t) for t, _ in terms), 0))
+                  for terms in self._terms]
+        top = max(belows, default=0)
+        prev = [(c, decode_row(row or {c: 1}, n)) for c, row in self.pivot_rows(k - 1) if c < top]
+        for terms, below in zip(self._terms, belows):
+            for pivot, row in prev:
                 if pivot < below:
-                    span.add(jet_times(row, terms, n, order, cover))
+                    span.add(jet_times(row, terms, cover))
         self._spans[k] = span
         return span
 

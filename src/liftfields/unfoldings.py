@@ -1,12 +1,15 @@
 """Quadratic-suspension reduction and one-parameter stable unfoldings of a
-multigerm: a layer apart from ``germs``, compiled only by the commands on a
+multigerm, which exist exactly when the level-0 cokernel dimension d(f) is at
+most 1: a layer apart from ``germs``, compiled only by the commands on a
 document with an unfolding block or more source than target dimensions."""
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import ksmaps
-from .germs import Branch, HypothesisError, InputError, MultiGerm
-from .poly import Polynomial
+from .germs import Branch, ConsistencyError, HypothesisError, InputError, MultiGerm
+from .poly import Polynomial, monomials_of_degree
 
 
 def reduce_to_core(f: MultiGerm) -> MultiGerm:
@@ -54,61 +57,48 @@ class UnfoldingSpec:
         if len(F.branches) != len(base.branches):
             raise InputError(f"the unfolding has {len(F.branches)} branch(es), the germ"
                              f" {len(base.branches)}")
-        k = param_target_index
-        param_src = base.n  # parameter is the last source variable of F
+        k, t = param_target_index, Polynomial.variable(F.n, base.n)  # t: F's last source var
+        zero = [*(Polynomial.variable(base.n, m) for m in range(base.n)), Polynomial.zero(base.n)]
         for bF, bf in zip(F.branches, base.branches):
-            if bF.components[k] != Polynomial.variable(F.n, param_src):
+            if bF.components[k] != t:
                 raise InputError(f"branch {bF.label!r}: target component {k + 1} must be the"
                                  " parameter")
-            zero = [Polynomial.variable(base.n, m) for m in range(base.n)]
-            zero.append(Polynomial.zero(base.n))
-            rest = [c for q, c in enumerate(bF.components) if q != k]
-            for q, c in enumerate(rest):
-                if c.substitute(zero) != bf.components[q]:
-                    raise InputError(f"branch {bF.label!r}: setting the parameter to zero"
-                                     " does not recover the base germ")
+            rest = bF.components[:k] + bF.components[k + 1:]
+            if tuple(c.substitute(zero) for c in rest) != tuple(bf.components):
+                raise InputError(f"branch {bF.label!r}: setting the parameter to zero"
+                                 " does not recover the base germ")
         self.F, self.base = F, base
         self.param_target_index = param_target_index
 
 
-UNFOLDING_DEGREE_CAP = 6  # the largest power y^a build_unfolding tries
-
-
 def build_unfolding(f: MultiGerm) -> UnfoldingSpec:
-    """Search for a one-parameter stable unfolding F(x,t) = (t, f(x) + t*y^a e_q),
-    the parameter T first among F's target variables.
-
-    The deformation monomial is a power of the distinguished (non-immersive)
-    source variable of each branch; candidates are scanned in ascending
-    (degree, component) order and the first stable one is returned.  Raises
-    if no candidate up to the degree cap is stable.
-    """
-    n, p = f.n, f.p
-    ydirs = [_kernel_direction(b) for b in f.branches]
-    for a in range(1, UNFOLDING_DEGREE_CAP + 1):
-        for q in range(p):
-            branches = []
-            for b, y in zip(f.branches, ydirs):
-                comps = [_suspend(c, n) for c in b.components]
-                mono = [0] * (n + 1)
-                mono[y] = a
-                mono[n] = 1
-                comps[q] = comps[q] + Polynomial.monomial(n + 1, tuple(mono))
-                comps.insert(0, Polynomial.variable(n + 1, n))
-                branches.append(Branch(b.label, b.source_vars + ("t",), tuple(comps)))
-            F = MultiGerm(branches, ("T",) + tuple(f.target_vars))
+    """A stable unfolding F(x,t) = (t, f(x) + t*g(x)), T first among F's
+    target variables; one exists exactly when d(f) <= 1, d(f) the level-0
+    cokernel dimension (Mather), else HypothesisError.  The g = x^a e_q that
+    are nonzero on one branch alone are tried by degree of a, branch, a
+    (grevlex), q, and the first stable F is returned.  deg a < ell, the
+    model's truncation order, is a complete search: (m^ell)^p lies in
+    f*m theta(f), so these classes span the level-0 target.  When d(f) = 0
+    every unfolding is stable, and the first candidate (g = e_1 on the first
+    branch) is returned."""
+    model = ksmaps.ks_matrix(f, 0)
+    d = model.cokernel_dim
+    if d > 1:
+        raise HypothesisError(f"no one-parameter stable unfolding: d(f) = {d}, the"
+                              " level-0 cokernel dimension, exceeds 1")
+    n = f.n
+    t = Polynomial.variable(n + 1, n)
+    plain = [Branch(b.label, b.source_vars + ("t",),
+                    (t, *(Polynomial(n + 1, {m + (0,): v for m, v in c.terms.items()})
+                          for c in b.components)))
+             for b in f.branches]
+    for deg, j in product(range(model.truncation_order), range(f.num_branches)):
+        for a, q in product(monomials_of_degree(n, deg), range(1, f.p + 1)):
+            comps, branches = list(plain[j].components), list(plain)
+            comps[q] += Polynomial.monomial(n + 1, a + (1,))
+            branches[j] = Branch(plain[j].label, plain[j].source_vars, tuple(comps))
+            F = MultiGerm(branches, ("T", *f.target_vars))
             if ksmaps.classify_stable(F).stable:
                 return UnfoldingSpec(F, f, 0)
-    raise HypothesisError("no one-parameter stable unfolding found up to degree"
-                          f" {UNFOLDING_DEGREE_CAP}")
-
-
-def _suspend(c: Polynomial, n: int) -> Polynomial:
-    return Polynomial(n + 1, {m + (0,): v for m, v in c.terms.items()})
-
-
-def _kernel_direction(b: Branch) -> int:
-    """Index of a source variable whose Jacobian column vanishes at 0; the
-    last variable when the branch is an immersion."""
-    linear = {i for row in b.linear_rows() for i in row}
-    return max((m for m in range(b.n) if m not in linear), default=b.n - 1)
+    raise ConsistencyError(f"d(f) = {d}, yet no deformation x^a e_q of one branch with"
+                           f" deg a < {model.truncation_order} gives a stable unfolding")

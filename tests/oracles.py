@@ -9,6 +9,7 @@ delta stabilisation loop and the brute-force higher invariants at a jet order
 of one's choice, the level models' former jet order ell*(i+2)+1, the
 brute-force monomial enumeration that jet columns are numbered by, and the
 jsonschema package's report validation; they stay here as oracles only.
+``groebner_delta`` counts delta a third way, with sympy's Groebner bases.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from liftfields.linalg import SparseSpan, dense_rref
 from liftfields.modules import (
     ScalarClassMap,
     _lead,
+    decode_row,
     jet_times,
     normal_form,
     vector_to_row,
@@ -179,6 +181,29 @@ def stabilised_delta(f, j: int, cap: int = 24) -> tuple[int, int]:
     raise ValueError(f"branch {b.label!r}: no stable quotient dimension up to order {cap}")
 
 
+def groebner_delta(components, nvars: int, delta: int) -> int:
+    """dim_Q Q[x]/(I + m^(delta+1)), I the ideal of ``components`` (read
+    through ``Polynomial.terms`` alone), counted as the standard monomials of
+    a grevlex Groebner basis from ``sympy.groebner``: a derivation of a
+    branch's delta that shares no code with the library.  A claimed delta
+    that is too small gives a larger count; one that is too large gives the
+    true delta, as m^delta then lies in I."""
+    import sympy
+
+    xs = sympy.symbols(f"x0:{nvars}")
+
+    def expr(terms):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(x**e for x, e in zip(xs, m)))
+                           for m, c in terms.items()))
+
+    gens = [expr(c.terms) for c in components if c.terms]
+    gens += sympy.itermonomials(xs, delta + 1, delta + 1)
+    leads = [g.monoms(order="grevlex")[0] for g in sympy.groebner(gens, *xs, order="grevlex").polys]
+    below = [sympy.Poly(m, *xs).monoms()[0] for m in sympy.itermonomials(xs, delta)]
+    return sum(not any(all(a >= b for a, b in zip(m, lead)) for lead in leads) for m in below)
+
+
 def branch_higher_at(f, j: int, i: int, order: int) -> tuple[int, int]:
     """(i-delta, i-gamma) of branch j by jet elimination below ``order``: the
     classes of a basis of F_i in F_i/F_(i+1) (F_k the k-th ideal power, from
@@ -195,10 +220,11 @@ def branch_higher_at(f, j: int, i: int, order: int) -> tuple[int, int]:
     jac = b.jacobian()
     image = SparseSpan()
     for row in reps:
+        decoded = decode_row(row, b.n)
         for m in range(b.n):
             col = {}
             for q in range(b.p):
-                prod = jet_times(row, jac[q][m].terms.items(), b.n, order)
+                prod = jet_times(decoded, jac[q][m].terms.items(), order)
                 col.update({q * cmap.dim + k: v for k, v in cmap.reduce(prod).items()})
             image.add(col)
     return len(reps), len(reps) * b.n - image.dim

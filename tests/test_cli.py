@@ -119,10 +119,10 @@ COMPILE_CEILINGS = [
     (["analyze", "e0"], 19_550),
     (["kernel", "e0", "--level", "1"], 19_579),
     (["construct", "e0"], 23_918),
-    (["unfold", "sfold-1-plus"], 24_958),
+    (["unfold", "sfold-1-plus"], 24_921),
     (["check", "e0", "--fields", "reference"], 13_864),
     (["transport", "phi-63"], 16_061),
-    (["reduce", "suspended-69"], 14_664),
+    (["reduce", "suspended-69"], 14_627),
     (["catalog"], 9_448),
 ]
 

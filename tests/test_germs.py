@@ -12,13 +12,13 @@ from liftfields import (
     reduce_to_core,
 )
 from liftfields import catalog
-from liftfields.ksmaps import GermInvariants, truncation_order
+from liftfields.ksmaps import GermInvariants, classify_stable, truncation_order
 from liftfields.parser import GermDocument
 from liftfields.report import AnalysisReport
 from liftfields.unfoldings import UnfoldingSpec, build_unfolding
 
 from conftest import germ, monogerm, poly
-from oracles import branch_higher_at, stabilised_delta
+from oracles import branch_higher_at, groebner_delta, stabilised_delta
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,16 @@ def test_delta_at_ell_matches_stabilised_loop(name):
         assert stabilised_delta(f, j) == (f.branch_delta(j), max(f.branch_ell(j), 2) + 1)
 
 
+@pytest.mark.parametrize("name", catalog.names())
+def test_delta_matches_groebner_standard_monomials(name):
+    pytest.importorskip("sympy")
+    f = germ(name)
+    if f.n > f.p:
+        f = reduce_to_core(f)
+    for j, b in enumerate(f.branches):
+        assert groebner_delta(b.components, b.n, f.branch_delta(j)) == f.branch_delta(j)
+
+
 @pytest.mark.parametrize("name", ["bigerm-69", "suspended-69", "trigerm"])
 def test_bruteforce_levels_match_at_per_branch_order(name):
     # the brute-force higher invariants read at the level models' jet order
@@ -205,3 +215,35 @@ def test_build_unfolding_fold():
     f = monogerm(["y^2", "0*y"], ("y",), ("Y", "U"))
     spec = build_unfolding(f)
     assert spec.F.n == 2 and spec.F.p == 3
+
+
+# d(f), the level-0 cokernel dimension, of the catalog entries (their core
+# germ when n > p) that have no one-parameter stable unfolding: d(f) >= 2
+NO_UNFOLDING = {"rieger-36": 2, "rieger-ruas": 2, "trigerm": 3, "cusp-pair": 4, "curve-457": 5}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_build_unfolding_follows_level0_cokernel(name):
+    f = germ(name)
+    if f.n > f.p:
+        f = reduce_to_core(f)
+    if name in NO_UNFOLDING:
+        with pytest.raises(HypothesisError, match=rf"d\(f\) = {NO_UNFOLDING[name]}\b"):
+            build_unfolding(f)
+    else:
+        assert classify_stable(build_unfolding(f).F).stable
+
+
+def _mond(third):
+    return monogerm(["x", "y^2", third], ("x", "y"), ("X", "Y", "Z"))
+
+
+@pytest.mark.parametrize("f", [
+    *(_mond(f"y^3 + x^{k + 1}*y") for k in range(1, 5)),  # S_k
+    *(_mond(f"x^2*y + y^{2 * k + 1}") for k in range(1, 5)),  # B_k
+    *(_mond(f"x*y^3 + x^{k}*y") for k in range(2, 5)),  # C_k
+], ids=[*(f"S{k}" for k in range(1, 5)), *(f"B{k}" for k in range(1, 5)),
+        *(f"C{k}" for k in range(2, 5))])
+def test_build_unfolding_on_mond_surface_families(f):
+    spec = build_unfolding(f)
+    assert classify_stable(spec.F).stable and spec.param_target_index == 0

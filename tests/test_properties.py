@@ -3,13 +3,23 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from liftfields import Branch, MultiGerm, higher_invariants, invariants, ks_matrix, locate_i1_i2
-from liftfields.ksmaps import truncation_order
+from liftfields import (
+    Branch,
+    HypothesisError,
+    MultiGerm,
+    build_unfolding,
+    higher_invariants,
+    invariants,
+    ks_matrix,
+    locate_i1_i2,
+)
+from liftfields.ksmaps import classify_stable, truncation_order
 from liftfields.poly import Polynomial
 
-from oracles import stabilised_delta
+from oracles import groebner_delta, stabilised_delta
 
 
 def _curve_component(power, tail):
@@ -121,3 +131,26 @@ def test_generated_families_match_their_closed_forms(case):
     assert (inv.delta, inv.gamma, f.corank()) == (delta, delta - f.num_branches, 1)
     order = truncation_order(f, 2)
     assert all(f.branch_tower(j, order).power for j in range(f.num_branches))
+
+
+@given(generated_family_germs())
+@settings(max_examples=10, deadline=None)
+def test_generated_family_deltas_match_groebner_standard_monomials(case):
+    # the Groebner count also meets the family's closed-form delta
+    pytest.importorskip("sympy")
+    f, delta = case
+    counts = [groebner_delta(b.components, b.n, f.branch_delta(j)) for j, b in enumerate(f.branches)]
+    assert counts == [f.branch_delta(j) for j in range(f.num_branches)] and sum(counts) == delta
+
+
+@given(st.one_of(plane_curve_germs(), generated_family_germs().map(lambda case: case[0])))
+@settings(max_examples=20, deadline=None)
+def test_stable_unfolding_found_exactly_when_level0_cokernel_at_most_one(f):
+    # Mather: one parameter suffices exactly when d(f) <= 1, and the search
+    # over single-branch deformations then finds a stable unfolding
+    d = ks_matrix(f, 0).cokernel_dim
+    if d >= 2:
+        with pytest.raises(HypothesisError, match=rf"d\(f\) = {d}\b"):
+            build_unfolding(f)
+    else:
+        assert classify_stable(build_unfolding(f).F).stable
