@@ -38,8 +38,9 @@ import tempfile
 RUN = "import sys; from liftfields.cli import main; sys.exit(main(sys.argv[1:]))"
 SUBCOMMANDS = ("analyze", "kernel", "construct", "unfold", "check", "transport", "reduce",
                "catalog")
-# argv that argparse alone parses: help, usage errors (exit 2), and shapes
-# the CLI's table reader leaves to it, such as an abbreviation and --opt=value
+# argv that argparse alone parses: help, usage errors (exit 2), among them a
+# flag no subcommand takes (--mode), and shapes the CLI's table reader leaves
+# to it, such as an abbreviation and --opt=value
 HELP = [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS), ["no-such-command"],
         ["kernel", "e0", "--level", "-2"], ["kernel", "e0", "--level", "abc"],
         ["check", "e0", "--max-i", "3"], ["check", "e0", "--fields", "--json"],

@@ -39,8 +39,9 @@ _LAYER_OF = {name: layer for layer, names in (
     ("germs", ("Branch", "ConsistencyError", "HypothesisError", "InputError", "MultiGerm",
                "NotFiniteMultiplicityError", "NotLiftableError")),
     ("ksmaps", ("GermInvariants", "KSReport", "MinGeneratorCount", "StabilityVerdict",
-                "classify_stable", "higher_invariants", "invariants", "ks_matrix", "locate_i1_i2",
-                "min_generators", "truncation_order")),
+                "bruteforce_invariants", "classify_stable", "formula_invariants",
+                "higher_invariants", "invariants", "ks_matrix", "locate_i1_i2", "min_generators",
+                "truncation_order")),
     ("unfoldings", ("UnfoldingSpec", "build_unfolding", "reduce_to_core")),
     ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
     ("lift", ("LiftModule", "compare_modules", "complete_generators", "nakayama_minimize",

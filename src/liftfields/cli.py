@@ -24,8 +24,9 @@ is not a non-negative integer, a ``--max-degree`` or ``--cert-order`` below
 1, and an option the subcommand does not take); 3 parse or semantic error in
 the input (no valid germ, unfolding or diffeo pair, a diffeo block whose
 maps are not inverse, or no such document or block); 4 internal consistency
-failure (formula and brute-force computations disagree, a ``--json`` report
-breaks the shipped schema, or any other ``ValueError`` escapes a layer).
+failure (the formula and brute-force derivations of a count or invariant,
+both always run, disagree, a ``--json`` report breaks the shipped schema,
+or any other ``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read
@@ -123,8 +124,6 @@ def _positive(text: str) -> int:
 # each type for argparse)
 _OPTIONS = {
     "--max-i": {"type": _natural, "default": 6, "help": "level scan cap (default 6)"},
-    "--mode": {"choices": ["formula", "bruteforce", "both"], "default": "both",
-               "help": "numeric computation mode (default both)"},
     "--level": {"type": _natural, "required": True, "help": "level of the matrix model"},
     "--max-degree": {"type": _positive,
                      "help": "completion degree bound (default 2*(i+2)*ell)"},
@@ -140,14 +139,14 @@ _OPTIONS = {
 # ``commands.<subcommand>.run``, is imported when it runs and takes the
 # document (catalog: as_json) and those options by their argparse names
 _COMMANDS = {
-    "analyze": ("invariants and level scan", ("--max-i", "--mode")),
+    "analyze": ("invariants and level scan", ("--max-i",)),
     "kernel": ("kernel basis at one level", ("--level",)),
     "construct": ("generators by kernel completion", ("--max-i", "--max-degree")),
     "unfold": ("generators by unfolding restriction", ("--cert-order",)),
     "check": ("re-verify claimed liftable fields", ("--fields", "--cert-order")),
     "transport": ("push fields through the diffeo block", ("--fields", "--cert-order")),
     "reduce": ("strip quadratic suspension variables", ("--cert-order",)),
-    "catalog": ("list or run built-in entries", ("--run-all", "--max-i", "--mode")),
+    "catalog": ("list or run built-in entries", ("--run-all", "--max-i")),
 }
 
 
@@ -157,8 +156,8 @@ def _dest(flag: str) -> str:
 
 
 def _unread_by_catalog(command: str, given: dict) -> bool:
-    """Whether catalog is given --max-i or --mode (its options besides
-    --run-all) without --run-all, the one option that reads them."""
+    """Whether catalog is given --max-i (its option besides --run-all)
+    without --run-all, the one option that reads it."""
     return command == "catalog" and "run_all" not in given and bool(given)
 
 
@@ -189,7 +188,7 @@ def _read(argv: list):
                 value = spec.get("type", str)(text)
             except ValueError:  # argparse gives the refusal
                 return None
-            if text.startswith("-") or value not in spec.get("choices", [value]):
+            if text.startswith("-"):
                 return None
             given[_dest(arg)] = value
     if document is None and command != "catalog" or _unread_by_catalog(command, given) or any(

@@ -5,19 +5,19 @@ from ..germs import HypothesisError
 from ..report import AnalysisReport
 
 
-def run(doc, max_i: int, mode: str) -> AnalysisReport:
+def run(doc, max_i: int) -> AnalysisReport:
     rep = AnalysisReport("analyze", doc.name)
     f, reduced = cli._core_germ(doc)
     if reduced:
         rep.extra["reduced_to_core"] = True
     with rep.timed("invariants"):
-        rep.invariants = ksmaps.invariants(f, max_i=3, mode=mode)
+        rep.invariants = ksmaps.invariants(f, max_i=3)
     with rep.timed("level_scan"):
         rep.ks = ksmaps.locate_i1_i2(f, cap=max_i)
         rep.stability = ksmaps.classify_stable(f)
     with rep.timed("min_generators"):
         try:
-            rep.min_generators = ksmaps.min_generators(f, mode=mode, cap=max_i)
+            rep.min_generators = ksmaps.min_generators(f, cap=max_i)
         except HypothesisError as exc:
             rep.warnings.append(f"minimal generator count unavailable: {exc}")
     return rep

@@ -305,6 +305,12 @@ class MultiGerm:
                 span.add(row, a_rank * n + src)
         return span
 
+    def free_level_models(self) -> None:
+        """Drop the cached level models with the towers and class maps they
+        were built on; every other cached jet object is kept."""
+        for key in [key for key in self._cache if key[0] in ("tower", "cmap", "ks")]:
+            del self._cache[key]
+
     @cached("bhigher")
     def _branch_higher_bruteforce(self, j: int, i: int) -> tuple[int, int]:
         """Branch j's (i-delta, i-gamma) by jet elimination (``ksmaps.branch_higher``)."""

@@ -46,6 +46,9 @@ germ's cache, so each level is built once.
 
 The contact invariants (delta, gamma and their higher-order versions) live
 here too: their brute-force derivation reads the level model's class maps.
+Formula and brute force are always both run and checked against each other:
+the higher invariants by the binomial identities and by jet elimination, the
+generator count by its closed formula and as a kernel dimension.
 """
 
 from __future__ import annotations
@@ -306,41 +309,34 @@ def classify_stable(f: MultiGerm) -> StabilityVerdict:
 
 
 class MinGeneratorCount:
-    def __init__(self, count: int, level: int, formula_count: int | None = None,
-                 bruteforce_count: int | None = None, mode: str = "both"):
+    def __init__(self, count: int, level: int, formula_count: int, bruteforce_count: int):
         self.count, self.level = count, level
         self.formula_count, self.bruteforce_count = formula_count, bruteforce_count
-        self.mode = mode
 
 
-def min_generators(f: MultiGerm, mode: str = "both", cap: int = 6) -> MinGeneratorCount:
+def min_generators(f: MultiGerm, cap: int = 6) -> MinGeneratorCount:
     """Minimal number of generators of the liftable-field module, valid when
-    the first surjective and last injective level coincide at some i; the
-    count is dim ker of the level-(i+1) map.
+    the first surjective and last injective level coincide at some i.
 
-    The closed formula p*C(p+i, i+1) - ((p-n)*d_{i+1} + g_{i+1} - g_i) with
-    d, g the higher delta/gamma invariants is cross-checked against the
-    explicit matrix kernel unless a single mode is requested.
+    The count is derived both ways: by the closed formula
+    p*C(p+i, i+1) - ((p-n)*d_{i+1} + g_{i+1} - g_i), with d, g the higher
+    delta/gamma invariants of ``formula_invariants``, and as dim ker of the
+    level-(i+1) map; ConsistencyError when they disagree.
     """
     i = matched_level(f, cap, "count formula")  # a repeat walk reads the cached models
-    formula = bruteforce = None
-    if mode in ("formula", "both"):
-        d_next, g_next = higher_invariants(f, i + 1, mode="formula")
-        _, g_cur = higher_invariants(f, i, mode="formula")
-        formula = f.p * comb(f.p + i, i + 1) - ((f.p - f.n) * d_next + g_next - g_cur)
-    if mode in ("bruteforce", "both"):
-        model = ks_matrix(f, i + 1)
-        if not model.surjective:
-            raise ConsistencyError(
-                f"level {i + 1} map unexpectedly not surjective above i1"
-            )
-        bruteforce = model.kernel_dim
-    if formula is not None and bruteforce is not None and formula != bruteforce:
+    d_next, g_next = formula_invariants(f, i + 1)
+    _, g_cur = formula_invariants(f, i)
+    formula = f.p * comb(f.p + i, i + 1) - ((f.p - f.n) * d_next + g_next - g_cur)
+    model = ks_matrix(f, i + 1)
+    if not model.surjective:
         raise ConsistencyError(
-            f"generator count mismatch: formula {formula} vs kernel {bruteforce}"
+            f"level {i + 1} map unexpectedly not surjective above i1"
         )
-    count = formula if formula is not None else bruteforce
-    return MinGeneratorCount(count, i, formula, bruteforce, mode)
+    if formula != model.kernel_dim:
+        raise ConsistencyError(
+            f"generator count mismatch: formula {formula} vs kernel {model.kernel_dim}"
+        )
+    return MinGeneratorCount(formula, i, formula, model.kernel_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -351,56 +347,54 @@ class GermInvariants:
     """Summary of the contact-class invariants of a multigerm."""
 
     def __init__(self, n: int, p: int, corank: int, delta: int, delta_per_branch: tuple[int, ...],
-                 gamma: int, num_branches: int, ell: int, mode: str = "formula"):
+                 gamma: int, num_branches: int, ell: int):
         self.n, self.p, self.corank = n, p, corank
         self.delta, self.delta_per_branch, self.gamma = delta, delta_per_branch, gamma
         self.num_branches, self.ell = num_branches, ell
         self.i_delta: dict[int, int] = {}  # level -> higher delta, filled by invariants()
         self.i_gamma: dict[int, int] = {}
-        self.mode = mode
 
 
-def invariants(f: MultiGerm, max_i: int = 3, mode: str = "formula") -> GermInvariants:
+def invariants(f: MultiGerm, max_i: int = 3) -> GermInvariants:
+    """The invariants, with the higher ones at levels 0..max_i by both
+    routes (``higher_invariants``); gamma is the level-0 i-gamma."""
     per_branch = tuple(f.branch_delta(j) for j in range(f.num_branches))
+    levels = [higher_invariants(f, i) for i in range(max_i + 1)]
     inv = GermInvariants(n=f.n, p=f.p, corank=f.corank(), delta=sum(per_branch),
-                         delta_per_branch=per_branch, gamma=higher_invariants(f, 0, mode)[1],
-                         num_branches=f.num_branches, ell=f.ell(), mode=mode)
-    for i in range(max_i + 1):
-        inv.i_delta[i], inv.i_gamma[i] = higher_invariants(f, i, mode)
+                         delta_per_branch=per_branch, gamma=levels[0][1],
+                         num_branches=f.num_branches, ell=f.ell())
+    for i, (d, g) in enumerate(levels):
+        inv.i_delta[i], inv.i_gamma[i] = d, g
     return inv
 
 
-def higher_invariants(f: MultiGerm, i: int, mode: str = "formula") -> tuple[int, int]:
-    """(i-delta, i-gamma).
+def higher_invariants(f: MultiGerm, i: int) -> tuple[int, int]:
+    """(i-delta, i-gamma), derived both ways (``formula_invariants`` and
+    ``bruteforce_invariants``); ConsistencyError when they disagree."""
+    by_formula, by_force = formula_invariants(f, i), bruteforce_invariants(f, i)
+    if by_formula != by_force:
+        raise ConsistencyError(f"level-{i} invariants disagree: formula {by_formula},"
+                               f" bruteforce {by_force}")
+    return by_formula
 
-    Formula mode evaluates the binomial identities
+
+def formula_invariants(f: MultiGerm, i: int) -> tuple[int, int]:
+    """(i-delta, i-gamma) by the binomial identities
     i-delta = C(n+i-1, i) * delta, i-gamma = C(n+i-1, i) * gamma
-    (gamma itself = delta - |S| in corank <= 1).  Brute-force mode
-    eliminates jets of the pullback ideal powers directly, branch by branch
-    (``MultiGerm._branch_higher_bruteforce``, cached on the germ).
-    """
-    if mode == "formula":
-        if f.corank() > 1:
-            raise HypothesisError("formula mode requires corank <= 1")
-        delta = f.delta()
-        gamma = delta - f.num_branches
-        c = comb(f.n + i - 1, i)
-        return c * delta, c * gamma
-    if mode == "both":
-        by_formula = higher_invariants(f, i, "formula")
-        by_force = higher_invariants(f, i, "bruteforce")
-        if by_formula != by_force:
-            raise ConsistencyError(f"level-{i} invariants disagree: formula {by_formula},"
-                                   f" bruteforce {by_force}")
-        return by_formula
-    if mode != "bruteforce":
-        raise ValueError(f"unknown mode {mode!r}")
-    idelta = igamma = 0
-    for j in range(f.num_branches):
-        d, g = f._branch_higher_bruteforce(j, i)
-        idelta += d
-        igamma += g
-    return idelta, igamma
+    (gamma itself = delta - |S| in corank <= 1)."""
+    if f.corank() > 1:
+        raise HypothesisError("the binomial formula requires corank <= 1")
+    delta = f.delta()
+    c = comb(f.n + i - 1, i)
+    return c * delta, c * (delta - f.num_branches)
+
+
+def bruteforce_invariants(f: MultiGerm, i: int) -> tuple[int, int]:
+    """(i-delta, i-gamma) by eliminating jets of the pullback ideal powers,
+    branch by branch (``MultiGerm._branch_higher_bruteforce``, cached on the
+    germ), summed."""
+    deltas, gammas = zip(*(f._branch_higher_bruteforce(j, i) for j in range(f.num_branches)))
+    return sum(deltas), sum(gammas)
 
 
 def branch_higher(f: MultiGerm, j: int, i: int) -> tuple[int, int]:

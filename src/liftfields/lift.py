@@ -118,9 +118,8 @@ def complete_generators(f: MultiGerm, cap: int = 6,
     kernel = ksmaps.ks_matrix(f, i + 1).kernel_fields(f.target_vars)
     # the formula, cross-checked against the kernel's dimension: counting
     # the kernel alone would check the loop below against itself
-    expected = ksmaps.min_generators(f, mode="both", cap=cap).count
-    for key in [key for key in f._cache if key[0] in ("tower", "cmap", "ks")]:
-        del f._cache[key]  # the level work is done: free its towers, class maps and models
+    expected = ksmaps.min_generators(f, cap=cap).count
+    f.free_level_models()  # the level work is done
 
     column = _residual_columns(f, order)
     span = linalg.FactoredSpan()  # kept candidates are independent: completions are unique
@@ -173,7 +172,7 @@ def restrict_from_unfolding(
     divisible by L, read off from the syzygies of (eta_1^L,..,eta_m^L, L).
     A restricted field with no term below cert_order, which the jet-level
     Nakayama scan would drop unread, raises ResourceCapError; the count is
-    checked against the brute-force count where the base's levels meet
+    checked against ``ksmaps.min_generators`` where the base's levels meet
     (``ksmaps.matched_level``), a walk that stops at the first level that
     rules the meeting out.
     """
@@ -208,7 +207,7 @@ def restrict_from_unfolding(
     fields = nakayama_minimize(raw, base.p, cert_order)
     generators = [solve_lift(base, eta, cert_order) for eta in fields]
     try:
-        expected = ksmaps.min_generators(base, mode="bruteforce").count
+        expected = ksmaps.min_generators(base).count
     except HypothesisError:
         expected = None
     if expected is not None and len(generators) != expected:

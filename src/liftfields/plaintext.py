@@ -17,7 +17,7 @@ def report_text(doc: dict) -> str:
         lines.append(f"n={inv['n']} p={inv['p']} corank={inv['corank']}"
                      f" branches={inv['num_branches']}")
         lines.append(f"delta={inv['delta']} (per branch {inv['delta_per_branch']})"
-                     f" gamma={inv['gamma']} ell={inv['ell']} [{inv['mode']}]")
+                     f" gamma={inv['gamma']} ell={inv['ell']}")
         if inv["i_delta"]:  # levels in ascending order, as invariants() fills them
             hi = " ".join(f"{k}delta={d} {k}gamma={inv['i_gamma'][k]}"
                           for k, d in inv["i_delta"].items())
@@ -34,11 +34,8 @@ def report_text(doc: dict) -> str:
         lines.append(f"stable={st['stable']} isolated={st['isolated']}")
     mg = doc.get("min_generators")
     if mg is not None:
-        detail = ""
-        if mg["formula_count"] is not None or mg["bruteforce_count"] is not None:
-            detail = f" (formula={mg['formula_count']} bruteforce={mg['bruteforce_count']})"
         lines.append(f"minimal generators: {mg['count']} at level {mg['level']}"
-                     f" [{mg['mode']}]{detail}")
+                     f" (formula={mg['formula_count']} bruteforce={mg['bruteforce_count']})")
     ker = doc.get("kernel")
     if ker is not None:
         lines.append(f"kernel at level {ker['level']}: dimension {ker['dimension']}")

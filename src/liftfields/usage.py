@@ -70,5 +70,5 @@ def parse(argv: list) -> tuple:
     command, as_json = given.pop("command"), given.pop("json")
     document = given.pop("document", None)
     if cli._unread_by_catalog(command, given):
-        sp.error("--max-i and --mode are read only with --run-all")
+        sp.error("--max-i is read only with --run-all")
     return command, document, as_json, given

@@ -12,10 +12,11 @@ import pytest
 
 from liftfields import (
     NotLiftableError,
+    bruteforce_invariants,
     catalog,
     compare_modules,
     complete_generators,
-    higher_invariants,
+    formula_invariants,
     invariants,
     ks_matrix,
     locate_i1_i2,
@@ -63,7 +64,7 @@ def test_criterion_1_minimal_generator_counts():
     }
     for name, want in expected.items():
         t0 = time.perf_counter()
-        assert min_generators(germ(name), mode="both").count == want, name
+        assert min_generators(germ(name)).count == want, name
         assert time.perf_counter() - t0 < 30, name
     # the fold-line germ needs the unfolding-restriction route
     t0 = time.perf_counter()
@@ -75,18 +76,23 @@ def test_criterion_1_minimal_generator_counts():
 
 def test_criterion_2_rieger_ruas_formula():
     t0 = time.perf_counter()
-    mg = min_generators(germ("rieger-ruas"), mode="formula")
+    mg = min_generators(germ("rieger-ruas"))
     elapsed = time.perf_counter() - t0
-    assert mg.count == 17
+    assert (mg.count, mg.formula_count, mg.bruteforce_count) == (17, 17, 17)
     assert elapsed < 5
-    print(f"CRITERION 2: PASS — formula count 17 in {elapsed:.2f}s")
+    print(f"CRITERION 2: PASS — formula and kernel counts 17 in {elapsed:.2f}s")
 
 
-@pytest.mark.slow
 def test_criterion_2_rieger_ruas_bruteforce():
-    mg = min_generators(germ("rieger-ruas"), mode="bruteforce")
-    assert mg.count == 17
-    print("CRITERION 2 (slow): PASS — brute-force count 17")
+    # the count formula fed with jet-eliminated invariants instead of the
+    # binomial identities, at the matched level
+    f = germ("rieger-ruas")
+    i = min_generators(f).level
+    d1, g1 = bruteforce_invariants(f, i + 1)
+    _, g0 = bruteforce_invariants(f, i)
+    count = f.p * comb(f.p + i, i + 1) - ((f.p - f.n) * d1 + g1 - g0)
+    assert count == ks_matrix(f, i + 1).kernel_dim == 17
+    print("CRITERION 2: PASS — brute-force count 17")
 
 
 def test_criterion_3_generator_sets_match():
@@ -154,9 +160,7 @@ def test_criterion_5_formula_vs_bruteforce():
         f = _core(name)
         # binomial-scaling formulas against direct jet elimination
         for i in range(4):
-            assert higher_invariants(f, i, "formula") == higher_invariants(
-                f, i, "bruteforce"
-            ), (name, i)
+            assert formula_invariants(f, i) == bruteforce_invariants(f, i), (name, i)
         # kernel-count formula against the brute-force kernel dimension at
         # every surjective level within reach
         rep = locate_i1_i2(f)
@@ -167,8 +171,8 @@ def test_criterion_5_formula_vs_bruteforce():
             model = ks_matrix(f, i + 1)
             if not model.surjective:  # (i+1)-level not surjective
                 continue
-            d1, g1 = higher_invariants(f, i + 1, "bruteforce")
-            _, g0 = higher_invariants(f, i, "bruteforce")
+            d1, g1 = bruteforce_invariants(f, i + 1)
+            _, g0 = bruteforce_invariants(f, i)
             formula = p * comb(p + i, i + 1) - ((p - n) * d1 + g1 - g0)
             assert model.kernel_dim == formula, (name, i)
     print("CRITERION 5: PASS — kernel-count and scaling formulas match"

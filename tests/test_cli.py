@@ -116,12 +116,12 @@ def test_json_report_does_not_import_jsonschema():
 # of each subcommand, with a little room over what it compiles now; a layer
 # counts once it is executed (its module is no longer a lazy stand-in)
 COMPILE_CEILINGS = [
-    (["analyze", "e0"], 19_550),
-    (["kernel", "e0", "--level", "1"], 19_579),
-    (["construct", "e0"], 23_918),
-    (["unfold", "sfold-1-plus"], 24_921),
+    (["analyze", "e0"], 19_478),
+    (["kernel", "e0", "--level", "1"], 19_516),
+    (["construct", "e0"], 23_823),
+    (["unfold", "sfold-1-plus"], 24_826),
     (["check", "e0", "--fields", "reference"], 13_864),
-    (["transport", "phi-63"], 16_061),
+    (["transport", "phi-63"], 16_041),
     (["reduce", "suspended-69"], 14_627),
     (["catalog"], 9_448),
 ]
@@ -260,14 +260,14 @@ def test_json_report_is_built_once(capsys, monkeypatch):
 SHARED_OPTIONS = ["-h", "--help", "--json"]
 # each subcommand takes exactly the options its handler reads
 OWN_OPTIONS = {
-    "analyze": ["--max-i", "--mode"],
+    "analyze": ["--max-i"],
     "kernel": ["--level"],
     "construct": ["--max-i", "--max-degree"],
     "unfold": ["--cert-order"],
     "check": ["--fields", "--cert-order"],
     "transport": ["--fields", "--cert-order"],
     "reduce": ["--cert-order"],
-    "catalog": ["--run-all", "--max-i", "--mode"],
+    "catalog": ["--run-all", "--max-i"],
 }
 
 
@@ -287,8 +287,8 @@ def test_subcommand_help_lists_its_options(command, capsys):
 def test_table_reader_reads_plain_argv_and_leaves_the_rest():
     assert cli._read(["kernel", "--level", "2", "e0", "--json"]) == (
         "kernel", "e0", True, {"level": 2})
-    assert cli._read(["catalog", "--run-all", "--mode", "formula"]) == (
-        "catalog", None, False, {"run_all": True, "mode": "formula"})
+    assert cli._read(["catalog", "--run-all", "--max-i", "2"]) == (
+        "catalog", None, False, {"run_all": True, "max_i": 2})
     assert cli._read(["check", "e0", "--fields", "x y", "--fields", "pre"]) == (
         "check", "e0", False, {"fields": "pre"})
     for argv in (["--json", "analyze", "e0"], ["analyze", "e0", "-h"], ["analyze", "e0", "e1"],
@@ -307,7 +307,7 @@ def test_table_reader_reads_plain_argv_and_leaves_the_rest():
 ARGV_VALUES = ["1", "3", "both", "x y", "0", "-1", "-2", "abc", "", " 3", "1_0", "formula",
                "nope", "reference", "e0", "-x y", "--json"]
 ARGV_PIECES = [[arg] for arg in [*cli._COMMANDS, *cli._OPTIONS, "--json", "-h", "--help", "--",
-                                 "-", "--max-i=3", "--mode=formula", "--level=2", "--max-d",
+                                 "-", "--max-i=3", "--cert-order=5", "--level=2", "--max-d",
                                  "--js", "--run", "--lev", "--cert", *ARGV_VALUES]]
 ARGV_PIECES += [[flag, value] for flag in cli._OPTIONS for value in ARGV_VALUES]
 
@@ -316,7 +316,7 @@ ARGV_PIECES += [[flag, value] for flag in cli._OPTIONS for value in ARGV_VALUES]
 def argvs(draw):
     command = draw(st.sampled_from(list(cli._COMMANDS)))
     own = [[flag, value] for flag in cli._COMMANDS[command][1] for value in ARGV_VALUES[:4]]
-    plain = st.sampled_from(own + [["--json"], ["--run-all"], ["e0"], ["--mode", "formula"]])
+    plain = st.sampled_from(own + [["--json"], ["--run-all"], ["e0"]])
     other = st.sampled_from(ARGV_PIECES) | st.text(max_size=3).map(lambda arg: [arg])
     heads = [[command, "e0"]] * 3 + [[command]] * 2 + [[], ["--json", command]]
     head = draw(st.sampled_from(heads))
@@ -343,6 +343,10 @@ def test_table_reader_agrees_with_argparse(argv):
     ["construct", "e0", "--cert-order", "5"],
     ["unfold", "fold-line", "--max-i", "2"],
     ["reduce", "suspended-69", "--max-degree", "7"],
+    # every count and invariant is derived both ways: no option picks one
+    ["analyze", "e0", "--mode", "both"],
+    ["analyze", "e0", "--mode", "formula"],
+    ["catalog", "--run-all", "--mode", "formula"],
 ], ids=lambda argv: argv[0])
 def test_exit_option_the_subcommand_does_not_read(argv, capsys):
     # an option the handler would ignore is refused, not echoed in the
@@ -357,25 +361,23 @@ def test_exit_option_the_subcommand_does_not_read(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["catalog", "--max-i", "2"],
-    ["catalog", "--mode", "formula"],
-    ["catalog", "--json", "--mode", "both", "--max-i", "6"],
+    ["catalog", "--max-i=2"],
+    ["catalog", "--json", "--max-i", "6"],
 ])
 def test_exit_catalog_option_without_run_all(argv, capsys):
-    # --max-i and --mode are analyze's, read only with --run-all: without
-    # it they are refused, even at their defaults, not ignored
+    # --max-i is analyze's, read only with --run-all: without it it is
+    # refused, even at its default, not ignored
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     out = capsys.readouterr()
     assert (exc.value.code, out.out) == (2, "")
     assert out.err.startswith("usage: liftfields catalog ")
-    assert out.err.endswith("error: --max-i and --mode are read only with --run-all\n")
+    assert out.err.endswith("error: --max-i is read only with --run-all\n")
 
 
 def test_catalog_run_all_passes_its_options_on(capsys, monkeypatch):
     monkeypatch.setattr(catalog, "names", lambda: ["e0", "cusp-pair"])
-    for options, config in (([], {"max_i": 6, "mode": "both"}),
-                            (["--max-i", "2"], {"max_i": 2, "mode": "both"}),
-                            (["--mode", "formula"], {"max_i": 6, "mode": "formula"})):
+    for options, config in (([], {"max_i": 6}), (["--max-i", "2"], {"max_i": 2})):
         code, out, _ = run(["catalog", "--run-all", *options, "--json"], capsys)
         assert code == 0
         assert [doc["config"] for doc in json.loads(out)] == [config] * 2
@@ -728,17 +730,20 @@ def test_bounds_past_the_cap_decided_by_division(capsys):
 
 def test_exit_resource_level_scan_reaches_the_cap(capsys, monkeypatch):
     # the level scan stops at the first level past the cap, before building
-    # it (formula mode: the scan is what builds models); on rieger-ruas level
-    # 0 has 35 columns and level 1 has 330
+    # it; on rieger-ruas level 0 has 35 columns and level 1 has 330.  analyze
+    # stops there too: its brute-force invariants read the level models' order
     monkeypatch.setattr(germs, "MODEL_COLUMN_CAP", 100)
     built = []
     tower = modules.IdealPowerTower
     monkeypatch.setattr(modules, "IdealPowerTower",
                         lambda gens, order, **kw: built.append(order) or tower(gens, order, **kw))
-    code, out, err = run(["analyze", "rieger-ruas", "--mode", "formula"], capsys)
-    assert (code, out, built) == (2, "", [4])
-    assert err == ("cap reached: the level-1 model needs 330 monomial columns per branch"
-                   " at jet order 8, above the cap 100\n")
+    refusal = ("the level-1 model needs 330 monomial columns per branch at jet order 8,"
+               " above the cap 100")
+    with pytest.raises(germs.ResourceCapError, match=f"^{refusal}$"):
+        ksmaps.locate_i1_i2(catalog.load("rieger-ruas").to_multigerm())
+    assert built == [4]
+    code, out, err = run(["analyze", "rieger-ruas"], capsys)
+    assert (code, out, err, built) == (2, "", f"cap reached: {refusal}\n", [4, 4])
 
 
 def test_exit_resource_cap_as_a_main_module():
@@ -811,7 +816,7 @@ def test_exit_inconsistent_fault_injected(capsys, monkeypatch):
         raise ConsistencyError("injected: formula 4, bruteforce 5")
 
     monkeypatch.setattr(ksmaps, "min_generators", boom)
-    code, _, err = run(["analyze", "whitney-psi2", "--mode", "both"], capsys)
+    code, _, err = run(["analyze", "whitney-psi2"], capsys)
     assert code == 4
     assert "inconsistent" in err
 
@@ -819,13 +824,13 @@ def test_exit_inconsistent_fault_injected(capsys, monkeypatch):
 def test_exit_inconsistent_completion_count_formula(capsys, monkeypatch):
     # construct's expected count is the formula, checked against the kernel it
     # completes: a formula off by one is caught, not confirmed by the kernel
-    real = ksmaps.higher_invariants
+    real = ksmaps.formula_invariants
 
-    def off_by_one(f, i, mode="formula"):
-        d, g = real(f, i, mode)
+    def off_by_one(f, i):
+        d, g = real(f, i)
         return d, g + i  # g_(i+1) - g_i, and so the formula, moves by one
 
-    monkeypatch.setattr(ksmaps, "higher_invariants", off_by_one)
+    monkeypatch.setattr(ksmaps, "formula_invariants", off_by_one)
     code, out, err = run(["construct", "e0"], capsys)
     assert (code, out) == (4, "")
     assert err.startswith("inconsistent: generator count mismatch: formula")

@@ -7,11 +7,13 @@ from liftfields import (
     HypothesisError,
     MultiGerm,
     NotFiniteMultiplicityError,
-    higher_invariants,
+    bruteforce_invariants,
+    formula_invariants,
     invariants,
     reduce_to_core,
 )
-from liftfields import catalog
+from liftfields import catalog, ksmaps
+from liftfields.germs import ConsistencyError
 from liftfields.ksmaps import GermInvariants, classify_stable, truncation_order
 from liftfields.parser import GermDocument
 from liftfields.report import AnalysisReport
@@ -115,14 +117,20 @@ def test_higher_invariants_binomial_scaling():
 def test_formula_matches_bruteforce(name):
     f = germ(name)
     for i in range(4):
-        assert higher_invariants(f, i, "formula") == higher_invariants(f, i, "bruteforce")
+        assert formula_invariants(f, i) == bruteforce_invariants(f, i)
 
 
-def test_both_mode_cross_checks():
+def test_invariants_run_both_routes(monkeypatch):
+    # every higher invariant is derived both ways: a brute-force route off
+    # by one at level 2 stops invariants() there
     f = germ("morin-2")
-    inv = invariants(f, max_i=2, mode="both")
-    assert inv.mode == "both"
-    assert inv.delta == 3
+    assert invariants(f, max_i=2).delta == 3
+    real = ksmaps.bruteforce_invariants
+    monkeypatch.setattr(ksmaps, "bruteforce_invariants",
+                        lambda g, i: (real(g, i)[0] + (i == 2), real(g, i)[1]))
+    assert invariants(germ("morin-2"), max_i=1).i_delta == {0: 3, 1: 6}
+    with pytest.raises(ConsistencyError, match="^level-2 invariants disagree: formula"):
+        invariants(germ("morin-2"), max_i=2)
 
 
 def test_frozen_catalog_deltas(catalog_docs):
@@ -168,7 +176,7 @@ def test_bruteforce_levels_match_at_per_branch_order(name):
         orders = [f.branch_ell(j) * (i + 1) for j in range(f.num_branches)]
         assert max(orders) == truncation_order(f, i) > min(orders)  # the orders differ
         per_branch = [branch_higher_at(f, j, i, order) for j, order in enumerate(orders)]
-        assert higher_invariants(f, i, "bruteforce") == tuple(map(sum, zip(*per_branch)))
+        assert bruteforce_invariants(f, i) == tuple(map(sum, zip(*per_branch)))
 
 
 # ---------------------------------------------------------------------------

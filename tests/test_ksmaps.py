@@ -391,7 +391,7 @@ def test_level_models_build_no_span_on_closed_form_towers(monkeypatch):
     f = germ("rieger-ruas")
     for i in range(4):
         ks_matrix(f, i)
-        assert higher_invariants(f, i, "both")
+        assert higher_invariants(f, i)
     assert all(f.branch_tower(j, truncation_order(f, 3)).power for j in range(f.num_branches))
     assert spans == []
     _force_product_towers(monkeypatch)  # the spy sees the product path
@@ -451,7 +451,7 @@ def test_product_towers_invariant_under_source_change(name):
     ]
     if isinstance(rf.i1, int) and rf.i1 == rf.i2:
         assert min_generators(f).count == min_generators(g).count
-    a, b = invariants(f, max_i=3, mode="both"), invariants(g, max_i=3, mode="both")
+    a, b = invariants(f, max_i=3), invariants(g, max_i=3)
     assert (a.delta, a.gamma, a.ell, a.i_delta, a.i_gamma) == (
         b.delta, b.gamma, b.ell, b.i_delta, b.i_gamma
     )
@@ -480,7 +480,7 @@ FROZEN_COUNTS = {
 
 @pytest.mark.parametrize("name,want", sorted(FROZEN_COUNTS.items()))
 def test_min_generators_frozen(name, want):
-    mg = min_generators(germ(name), mode="both")
+    mg = min_generators(germ(name))
     assert mg.count == want
     assert mg.formula_count == mg.bruteforce_count == want
 
@@ -536,7 +536,7 @@ def test_count_stops_at_the_first_level_that_is_not_injective(name, first):
     # unfold's brute-force cross-check builds no model past that level
     base = catalog.load(name).to_unfolding_spec().base
     with pytest.raises(HypothesisError, match="^count formula needs matching levels; found "):
-        min_generators(base, mode="bruteforce")
+        min_generators(base)
     assert sorted(key[1] for key in base._cache if key[0] == "ks") == list(range(first + 1))
     assert not ks_matrix(base, first).injective
 

@@ -132,6 +132,19 @@ def test_completion_is_exact_on_family_a(a, b):
         assert mod.count and all(g.exact for g in mod.generators), (a, b, c)
 
 
+def test_completion_frees_the_level_models_only():
+    # the level work is dropped once the kernel is read; the tangent spans
+    # the lifts are solved on stay cached
+    f = germ("rieger-36")
+    tangent = f.tangent_span(0, 5)
+    ks_matrix(f, 0)
+    assert {"tower", "cmap", "ks"} <= {key[0] for key in f._cache}
+    complete_generators(f)
+    assert not {"tower", "cmap", "ks"} & {key[0] for key in f._cache}
+    assert f._cache[("tangent", 0, 5)] is tangent
+    assert len([key for key in f._cache if key[0] == "tangent"]) > 1  # the lifts' own
+
+
 def test_completion_lowest_degrees_span_kernel():
     f = germ("cusp-pair")
     rep = locate_i1_i2(f)
@@ -182,7 +195,7 @@ def test_restriction_count_cross_check(capsys, monkeypatch):
     # the restricted count is checked against the brute-force count whenever
     # that one is decided, as it is not on any catalog unfolding
     monkeypatch.setattr(ksmaps, "min_generators",
-                        lambda f, mode, cap=6: ksmaps.MinGeneratorCount(5, 0, mode=mode))
+                        lambda f, cap=6: ksmaps.MinGeneratorCount(5, 0, 5, 5))
     doc = catalog.load("sfold-1-plus")
     with pytest.raises(HypothesisError, match="restriction produced 4 generators, expected 5"):
         restrict_from_unfolding(
@@ -731,11 +744,11 @@ def _all_fractions():
 
 def _level_layer(f):
     """The models at levels 0..i1+1 (0..2 with no surjective level), the
-    invariants in both modes, and the completed generators with their lifts."""
+    invariants by both routes, and the completed generators with their lifts."""
     rep = locate_i1_i2(f)
     top = rep.i1 + 1 if isinstance(rep.i1, int) else 2
     models = [ks_matrix(f, i) for i in range(top + 1)]
-    inv = invariants(f, max_i=3, mode="both")
+    inv = invariants(f, max_i=3)
     try:
         mod = complete_generators(f)
         gens = [(c.eta, c.lifts, c.exact) for c in mod.generators]

@@ -10,8 +10,9 @@ from liftfields import (
     Branch,
     HypothesisError,
     MultiGerm,
+    bruteforce_invariants,
     build_unfolding,
-    higher_invariants,
+    formula_invariants,
     invariants,
     ks_matrix,
     locate_i1_i2,
@@ -51,9 +52,7 @@ def plane_curve_germs(draw):
 def test_binomial_formula_matches_elimination(f):
     # n = 1: every higher invariant equals the base one
     for i in range(3):
-        assert higher_invariants(f, i, "formula") == higher_invariants(
-            f, i, "bruteforce"
-        )
+        assert formula_invariants(f, i) == bruteforce_invariants(f, i)
 
 
 @given(plane_curve_germs())
@@ -127,7 +126,7 @@ def test_generated_families_match_their_closed_forms(case):
     # agree up to level 2; every branch has a coordinate slot reading, so
     # its towers are closed-form
     f, delta = case
-    inv = invariants(f, max_i=2, mode="both")
+    inv = invariants(f, max_i=2)
     assert (inv.delta, inv.gamma, f.corank()) == (delta, delta - f.num_branches, 1)
     order = truncation_order(f, 2)
     assert all(f.branch_tower(j, order).power for j in range(f.num_branches))

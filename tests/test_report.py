@@ -20,6 +20,7 @@ from oracles import jsonschema_validator
 COMMANDS = [
     ["analyze", "whitney-psi2"],
     ["analyze", "e0"],
+    ["analyze", "tangent-fold-1"],  # its count is unavailable: a warning
     ["kernel", "curve-457", "--level", "2"],
     ["construct", "cusp-pair"],
     ["unfold", "fold-line"],
@@ -95,7 +96,7 @@ def test_real_reports_are_accepted(reports, oracle):
 # The options each subcommand reads, at the values COMMANDS gives them; the
 # catalog run's reports are analyze's.
 CONFIGS = {
-    "analyze": {"max_i": 6, "mode": "both"},
+    "analyze": {"max_i": 6},
     "kernel": {"level": 2},
     "construct": {"max_i": 6, "max_degree": None},
     "unfold": {"cert_order": 12},
@@ -110,7 +111,7 @@ def test_config_holds_exactly_the_options_read(reports):
     for doc in reports:
         assert doc["config"] == CONFIGS[doc["command"]], doc["command"]
     for argv, config in [
-        (["analyze", "e0", "--max-i", "2", "--mode", "formula"], {"max_i": 2, "mode": "formula"}),
+        (["analyze", "e0", "--max-i", "2"], {"max_i": 2}),
         (["construct", "e0", "--max-degree", "5", "--max-i", "3"], {"max_i": 3, "max_degree": 5}),
     ]:
         out = io.StringIO()
