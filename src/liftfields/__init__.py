@@ -29,15 +29,16 @@ def _lazy(name: str) -> None:
     globals()[name] = module
 
 
-for _layer in ("poly", "linalg", "modules", "germs", "ksmaps", "unfoldings", "lift", "division",
-               "parser", "report", "plaintext", "schema"):
+for _layer in ("errors", "poly", "linalg", "modules", "germs", "ksmaps", "unfoldings", "lift",
+               "division", "parser", "report", "plaintext", "schema"):
     _lazy(_layer)
 del _layer
 
 _LAYER_OF = {name: layer for layer, names in (
+    ("errors", ("ConsistencyError", "HypothesisError", "InputError", "NotFiniteMultiplicityError",
+                "NotLiftableError", "ParseError")),
     ("poly", ("Polynomial", "monomials_below", "monomials_of_degree")),
-    ("germs", ("Branch", "ConsistencyError", "HypothesisError", "InputError", "MultiGerm",
-               "NotFiniteMultiplicityError", "NotLiftableError")),
+    ("germs", ("Branch", "MultiGerm")),
     ("ksmaps", ("GermInvariants", "KSReport", "MinGeneratorCount", "StabilityVerdict",
                 "bruteforce_invariants", "classify_stable", "formula_invariants",
                 "higher_invariants", "invariants", "ks_matrix", "locate_i1_i2", "min_generators",
@@ -46,7 +47,7 @@ _LAYER_OF = {name: layer for layer, names in (
     ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
     ("lift", ("LiftModule", "compare_modules", "complete_generators", "nakayama_minimize",
               "restrict_from_unfolding", "transport")),
-    ("parser", ("GermDocument", "ParseError", "parse")),
+    ("parser", ("GermDocument", "parse")),
 ) for name in names}
 
 __all__ = ["__version__", *_LAYER_OF]

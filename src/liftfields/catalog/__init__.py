@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 
-from ..parser import GermDocument, parse
+from .. import parser
 
 _HERE = os.path.dirname(__file__)  # the entries are read by path, beside this module
 
@@ -41,18 +41,18 @@ def source(name: str) -> str:
         return fh.read()
 
 
-def load(name: str) -> GermDocument:
+def load(name: str) -> parser.GermDocument:
     """Parse a catalog entry into a germ document."""
-    return parse(source(name))
+    return parser.parse(source(name))
 
 
-def expected_i1(doc: GermDocument):
+def expected_i1(doc: parser.GermDocument):
     if doc.options.get("expect_i1_infinite"):
         return "infinity up to cap"
     return doc.options.get("expect_i1")
 
 
-def expected_i2(doc: GermDocument):
+def expected_i2(doc: parser.GermDocument):
     if doc.options.get("expect_i2_neg_infinite"):
         return "-infinity"
     return doc.options.get("expect_i2")

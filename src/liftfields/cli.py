@@ -39,16 +39,8 @@ import os
 import sys
 from importlib import import_module
 
-from . import catalog, division, lift, unfoldings
-from .germs import (ConsistencyError, HypothesisError, InputError, NotFiniteMultiplicityError,
-                    NotLiftableError, ResourceCapError)
-from .parser import ParseError, PowerTooLargeError, parse
-
-EXIT_OK = 0
-EXIT_HYPOTHESIS = 1
-EXIT_RESOURCE = 2
-EXIT_PARSE = 3
-EXIT_INCONSISTENT = 4
+from . import catalog, division, lift, parser, unfoldings
+from .errors import InputError, Refusal
 
 
 # perfbench/child.py wraps these three cli attributes to capture the
@@ -80,7 +72,7 @@ def _parse_file(path: str, ref: str):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"the file {ref!r} is not UTF-8 text: {exc}") from None
-    return parse(text)
+    return parser.parse(text)
 
 
 def _load_document(ref: str):
@@ -213,22 +205,13 @@ def main(argv=None) -> int:
         rep = run(_load_document(document), **options)
         rep.config = options
         rep.write(as_json)
-        return EXIT_OK
-    except (ResourceCapError, PowerTooLargeError) as exc:
-        sys.stderr.write(f"cap reached: {exc}\n")
-        return EXIT_RESOURCE
-    except (ParseError, InputError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except ConsistencyError as exc:
-        sys.stderr.write(f"inconsistent: {exc}\n")
-        return EXIT_INCONSISTENT
-    except (HypothesisError, NotLiftableError, NotFiniteMultiplicityError) as exc:
-        sys.stderr.write(f"hypothesis violated: {exc}\n")
-        return EXIT_HYPOTHESIS
+        return 0
+    except Refusal as exc:
+        sys.stderr.write(f"{exc.prefix}: {exc}\n")
+        return exc.exit_code
     except ValueError as exc:  # escaped a layer: a fault, not an input error
-        sys.stderr.write(f"inconsistent: {exc}\n")
-        return EXIT_INCONSISTENT
+        sys.stderr.write(f"{Refusal.prefix}: {exc}\n")
+        return Refusal.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

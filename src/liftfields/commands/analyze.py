@@ -1,7 +1,7 @@
 """``analyze``: invariants, level scan, stability, minimal generator count."""
 
 from .. import cli, ksmaps
-from ..germs import HypothesisError
+from ..errors import HypothesisError
 from ..report import AnalysisReport
 
 
@@ -11,7 +11,7 @@ def run(doc, max_i: int) -> AnalysisReport:
     if reduced:
         rep.extra["reduced_to_core"] = True
     with rep.timed("invariants"):
-        rep.invariants = ksmaps.invariants(f, max_i=3)
+        rep.invariants = ksmaps.invariants(f, max_i=min(3, max_i))
     with rep.timed("level_scan"):
         rep.ks = ksmaps.locate_i1_i2(f, cap=max_i)
         rep.stability = ksmaps.classify_stable(f)

@@ -2,7 +2,7 @@
 
 import sys
 
-from .. import catalog, cli
+from .. import catalog
 
 
 def run(run_all: bool, as_json: bool, **options) -> int:
@@ -11,4 +11,4 @@ def run(run_all: bool, as_json: bool, **options) -> int:
         from . import run_all as runner
         return runner.run(options, as_json)
     sys.stdout.write("".join(name + "\n" for name in catalog.names()))
-    return cli.EXIT_OK
+    return 0

@@ -3,7 +3,7 @@
 import os
 
 from .. import cli
-from ..germs import InputError
+from ..errors import InputError
 from ..report import AnalysisReport, cert_tag, render_field
 
 

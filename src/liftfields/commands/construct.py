@@ -1,7 +1,7 @@
 """``construct``: generating set of the liftable module by kernel completion."""
 
 from .. import cli, ksmaps
-from ..germs import ResourceCapError
+from ..errors import ResourceCapError
 from ..report import AnalysisReport
 
 

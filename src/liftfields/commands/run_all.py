@@ -3,8 +3,8 @@
 import json
 import sys
 
-from .. import catalog, cli
-from ..germs import ConsistencyError, ResourceCapError
+from .. import catalog
+from ..errors import ConsistencyError, ResourceCapError
 from ..report import validate_report
 from . import analyze
 
@@ -44,4 +44,4 @@ def run(options: dict, as_json: bool) -> int:
         for d in docs:
             validate_report(d)
         sys.stdout.write(json.dumps(docs, indent=2) + "\n")
-    return cli.EXIT_OK
+    return 0

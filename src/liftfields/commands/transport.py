@@ -1,7 +1,7 @@
 """``transport``: push a fields block through the document's diffeomorphism."""
 
 from .. import lift
-from ..germs import InputError
+from ..errors import InputError
 from ..report import AnalysisReport, render_field
 
 

@@ -1,7 +1,7 @@
 """``unfold``: generating set by restriction from the document's stable unfolding."""
 
 from .. import cli, ksmaps
-from ..germs import HypothesisError
+from ..errors import HypothesisError
 from ..report import AnalysisReport
 
 

@@ -15,7 +15,8 @@ from collections.abc import Sequence
 from math import lcm
 
 from . import modules
-from .germs import MultiGerm, NotLiftableError
+from .errors import NotLiftableError
+from .germs import MultiGerm
 from .poly import Polynomial, exact_div, mono_mul
 
 

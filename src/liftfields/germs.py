@@ -27,6 +27,7 @@ from collections.abc import Sequence
 from functools import wraps
 
 from . import division, ksmaps, linalg, modules
+from .errors import InputError, NotFiniteMultiplicityError, ResourceCapError
 from .poly import Polynomial, count_monomials_below, mono_mul, monomial_pullbacks, monomials_below
 
 def __getattr__(name: str):
@@ -73,35 +74,6 @@ def cached(kind: str):
             return f._cache[key]
         return get
     return decorate
-
-
-class NotFiniteMultiplicityError(ValueError):
-    """Raised when no Nakayama exponent is found below the order cap."""
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
-
-
-class HypothesisError(ValueError):
-    """Raised when an operation's mathematical hypothesis fails."""
-
-
-class InputError(ValueError):
-    """The input is not a valid germ, unfolding or diffeomorphism pair."""
-
-
-class ResourceCapError(RuntimeError):
-    """The scan cap was reached before the question could be decided."""
-
-
-class NotLiftableError(ValueError):
-    """The vector field is not liftable; carries the obstructed branch and
-    the jet degree at which the obstruction first appears."""
-
-    def __init__(self, message: str, branch: str, obstruction_degree: int):
-        super().__init__(message)
-        self.branch, self.obstruction_degree = branch, obstruction_degree
 
 
 def default_target_vars(p: int) -> tuple[str, ...]:

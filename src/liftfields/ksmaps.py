@@ -57,7 +57,8 @@ from collections.abc import Sequence
 from math import comb
 from operator import add
 
-from .germs import ConsistencyError, HypothesisError, MultiGerm, cached, check_jet_span
+from .errors import ConsistencyError, HypothesisError
+from .germs import MultiGerm, cached, check_jet_span
 from .linalg import FactoredSpan, QuotientModel, SparseSpan
 from .modules import ScalarClassMap, column, decode_row, jet_times, monomial, vector_to_row
 from .poly import Monomial, Polynomial, mono_degree, monomials_of_degree

@@ -29,8 +29,8 @@ from math import lcm
 
 from . import ksmaps, linalg, modules, unfoldings
 from .division import FieldVector, LiftCertificate, solve_lift
-from .germs import (ConsistencyError, HypothesisError, InputError, MultiGerm, NotLiftableError,
-                    ResourceCapError, check_jet_span)
+from .errors import ConsistencyError, HypothesisError, InputError, ResourceCapError
+from .germs import MultiGerm, check_jet_span
 from .poly import Polynomial, mono_mul, monomials_of_degree
 
 

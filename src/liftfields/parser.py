@@ -31,8 +31,7 @@ Once the whole document is read, each branch must have n source variables and
 p components and the target p names (one more each in the unfolding); every
 vector must match its target.  Errors are ParseErrors at the offending token.
 A power base^e of a t-term base is expanded only when e * C(t+e-1, e) stays
-within POWER_LIMIT; a larger one raises PowerTooLargeError (a ParseError,
-which the CLI maps to exit 2) before any expansion.
+within POWER_LIMIT; a larger one raises PowerTooLargeError before any expansion.
 """
 
 from __future__ import annotations
@@ -43,21 +42,9 @@ from fractions import Fraction
 from math import comb
 
 from . import plaintext, unfoldings
-from .germs import Branch, InputError, MultiGerm, default_target_vars
+from .errors import InputError, ParseError, PowerTooLargeError
+from .germs import Branch, MultiGerm, default_target_vars
 from .poly import Polynomial
-
-
-class ParseError(ValueError):
-    """Syntax or semantic error in a germ document, with location."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-class PowerTooLargeError(ParseError):
-    """A power whose expansion is too large to finish, refused unexpanded."""
 
 
 # bound on e * C(t+e-1, e) for base^e, t terms in base: (x+y)^200 (40,200)

@@ -13,7 +13,6 @@ their sections with ``with rep.timed(name):``.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -121,6 +120,7 @@ class AnalysisReport:
         return doc
 
     def to_json_text(self, doc: dict | None = None) -> str:  # doc: to_json(), if at hand
+        import json  # here, not at the top: a text report needs no json
         return json.dumps(self.to_json() if doc is None else doc, indent=2) + "\n"
 
     def to_text(self) -> str:
@@ -139,6 +139,7 @@ class AnalysisReport:
 
 def load_schema() -> dict:
     """The shipped JSON schema every serialized report validates against."""
+    import json
     with open(os.path.join(os.path.dirname(__file__), "report_schema.json"),
               encoding="utf-8") as fh:
         return json.load(fh)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from numbers import Number
 
-from .germs import ConsistencyError
+from .errors import ConsistencyError
 
 
 class ReportSchemaError(ConsistencyError):

@@ -8,7 +8,8 @@ from __future__ import annotations
 from itertools import product
 
 from . import ksmaps
-from .germs import Branch, ConsistencyError, HypothesisError, InputError, MultiGerm
+from .errors import ConsistencyError, HypothesisError, InputError
+from .germs import Branch, MultiGerm
 from .poly import Polynomial, monomials_of_degree
 
 

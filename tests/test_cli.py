@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 import liftfields
-from liftfields import catalog, cli, germs, ksmaps, modules, usage
-from liftfields.germs import ConsistencyError
+from liftfields import catalog, cli, errors, germs, ksmaps, modules, usage
+from liftfields.commands import analyze as analyze_command
+from liftfields.errors import ConsistencyError
 from liftfields.parser import parse_polynomial
 from liftfields.report import AnalysisReport, load_schema, validate_report
 from liftfields.schema import ReportSchemaError
@@ -123,7 +124,7 @@ COMPILE_CEILINGS = [
     (["check", "e0", "--fields", "reference"], 13_864),
     (["transport", "phi-63"], 16_041),
     (["reduce", "suspended-69"], 14_627),
-    (["catalog"], 9_448),
+    (["catalog"], 1_869),
 ]
 
 
@@ -150,6 +151,9 @@ def test_each_command_compiles_only_what_it_runs(argv, ceiling):
         f"liftfields.commands.{argv[0]}"]
     if argv[0] == "check":  # e0 has no unfolding block, and --json renders no text
         assert "liftfields.unfoldings" not in run and "liftfields.plaintext" not in run
+    if argv[0] == "catalog":  # the listing reads file names: no layer, nor the parser
+        assert run == ["liftfields", "liftfields.catalog", "liftfields.cli",
+                       "liftfields.commands", "liftfields.commands.catalog", "liftfields.errors"]
 
 
 def test_start_up_imports_no_resource_or_typing_machinery():
@@ -168,6 +172,21 @@ def test_start_up_imports_no_resource_or_typing_machinery():
         "-S",
     )
     assert out.splitlines()[-1].split() == ["0", "0", "0", "0", "0"]
+
+
+def test_text_reports_do_not_import_json():
+    # json is imported only to serialize a report or to load the schema
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from liftfields import cli\n"
+        "codes = [cli.main(argv) for argv in\n"
+        "         (['analyze', 'e0'], ['kernel', 'e0', '--level', '1'], ['construct', 'e0'],\n"
+        "          ['unfold', 'fold-line'], ['check', 'e0'], ['transport', 'phi-63'],\n"
+        "          ['reduce', 'suspended-69'])]\n"
+        "print('\\n', *codes, 'json' in sys.modules)\n",
+        "-S",
+    )
+    assert out.splitlines()[-1].split() == ["0"] * 7 + ["False"]
 
 
 def test_public_names_resolve_to_their_layers():
@@ -216,18 +235,18 @@ UNSTABLE_UNFOLDING = """germ unstable {
 
 
 def test_hypothesis_exit_does_not_compile_lift(tmp_path):
-    # NotLiftableError lives in germs beside the other exit-1 errors, so the
+    # NotLiftableError lives in errors beside the other refusals, so the
     # handler that catches them compiles no layer the command did not run
     path = tmp_path / "unstable.germ"
     path.write_text(UNSTABLE_UNFOLDING)
     out = _fresh_interpreter(
         "import sys, types\n"
         "import liftfields\n"
-        "from liftfields import cli, germs\n"
+        "from liftfields import cli, errors\n"
         f"print(cli.main(['unfold', {str(path)!r}]))\n"
         "print(type(sys.modules['liftfields.lift']) is types.ModuleType)\n"
-        "print(liftfields.NotLiftableError is germs.NotLiftableError"
-        " is liftfields.lift.NotLiftableError)\n"
+        "print(liftfields.NotLiftableError is errors.NotLiftableError"
+        " is liftfields.division.NotLiftableError)\n"
     )
     assert out.split() == ["1", "False", "True"]
 
@@ -739,17 +758,30 @@ def test_exit_resource_level_scan_reaches_the_cap(capsys, monkeypatch):
                         lambda gens, order, **kw: built.append(order) or tower(gens, order, **kw))
     refusal = ("the level-1 model needs 330 monomial columns per branch at jet order 8,"
                " above the cap 100")
-    with pytest.raises(germs.ResourceCapError, match=f"^{refusal}$"):
+    with pytest.raises(errors.ResourceCapError, match=f"^{refusal}$"):
         ksmaps.locate_i1_i2(catalog.load("rieger-ruas").to_multigerm())
     assert built == [4]
     code, out, err = run(["analyze", "rieger-ruas"], capsys)
     assert (code, out, err, built) == (2, "", f"cap reached: {refusal}\n", [4, 4])
 
 
+def test_analyze_derives_invariants_no_higher_than_its_cap(capsys, monkeypatch):
+    # the higher invariants stop at level min(3, --max-i): at cap 0 analyze
+    # reads level 0 only, so the level-1 model's 330 columns are never refused
+    monkeypatch.setattr(germs, "MODEL_COLUMN_CAP", 100)
+    code, out, err = run(["analyze", "rieger-ruas", "--max-i", "0", "--json"], capsys)
+    assert (code, err) == (0, "")
+    invariants = json.loads(out)["invariants"]
+    assert (invariants["i_delta"], invariants["i_gamma"]) == ({"0": 4}, {"0": 3})
+    monkeypatch.undo()
+    code, out, _ = run(["analyze", "rieger-ruas", "--max-i", "1", "--json"], capsys)
+    assert code == 0 and list(json.loads(out)["invariants"]["i_delta"]) == ["0", "1"]
+
+
 def test_exit_resource_cap_as_a_main_module():
     # run as ``python -m liftfields.cli``, cli is loaded a second time as
-    # __main__; the handler's cap error is germs' one class, so __main__
-    # catches it too
+    # __main__; the refusal classes are errors' one copy, so __main__'s
+    # handler catches them too
     src = os.path.dirname(os.path.dirname(liftfields.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -758,7 +790,7 @@ def test_exit_resource_cap_as_a_main_module():
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "cap reached: no surjective level found up to the cap 6\n"
-    assert cli.ResourceCapError is germs.ResourceCapError
+    assert cli.Refusal is errors.Refusal and germs.ResourceCapError is errors.ResourceCapError
 
 
 @pytest.mark.parametrize("argv,refusal", [
@@ -844,6 +876,45 @@ def test_exit_inconsistent_value_error_escaping_a_layer(capsys, monkeypatch):
     monkeypatch.setattr(ksmaps, "locate_i1_i2", boom)
     code, out, err = run(["analyze", "e0"], capsys)
     assert (code, out, err) == (4, "", "inconsistent: variable count mismatch: 2 vs 3\n")
+
+
+def _refusals(base=errors.Refusal):
+    """Every subclass of ``base`` that ``liftfields.errors`` defines."""
+    for cls in base.__subclasses__():
+        if cls.__module__ == errors.__name__:
+            yield cls
+            yield from _refusals(cls)
+
+
+# the exit code and stderr prefix the cli docstring documents for each
+# refusal; a new refusal class fails the test below until it is listed here
+EXIT_OF = {
+    "HypothesisError": (1, "hypothesis violated"),
+    "NotFiniteMultiplicityError": (1, "hypothesis violated"),
+    "NotLiftableError": (1, "hypothesis violated"),
+    "ResourceCapError": (2, "cap reached"),
+    "PowerTooLargeError": (2, "cap reached"),
+    "InputError": (3, "error"),
+    "ParseError": (3, "error"),
+    "ConsistencyError": (4, "inconsistent"),
+    "ValueError": (4, "inconsistent"),  # escaped a layer: a fault
+}
+
+
+@pytest.mark.parametrize("cls", [*_refusals(), ValueError], ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_refusal(cls, capsys, monkeypatch):
+    # one handler maps every refusal to its code; a builtin base is kept
+    args = {"NotLiftableError": ("a", 4), "ParseError": (1, 2), "PowerTooLargeError": (1, 2)}
+    exc = cls("refused", *args.get(cls.__name__, ()))
+    assert isinstance(exc, ValueError) != isinstance(exc, RuntimeError)
+
+    def handler(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(analyze_command, "run", handler)
+    code, out, err = run(["analyze", "e0"], capsys)
+    exit_code, prefix = EXIT_OF[cls.__name__]
+    assert (code, out, err) == (exit_code, "", f"{prefix}: {exc}\n")
 
 
 def test_exit_hypothesis_obstruction_pinned(capsys):

@@ -13,7 +13,7 @@ from liftfields import (
     reduce_to_core,
 )
 from liftfields import catalog, ksmaps
-from liftfields.germs import ConsistencyError
+from liftfields.errors import ConsistencyError
 from liftfields.ksmaps import GermInvariants, classify_stable, truncation_order
 from liftfields.parser import GermDocument
 from liftfields.report import AnalysisReport

@@ -24,7 +24,8 @@ from liftfields import (
 )
 from liftfields import catalog, cli, division, germs, ksmaps, lift, linalg, modules
 from liftfields import poly as poly_module
-from liftfields.germs import Branch, HypothesisError, MultiGerm
+from liftfields.errors import HypothesisError
+from liftfields.germs import Branch, MultiGerm
 from liftfields.linalg import solve_sparse
 from liftfields.poly import Polynomial, monomials_below, monomials_of_degree
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 from liftfields import GermDocument, ParseError, catalog, parse
-from liftfields.parser import POWER_LIMIT, PowerTooLargeError, parse_polynomial, tokenize
+from liftfields.errors import PowerTooLargeError
+from liftfields.parser import POWER_LIMIT, parse_polynomial, tokenize
 
 
 def test_minimal_document():
