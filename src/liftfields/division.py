@@ -171,8 +171,8 @@ def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
                                    f" division normal form, obstruction degree at least {order}",
                                    b.label, order)
         terms: list[dict] = [{} for _ in range(n)]
-        for u, c in span.combination(hits).items():
-            terms[u % n][modules.monomial(n, u // n)] = c
+        for (src, alpha), c in span.combination(hits).items():
+            terms[src][alpha] = c
         xi = tuple(Polynomial(n, t) for t in terms)
         low = _residual_low(b, full, xi)
         if low is not None:

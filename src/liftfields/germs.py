@@ -9,7 +9,8 @@ and one-parameter unfoldings in ``unfoldings``.
 
 Each jet object derived from a germ (ideal spans, ell, towers, class maps,
 prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models) has
-one builder under ``cached(kind)``, so it is built once per germ and arguments.
+one builder under ``cached(kind)``, so it is built once per germ and arguments;
+the ideal and tangent spans take their rows from ``modules.jet_multiples``.
 Each fact is derived once: the corank from one echelon span of each
 branch's linear part; delta is read at jet order ell+1, where ell's scan
 ends; both derivations of a level i take their jet order (i+1)*ell from
@@ -28,7 +29,7 @@ from functools import wraps
 
 from . import division, ksmaps, linalg, modules
 from .errors import InputError, NotFiniteMultiplicityError, ResourceCapError
-from .poly import Polynomial, count_monomials_below, mono_mul, monomial_pullbacks, monomials_below
+from .poly import Polynomial, count_monomials_below, mono_mul, monomial_pullbacks
 
 def __getattr__(name: str):
     """ksmaps.invariants, importable from here as from its own layer (PEP 562)."""
@@ -253,28 +254,17 @@ class MultiGerm:
 
     @cached("tangent")
     def tangent_span(self, j: int, order: int) -> linalg.FactoredSpan:
-        """Jet span below ``order`` of branch j's tangent space, factored once.
-
-        The vectors df_j(x^alpha e_src) are added in unknown order
-        u = rank(alpha)*n + src (tagged u), so the lift equation
-        df_j(xi) = rhs is solved by reducing rhs and back-substituting.
-        """
+        """Jet span below ``order`` of branch j's tangent space tf(θ) =
+        df_j(θ), factored once: the module jet multiples
+        (``modules.jet_multiples``) of the Jacobian's columns df_j(e_src),
+        each x^alpha * df_j(e_src) tagged (src, alpha), so the lift equation
+        df_j(xi) = rhs is solved by reducing rhs and back-substituting."""
         n, p = self.n, self.p
         check_jet_span("a branch's tangent span", n, order, p)
         jac = self.branches[j].jacobian()
-        monos = monomials_below(n, order)
-        cols = {m: c for c, m in enumerate(monos)}  # this call's columns, walked once
         span = linalg.FactoredSpan()
-        for a_rank, alpha in enumerate(monos):
-            for src in range(n):
-                # columns of x^alpha * d(component q)/d(x_src), truncated
-                row = {}
-                for q in range(p):
-                    for m, c in jac[q][src].terms.items():
-                        col = cols.get(mono_mul(m, alpha))
-                        if col is not None:
-                            row[col * p + q] = c
-                span.add(row, a_rank * n + src)
+        for tag, row in modules.jet_multiples(zip(*jac), p, n, order):
+            span.add(row, tag)
         return span
 
     def free_level_models(self) -> None:

@@ -231,12 +231,11 @@ def transport(
     H∘g∘(any source diffeomorphism)."""
     p = len(H)
     ident = [Polynomial.variable(p, r) for r in range(p)]
-    for comp, want in zip((h.substitute(list(H_inv), cert_order) for h in H), ident):
-        if comp.truncate(cert_order) != want.truncate(cert_order):
-            raise InputError("H∘H_inv is not the identity to the certified order")
-    for comp, want in zip((h.substitute(list(H), cert_order) for h in H_inv), ident):
-        if comp.truncate(cert_order) != want.truncate(cert_order):
-            raise InputError("H_inv∘H is not the identity to the certified order")
+    for outer, inner, name in ((H, H_inv, "H∘H_inv"), (H_inv, H, "H_inv∘H")):
+        for h, want in zip(outer, ident):
+            comp = h.substitute(list(inner), cert_order)
+            if comp.truncate(cert_order) != want.truncate(cert_order):
+                raise InputError(f"{name} is not the identity to the certified order")
     out = []
     for eta in fields:
         pushed = []

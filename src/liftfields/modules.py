@@ -7,10 +7,12 @@ Two layers live here:
   element of R^r is a sparse term row: a dict {(position, monomial): exact
   rational coefficient} with no zero entry, {} for zero;
 * jet-level: exact linear algebra on truncated module elements (spans of
-  monomial multiples, quotient class maps, ideal-power filtrations).  An
-  ideal's jet span is its rank-1 module's, ``module_jet_span([(g,) ...], 1,
-  n, order)``; a scalar jet row is ``vector_to_row([g], 1, order)``, its
-  columns monomials ranked in closed form (``column``, ``monomial``).
+  monomial multiples, quotient class maps, ideal-power filtrations).
+  ``jet_multiples`` writes every module's jet multiples: ``module_jet_span``
+  (an ideal's is its rank-1 module's, ``module_jet_span([(g,) ...], 1, n,
+  order)``) and the tangent spans of Jacobian columns.  A scalar jet row
+  is ``vector_to_row([g], 1, order)``, its columns monomials ranked in
+  closed form (``column``, ``monomial``).
 
 The jet layer is where almost all invariants are actually computed; the
 symbolic layer drives the unfolding-intersection pipeline.
@@ -186,18 +188,17 @@ def jet_span(vectors: Iterable[Sequence[Polynomial]], rank: int, order: int) -> 
     return span
 
 
-def module_jet_span(
+def jet_multiples(
     gens: Iterable[Sequence[Polynomial]], rank: int, nvars: int, order: int, min_mult_degree: int = 0
-) -> SparseSpan:
-    """Jet span of all monomial multiples x^a * g (deg a >= min_mult_degree)
-    of the generators, truncated at the given order.  Rows are built on
-    column indices (x^a * x^t e_pos goes to ``column(a*t) * rank + pos``) from
-    each generator scaled to integer coefficients by a positive denominator,
-    so the echelon rows are those of the rational multiples."""
+):
+    """((k, a), row) for each monomial multiple x^a * g_k (deg a >=
+    min_mult_degree) of the generators with a term below the order: generator
+    by generator, then multipliers by ascending degree in grevlex order.  The
+    row holds x^a * x^t e_pos at ``column(a*t) * rank + pos``, truncated at
+    the order, with the coefficients as given."""
     monos = monomials_below(nvars, order)
     cols = {m: c for c, m in enumerate(monos)}  # this call's columns, walked once
-    span = SparseSpan()
-    for g in gens:
+    for k, g in enumerate(gens):
         terms = [
             (pos, t, mono_degree(t), c)
             for pos, comp in enumerate(g)
@@ -206,15 +207,23 @@ def module_jet_span(
         ]
         if not terms:
             continue
-        den = lcm(*(c.denominator for *_, c in terms))
-        terms = [(pos, t, dt, int(c * den)) for pos, t, dt, c in terms]
         for d in range(min_mult_degree, order - min(dt for _, _, dt, _ in terms)):
             for a in monos[count_monomials_below(nvars, d):count_monomials_below(nvars, d + 1)]:
-                span.add({
+                yield (k, a), {
                     cols[tuple(map(add, a, t))] * rank + pos: c
                     for pos, t, dt, c in terms
                     if dt + d < order
-                })
+                }
+
+
+def module_jet_span(
+    gens: Iterable[Sequence[Polynomial]], rank: int, nvars: int, order: int, min_mult_degree: int = 0
+) -> SparseSpan:
+    """Jet span of all monomial multiples x^a * g (deg a >= min_mult_degree)
+    of the generators, truncated at the given order (``jet_multiples``)."""
+    span = SparseSpan()
+    for _, row in jet_multiples(gens, rank, nvars, order, min_mult_degree):
+        span.add(row)
     return span
 
 

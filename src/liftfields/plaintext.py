@@ -69,15 +69,15 @@ def document_text(doc: parser.GermDocument) -> str:
     if doc.diffeo is not None:
         H, Hinv = doc.diffeo
         out.append("  diffeo {")
-        out.append(f"    H = ({', '.join(c.render(doc.target_vars) for c in H)});")
-        out.append(f"    Hinv = ({', '.join(c.render(doc.target_vars) for c in Hinv)});")
+        out.append(f"    H = {report.render_field(H, doc.target_vars)};")
+        out.append(f"    Hinv = {report.render_field(Hinv, doc.target_vars)};")
         out.append("  }")
     for fd in doc.fields.values():
         over = " over unfolding" if fd.over_unfolding else ""
         out.append(f"  fields {fd.name}{over} {{")
         names = doc.unfolding.target_vars if fd.over_unfolding else doc.target_vars
         for vf in fd.fields:
-            out.append(f"    ({', '.join(c.render(names) for c in vf)});")
+            out.append(f"    {report.render_field(vf, names)};")
         out.append("  }")
     if doc.options:
         opts = " ".join(f"{k} = {v};" for k, v in sorted(doc.options.items()))

@@ -24,7 +24,7 @@ from liftfields import (
 )
 from liftfields import catalog, cli, division, germs, ksmaps, lift, linalg, modules
 from liftfields import poly as poly_module
-from liftfields.errors import HypothesisError
+from liftfields.errors import HypothesisError, InputError
 from liftfields.germs import Branch, MultiGerm
 from liftfields.linalg import solve_sparse
 from liftfields.poly import Polynomial, monomials_below, monomials_of_degree
@@ -241,6 +241,17 @@ def test_transport_rejects_non_inverse_pair():
     H, _ = doc.diffeo_pair()
     with pytest.raises(ValueError):
         transport(doc.fields["pre"].fields, H, H, CERT)
+
+
+def test_transport_checks_both_compositions():
+    # away from 0, one-sided inverses to order 2: (X^2 - X)∘(X + 1) = X^2 + X,
+    # but (X + 1)∘(X^2 - X) = X^2 - X + 1
+    H, G = vfield(["X^2 - X"], ("X",)), vfield(["X + 1"], ("X",))
+    fields = [vfield(["X"], ("X",))]
+    with pytest.raises(InputError, match="^H_inv∘H is not the identity"):
+        transport(fields, H, G, 2)
+    with pytest.raises(InputError, match="^H∘H_inv is not the identity"):
+        transport(fields, G, H, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +475,33 @@ def test_factored_solve_matches_raw_system(catalog_docs):
     assert solved > 50 and obstructed >= 1
 
 
+def _check_tangent_spans(f, order):
+    """Each branch's tangent span has, row for row, the echelon rows of the
+    Polynomial multiples of its Jacobian's columns df_j(e_src); each row's
+    back substitution is over (src, alpha) tags with alpha below the order,
+    and rebuilds the row as df_j(sum of c * x^alpha e_src)."""
+    for j, b in enumerate(f.branches):
+        jac = b.jacobian()
+        span = f.tangent_span(j, order)
+        want = polynomial_module_jet_span(list(zip(*jac)), f.p, f.n, order)
+        assert span.rows == want.rows, (b.label, order)
+        for row in span.rows.values():
+            hits: dict = {}
+            assert not span.reduce_full(row, hits)
+            xi = [Polynomial.zero(f.n)] * f.n
+            for (src, alpha), c in span.combination(hits).items():
+                assert 0 <= src < f.n and sum(alpha) < order, (b.label, src, alpha)
+                xi[src] = xi[src] + Polynomial.monomial(f.n, alpha, c)
+            image = [sum((jac[q][src] * xi[src] for src in range(f.n)), Polynomial.zero(f.n))
+                     for q in range(f.p)]
+            assert modules.vector_to_row(image, f.p, order) == row, (b.label, order)
+
+
+def test_tangent_span_is_the_jacobian_module_span(catalog_docs):
+    for name, doc in catalog_docs.items():
+        _check_tangent_spans(doc.to_multigerm(), 5)
+
+
 def test_completion_factors_each_tangent_span_once(monkeypatch):
     built, building = [], []
 
@@ -614,6 +652,13 @@ def test_completion_division_matches_jets(drawn):
                 assert all(c.exact for c in mod.generators)
             outcomes.append(mod.count)
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(_small_germs(), st.integers(3, 7))
+def test_tangent_span_is_the_jacobian_module_span_on_drawn_germs(drawn, order):
+    # the drawn folds are not prenormal: their lifts take the jet route
+    _check_tangent_spans(_small_germ(drawn), order)
 
 
 def test_division_by_a_leading_constant_is_exact():

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+from collections import Counter
 from functools import reduce
 from operator import getitem
 
@@ -146,8 +147,13 @@ def test_report_objects_keep_the_schema_key_order(reports):
             "#/lift", "#/lift/generators/*", "#/kernel"} <= seen
 
 
+# The schema keywords that can reject a report.
+REJECTING_KEYWORDS = ("type", "const", "enum", "minimum", "oneOf", "required",
+                      "additionalProperties")
+
+
 def test_targeted_mutations_agree_with_oracle(reports, oracle):
-    verdicts = []
+    verdicts, reasons = [], Counter()
     for doc in reports[: len(COMMANDS) - 1] + reports[-1:]:
         for path in paths(doc):
             value = reduce(getitem, path, doc)
@@ -168,8 +174,12 @@ def test_targeted_mutations_agree_with_oracle(reports, oracle):
                 verdict = oracle.is_valid(bad)
                 assert accepts(bad) == verdict, (path, op, arg)
                 verdicts.append(verdict)
-    # the mutations reach both verdicts
-    assert verdicts.count(True) > 100 and verdicts.count(False) > 1000
+                reasons.update({err.validator for err in oracle.iter_errors(bad)})
+    # the mutations reach both verdicts, and each keyword the schema uses
+    # rejects at least one of them: a floor that does not move with the
+    # reports' size
+    assert verdicts.count(True) > 100
+    assert all(reasons[keyword] for keyword in REJECTING_KEYWORDS), reasons
 
 
 @settings(max_examples=300, deadline=None)
