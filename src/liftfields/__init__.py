@@ -30,7 +30,7 @@ def _lazy(name: str) -> None:
 
 
 for _layer in ("errors", "poly", "linalg", "modules", "germs", "ksmaps", "unfoldings", "lift",
-               "division", "parser", "report", "plaintext", "schema"):
+               "division", "tangent", "parser", "report", "plaintext", "schema"):
     _lazy(_layer)
 del _layer
 
@@ -44,7 +44,7 @@ _LAYER_OF = {name: layer for layer, names in (
                 "higher_invariants", "invariants", "ks_matrix", "locate_i1_i2", "min_generators",
                 "truncation_order")),
     ("unfoldings", ("UnfoldingSpec", "build_unfolding", "reduce_to_core")),
-    ("division", ("LiftCertificate", "solve_lift", "verify_certificate")),
+    ("division", ("LiftCertificate", "solve_lift")),
     ("lift", ("LiftModule", "compare_modules", "complete_generators", "nakayama_minimize",
               "restrict_from_unfolding", "transport")),
     ("parser", ("GermDocument", "parse")),

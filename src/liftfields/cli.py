@@ -23,10 +23,10 @@ arguments the parser refuses (among them a ``--level`` or ``--max-i`` that
 is not a non-negative integer, a ``--max-degree`` or ``--cert-order`` below
 1, and an option the subcommand does not take); 3 parse or semantic error in
 the input (no valid germ, unfolding or diffeo pair, a diffeo block whose
-maps are not inverse, or no such document or block); 4 internal consistency
-failure (the formula and brute-force derivations of a count or invariant,
-both always run, disagree, a ``--json`` report breaks the shipped schema,
-or any other ``ValueError`` escapes a layer).
+maps are not inverse or do not fix 0, or no such document or block); 4
+internal consistency failure (the formula and brute-force derivations of a
+count or invariant, both always run, disagree, a ``--json`` report breaks
+the shipped schema, or any other ``ValueError`` escapes a layer).
 
 The environment variable ``LIFTFIELDS_WORKDIR`` overrides the directory
 against which relative document paths are resolved; nothing else is read

@@ -4,19 +4,21 @@ on branches in prenormal form.
 On a branch (x_1..x_{n-1}, g(x, y)) where one component's y-derivative is a
 Weierstrass polynomial in y, df(xi) = eta∘f is decided by division in
 K[x][y], exactly and with no jet order; any other branch is solved modulo
-its tangent jet span (MultiGerm.tangent_span).  This is the read path of
-the lift layer (solve_lift, verify_certificate, LiftCertificate), so
-``check`` and ``reduce`` compile only this module, not ``lift``.
+its tangent jet span (``tangent``).  One engine, ``residual``, sums a
+field's memoized per-term residuals and partial lifts for solve_lift and
+for kernel completion's columns and certificates.  This is the read path of
+the lift layer, so ``check`` and ``reduce`` compile this module, not ``lift``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from math import lcm
 
-from . import modules
+from . import tangent
 from .errors import NotLiftableError
-from .germs import MultiGerm
+from .germs import MultiGerm, cached
 from .poly import Polynomial, exact_div, mono_mul
 
 
@@ -54,26 +56,27 @@ class PrenormalForm:
         return Polynomial(n, quot), Polynomial(n, {m: v for row in rows.values()
                                                    for m, v in row.items()}), s
 
-    def normal_form(self, v: Sequence[Polynomial]) -> tuple[list[Polynomial], tuple, int]:
-        """(normal form, xi, s) of a pullback v, both times the scale s of the
-        division: xi_{x_i} = v at x_i's slot, r_k = xi_y * d g_k/dy at each
-        other slot k, xi_y the quotient of r_h by W.  The normal form
-        (remainder, r_k - xi_y * d g_k/dy) is K[x_1..x_{n-1}]-linear in v and
-        vanishes exactly when v is in the tangent module; then xi / s lifts v."""
-        jac, y, h = self.jac, self.y, self.h
+    def normal_form(self, v: Sequence[Polynomial]) -> tuple[list[Polynomial], int]:
+        """([normal form, xi], s) of a pullback v, both times the scale s of
+        the division, in one list of p + n polynomials: xi_{x_i} = v at x_i's
+        slot, r_k = xi_y * d g_k/dy at each other slot k, xi_y the quotient
+        of r_h by W.  The normal form (remainder, r_k - xi_y * d g_k/dy) is
+        K[x_1..x_{n-1}]-linear in v and vanishes exactly when v is in the
+        tangent module; then xi / s lifts v."""
+        jac, y, h, p = self.jac, self.y, self.h, len(v)
         zero = Polynomial.zero(v[0].nvars)
-        xi, nf = [zero] * len(jac[0]), [zero] * len(v)
+        out = [zero] * (p + len(jac[0]))
         taken = {s for s, _ in self.coords}
         r = {
             k: v[k] - sum((jac[k][i] * v[s] for s, i in self.coords), zero)
-            for k in range(len(v)) if k not in taken
+            for k in range(p) if k not in taken
         }
-        xi[y], nf[h], scale = self.divide(r.pop(h))
+        out[p + y], out[h], scale = self.divide(r.pop(h))
         for s, i in self.coords:
-            xi[i] = v[s].scale(scale)
+            out[p + i] = v[s].scale(scale)
         for k, rk in r.items():
-            nf[k] = rk.scale(scale) - xi[y] * jac[k][y]
-        return nf, tuple(xi), scale
+            out[k] = rk.scale(scale) - out[p + y] * jac[k][y]
+        return out, scale
 
 
 def prenormal_form(b, slots: dict[int, int], y: int | None) -> PrenormalForm | None:
@@ -115,77 +118,69 @@ class LiftCertificate:
         self.exact, self.residual_low_degree = exact, residual_low_degree
 
 
-def _tangent_image(branch, xi: Sequence[Polynomial]) -> list[Polynomial]:
-    """df_j(xi_j): the Jacobian applied to a source field."""
-    jac = branch.jacobian()
-    n, p = branch.n, branch.p
-    return [
-        sum((jac[q][m] * xi[m] for m in range(n)), Polynomial.zero(n))
-        for q in range(p)
-    ]
+@cached("residual")
+def _term_residual(f: MultiGerm, j: int, q: int, beta: tuple, order: int | None):
+    """(s * [residual, xi], s) of X^beta e_q on branch j, p and n
+    polynomials, s > 0: with order None (j prenormal) its division normal
+    form and quotient, else (s = 1) ``tangent.reduce`` below ``order``."""
+    v = [Polynomial.zero(f.p)] * f.p
+    v[q] = Polynomial.monomial(f.p, beta)
+    if order is None:
+        return f.prenormal(j).normal_form(f.pullback(j, v, None))
+    return tangent.reduce(f, j, f.pullback(j, v, order), order), 1
 
 
-def _residual_low(branch, full: Sequence[Polynomial], xi) -> int | None:
-    """Lowest degree of the residual eta∘f_j - df_j(xi_j); None if it is 0."""
-    lows = [(u - v).low_degree() for u, v in zip(full, _tangent_image(branch, xi)) if u != v]
-    return min(lows, default=None)
+def residual(f: MultiGerm, j: int, terms, order: int, jets: bool = False):
+    """(S * [residual, xi], S) of sum(c * X^beta e_q) over ``terms`` (q, beta,
+    c) on branch j, p + n term dicts (zero values kept), S the lcm of each
+    entry's scale (_term_residual) times c's denominator; xi / S lifts the
+    sum when the residual is 0 (below ``order`` on the jet route).  On a
+    prenormal branch, unless ``jets``, X'^a*Y^b (MultiGerm.split) is Y^b's
+    entry shifted by x^a: division is K[x']-linear (K[y]-linear when a slot
+    is y, as W is then constant)."""
+    divide = not jets and f.prenormal(j) is not None
+    parts = []
+    for q, beta, c in terms:
+        shift, beta = f.split(j, beta) if divide else ((0,) * f.n, beta)
+        parts.append((c, shift, *_term_residual(f, j, q, beta, None if divide else order)))
+    scale = lcm(*(s * c.denominator for c, _, _, s in parts))
+    out = [{} for _ in range(f.p + f.n)]
+    for c, shift, vec, s in parts:
+        c = c.numerator * (scale // (s * c.denominator))
+        for acc, comp in zip(out, vec):
+            for m, a in comp.terms.items():
+                m = mono_mul(m, shift)
+                acc[m] = acc.get(m, 0) + c * a
+    return out, scale
+
+
+def certificate(f: MultiGerm, eta: FieldVector, terms, order: int) -> LiftCertificate:
+    """Certify eta = sum(c * X^beta e_q) over ``terms`` (q, beta, c) by the
+    branches' sums (``residual``); off prenormal branches the lowest degree
+    of a nonzero untruncated residual is recorded.  Raises NotLiftableError
+    with the first obstructed branch and the lowest degree of its jet
+    remainder, which on a prenormal branch only names the degree of a
+    nonzero normal form, ``order`` as a lower bound when it vanishes."""
+    lifts, lows = [], []
+    for j, b in enumerate(f.branches):
+        vec, s = residual(f, j, terms, order)
+        if any(a for t in vec[:f.p] for a in t.values()):
+            if f.prenormal(j) is not None:  # division decides; the jets only name the degree
+                vec = residual(f, j, terms, order, jets=True)[0]
+            deg = min((sum(m) for t in vec[:f.p] for m, a in t.items() if a), default=order)
+            why = (f" at jet order {deg + 1}" if deg < order else
+                   f": nonzero division normal form, obstruction degree at least {order}")
+            raise NotLiftableError(f"branch {b.label!r}: lift equation inconsistent{why}",
+                                   b.label, deg)
+        lifts.append(tuple(Polynomial(f.n, t).scale(Fraction(1, s)) for t in vec[f.p:]))
+        if f.prenormal(j) is None:  # the jets leave a residual at or above the order
+            lows.append(tangent.residual_low(f, j, eta, lifts[-1]))
+    low = min((d for d in lows if d is not None), default=None)
+    return LiftCertificate(tuple(eta), tuple(lifts), order, low is None, low)
 
 
 def solve_lift(f: MultiGerm, eta: FieldVector, order: int) -> LiftCertificate:
-    """Solve the lift equation for eta over every branch of f; raises
-    NotLiftableError with the first obstructed branch and degree.
-
-    A prenormal branch is solved exactly by division.  Any other branch, or
-    one whose normal form does not vanish, is reduced modulo its tangent jet
-    span: a nonzero remainder is the obstruction (its lowest column gives
-    the degree), and otherwise xi is read off by back substitution.  A
-    nonzero normal form with no obstruction below ``order`` is still one:
-    the error then carries ``order`` as a lower bound on its degree.
-    """
-    n, p = f.n, f.p
-    lifts = []
-    residual_low = None
-    den = lcm(*(c.denominator for comp in eta for c in comp.terms.values()))
-    integral = [comp.scale(den) for comp in eta]  # divided back once per lift coefficient
-    for j, b in enumerate(f.branches):
-        form = f.prenormal(j)
-        if form is not None:
-            nf, xi, s = form.normal_form(f.pullback(j, integral, None))
-            if not any(nf):  # xi / (s * den) lifts eta
-                lifts.append(tuple(Polynomial(n, {m: exact_div(c, s * den)
-                                                  for m, c in x.terms.items()}) for x in xi))
-                continue
-        full = f.pullback(j, eta, None)
-        span = f.tangent_span(j, order)
-        hits: dict = {}
-        left = span.reduce_full(modules.vector_to_row(full, p, order), hits)
-        if left:
-            deg = sum(modules.monomial(n, min(left) // p)) + 1
-            raise NotLiftableError(
-                f"branch {b.label!r}: lift equation inconsistent at jet order {deg}",
-                b.label,
-                deg - 1,
-            )
-        if form is not None:  # division decides; the jets only miss the degree
-            raise NotLiftableError(f"branch {b.label!r}: lift equation inconsistent: nonzero"
-                                   f" division normal form, obstruction degree at least {order}",
-                                   b.label, order)
-        terms: list[dict] = [{} for _ in range(n)]
-        for (src, alpha), c in span.combination(hits).items():
-            terms[src][alpha] = c
-        xi = tuple(Polynomial(n, t) for t in terms)
-        low = _residual_low(b, full, xi)
-        if low is not None:
-            residual_low = low if residual_low is None else min(residual_low, low)
-        lifts.append(xi)
-    return LiftCertificate(tuple(eta), tuple(lifts), order, residual_low is None, residual_low)
-
-
-def verify_certificate(f: MultiGerm, cert: LiftCertificate) -> bool:
-    """Recheck a certificate from scratch: the residual of each branch must
-    vanish (exact) or start at or above the certified jet order."""
-    for j, (b, xi) in enumerate(zip(f.branches, cert.lifts)):
-        low = _residual_low(b, f.pullback(j, cert.eta, None), xi)
-        if low is not None and low < cert.order:
-            return False
-    return True
+    """Solve the lift equation for eta over every branch of f: the
+    ``certificate`` of its terms, or NotLiftableError."""
+    terms = [(q, beta, c) for q, comp in enumerate(eta) for beta, c in comp.terms.items()]
+    return certificate(f, eta, terms, order)

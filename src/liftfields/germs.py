@@ -8,9 +8,10 @@ beside the level models in ``ksmaps``; the quadratic-suspension reduction
 and one-parameter unfoldings in ``unfoldings``.
 
 Each jet object derived from a germ (ideal spans, ell, towers, class maps,
-prenormal forms, pullback memos, tangent spans, ``ksmaps`` level models) has
-one builder under ``cached(kind)``, so it is built once per germ and arguments;
-the ideal and tangent spans take their rows from ``modules.jet_multiples``.
+prenormal forms, pullback memos, tangent spans and per-term lift residuals,
+``ksmaps`` level models) has one builder under ``cached(kind)``, so it is
+built once per germ and arguments; ideal and tangent spans take their rows
+from ``modules.jet_multiples``.
 Each fact is derived once: the corank from one echelon span of each
 branch's linear part; delta is read at jet order ell+1, where ell's scan
 ends; both derivations of a level i take their jet order (i+1)*ell from
@@ -251,21 +252,6 @@ class MultiGerm:
                         terms[m] = terms.get(m, 0) + v * w
             out.append(Polynomial(self.n, terms))
         return out
-
-    @cached("tangent")
-    def tangent_span(self, j: int, order: int) -> linalg.FactoredSpan:
-        """Jet span below ``order`` of branch j's tangent space tf(θ) =
-        df_j(θ), factored once: the module jet multiples
-        (``modules.jet_multiples``) of the Jacobian's columns df_j(e_src),
-        each x^alpha * df_j(e_src) tagged (src, alpha), so the lift equation
-        df_j(xi) = rhs is solved by reducing rhs and back-substituting."""
-        n, p = self.n, self.p
-        check_jet_span("a branch's tangent span", n, order, p)
-        jac = self.branches[j].jacobian()
-        span = linalg.FactoredSpan()
-        for tag, row in modules.jet_multiples(zip(*jac), p, n, order):
-            span.add(row, tag)
-        return span
 
     def free_level_models(self) -> None:
         """Drop the cached level models with the towers and class maps they

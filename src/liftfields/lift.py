@@ -6,15 +6,13 @@ This module builds generating sets two ways — completing kernel vectors of
 the matrix model by a bounded-degree ansatz (complete_generators), and
 restricting the liftable module of a one-parameter stable unfolding through
 a syzygy computation (restrict_from_unfolding) — and certifies results by
-re-solving, jet-level module equality, and a Nakayama generator count.
+lift certificates, jet-level module equality, and a Nakayama generator count.
 
 The lift equation itself is solved in ``division`` (solve_lift,
-verify_certificate, LiftCertificate and their helpers), so a command that
-only checks fields never compiles this module.
-Lifts are decided branch by branch: by division in K[x][y] on branches in
-prenormal form (MultiGerm.prenormal), exactly; otherwise, or to report an
-obstruction degree, modulo the tangent jet span, factored once per jet
-order and cached on the germ (MultiGerm.tangent_span).
+LiftCertificate and the per-term residuals both it and completion sum), so a
+command that only checks fields never compiles this module.  Completion
+certifies each generator from the entries its columns were built from, so
+no lift is divided or reduced twice.
 
 The Nakayama minimization builds the positive-degree jet span m*M of the
 restricted fields once and keeps, scanning from the last field to the first,
@@ -27,11 +25,11 @@ from collections.abc import Sequence
 from itertools import product
 from math import lcm
 
-from . import ksmaps, linalg, modules, unfoldings
+from . import division, ksmaps, linalg, modules, unfoldings
 from .division import FieldVector, LiftCertificate, solve_lift
 from .errors import ConsistencyError, HypothesisError, InputError, ResourceCapError
 from .germs import MultiGerm, check_jet_span
-from .poly import Polynomial, mono_mul, monomials_of_degree
+from .poly import Polynomial, monomials_of_degree
 
 
 class LiftModule:
@@ -54,44 +52,16 @@ class LiftModule:
 # generator construction I: kernel completion
 # ---------------------------------------------------------------------------
 
-def _residual_columns(f: MultiGerm, order: int):
-    """column(terms) -> (s * residual column of sum(c * X^beta e_q) over terms
-    (q, beta, c), s), s an integer: division normal forms, or jet remainders
-    on branches that are not prenormal.  On a prenormal branch the column
-    of X'^a*Y^b e_q (``MultiGerm.split``) is the x^a-shift of Y^b e_q's: the
-    normal form is K[x']-linear, and K[y]-linear too when a slot's
-    component is y, since then W is a constant."""
+def _column(f: MultiGerm, terms: list, order: int) -> tuple[dict, int]:
+    """(S * residual column, S) of sum(c * X^beta e_q) over terms (q, beta,
+    c): the branches' residuals (division.residual), one column block each,
+    interleaved so that columns still ascend with the monomial degree."""
     p, nb = f.p, f.num_branches
-    forms = [f.prenormal(j) for j in range(nb)]
-    # the lift condition decouples: one column block per branch, interleaved
-    # so that columns still ascend with the monomial degree
-    tspans = [None if form else f.tangent_span(j, order) for j, form in enumerate(forms)]
-    normal_forms: dict = {}  # (j, Y^b, q) -> (s * normal form of Y^b e_q, s)
-
-    def column(terms: list) -> tuple[dict, int]:
-        blocks = []
-        for (q, beta, c), (j, form) in product(terms, enumerate(forms)):
-            v = [Polynomial.zero(p)] * p
-            if form is None:
-                v[q] = Polynomial.monomial(p, beta)
-                r = modules.vector_to_row(f.pullback(j, v, order), p, order)
-                blocks.append((1, c, {k * nb + j: a for k, a in tspans[j].reduce_full(r).items()}))
-                continue
-            shift, rest = f.split(j, beta)
-            key = (j, rest, q)
-            if key not in normal_forms:
-                v[q] = Polynomial.monomial(p, rest)
-                normal_forms[key] = form.normal_form(f.pullback(j, v, None))[::2]
-            nf, s = normal_forms[key]
-            blocks.append((s, c, {(modules.column(mono_mul(m, shift)) * p + k) * nb + j: a
-                                  for k, comp in enumerate(nf) for m, a in comp.terms.items()}))
-        scale, out = lcm(*(s for s, _, _ in blocks)), {}
-        for s, c, block in blocks:
-            for k, a in block.items():
-                out[k] = out.get(k, 0) + c * (scale // s) * a
-        return out, scale
-
-    return column
+    blocks = [division.residual(f, j, terms, order) for j in range(nb)]
+    scale = lcm(*(s for _, s in blocks))
+    return {(modules.column(m) * p + k) * nb + j: a * (scale // s)
+            for j, (vec, s) in enumerate(blocks)
+            for k, comp in enumerate(vec[:p]) for m, a in comp.items()}, scale
 
 
 def complete_generators(f: MultiGerm, cap: int = 6,
@@ -103,7 +73,8 @@ def complete_generators(f: MultiGerm, cap: int = 6,
     homogeneous degree-(i+1) kernel representative.  The residual columns
     of the candidate terms X^beta e_q enter one factored span degree by
     degree, until it holds -residual(eta0); the completion is then the
-    combination of the kept candidates, the others at 0.
+    combination of the kept candidates, the others at 0, certified from the
+    same memoized entries (division.certificate).
     """
     i, p = ksmaps.matched_level(f, cap, "kernel completion"), f.p
     ell = f.ell()
@@ -121,14 +92,13 @@ def complete_generators(f: MultiGerm, cap: int = 6,
     expected = ksmaps.min_generators(f, cap=cap).count
     f.free_level_models()  # the level work is done
 
-    column = _residual_columns(f, order)
     span = linalg.FactoredSpan()  # kept candidates are independent: completions are unique
     candidates: list[tuple[int, tuple, int]] = []  # tag -> (q, beta, scale of its column)
     generators = []
     d_hi = i + 1  # candidates of degree i+2 .. d_hi are in the span
     for eta0 in kernel:
-        r0, den = column([(q, beta, -c) for q, comp in enumerate(eta0)
-                          for beta, c in comp.terms.items()])
+        terms = [(q, beta, c) for q, comp in enumerate(eta0) for beta, c in comp.terms.items()]
+        r0, den = _column(f, [(q, beta, -c) for q, beta, c in terms], order)
         while True:
             hits: dict = {}
             if not span.reduce_full(r0, hits):
@@ -139,14 +109,15 @@ def complete_generators(f: MultiGerm, cap: int = 6,
                 )
             d_hi += 1
             for beta, q in product(monomials_of_degree(p, d_hi), range(p)):
-                col, s = column([(q, beta, 1)])
+                col, s = _column(f, [(q, beta, 1)], order)
                 span.add(col, len(candidates))
                 candidates.append((q, beta, s))
-        eta = list(eta0)
+        eta = list(eta0)  # plus c * s times each kept candidate
         for tag, c in sorted(span.combination(hits, den).items()):
             q, beta, s = candidates[tag]
             eta[q] = eta[q] + Polynomial.monomial(p, beta, c * s)
-        generators.append(solve_lift(f, tuple(eta), order))
+            terms.append((q, beta, c * s))
+        generators.append(division.certificate(f, tuple(eta), terms, order))
     if len(generators) != expected:
         raise HypothesisError(
             f"completion produced {len(generators)} generators, expected {expected}"

@@ -309,6 +309,8 @@ class _Parser:
             self.expect("sym", ";")
             if len(comps) != len(target):
                 self.error(f"{key.text} must have {len(target)} components", key)
+            if any(c.constant_term() for c in comps):
+                self.error(f"{key.text} must fix 0: a component has a nonzero constant term", key)
             maps[key.text] = comps
 
         self.block(declaration)

@@ -9,7 +9,8 @@ delta stabilisation loop and the brute-force higher invariants at a jet order
 of one's choice, the level models' former jet order ell*(i+2)+1, the
 brute-force monomial enumeration that jet columns are numbered by, and the
 jsonschema package's report validation; they stay here as oracles only.
-``groebner_delta`` counts delta a third way, with sympy's Groebner bases.
+``groebner_delta`` counts delta a third way, with sympy's Groebner bases, and
+``verify_certificate`` rechecks a lift certificate by substitution.
 """
 
 from __future__ import annotations
@@ -399,3 +400,18 @@ def residual_column(f, q: int, beta: tuple, rank) -> dict:
             for m, c in comp.terms.items():
                 out[(rank(m) * f.p + slot) * f.num_branches + j] = c
     return out
+
+
+def verify_certificate(f, cert) -> bool:
+    """Recheck a lift certificate from scratch, with no pullback memo: on
+    each branch, eta∘f_j by Polynomial.substitute minus df_j(xi_j) must
+    vanish when the certificate is exact, and otherwise have no term below
+    its jet order."""
+    for b, xi in zip(f.branches, cert.lifts):
+        jac = b.jacobian()
+        for q, comp in enumerate(cert.eta):
+            image = sum((jac[q][i] * xi[i] for i in range(f.n)), Polynomial.zero(f.n))
+            residual = comp.substitute(list(b.components)) - image
+            if residual and (cert.exact or residual.low_degree() < cert.order):
+                return False
+    return True

@@ -26,10 +26,10 @@ from liftfields import (
     restrict_from_unfolding,
     solve_lift,
     transport,
-    verify_certificate,
 )
 
 from conftest import germ, poly, vec_scale, vfield
+from oracles import verify_certificate
 
 CERT = 12
 

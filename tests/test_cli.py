@@ -102,10 +102,11 @@ def test_json_report_does_not_import_jsonschema():
         "    mod = sys.modules['liftfields.' + layer]\n"
         "    assert type(mod) is not types.ModuleType, layer + ' was compiled'\n"
     )
-    runs = [
-        ([["analyze", "e0"], ["construct", "e0"], ["check", "e0"], ["unfold", "fold-line"]], []),
+    runs = [  # every branch of these germs is prenormal: none takes the jet route
+        ([["analyze", "e0"], ["construct", "e0"], ["check", "e0"], ["unfold", "fold-line"]],
+         ["tangent"]),
         ([["check", "e0"], ["check", "bigerm-69"], ["transport", "phi-63"],
-          ["reduce", "suspended-69"]], ["ksmaps", "linalg", "modules"]),
+          ["reduce", "suspended-69"]], ["ksmaps", "linalg", "modules", "tangent"]),
         ([["analyze", "e0"], ["kernel", "curve-457", "--level", "2"]], ["lift", "division"]),
     ]
     for commands, unused in runs:
@@ -660,6 +661,20 @@ def test_exit_parse_error_diffeo_not_inverse(tmp_path, capsys):
     assert err == "error: H∘H_inv is not the identity to the certified order\n"
 
 
+def test_exit_parse_error_diffeo_not_at_zero(tmp_path, capsys):
+    # a pair of translations is inverse, but not a diffeomorphism germ at 0:
+    # it would transport the cusp's Euler field to (2*X - 2, 3*Y)
+    path = tmp_path / "shifted.germ"
+    path.write_text(
+        "germ shifted { n = 1; p = 2; target (X, Y); branch a(y) = (y^2, y^3);\n"
+        " diffeo { H = (X + 1, Y); Hinv = (X - 1, Y); } fields reference { (2*X, 3*Y); } }"
+    )
+    code, out, err = run(["transport", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: line 2, column 11: H must fix 0: a component has a nonzero"
+                   " constant term\n")
+
+
 def test_exit_parse_error_repeated_diffeo_key(tmp_path, capsys):
     # the second H, which would make the pair inverse, does not replace the first
     path = tmp_path / "twice.germ"
@@ -720,7 +735,7 @@ def test_exit_resource_level_model_too_large(capsys, monkeypatch):
                    " branch at jet order 164, above the cap 500000\n")
 
 
-def test_exit_resource_jet_span_past_the_cap(capsys, monkeypatch):
+def test_exit_resource_jet_span_past_the_cap(tmp_path, capsys, monkeypatch):
     # a tangent or Nakayama span is refused where it is about to be built, on
     # its columns, rank * C(n + order - 1, n); at the default bounds
     # construct rieger-36 needs 2 * C(47, 2) = 2,162 and unfold sfold-1-plus
@@ -737,6 +752,15 @@ def test_exit_resource_jet_span_past_the_cap(capsys, monkeypatch):
     # below the cap both run: 2 * C(29, 2) = 812 and 3 * C(12, 3) = 660
     assert run(["construct", "rieger-36", "--max-degree", "12"], capsys)[0] == 0
     assert run(["unfold", "sfold-1-plus", "--cert-order", "10"], capsys)[0] == 0
+    # a tangent span is built for a term to reduce, so a zero field on a
+    # branch that is not prenormal needs none
+    path = tmp_path / "fold.germ"
+    path.write_text("germ fold { n = 2; p = 2; target (X, Y);"
+                    " branch a(x, y) = (x, x*y + y^3 + 2*y^4);"
+                    " fields zero { (0, 0); } fields euler { (X, 0); } }")
+    code, out, _ = run(["check", str(path), "--fields", "zero", "--cert-order", "46"], capsys)
+    assert code == 0 and "[exact]" in out
+    assert run(["check", str(path), "--fields", "euler", "--cert-order", "46"], capsys)[0] == 2
 
 
 def test_bounds_past_the_cap_decided_by_division(capsys):

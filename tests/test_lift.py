@@ -20,9 +20,8 @@ from liftfields import (
     restrict_from_unfolding,
     solve_lift,
     transport,
-    verify_certificate,
 )
-from liftfields import catalog, cli, division, germs, ksmaps, lift, linalg, modules
+from liftfields import catalog, cli, division, germs, ksmaps, lift, linalg, modules, tangent
 from liftfields import poly as poly_module
 from liftfields.errors import HypothesisError, InputError
 from liftfields.germs import Branch, MultiGerm
@@ -31,7 +30,7 @@ from liftfields.poly import Polynomial, monomials_below, monomials_of_degree
 
 from conftest import germ, monogerm, poly, vec_add, vec_scale, vfield
 from oracles import (greedy_nakayama_minimize, polynomial_module_jet_span, reference_syzygy_basis,
-                     residual_column)
+                     residual_column, verify_certificate)
 
 CERT = 12
 
@@ -133,16 +132,41 @@ def test_completion_is_exact_on_family_a(a, b):
         assert mod.count and all(g.exact for g in mod.generators), (a, b, c)
 
 
+def test_completion_certificates_match_fresh_solve_lift(catalog_docs):
+    """Every certificate kernel completion emits on the catalog (rieger-ruas
+    at degree bound 4) equals solve_lift's for its field on a fresh germ,
+    whose memo shares nothing with completion's: completion combines its
+    columns' partial lifts rather than solving again.  rieger-36's branch
+    is not prenormal, so its lifts take the jet route."""
+    def core(doc):
+        f = doc.to_multigerm()
+        return reduce_to_core(f) if f.n > f.p else f  # as the construct command does
+
+    completed = []
+    for name, doc in catalog_docs.items():
+        bound = 4 if name == "rieger-ruas" else None
+        try:
+            mod = complete_generators(core(doc), max_extra_degree=bound)
+        except HypothesisError:
+            continue
+        for cert in mod.generators:
+            again = solve_lift(core(doc), cert.eta, cert.order)
+            assert (again.lifts, again.exact, again.order, again.residual_low_degree) == (
+                cert.lifts, cert.exact, cert.order, cert.residual_low_degree), name
+        completed.append(name)
+    assert len(completed) == 13 and {"rieger-36", "rieger-ruas"} <= set(completed)
+
+
 def test_completion_frees_the_level_models_only():
     # the level work is dropped once the kernel is read; the tangent spans
     # the lifts are solved on stay cached
     f = germ("rieger-36")
-    tangent = f.tangent_span(0, 5)
+    span = tangent.span(f, 0, 5)
     ks_matrix(f, 0)
     assert {"tower", "cmap", "ks"} <= {key[0] for key in f._cache}
     complete_generators(f)
     assert not {"tower", "cmap", "ks"} & {key[0] for key in f._cache}
-    assert f._cache[("tangent", 0, 5)] is tangent
+    assert f._cache[("tangent", 0, 5)] is span
     assert len([key for key in f._cache if key[0] == "tangent"]) > 1  # the lifts' own
 
 
@@ -482,7 +506,7 @@ def _check_tangent_spans(f, order):
     and rebuilds the row as df_j(sum of c * x^alpha e_src)."""
     for j, b in enumerate(f.branches):
         jac = b.jacobian()
-        span = f.tangent_span(j, order)
+        span = tangent.span(f, j, order)
         want = polynomial_module_jet_span(list(zip(*jac)), f.p, f.n, order)
         assert span.rows == want.rows, (b.label, order)
         for row in span.rows.values():
@@ -513,25 +537,26 @@ def test_completion_factors_each_tangent_span_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "FactoredSpan", CountingSpan)
     used = []
-    tangent_span = germs.MultiGerm.tangent_span
+    tangent_span = tangent.span
 
-    def recording(self, j, order):
+    def recording(f, j, order):
         building.append(j)
         try:
-            span = tangent_span(self, j, order)
+            span = tangent_span(f, j, order)
         finally:
             building.pop()
         used.append((j, order, span))
         return span
 
-    monkeypatch.setattr(germs.MultiGerm, "tangent_span", recording)
+    monkeypatch.setattr(tangent, "span", recording)
     f = germ("rieger-36")  # the catalog germ that is not prenormal keeps the jet path
     mod = complete_generators(f)
     keys = {(j, order) for j, order, _ in used}
     assert len(built) == len(keys) == f.num_branches
     assert all(order == mod.cert_order for _, order, _ in used)
-    # one lookup per branch for completion, then one per branch per generator
-    assert len(used) == f.num_branches * (1 + mod.count)
+    # one lookup per memoized term residual, and none for the certificates,
+    # which are combinations of those terms' partial lifts
+    assert len(used) == len([key for key in f._cache if key[0] == "residual"])
     assert {id(span) for _, _, span in used} == {id(span) for span in built}
 
 
@@ -546,13 +571,14 @@ def _jet_only():
 
 
 def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
-    # nor read a jet column (a row, or a column's monomial) in the division
-    # layer: at the default degree bound rieger-ruas would lift at jet order
-    # 37, C(40, 4) monomials
+    # nor read a jet column (a row, or a column's monomial) on the jet route,
+    # which division alone calls: at the default degree bound rieger-ruas
+    # would lift at jet order 37, C(40, 4) monomials
     built, solved = [], []
-    monkeypatch.setattr(germs.MultiGerm, "tangent_span", lambda *a: built.append(a))
+    monkeypatch.setattr(tangent, "span", lambda *a: built.append(a))
     monkeypatch.setattr(linalg, "solve_sparse", lambda *a: solved.append(a))
-    monkeypatch.setattr(division, "modules", mock.Mock())
+    monkeypatch.setattr(tangent, "modules", mock.Mock())
+    assert not hasattr(division, "modules")
     assert not hasattr(lift, "solve_sparse")
     for argv in (
         ["construct", "phi-3"],
@@ -565,7 +591,7 @@ def test_prenormal_germs_build_no_tangent_span(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert built == [] and solved == [] and division.modules.mock_calls == []
+    assert built == [] and solved == [] and tangent.modules.mock_calls == []
 
 
 def test_division_verdicts_match_jets(catalog_docs):
@@ -585,7 +611,7 @@ def test_division_verdicts_match_jets(catalog_docs):
             for vf in block.fields:
                 normal = [form.normal_form(target.pullback(j, vf, None))
                           for j, form in enumerate(forms)]
-                divides = not any(any(nf) for nf, _, _ in normal)
+                divides = not any(any(vec[:target.p]) for vec, _ in normal)
                 with _jet_only():
                     try:
                         cert = solve_lift(target, vf, CERT)
@@ -596,7 +622,8 @@ def test_division_verdicts_match_jets(catalog_docs):
                     obstructed += 1
                     continue
                 liftable += 1
-                lifts = tuple(tuple(x.scale(Fraction(1, s)) for x in xi) for _, xi, s in normal)
+                lifts = tuple(tuple(x.scale(Fraction(1, s)) for x in vec[target.p:])
+                              for vec, s in normal)
                 if cert.exact:
                     assert cert.lifts == lifts, (name, block.name)
                 assert solve_lift(target, vf, CERT).lifts == lifts
@@ -697,28 +724,42 @@ def _prenormal_germs(draw):
 @settings(max_examples=25, deadline=None)
 @given(_prenormal_germs(), st.data())
 def test_shifted_columns_match_full_normal_forms(f, data):
-    """Each candidate column, shifted from that of its non-coordinate part
-    and divided in integers, is its scale times the rational normal form of
-    the full pullback, on every branch; so is a seed's combined column."""
+    """Each candidate column, summed from the shifted entry of its
+    non-coordinate part and divided in integers, is its scale times the
+    rational normal form of the full pullback, on every branch; so is a
+    seed's combined column, and on each branch the seed's summed residual r
+    and partial lift xi, over their scale S, satisfy S * eta∘f_j =
+    df_j(xi) + r exactly."""
     assert None not in map(f.prenormal, range(f.num_branches))
-    column = lift._residual_columns(f, 0)  # no jet order: every branch divides
     want = {}
     for d in range(4):
         for beta in monomials_of_degree(f.p, d):
             for q in range(f.p):
-                col, s = column([(q, beta, 1)])
+                col, s = lift._column(f, [(q, beta, 1)], 0)  # every branch divides
                 want[q, beta] = residual_column(f, q, beta, modules.column)
                 assert type(s) is int and {type(c) for c in col.values()} <= {int}
                 assert col == {k: s * c for k, c in want[q, beta].items()}, (q, beta)
     terms = data.draw(st.lists(st.tuples(st.sampled_from(sorted(want)),
                                          st.sampled_from([1, -3, Fraction(1, 2)])),
                                min_size=1, max_size=3, unique_by=lambda t: t[0]))
-    col, s = column([(q, beta, c) for (q, beta), c in terms])
+    seed = [(q, beta, c) for (q, beta), c in terms]
+    col, s = lift._column(f, seed, 0)
     total: dict = {}
     for key, c in terms:
         for k, v in want[key].items():
             total[k] = total.get(k, 0) + c * v
     assert {k: v for k, v in col.items() if v} == {k: s * v for k, v in total.items() if v}
+    eta = [sum((Polynomial.monomial(f.p, beta, c) for q_, beta, c in seed if q_ == q),
+               Polynomial.zero(f.p)) for q in range(f.p)]
+    for j, b in enumerate(f.branches):
+        vec, scale = division.residual(f, j, seed, 0)
+        vec = [Polynomial(f.n, t) for t in vec]
+        res, xi = vec[:f.p], vec[f.p:]
+        jac = b.jacobian()
+        for q, comp in enumerate(eta):
+            image = sum((jac[q][i] * xi[i] for i in range(f.n)), Polynomial.zero(f.n))
+            pulled = comp.substitute(list(b.components))
+            assert pulled.scale(scale) == image + res[q], (b.label, q)
 
 
 def test_pullback_memo_matches_substitute(catalog_docs):
@@ -748,10 +789,11 @@ def test_pullback_memo_matches_substitute(catalog_docs):
 def test_completion_divides_once_per_branch_monomial_and_slot(monkeypatch):
     """rieger-ruas at degree 4: the 525 candidates X^beta e_q of degrees 3
     and 4 and the 17 seeds read their columns off 75 normal forms, one per
-    Y^b e_q with Y^b of degree <= 4 in the two non-coordinate slots; then
-    solve_lift divides once per generator, and nothing is substituted."""
+    Y^b e_q with Y^b of degree <= 4 in the two non-coordinate slots; the
+    certificates combine the columns' partial lifts, so solve_lift is never
+    called, and nothing is substituted."""
     f = germ("rieger-ruas")
-    calls, lifting = {"completion": 0, "solve_lift": 0, "substitute": 0}, []
+    calls, lifting, solved = {"completion": 0, "solve_lift": 0, "substitute": 0}, [], []
     normal_form, solve, substitute = (division.PrenormalForm.normal_form, lift.solve_lift,
                                       Polynomial.substitute)
 
@@ -760,6 +802,7 @@ def test_completion_divides_once_per_branch_monomial_and_slot(monkeypatch):
         return normal_form(self, v)
 
     def counting_solve(*args):
+        solved.append(args)
         lifting.append(True)
         try:
             return solve(*args)
@@ -772,10 +815,12 @@ def test_completion_divides_once_per_branch_monomial_and_slot(monkeypatch):
 
     monkeypatch.setattr(division.PrenormalForm, "normal_form", counting_normal_form)
     monkeypatch.setattr(lift, "solve_lift", counting_solve)
+    monkeypatch.setattr(division, "solve_lift", counting_solve)
     monkeypatch.setattr(Polynomial, "substitute", counting_substitute)
     mod = complete_generators(f, max_extra_degree=4)
     assert mod.count == 17 and all(c.exact for c in mod.generators)
-    assert calls == {"completion": 15 * 5, "solve_lift": 17, "substitute": 0}
+    assert calls == {"completion": 15 * 5, "solve_lift": 0, "substitute": 0}
+    assert solved == []
 
 
 # ---------------------------------------------------------------------------
